@@ -1,11 +1,17 @@
-"""Exhaustive censuses of Aut(K_{n,m}) by classification case.
+"""Censuses of Aut(K_{n,m}) by classification case.
 
-Enumeration is split into contiguous index ranges; each range is turned
-into a batch of permutation arrays, run through the cycle-structure kernel
-(see :mod:`bipsym.kernels`), and the per-signature tallies are merged by
-summation.  Classification is memoized per distinct signature, so the
-kernel dominates the runtime.  Reports are cached as one canonical-JSON
-file per (shape, version, seed).
+The classifier's input, the cycle signature, is constant on each conjugacy
+class of Aut(K_{n,m}), so a census counts classes instead of enumerating
+the n!*m! automorphisms.  A part-preserving class is a pair of cycle types
+(lambda of n, mu of m) of size n!*m!/(z_lambda*z_mu); for n = m a
+part-swapping class is the cycle type lambda of its return map V -> W -> V,
+whose cycles are the mixed cycles 2*lambda, of size n!*n!/z_lambda.  Here
+z_lambda = prod k^{j_k} * j_k! is the centralizer order of a permutation
+with j_k cycles of length k.  Each signature is classified once.
+
+With ``realize_all`` every automorphism is still enumerated, realized and
+verified.  Reports are cached as one canonical-JSON file per
+(shape, version, seed).
 """
 
 from __future__ import annotations
@@ -14,30 +20,27 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations
 from pathlib import Path
-
-import numpy as np
+from typing import Iterator
 
 from ._version import __version__
 from .classifier import classify
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     BipartiteShape,
+    CycleSignature,
+    SideAction,
     enumerate_automorphisms,
     automorphism_count,
     signature,
 )
 from .errors import OutOfTheoremScope, TooLarge
 from .geometry import realize
-from .jsonio import canonical_json
-from .kernels import cycle_stats, stats_row_to_signature
+from .jsonio import canonical_json, write_text_atomic
 from .verifier import verify
 
 CACHE_ENV_VAR = "BIPSYM_CACHE_DIR"
-_CHUNK = 1 << 15
 
 
 @dataclass
@@ -103,47 +106,57 @@ def cache_path(cache_dir: str | Path, shape: BipartiteShape, seed: int) -> Path:
     return Path(cache_dir) / name
 
 
-def _signature_tallies(
-    shape: BipartiteShape, backend: str | None, workers: int
-) -> Counter:
-    """Count automorphisms per cycle-structure stat row over the full group."""
+def _partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as non-increasing tuples, in reverse lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _centralizer_order(parts: tuple[int, ...]) -> int:
+    """z = prod k^{j_k} * j_k!, the order of the centralizer in S_n of a
+    permutation with cycle type ``parts``."""
+    z = 1
+    for k, j in Counter(parts).items():
+        z *= k**j * math.factorial(j)
+    return z
+
+
+def signature_tallies(shape: BipartiteShape) -> Counter:
+    """Number of automorphisms of K_{n,m} with each cycle signature."""
     n, m = shape.n, shape.m
-    vtable = np.array(list(permutations(range(n))), dtype=np.int64)
-    wtable = np.array(list(permutations(range(m))), dtype=np.int64)
-    pairs = len(vtable) * len(wtable)
-    flags = (False, True) if n == m else (False,)
-
-    tasks = [
-        (swap, lo, min(lo + _CHUNK, pairs))
-        for swap in flags
-        for lo in range(0, pairs, _CHUNK)
-    ]
-
-    def process(task) -> Counter:
-        swap, lo, hi = task
-        idx = np.arange(lo, hi)
-        vi, wi = idx // len(wtable), idx % len(wtable)
-        batch = np.empty((hi - lo, n + m), dtype=np.int64)
-        if swap:
-            batch[:, :n] = vtable[vi] + n
-            batch[:, n:] = wtable[wi]
-        else:
-            batch[:, :n] = vtable[vi]
-            batch[:, n:] = wtable[wi] + n
-        rows = cycle_stats(batch, n, backend)
-        uniq, counts = np.unique(rows, axis=0, return_counts=True)
-        return Counter(
-            {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, counts)}
-        )
-
+    pairs = math.factorial(n) * math.factorial(m)
     tally: Counter = Counter()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(process, tasks):
-                tally.update(part)
-    else:
-        for task in tasks:
-            tally.update(process(task))
+    for lam in _partitions(n):
+        for mu in _partitions(m):
+            sig = CycleSignature(
+                shape=shape,
+                side_action=SideAction.PRESERVING,
+                r=math.lcm(*lam, *mu),
+                fixed_v=lam.count(1),
+                fixed_w=mu.count(1),
+                pure_v_cycles=tuple(k for k in lam if k > 1),
+                pure_w_cycles=tuple(k for k in mu if k > 1),
+                mixed_cycles=(),
+            )
+            tally[sig] += pairs // (_centralizer_order(lam) * _centralizer_order(mu))
+    if n == m:
+        for lam in _partitions(n):
+            mixed = tuple(2 * k for k in lam)
+            sig = CycleSignature(
+                shape=shape,
+                side_action=SideAction.SWAPPING,
+                r=math.lcm(*mixed),
+                fixed_v=0,
+                fixed_w=0,
+                pure_v_cycles=(),
+                pure_w_cycles=(),
+                mixed_cycles=mixed,
+            )
+            tally[sig] += pairs // _centralizer_order(lam)
     return tally
 
 
@@ -152,16 +165,16 @@ def census(
     realize_all: bool = False,
     seed: int = 1,
     cache_dir: str | Path | None = None,
-    backend: str | None = None,
-    workers: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CensusReport:
     """Classify every automorphism of K_{n,m} and tally the matched cases.
 
+    The tally is counted per conjugacy class (see :func:`signature_tallies`).
     With ``realize_all``, additionally run realize + verify on every
     (automorphism, orientation) pair the classifier marks realizable and
     count the passing certificates.  Deterministic given (shape, seed); a
-    cached report is returned as-is when present.
+    cached report is returned when its shape and total match ``shape``,
+    and is recomputed and overwritten otherwise.
     """
     if shape.n <= 2 or shape.m <= 2:
         raise OutOfTheoremScope(
@@ -175,16 +188,21 @@ def census(
     if path is not None and path.exists():
         try:
             report = report_from_obj(json.loads(path.read_text("utf-8")))
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, TypeError, AttributeError):
             report = None  # unreadable cache entry; recompute and overwrite
-        if report is not None and (not realize_all or report.realized_verified is not None):
+        if (
+            report is not None
+            and report.shape == shape
+            and report.total == automorphism_count(shape)
+            and (not realize_all or report.realized_verified is not None)
+        ):
             return report
 
     per_case: dict[str, int] = {}
     unreal_op = 0
     unreal_or = 0
-    for row, count in sorted(_signature_tallies(shape, backend, workers).items()):
-        verdict = classify(stats_row_to_signature(np.array(row), shape))
+    for sig, count in signature_tallies(shape).items():
+        verdict = classify(sig)
         for case in verdict.op_cases + verdict.or_cases:
             per_case[case.label] = per_case.get(case.label, 0) + count
         if not verdict.op_realizable:
@@ -219,7 +237,7 @@ def census(
     )
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(canonical_json(report_to_obj(report)), "utf-8")
+        write_text_atomic(path, canonical_json(report_to_obj(report)))
     return report
 
 

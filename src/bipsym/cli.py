@@ -24,6 +24,7 @@ from .jsonio import (
     realization_from_obj,
     realization_to_obj,
     verdict_to_obj,
+    write_text_atomic,
 )
 from .verifier import verify
 
@@ -91,8 +92,7 @@ def _cmd_realize(args) -> int:
     iso, emb = realize(aut, orientation, args.seed)
     text = canonical_json(realization_to_obj(aut, iso, emb, case.label, args.seed))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_text_atomic(args.output, text + "\n")
     else:
         print(text)
     return EXIT_OK

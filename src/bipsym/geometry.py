@@ -33,7 +33,12 @@ from .core import (
     power,
     signature,
 )
-from .errors import NotRealizable, OrderMismatch, PlacementFailure
+from .errors import (
+    NotRealizable,
+    OrderMismatch,
+    PlacementFailure,
+    PreconditionError,
+)
 
 ORTHOGONALITY_TOL = 1e-12
 ORDER_TOL = 1e-9
@@ -349,8 +354,6 @@ class _Placer:
         self.points.append(p)
         self.coords[key] = p
 
-    put_free_point = put_point
-
     def put_orbit_at(self, keys, p: np.ndarray) -> None:
         """Place an orbit at a pinned seed point (no resampling)."""
         pts = self._orbit(p, len(keys))
@@ -505,8 +508,12 @@ def _subdivide_half_turn(aut: BipartiteAutomorphism):
     keyset = set(edges)
     for v, w in edges:
         img_v, img_w = aut(w), aut(v)  # phi(v) lies in W, phi(w) in V
+        if (img_v, img_w) not in keyset:
+            raise PreconditionError(
+                f"edge ({v.label}, {w.label}) maps to ({img_v.label}, {img_w.label}),"
+                " which the half-order power does not invert"
+            )
         succ[(v, w)] = (img_v, img_w)
-        assert (img_v, img_w) in keyset
     cycles = []
     seen = set()
     for e in edges:
@@ -655,7 +662,7 @@ def _realize_improper(aut, sig, case, vrole, rng) -> tuple[Isometry4, SpatialEmb
             placer.put_orbit_at(cyc, point_on_x(t))
             placed.add(cyc)
             zname = f"z{len(sub_edges) + 1}"
-            placer.put_free_point(zname, f_point)
+            placer.put_point(zname, f_point)
             sub_edges[zname] = (cyc[0], cyc[1])
     else:
         if case.sub in ("a", "d"):

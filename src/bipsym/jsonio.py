@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -59,6 +61,28 @@ def canonical_json(obj: Any) -> str:
     out: list[str] = []
     _encode(obj, out)
     return "".join(out)
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` so that readers see either the old
+    file or the complete new one: a temporary file in the same directory is
+    written, then renamed over ``path``.
+
+    The rename makes the write atomic for readers, not durable across a
+    crash; there is no fsync, which would block each write until the disk
+    confirms it.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # mode 0o666 lets the umask decide permissions, as open() would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 # --- verdicts ----------------------------------------------------------------

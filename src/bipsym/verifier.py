@@ -21,6 +21,7 @@ from .geometry import (
     ORTHOGONALITY_TOL,
     SEPARATION,
     SUBSPACE_TOL,
+    _KIND_BY_DIM,
     FixedSetKind,
     Isometry4,
     IsometryOrientation,
@@ -28,14 +29,6 @@ from .geometry import (
     fixed_subspace,
     subspace_distance,
 )
-
-_KIND_BY_DIM = {
-    0: FixedSetKind.EMPTY,
-    1: FixedSetKind.TWO_POINTS,
-    2: FixedSetKind.CIRCLE,
-    3: FixedSetKind.SPHERE,
-    4: FixedSetKind.ALL,
-}
 
 
 @dataclass(frozen=True)

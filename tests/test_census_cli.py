@@ -70,12 +70,6 @@ class TestCensus:
             "OR12c": 18,
         }
 
-    def test_backends_agree(self):
-        assert census(S33, backend="numpy") == census(S33)
-
-    def test_workers_agree(self):
-        assert census(S34, workers=4) == census(S34)
-
     def test_realize_all_counts_every_pair(self):
         report = census(S33, realize_all=True, seed=1)
         pairs = 0
