@@ -2,8 +2,9 @@
 
 Subcommands: classify, realize, verify, census.  All structured output is
 canonical JSON on stdout (CSV optional for census); diagnostics go to
-stderr.  Exit codes: 0 success, 2 parse/validation error, 3 out of theorem
-scope (n or m <= 2), 4 not realizable, 5 certificate failure.
+stderr.  Exit codes: 0 success, 2 parse/validation error or a file that
+cannot be read or written, 3 out of theorem scope (n or m <= 2), 4 not
+realizable, 5 certificate failure.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except NotRealizable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_REALIZABLE
-    except (BipsymError, ValueError) as exc:
+    except (BipsymError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -283,6 +283,14 @@ class SeededPoints:
                 return p / norm
 
 
+def _too_close(pts: np.ndarray, others: np.ndarray) -> bool:
+    """Whether some point of ``pts`` (k x 4) lies closer than SEPARATION to
+    another row of ``others``, whose first k rows are ``pts`` themselves."""
+    d = np.linalg.norm(pts[:, None, :] - others[None, :, :], axis=2)
+    np.fill_diagonal(d, np.inf)  # each point against itself
+    return bool((d < SEPARATION).any())
+
+
 @dataclass(eq=False)
 class SpatialEmbedding:
     """Unit-S^3 coordinates for every (possibly subdivided) vertex.
@@ -304,15 +312,11 @@ class SpatialEmbedding:
         )
 
     def validate(self) -> None:
-        pts = self.all_points()
-        for p in pts:
-            if abs(np.linalg.norm(p) - 1.0) > ORTHOGONALITY_TOL:
-                raise ValueError("embedded point is not on the unit sphere")
-        arr = np.array(pts)
-        for i in range(len(arr)):
-            d = np.linalg.norm(arr[i + 1 :] - arr[i], axis=1)
-            if len(d) and d.min() < SEPARATION:
-                raise ValueError("two embedded vertices are closer than 1e-6")
+        arr = np.array(self.all_points()).reshape(-1, 4)
+        if (np.abs(np.linalg.norm(arr, axis=1) - 1.0) > ORTHOGONALITY_TOL).any():
+            raise ValueError("embedded point is not on the unit sphere")
+        if _too_close(arr, arr):
+            raise ValueError("two embedded vertices are closer than 1e-6")
 
 
 class _Placer:
@@ -339,14 +343,8 @@ class _Placer:
         return pts
 
     def _clear(self, pts: list[np.ndarray]) -> bool:
-        for i, p in enumerate(pts):
-            for q in pts[i + 1 :]:
-                if np.linalg.norm(p - q) < SEPARATION:
-                    return False
-            for q in self.points:
-                if np.linalg.norm(p - q) < SEPARATION:
-                    return False
-        return True
+        others = np.array([*pts, *self.points])
+        return not _too_close(others[: len(pts)], others)
 
     def put_point(self, key, p: np.ndarray) -> None:
         if not self._clear([p]):

@@ -2,9 +2,19 @@
 
 verify() re-derives everything from the raw matrix and coordinates: matrix
 invariants, the induced vertex permutation via nearest-neighbour matching,
-the fixed-point-set structure of every power, and the hypotheses of the
+the fixed-point sets of the powers of the matrix, and the hypotheses of the
 edge-embedding conditions (named eel1-eel4 in the certificate).  Nothing is
 trusted from the construction that produced the triple.
+
+Each check runs on arrays stacked over the powers M^0..M^r of the matrix
+(r the claimed order) and over the embedded points.  Fixed sets are worked
+out once per proper divisor of r, not once per power: when M^r = I, the
+powers M^i and M^g with g = gcd(i, r) generate the same cyclic group (g is
+an integer combination of i and r, and i is a multiple of g), and a point is
+fixed by a power exactly when the group that power generates fixes it.  So
+M^i has the fixed subspace and the fixed points of M^g, and a finding about
+M^g is reported for every power i with gcd(i, r) = g.  When M^r is not the
+identity the order check fails, and the certificate with it.
 """
 
 from __future__ import annotations
@@ -29,6 +39,8 @@ from .geometry import (
     fixed_subspace,
     subspace_distance,
 )
+
+_POWER_BLOCK = 1024  # powers per block of the eel2 comparison, bounding its memory
 
 
 @dataclass(frozen=True)
@@ -58,8 +70,19 @@ def _normalize_edge(a: VertexId, b: VertexId) -> tuple[VertexId, VertexId]:
     return (a, b) if a.part is Part.V else (b, a)
 
 
+def _proper_divisors(r: int) -> list[int]:
+    """Divisors d < r of r, ascending."""
+    small = [d for d in range(1, math.isqrt(r) + 1) if r % d == 0]
+    return sorted({*small, *(r // d for d in small)} - {r})
+
+
 class _Verification:
-    """Working state shared by the individual checks of verify()."""
+    """Working state shared by the individual checks of verify().
+
+    Points are indexed as in ``names``: graph vertices in global-index order,
+    then subdivision vertices by id.  Rows of ``point_fixed``, ``edge_fixed``
+    and ``bases`` belong to the proper divisors of the claimed order.
+    """
 
     def __init__(self, aut, iso, emb, tol):
         self.aut = aut
@@ -79,43 +102,67 @@ class _Verification:
             ]
         )
         r = iso.claimed_order
-        self.powers = [None]  # powers[i] = matrix^i
+        # powers[i] = matrix^i by repeated multiplication, whose exact bits
+        # the order check reports
+        self.powers = np.empty((r + 1, 4, 4))
         A = np.eye(4)
-        for _ in range(r):
+        self.powers[0] = A
+        for i in range(1, r + 1):
             A = A @ iso.matrix
-            self.powers.append(A)
-        self.bases = {i: fixed_subspace(self.powers[i]) for i in range(1, r)}
-        # point_fixed[i][k]: matrix^i fixes embedded point k within tol
-        self.point_fixed = {
-            i: np.linalg.norm(self.P @ self.powers[i].T - self.P, axis=1) <= tol
-            for i in range(1, r)
-        }
-        self.adjacency = self._adjacency()
+            self.powers[i] = A
+        # images[i, k] = matrix^i applied to point k
+        self.images = np.einsum("ikl,pl->ipk", self.powers, self.P)
+        self.gcd = np.gcd(np.arange(r), r)  # gcd[i] = gcd(i, r) for powers i < r
+        self.divisors = _proper_divisors(r)
+        self.bases = [fixed_subspace(self.powers[d]) for d in self.divisors]
+        # point_fixed[j, k]: the power divisors[j] fixes point k within tol
+        self.point_fixed = (
+            np.linalg.norm(self.images[self.divisors] - self.P, axis=2) <= tol
+        )
+        self.edge_a, self.edge_b = self._adjacency()
+        self.edge_fixed = (
+            self.point_fixed[:, self.edge_a] & self.point_fixed[:, self.edge_b]
+        )
 
-    def _adjacency(self) -> list[tuple[int, int]]:
-        """Edges of the subdivided graph as index pairs."""
-        graph = SubdividedGraph(
+    def _adjacency(self) -> np.ndarray:
+        """Edges of the subdivided graph as two index arrays, in the order of
+        ``SubdividedGraph.edges()``."""
+        graph = SubdividedGraph(  # validates: an edge subdivided twice raises
             self.aut.shape,
             tuple(
                 (_normalize_edge(*e), z)
                 for z, e in sorted(self.emb.subdivision_edges.items())
             ),
         )
-        return [(self.index[a], self.index[b]) for a, b in graph.edges()]
+        # V indices precede W indices, so a sorted index pair is a (V, W) edge
+        self.z_at = {
+            (self.index[v], self.index[w]): self.index[z]
+            for (v, w), z in graph.subdivision_vertices
+        }
+        pairs = []
+        for a in range(self.aut.shape.n):
+            for b in range(self.aut.shape.n, self.n_graph):
+                z = self.z_at.get((a, b))
+                pairs += [(a, b)] if z is None else [(a, z), (z, b)]
+        return np.array(pairs).T
 
     def image_index(self, k: int) -> int | None:
         """Index of the image of embedded point k under the automorphism,
         extended over subdivision vertices; None when the subdivision set is
         not closed under the automorphism."""
-        key = self.names[k]
-        if isinstance(key, VertexId):
-            return self.index[self.aut(key)]
-        v, w = self.emb.subdivision_edges[key]
-        img = _normalize_edge(self.aut(v), self.aut(w))
-        for z, e in self.emb.subdivision_edges.items():
-            if _normalize_edge(*e) == img:
-                return self.index[z]
-        return None
+        if k < self.n_graph:
+            return self.aut.perm[k]
+        v, w = self.emb.subdivision_edges[self.names[k]]
+        a, b = self.aut.perm[self.index[v]], self.aut.perm[self.index[w]]
+        return self.z_at.get((min(a, b), max(a, b)))
+
+    def by_power(self, findings: dict[int, list[str]]) -> list[str]:
+        """Findings keyed by divisor d, repeated in order for every power
+        i < r with gcd(i, r) = d."""
+        if not findings:
+            return []
+        powers = np.flatnonzero(np.isin(self.gcd, list(findings)))
+        return [f"power {i}: {text}" for i in powers for text in findings[self.gcd[i]]]
 
 
 def verify(
@@ -127,12 +174,15 @@ def verify(
     """Check that (iso, emb) realizes aut; returns a pass/fail certificate.
 
     The certificate always contains the checks: unit_norm, orthogonal,
-    order, orientation, induces, eel1, eel2, eel3, eel4.
+    order, orientation, induces, eel1, eel2, eel3, eel4.  ``tol`` must be
+    finite and positive.
     """
     if aut.shape != emb.shape:
         raise ShapeMismatch(f"automorphism {aut.shape} vs embedding {emb.shape}")
     if iso.claimed_order < 1:
         raise PreconditionError(f"claimed order must be positive, got {iso.claimed_order}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tolerance must be finite and positive, got {tol}")
     missing = [v for v in aut.shape.vertices() if v not in emb.coordinates]
     if missing:
         raise ShapeMismatch(f"embedding lacks coordinates for {missing[0].label}")
@@ -154,10 +204,10 @@ def verify(
         _check_order(st, r),
         _check_orientation(M, iso.orientation),
         _check_induces(st),
-        _check_eel1(st, r),
+        _check_eel1(st),
         _check_eel2(st, r),
-        _check_eel3(st, r),
-        _check_eel4(st, r),
+        _check_eel3(st),
+        _check_eel4(st),
     ]
     return RealizationCertificate(tuple(checks))
 
@@ -182,16 +232,12 @@ def _check_orthogonal(M: np.ndarray) -> CheckResult:
 def _check_order(st, r: int) -> CheckResult:
     final = float(np.abs(st.powers[r] - np.eye(4)).max())
     ok = final <= st.tol
-    early = None
-    for i in range(1, r):
-        dev = float(np.abs(st.powers[i] - np.eye(4)).max())
-        if dev <= IDENTITY_GAP:
-            early = i
-            ok = False
-            break
     detail = f"|M^{r} - I| = {final:.3g}"
-    if early is not None:
-        detail += f"; M^{early} is already the identity"
+    devs = np.abs(st.powers[1:r] - np.eye(4)).max(axis=(1, 2))
+    early = np.flatnonzero(devs <= IDENTITY_GAP)
+    if early.size:
+        ok = False
+        detail += f"; M^{early[0] + 1} is already the identity"
     return CheckResult("order", ok, detail, final)
 
 
@@ -247,23 +293,32 @@ def _label(key) -> str:
     return key.label if isinstance(key, VertexId) else str(key)
 
 
-def _check_eel1(st, r: int) -> CheckResult:
+def _check_eel1(st) -> CheckResult:
+    # An adjacent pair fixed by several powers compares the fixed subspace of
+    # the first of them, a divisor, with that of each later one.  A power i
+    # has the subspace of gcd(i, r), so each later divisor is compared once
+    # and counts for all of its powers; the powers sharing the first
+    # divisor's gcd agree with it.
+    powers_with_gcd = np.bincount(st.gcd[1:])
+    distances: dict[tuple[int, int], float | None] = {}  # None: dimensions differ
     worst = 0.0
-    bad = []
-    for a, b in st.adjacency:
-        fixing = [i for i in range(1, r) if st.point_fixed[i][a] and st.point_fixed[i][b]]
-        for i in fixing[1:]:
-            b0, bi = st.bases[fixing[0]], st.bases[i]
-            if b0.shape[1] != bi.shape[1]:
-                bad.append((a, b, fixing[0], i))
-                continue
-            d = subspace_distance(b0, bi)
-            worst = max(worst, d)
-            if d > SUBSPACE_TOL:
-                bad.append((a, b, fixing[0], i))
+    bad = 0
+    for e in np.flatnonzero(st.edge_fixed.sum(axis=0) >= 2):
+        first, *later = np.flatnonzero(st.edge_fixed[:, e])
+        for j in later:
+            if (first, j) not in distances:
+                b0, bj = st.bases[first], st.bases[j]
+                distances[first, j] = (
+                    subspace_distance(b0, bj) if b0.shape[1] == bj.shape[1] else None
+                )
+            d = distances[first, j]
+            if d is not None:
+                worst = max(worst, d)
+            if d is None or d > SUBSPACE_TOL:
+                bad += int(powers_with_gcd[st.divisors[j]])
     ok = not bad
     detail = (
-        f"{len(bad)} co-fixed adjacent pairs with different fixed sets"
+        f"{bad} co-fixed adjacent pairs with different fixed sets"
         if bad
         else f"fixed-set agreement within {worst:.3g}"
     )
@@ -271,15 +326,14 @@ def _check_eel1(st, r: int) -> CheckResult:
 
 
 def _check_eel2(st, r: int) -> CheckResult:
+    a, b = st.edge_a, st.edge_b
     bad = []
-    for i in range(1, r):
-        Q = st.P @ st.powers[i].T
-        for a, b in st.adjacency:
-            if (
-                np.linalg.norm(Q[a] - st.P[b]) <= st.tol
-                and np.linalg.norm(Q[b] - st.P[a]) <= st.tol
-            ):
-                bad.append((i, a, b))
+    for lo in range(1, r, _POWER_BLOCK):
+        Q = st.images[lo : min(lo + _POWER_BLOCK, r)]
+        swapped = (np.linalg.norm(Q[:, a] - st.P[b], axis=2) <= st.tol) & (
+            np.linalg.norm(Q[:, b] - st.P[a], axis=2) <= st.tol
+        )
+        bad += [(lo + i, a[e], b[e]) for i, e in zip(*np.nonzero(swapped))]
     detail = (
         "; ".join(
             f"M^{i} interchanges {_label(st.names[a])},{_label(st.names[b])}"
@@ -291,80 +345,71 @@ def _check_eel2(st, r: int) -> CheckResult:
     return CheckResult("eel2", not bad, detail, float(len(bad)))
 
 
-def _part_counts(st, members) -> tuple[int, int, int]:
-    nv = sum(
-        1 for k in members
-        if isinstance(st.names[k], VertexId) and st.names[k].part is Part.V
-    )
-    nw = sum(
-        1 for k in members
-        if isinstance(st.names[k], VertexId) and st.names[k].part is Part.W
-    )
-    nz = len(members) - nv - nw
-    return nv, nw, nz
+def _part_counts(st, members: np.ndarray) -> tuple[int, int, int]:
+    nv = int(np.count_nonzero(members < st.aut.shape.n))
+    nw = int(np.count_nonzero(members < st.n_graph)) - nv
+    return nv, nw, len(members) - nv - nw
 
 
-def _check_eel3(st, r: int) -> CheckResult:
-    problems = []
-    for i in range(1, r):
-        basis = st.bases[i]
-        kind = _KIND_BY_DIM[basis.shape[1]]
-        on = [k for k in range(len(st.names)) if st.point_fixed[i][k]]
-        on_set = set(on)
-        pairs = [(a, b) for a, b in st.adjacency if a in on_set and b in on_set]
-        if not pairs:
-            continue
-        if kind in (FixedSetKind.EMPTY, FixedSetKind.TWO_POINTS):
-            # a discrete fixed set contains no arc between distinct points
-            problems.append(
-                f"power {i}: adjacent pair fixed by a power whose fixed set "
-                "contains no arcs"
-            )
-        elif kind is FixedSetKind.CIRCLE:
-            nv, nw, _ = _part_counts(st, on)
-            if nv > 2 or nw > 2:
-                problems.append(f"power {i}: {nv}+{nw} vertices of a part on circle")
-                continue
-            angles = {k: math.atan2(*(st.P[k] @ basis)[::-1]) for k in on}
-            ring = sorted(on, key=lambda k: angles[k])
-            pos = {k: t for t, k in enumerate(ring)}
-            for a, b in pairs:
-                gap = (pos[a] - pos[b]) % len(ring)
-                if gap not in (1, len(ring) - 1):
-                    problems.append(
-                        f"power {i}: no free arc between "
-                        f"{_label(st.names[a])} and {_label(st.names[b])}"
-                    )
-        elif kind is FixedSetKind.SPHERE:
-            nv, nw, nz = _part_counts(st, on)
-            if nz:
-                problems.append(
-                    f"power {i}: subdivision vertices on a fixed sphere, "
-                    "arc pattern indeterminate"
-                )
-            elif min(nv, nw) > 2:
-                problems.append(
-                    f"power {i}: K_{{{nv},{nw}}} on a fixed sphere is non-planar"
-                )
-    ok = not problems
+def _arc_findings(st, j: int) -> list[str]:
+    """Arc conditions on the fixed set of the power st.divisors[j]."""
+    pairs = np.flatnonzero(st.edge_fixed[j])
+    if not pairs.size:
+        return []
+    basis = st.bases[j]
+    kind = _KIND_BY_DIM[basis.shape[1]]
+    on = np.flatnonzero(st.point_fixed[j])
+    if kind in (FixedSetKind.EMPTY, FixedSetKind.TWO_POINTS):
+        # a discrete fixed set contains no arc between distinct points
+        return ["adjacent pair fixed by a power whose fixed set contains no arcs"]
+    if kind is FixedSetKind.CIRCLE:
+        nv, nw, _ = _part_counts(st, on)
+        if nv > 2 or nw > 2:
+            return [f"{nv}+{nw} vertices of a part on circle"]
+        xy = st.P[on] @ basis
+        ring = on[np.argsort(np.arctan2(xy[:, 1], xy[:, 0]), kind="stable")]
+        pos = np.empty(len(st.names), dtype=int)
+        pos[ring] = np.arange(len(ring))
+        a, b = st.edge_a[pairs], st.edge_b[pairs]
+        gap = (pos[a] - pos[b]) % len(ring)
+        apart = (gap != 1) & (gap != len(ring) - 1)
+        return [
+            f"no free arc between {_label(st.names[x])} and {_label(st.names[y])}"
+            for x, y in zip(a[apart], b[apart])
+        ]
+    if kind is FixedSetKind.SPHERE:
+        nv, nw, nz = _part_counts(st, on)
+        if nz:
+            return ["subdivision vertices on a fixed sphere, arc pattern indeterminate"]
+        if min(nv, nw) > 2:
+            return [f"K_{{{nv},{nw}}} on a fixed sphere is non-planar"]
+    return []
+
+
+def _check_eel3(st) -> CheckResult:
+    findings = {}
+    for j, d in enumerate(st.divisors):
+        found = _arc_findings(st, j)
+        if found:
+            findings[d] = found
+    problems = st.by_power(findings)
     return CheckResult(
         "eel3",
-        ok,
+        not problems,
         "; ".join(problems) if problems else "arc conditions satisfied on all fixed sets",
         float(len(problems)),
     )
 
 
-def _check_eel4(st, r: int) -> CheckResult:
-    problems = []
-    v_idx = [st.index[v] for v in st.aut.shape.vertices() if v.part is Part.V]
-    w_idx = [st.index[v] for v in st.aut.shape.vertices() if v.part is Part.W]
-    for i in range(1, r):
-        if st.bases[i].shape[1] != 3:
-            continue
-        fixed = st.point_fixed[i]
-        if not (all(fixed[k] for k in v_idx) or all(fixed[k] for k in w_idx)):
-            problems.append(f"power {i}: neither part lies in the fixed sphere")
+def _check_eel4(st) -> CheckResult:
+    n = st.aut.shape.n
+    findings = {
+        d: ["neither part lies in the fixed sphere"]
+        for j, d in enumerate(st.divisors)
+        if st.bases[j].shape[1] == 3
+        and not (st.point_fixed[j, :n].all() or st.point_fixed[j, n : st.n_graph].all())
+    }
+    problems = st.by_power(findings)
     return CheckResult(
         "eel4",
         not problems,

@@ -222,6 +222,34 @@ class TestCli:
     def test_verify_missing_file_exit_2(self, tmp_path, capsys):
         assert cli_main(["verify", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_verify_unusable_tol_exit_2(self, tmp_path, capsys, tol):
+        out = tmp_path / "realization.json"
+        args = ["realize", "--graph", "3,4", "--perm", "(w3 w4)", "--orientation", "or"]
+        assert cli_main(args + ["-o", str(out)]) == 0
+        assert cli_main(["verify", str(out), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and positive" in captured.err
+
+    def test_realize_unwritable_output_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        args = ["realize", "--graph", "3,4", "--perm", "(w3 w4)", "--orientation", "or"]
+        assert cli_main(args + ["-o", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not target.parent.exists()
+
+    def test_census_cache_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        regular = tmp_path / "not_a_dir"
+        regular.write_text("keep\n")
+        assert cli_main(["census", "3", "3", "--cache-dir", str(regular)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert regular.read_text() == "keep\n"
+
     def test_census_json_and_cache(self, tmp_path, capsys):
         args = ["census", "3", "3", "--cache-dir", str(tmp_path), "--seed", "4"]
         assert cli_main(args) == 0

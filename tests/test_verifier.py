@@ -138,6 +138,13 @@ class TestNegativeControls:
         assert not cert.check("eel3").passed
         assert "no arcs" in cert.check("eel3").detail
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_unusable_tolerance_rejected(self, tol):
+        aut = parse_cycles(S34, "(w3 w4)")
+        iso, emb = realize(aut, "or", seed=1)
+        with pytest.raises(PreconditionError):
+            verify(aut, iso, emb, tol=tol)
+
     def test_shape_mismatch(self):
         aut34 = parse_cycles(S34, "(w3 w4)")
         iso, emb = realize(aut34, "or", seed=1)
