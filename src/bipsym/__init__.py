@@ -6,6 +6,8 @@ embedding of the graph in the 3-sphere, construct an explicit realizing
 isometry with vertex coordinates, and verify the result numerically.
 """
 
+import importlib
+
 from ._version import __version__
 from .census import CensusReport, census
 from .classifier import (
@@ -49,26 +51,41 @@ from .errors import (
     SwapOnUnequalParts,
     TooLarge,
 )
-from .geometry import (
-    FixedSetDescriptor,
-    FixedSetKind,
-    Isometry4,
-    IsometryOrientation,
-    SpatialEmbedding,
-    fixed_set,
-    glide_isometry,
-    improper_isometry,
-    realize,
-    reflection_isometry,
-    rotation_isometry,
-)
-from .verifier import (
-    CheckResult,
-    RealizationCertificate,
-    smith_check,
-    two_circle_check,
-    verify,
-)
+
+# geometry and verifier need numpy, which classification and censuses never
+# touch, so their names are imported on first access (PEP 562) and cached
+_LAZY = {
+    "FixedSetDescriptor": "geometry",
+    "FixedSetKind": "geometry",
+    "Isometry4": "geometry",
+    "IsometryOrientation": "geometry",
+    "SpatialEmbedding": "geometry",
+    "fixed_set": "geometry",
+    "glide_isometry": "geometry",
+    "improper_isometry": "geometry",
+    "realize": "geometry",
+    "reflection_isometry": "geometry",
+    "rotation_isometry": "geometry",
+    "CheckResult": "verifier",
+    "RealizationCertificate": "verifier",
+    "smith_check": "verifier",
+    "two_circle_check": "verifier",
+    "verify": "verifier",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "__version__",

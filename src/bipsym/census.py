@@ -36,9 +36,7 @@ from .core import (
     signature,
 )
 from .errors import OutOfTheoremScope, TooLarge
-from .geometry import realize
 from .jsonio import canonical_json, write_text_atomic
-from .verifier import verify
 
 CACHE_ENV_VAR = "BIPSYM_CACHE_DIR"
 
@@ -212,6 +210,9 @@ def census(
 
     realized_verified = None
     if realize_all:
+        from .geometry import realize
+        from .verifier import verify
+
         realized_verified = 0
         for aut in enumerate_automorphisms(shape, cap):
             verdict = classify(signature(aut))

@@ -25,7 +25,7 @@ from .core import (
     interchange_parts,
     signature,
 )
-from .errors import OutOfTheoremScope
+from .errors import NotRealizable, OutOfTheoremScope
 
 
 class Orientation(Enum):
@@ -228,3 +228,13 @@ def classify(sig: CycleSignature) -> RealizabilityVerdict:
 
 def classify_aut(aut: BipartiteAutomorphism) -> RealizabilityVerdict:
     return classify(signature(aut))
+
+
+def dispatch_case(
+    verdict: RealizabilityVerdict, orientation: Orientation
+) -> CaseId:
+    """The case a realization is built from: the lowest-numbered match."""
+    cases = verdict.cases(orientation)
+    if not cases:
+        raise NotRealizable(f"no {orientation.value}-realization exists")
+    return cases[0]

@@ -5,6 +5,13 @@ canonical JSON on stdout (CSV optional for census); diagnostics go to
 stderr.  Exit codes: 0 success, 2 parse/validation error or a file that
 cannot be read or written, 3 out of theorem scope (n or m <= 2), 4 not
 realizable, 5 certificate failure.
+
+Realizability depends only on the cycle type, so ``classify``, ``census``
+and every usage error are integer work.  Only the subcommands that build or
+check an isometry import numpy (through ``geometry`` and ``verifier``):
+``realize`` once the classifier has found a case, ``verify``, and
+``census --realize-all``.  A process that needs no matrix never pays for
+loading numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +22,9 @@ import sys
 
 from ._version import __version__
 from .census import census, default_cache_dir, report_csv, report_to_obj
-from .classifier import Orientation, classify_aut
+from .classifier import Orientation, classify_aut, dispatch_case
 from .core import BipartiteShape, parse_cycles
 from .errors import BipsymError, NotRealizable, OutOfTheoremScope
-from .geometry import dispatch_case, realize
 from .jsonio import (
     canonical_json,
     certificate_to_obj,
@@ -27,7 +33,6 @@ from .jsonio import (
     verdict_to_obj,
     write_text_atomic,
 )
-from .verifier import verify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,6 +95,8 @@ def _cmd_realize(args) -> int:
     aut = parse_cycles(args.graph, args.perm)
     orientation = Orientation(args.orientation)
     case = dispatch_case(classify_aut(aut), orientation)
+    from .geometry import realize
+
     iso, emb = realize(aut, orientation, args.seed)
     text = canonical_json(realization_to_obj(aut, iso, emb, case.label, args.seed))
     if args.output:
@@ -107,6 +114,8 @@ def _cmd_verify(args) -> int:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     aut, iso, emb = realization_from_obj(obj)
+    from .verifier import verify
+
     cert = verify(aut, iso, emb, tol=args.tol)
     print(canonical_json(certificate_to_obj(cert)))
     return EXIT_OK if cert.overall else EXIT_CERT_FAIL

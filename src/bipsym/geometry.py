@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifier import CaseId, Orientation, RealizabilityVerdict, classify_aut
+from .classifier import Orientation, classify_aut, dispatch_case
 from .core import (
     BipartiteAutomorphism,
     BipartiteShape,
@@ -407,16 +407,6 @@ class _Placer:
 
 
 # --- realization -----------------------------------------------------------
-
-
-def dispatch_case(
-    verdict: RealizabilityVerdict, orientation: Orientation
-) -> CaseId:
-    """The case a realization is built from: the lowest-numbered match."""
-    cases = verdict.cases(orientation)
-    if not cases:
-        raise NotRealizable(f"no {orientation.value}-realization exists")
-    return cases[0]
 
 
 def _as_orientation(orientation) -> Orientation:

@@ -241,6 +241,14 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert not target.parent.exists()
 
+    def test_write_error_names_requested_file(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        args = ["realize", "--graph", "3,4", "--perm", "(w3 w4)", "--orientation", "or"]
+        assert cli_main(args + ["-o", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err
+        assert ".tmp" not in err
+
     def test_census_cache_dir_is_a_file_exit_2(self, tmp_path, capsys):
         regular = tmp_path / "not_a_dir"
         regular.write_text("keep\n")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bipsym.jsonio
 from bipsym import (
     BipartiteShape,
     ParseError,
@@ -13,6 +14,7 @@ from bipsym import (
     realize,
     verify,
 )
+from bipsym.cli import cli_main
 from bipsym.jsonio import (
     automorphism_from_obj,
     automorphism_to_obj,
@@ -85,6 +87,102 @@ class TestRealizationJson:
         obj = realization_to_obj(aut, iso, emb, "OP2", 1)
         obj["matrix"] = [[1, 0], [0, 1]]
         with pytest.raises(ParseError):
+            realization_from_obj(obj)
+
+
+def _set(key, value):
+    def mutate(obj):
+        obj[key] = value
+
+    return mutate
+
+
+def _set_vertex(value):
+    def mutate(obj):
+        obj["vertices"]["v1"] = value
+
+    return mutate
+
+
+def _set_matrix_entry(value):
+    def mutate(obj):
+        obj["matrix"][2][1] = value
+
+    return mutate
+
+
+# each malformed realization file that bipsym verify must reject with exit 2
+MALFORMED = {
+    "vertices_list": _set("vertices", []),
+    "subdivision_list": _set("subdivision", []),
+    "landmarks_list": _set("landmarks", []),
+    "subdivision_record_list": lambda obj: obj["subdivision"].update(z9=[]),
+    "subdivision_edge_numbers": lambda obj: next(
+        iter(obj["subdivision"].values())
+    ).update(edge=[1, 2]),
+    "order_float": _set("order", 2.5),
+    "order_bool": _set("order", True),
+    "order_zero": _set("order", 0),
+    "n_float": _set("n", 4.0),
+    "m_bool": _set("m", True),
+    "perm_number": _set("perm", 12),
+    "orientation_list": _set("orientation", ["or"]),
+    "vertex_three_entries": _set_vertex([1.0, 0.0, 0.0]),
+    "vertex_five_entries": _set_vertex([1.0, 0.0, 0.0, 0.0, 0.0]),
+    "vertex_nan": _set_vertex([float("nan"), 0.0, 0.0, 1.0]),
+    "vertex_inf": _set_vertex([float("inf"), 0.0, 0.0, 1.0]),
+    "vertex_huge_int": _set_vertex([10**400, 0, 0, 1]),
+    "vertex_string_entry": _set_vertex(["1", 0.0, 0.0, 0.0]),
+    "vertex_bool_entry": _set_vertex([True, 0.0, 0.0, 0.0]),
+    "subdivision_point_nan": lambda obj: next(
+        iter(obj["subdivision"].values())
+    ).update(point=[0.0, float("nan"), 0.0, 1.0]),
+    "matrix_three_rows": lambda obj: obj["matrix"].pop(),
+    "matrix_short_row": lambda obj: obj["matrix"][0].pop(),
+    "matrix_nan": _set_matrix_entry(float("nan")),
+    "matrix_inf": _set_matrix_entry(float("-inf")),
+    "matrix_not_list": _set("matrix", {"0": 1}),
+    "duplicate_vertex_label": lambda obj: obj["vertices"].update(
+        v01=obj["vertices"].pop("v2")
+    ),
+    "not_an_object": lambda obj: [obj],
+}
+
+
+@pytest.fixture(scope="module")
+def realization_obj():
+    # an OR13 realization: every top-level field, including subdivision
+    aut = parse_cycles(BipartiteShape(4, 4), "(v1 w1)(v2 w2)(v3 w3 v4 w4)")
+    iso, emb = realize(aut, "or", seed=3)
+    obj = json.loads(canonical_json(realization_to_obj(aut, iso, emb, "OR13", 3)))
+    assert obj["subdivision"] and obj["landmarks"]
+    return obj
+
+
+class TestMalformedRealization:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_parse_error_and_exit_2(self, realization_obj, case, tmp_path, capsys):
+        obj = json.loads(json.dumps(realization_obj))
+        obj = MALFORMED[case](obj) or obj
+        with pytest.raises(ParseError):
+            realization_from_obj(obj)
+        path = tmp_path / "realization.json"
+        path.write_text(json.dumps(obj))
+        assert cli_main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_vertex_count_checked_before_parsing(self, realization_obj, monkeypatch):
+        # parsing walks all n + m vertices, so a huge claimed part size must
+        # be rejected without it
+        def must_not_parse(shape, text):
+            raise AssertionError(f"parsed {shape}")
+
+        monkeypatch.setattr(bipsym.jsonio, "parse_cycles", must_not_parse)
+        obj = json.loads(json.dumps(realization_obj))
+        obj["n"] = 10**12
+        with pytest.raises(ParseError, match="cover the graph"):
             realization_from_obj(obj)
 
 
