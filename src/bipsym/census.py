@@ -31,11 +31,12 @@ from .core import (
     BipartiteShape,
     CycleSignature,
     SideAction,
-    enumerate_automorphisms,
     automorphism_count,
+    check_pairs_within,
+    enumerate_automorphisms,
     signature,
 )
-from .errors import OutOfTheoremScope, TooLarge
+from .errors import OutOfTheoremScope
 from .jsonio import canonical_json, write_text_atomic
 
 CACHE_ENV_VAR = "BIPSYM_CACHE_DIR"
@@ -178,9 +179,7 @@ def census(
         raise OutOfTheoremScope(
             f"census requires n, m > 2; got ({shape.n}, {shape.m})"
         )
-    pairs = math.factorial(shape.n) * math.factorial(shape.m)
-    if pairs > cap:
-        raise TooLarge(f"n!*m! = {pairs} exceeds cap {cap}")
+    check_pairs_within(shape, cap)
 
     path = cache_path(cache_dir, shape, seed) if cache_dir is not None else None
     if path is not None and path.exists():

@@ -1,9 +1,11 @@
 """Vertices, automorphisms and cycle signatures of complete bipartite graphs.
 
-A K_{n,m} has vertex parts V = {v1..vn} and W = {w1..wm}.  Internally an
-automorphism is stored as a permutation of global indices 0..n+m-1 where
-0..n-1 are v1..vn and n..n+m-1 are w1..wm.  Every value here is immutable;
-all operations are pure functions.
+A K_{n,m} has vertex parts V = {v1..vn} and W = {w1..wm}.  An automorphism
+is stored as a permutation of global indices 0..n+m-1 where 0..n-1 are
+v1..vn and n..n+m-1 are w1..wm.  Parsing, validation and cycle
+decomposition work on those indices alone; ``VertexId`` appears only at the
+API boundary, where a caller passes or asks for vertices.  Every value here
+is immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .errors import (
 )
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
+# parse_cycles builds a list of n + m indices; larger shapes raise TooLarge
+MAX_VERTICES = 100_000
+# one vertex token: a part letter and a 1-based index
+_TOKEN_RE = re.compile(r"([vwVW])(\d+)")
 
 
 class Part(Enum):
@@ -51,7 +57,7 @@ class VertexId(NamedTuple):
 
     @staticmethod
     def from_label(label: str) -> "VertexId":
-        m = re.fullmatch(r"([vwVW])(\d+)", label.strip())
+        m = _TOKEN_RE.fullmatch(label.strip())
         if m is None:
             raise ParseError(f"not a vertex token: {label!r}")
         return VertexId(Part(m.group(1).lower()), int(m.group(2)))
@@ -117,21 +123,10 @@ class BipartiteAutomorphism:
     def cycles(self) -> tuple[tuple[VertexId, ...], ...]:
         """Non-trivial cycles as vertex tuples, each starting at its smallest
         global index, sorted by that index.  Fixed vertices are omitted."""
-        out = []
-        seen = [False] * len(self.perm)
-        for start in range(len(self.perm)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            g = self.perm[start]
-            while g != start:
-                seen[g] = True
-                cyc.append(g)
-                g = self.perm[g]
-            if len(cyc) > 1:
-                out.append(tuple(self.shape.vertex_at(g) for g in cyc))
-        return tuple(out)
+        vertex_at = self.shape.vertex_at
+        return tuple(
+            tuple(vertex_at(g) for g in cyc) for cyc in _index_cycles(self.perm)
+        )
 
     def fixed_vertices(self) -> tuple[VertexId, ...]:
         return tuple(
@@ -139,7 +134,7 @@ class BipartiteAutomorphism:
         )
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()), 1)
+        return math.lcm(*(len(c) for c in _index_cycles(self.perm)), 1)
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -153,6 +148,42 @@ class BipartiteAutomorphism:
 
 def identity_automorphism(shape: BipartiteShape) -> BipartiteAutomorphism:
     return BipartiteAutomorphism(shape, tuple(range(shape.size)))
+
+
+def _index_cycles(perm: tuple[int, ...]) -> list[list[int]]:
+    """Non-trivial cycles of ``perm`` as index lists, each starting at its
+    smallest index, sorted by that index."""
+    out = []
+    seen = [False] * len(perm)
+    for start, g in enumerate(perm):
+        if g == start or seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        while g != start:
+            seen[g] = True
+            cyc.append(g)
+            g = perm[g]
+        out.append(cyc)
+    return out
+
+
+def _check_parts(shape: BipartiteShape, perm: list[int]) -> None:
+    """Raise MixedParts or SwapOnUnequalParts unless ``perm`` (images in
+    range) fixes both parts setwise or swaps them."""
+    n = shape.n
+    v_lo, v_hi = min(perm[:n]), max(perm[:n])
+    if v_lo < n <= v_hi:
+        raise MixedParts("mapping sends V to both parts")
+    if v_lo >= n:
+        if n != shape.m:
+            raise SwapOnUnequalParts(
+                f"mapping swaps parts but n={n} != m={shape.m}"
+            )
+        if max(perm[n:]) >= n:
+            raise MixedParts("V maps to W but W does not map back to V")
+    elif min(perm[n:]) < n:
+        raise MixedParts("W maps to V but V does not map to W")
 
 
 def make_automorphism(
@@ -171,37 +202,26 @@ def make_automorphism(
         if not shape.contains(img):
             raise NotBijective(f"image {img.label} of {v.label} is out of range")
         perm[shape.global_index(v)] = shape.global_index(img)
-
-    v_parts = {image[VertexId(Part.V, i)].part for i in range(1, shape.n + 1)}
-    w_parts = {image[VertexId(Part.W, j)].part for j in range(1, shape.m + 1)}
-    if len(v_parts) > 1:
-        raise MixedParts("mapping sends V to both parts")
-    if v_parts == {Part.W}:
-        if shape.n != shape.m:
-            raise SwapOnUnequalParts(
-                f"mapping swaps parts but n={shape.n} != m={shape.m}"
-            )
-        if w_parts != {Part.V}:
-            raise MixedParts("V maps to W but W does not map back to V")
-    elif w_parts != {Part.W}:
-        raise MixedParts("W maps to V but V does not map to W")
-
+    _check_parts(shape, perm)
     if len(set(perm)) != shape.size:
         raise NotBijective("mapping is not injective on the vertex set")
     return BipartiteAutomorphism(shape, tuple(perm))
-
-
-_TOKEN_RE = re.compile(r"[vwVW]\d+")
 
 
 def parse_cycles(shape: BipartiteShape, text: str) -> BipartiteAutomorphism:
     """Parse cycle notation like ``(v1 v2 v3)(w1 w2)``.
 
     Tokens are v1..vn / w1..wm, whitespace separated inside parentheses;
-    vertices not listed are fixed.
+    vertices not listed are fixed.  Raises TooLarge, before reading the
+    text, when n + m exceeds MAX_VERTICES.
     """
+    n, m = shape.n, shape.m
+    if n + m > MAX_VERTICES:
+        raise TooLarge(
+            f"K_{{{n},{m}}} has {n + m} vertices, more than {MAX_VERTICES}"
+        )
     rest = text
-    groups: list[list[str]] = []
+    groups: list[list[re.Match]] = []
     pos = 0
     while pos < len(rest):
         ch = rest[pos]
@@ -216,30 +236,38 @@ def parse_cycles(shape: BipartiteShape, text: str) -> BipartiteAutomorphism:
         body = rest[pos + 1 : end]
         if "(" in body:
             raise ParseError("nested parenthesis")
-        tokens = body.replace(",", " ").split()
-        for t in tokens:
-            if not _TOKEN_RE.fullmatch(t):
+        tokens = []
+        for t in body.replace(",", " ").split():
+            match = _TOKEN_RE.fullmatch(t)
+            if match is None:
                 raise ParseError(f"not a vertex token: {t!r}")
+            tokens.append(match)
         groups.append(tokens)
         pos = end + 1
 
-    mapping: dict[VertexId, VertexId] = {}
-    seen: set[VertexId] = set()
+    perm = list(range(n + m))
+    seen: set[int] = set()
     for tokens in groups:
-        ids = [VertexId.from_label(t) for t in tokens]
-        for v in ids:
-            if not shape.contains(v):
-                raise ParseError(
-                    f"vertex {v.label} out of range for K_{{{shape.n},{shape.m}}}"
-                )
-            if v in seen:
-                raise DuplicateVertex(f"vertex {v.label} listed twice")
-            seen.add(v)
-        for a, b in zip(ids, ids[1:] + ids[:1]):
-            mapping[a] = b
-    for v in shape.vertices():
-        mapping.setdefault(v, v)
-    return make_automorphism(shape, mapping)
+        # int() of a whole group first: an over-long index fails before any range check
+        cyc = [int(t[2]) for t in tokens]
+        for k, t in enumerate(tokens):
+            i = cyc[k]
+            if t[1] in "vV":
+                if not 0 < i <= n:
+                    raise ParseError(f"vertex v{i} out of range for K_{{{n},{m}}}")
+                g = i - 1
+            else:
+                if not 0 < i <= m:
+                    raise ParseError(f"vertex w{i} out of range for K_{{{n},{m}}}")
+                g = n + i - 1
+            if g in seen:
+                raise DuplicateVertex(f"vertex {t[1].lower()}{i} listed twice")
+            seen.add(g)
+            cyc[k] = g
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            perm[a] = b
+    _check_parts(shape, perm)
+    return BipartiteAutomorphism(shape, tuple(perm))
 
 
 def compose(
@@ -338,21 +366,20 @@ class CycleSignature:
 
 def signature(aut: BipartiteAutomorphism) -> CycleSignature:
     """Decompose into cycles and classify each as pure-V, pure-W, or mixed."""
+    perm = aut.perm
     n = aut.shape.n
     pure_v: list[int] = []
     pure_w: list[int] = []
     mixed: list[int] = []
-    for cyc in aut.cycles():
-        parts = {v.part for v in cyc}
-        if parts == {Part.V}:
-            pure_v.append(len(cyc))
-        elif parts == {Part.W}:
+    for cyc in _index_cycles(perm):
+        if cyc[0] >= n:  # cyc[0] is the smallest index
             pure_w.append(len(cyc))
+        elif max(cyc) < n:
+            pure_v.append(len(cyc))
         else:
             mixed.append(len(cyc))
-    fixed = aut.fixed_vertices()
-    fixed_v = sum(1 for v in fixed if v.part is Part.V)
-    fixed_w = len(fixed) - fixed_v
+    fixed_v = sum(1 for g in range(n) if perm[g] == g)
+    fixed_w = sum(1 for g in range(n, len(perm)) if perm[g] == g)
     return CycleSignature(
         shape=aut.shape,
         side_action=aut.side_action,
@@ -384,6 +411,22 @@ def automorphism_count(shape: BipartiteShape) -> int:
     return 2 * base if shape.n == shape.m else base
 
 
+def check_pairs_within(shape: BipartiteShape, cap: int) -> None:
+    """Raise TooLarge when n!*m! exceeds cap.
+
+    The product is built factor by factor and abandoned once it passes cap,
+    so a huge shape fails after at most log2(cap) + 1 multiplications.
+    """
+    factors = itertools.chain(range(2, shape.n + 1), range(2, shape.m + 1))
+    pairs = 1
+    while pairs <= cap:
+        k = next(factors, None)
+        if k is None:
+            return
+        pairs *= k
+    raise TooLarge(f"n!*m! for K_{{{shape.n},{shape.m}}} exceeds cap {cap}")
+
+
 def enumerate_automorphisms(
     shape: BipartiteShape, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[BipartiteAutomorphism]:
@@ -392,9 +435,7 @@ def enumerate_automorphisms(
     Order is lexicographic over (V-permutation, W-permutation, swap-flag),
     the swap flag varying fastest.  Raises TooLarge when n!*m! exceeds cap.
     """
-    pairs = math.factorial(shape.n) * math.factorial(shape.m)
-    if pairs > cap:
-        raise TooLarge(f"n!*m! = {pairs} exceeds cap {cap}")
+    check_pairs_within(shape, cap)
     return _enumerate(shape)
 
 

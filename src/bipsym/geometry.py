@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifier import Orientation, classify_aut, dispatch_case
+from .classifier import Orientation, classify, dispatch_case
 from .core import (
     BipartiteAutomorphism,
     BipartiteShape,
@@ -434,8 +434,9 @@ def _grouped_cycles(aut: BipartiteAutomorphism, vrole: Part):
 
 def _interleave_fixed(aut: BipartiteAutomorphism) -> list[VertexId]:
     """Fixed vertices ordered so the two parts alternate while both last."""
-    fv = [v for v in aut.fixed_vertices() if v.part is Part.V]
-    fw = [v for v in aut.fixed_vertices() if v.part is Part.W]
+    fixed = aut.fixed_vertices()
+    fv = [v for v in fixed if v.part is Part.V]
+    fw = [v for v in fixed if v.part is Part.W]
     first, second = (fv, fw) if len(fv) >= len(fw) else (fw, fv)
     out = []
     for i in range(max(len(first), len(second))):
@@ -480,11 +481,10 @@ def _realize_rotation(aut, sig, rng) -> tuple[Isometry4, SpatialEmbedding]:
     return iso, _split_embedding(aut.shape, placer, {}, ("X",))
 
 
-def _subdivide_half_turn(aut: BipartiteAutomorphism):
+def _subdivide_half_turn(aut: BipartiteAutomorphism, r: int):
     """Subdivision vertices for the edges inverted by the half-order power
-    of a part-swapping automorphism, together with their cycles under the
-    induced action (each cycle has length r/2)."""
-    r = signature(aut).r
+    of a part-swapping automorphism of order r, together with their cycles
+    under the induced action (each cycle has length r/2)."""
     half = power(aut, r // 2)
     edges = []
     for i in range(1, aut.shape.n + 1):
@@ -533,7 +533,7 @@ def _realize_glide(aut, sig, case, vrole, rng) -> tuple[Isometry4, SpatialEmbedd
     if case.number == 1:  # part-swapping; all cycles are mixed r-cycles
         if (r // 2) % 2 == 1:
             alpha, beta = Fraction(2, r), Fraction(1, r)
-            subdivision_plan = _subdivide_half_turn(aut)
+            subdivision_plan = _subdivide_half_turn(aut, r)
         else:
             alpha, beta = Fraction(1, 4), Fraction(1, r)
     elif case.number == 4:
@@ -606,8 +606,9 @@ def _realize_reflection(aut, sig, vrole, rng) -> tuple[Isometry4, SpatialEmbeddi
     """
     iso = reflection_isometry()
     placer = _Placer(iso.matrix, rng)
-    full = [v for v in aut.fixed_vertices() if v.part is vrole]
-    rest = [v for v in aut.fixed_vertices() if v.part is not vrole]
+    fixed = aut.fixed_vertices()
+    full = [v for v in fixed if v.part is vrole]
+    rest = [v for v in fixed if v.part is not vrole]
     for t, v in enumerate(full):
         placer.put_point(v, point_on_y(2.0 * math.pi * t / len(full)))
     for v, p in zip(rest, F_POINTS):
@@ -686,9 +687,8 @@ def realize(
     verifier.verify at the default tolerance.
     """
     orientation = _as_orientation(orientation)
-    verdict = classify_aut(aut)
-    case = dispatch_case(verdict, orientation)
     sig = signature(aut)
+    case = dispatch_case(classify(sig), orientation)
     vrole = Part.W if case.interchanged else Part.V
     rng = SeededPoints(seed)
 

@@ -295,7 +295,7 @@ class TestRealizeDetails:
         # r = 4: the half-order power preserves the parts, so it inverts no edge
         aut = parse_cycles(BipartiteShape(4, 4), "(v1 w1 v2 w2)(v3 w3 v4 w4)")
         with pytest.raises(PreconditionError):
-            _subdivide_half_turn(aut)
+            _subdivide_half_turn(aut, aut.order())
 
     def test_induced_permutation_matches(self):
         aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2)(w1 w2 w3)")
