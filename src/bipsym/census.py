@@ -9,37 +9,33 @@ whose cycles are the mixed cycles 2*lambda, of size n!*n!/z_lambda.  Here
 z_lambda = prod k^{j_k} * j_k! is the centralizer order of a permutation
 with j_k cycles of length k.  Each signature is classified once.
 
-With ``realize_all`` every automorphism is still enumerated, realized and
-verified.  Reports are cached as one canonical-JSON file per
-(shape, version, seed).
+With ``realize_all`` the census realizes and verifies one representative
+per realizable (class, orientation) and counts the whole class when its
+certificate passes.  One representative speaks for its class because, if
+(M, x) realizes a, then (M, x o s^-1) realizes s a s^-1 for every
+automorphism s, and every check of ``verify`` keeps its result when the
+vertices are relabeled.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 from ._version import __version__
 from .classifier import classify
 from .core import (
     DEFAULT_ENUMERATION_CAP,
+    BipartiteAutomorphism,
     BipartiteShape,
     CycleSignature,
     SideAction,
     automorphism_count,
     check_pairs_within,
-    enumerate_automorphisms,
-    signature,
 )
 from .errors import OutOfTheoremScope
-from .jsonio import canonical_json, write_text_atomic
-
-CACHE_ENV_VAR = "BIPSYM_CACHE_DIR"
 
 
 @dataclass
@@ -68,21 +64,6 @@ def report_to_obj(report: CensusReport) -> dict:
     }
 
 
-def report_from_obj(obj: dict) -> CensusReport:
-    return CensusReport(
-        shape=BipartiteShape(int(obj["n"]), int(obj["m"])),
-        total=int(obj["total"]),
-        per_case={k: int(v) for k, v in obj["per_case"].items()},
-        unrealizable_op=int(obj["unrealizable_op"]),
-        unrealizable_or=int(obj["unrealizable_or"]),
-        realized_verified=(
-            None if obj["realized_verified"] is None else int(obj["realized_verified"])
-        ),
-        tool_version=obj["tool_version"],
-        seed=int(obj["seed"]),
-    )
-
-
 def report_csv(report: CensusReport) -> str:
     """Two-column CSV: one row per case label, then the summary rows."""
     lines = ["key,value"]
@@ -98,11 +79,6 @@ def report_csv(report: CensusReport) -> str:
     lines.append(f"seed,{report.seed}")
     lines.append(f"tool_version,{report.tool_version}")
     return "\n".join(lines) + "\n"
-
-
-def cache_path(cache_dir: str | Path, shape: BipartiteShape, seed: int) -> Path:
-    name = f"census_{shape.n}_{shape.m}_{__version__}_{seed}.json"
-    return Path(cache_dir) / name
 
 
 def _partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -159,45 +135,63 @@ def signature_tallies(shape: BipartiteShape) -> Counter:
     return tally
 
 
+def _representative(sig: CycleSignature) -> BipartiteAutomorphism:
+    """One automorphism with signature ``sig``.
+
+    Pure cycles run over consecutive indices of their part, from v1 and w1
+    on; the remaining vertices are fixed.  A mixed cycle of length 2k is
+    (v_a w_a v_{a+1} w_{a+1} ... v_{a+k-1} w_{a+k-1}), the next one starting
+    at v_{a+k}.
+    """
+    n = sig.shape.n
+    perm = list(range(sig.shape.size))
+    if sig.side_action is SideAction.SWAPPING:
+        a = 0
+        for length in sig.mixed_cycles:
+            k = length // 2
+            for i in range(a, a + k):
+                perm[i] = n + i
+                perm[n + i] = i + 1
+            perm[n + a + k - 1] = a
+            a += k
+    else:
+        for start, lengths in ((0, sig.pure_v_cycles), (n, sig.pure_w_cycles)):
+            for length in lengths:
+                last = start + length - 1
+                perm[start:last] = range(start + 1, last + 1)
+                perm[last] = start
+                start += length
+    return BipartiteAutomorphism(sig.shape, tuple(perm))
+
+
 def census(
     shape: BipartiteShape,
     realize_all: bool = False,
     seed: int = 1,
-    cache_dir: str | Path | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CensusReport:
     """Classify every automorphism of K_{n,m} and tally the matched cases.
 
     The tally is counted per conjugacy class (see :func:`signature_tallies`).
-    With ``realize_all``, additionally run realize + verify on every
-    (automorphism, orientation) pair the classifier marks realizable and
-    count the passing certificates.  Deterministic given (shape, seed); a
-    cached report is returned when its shape and total match ``shape``,
-    and is recomputed and overwritten otherwise.
+    With ``realize_all``, additionally realize (with ``seed``) and verify one
+    representative of every class in each orientation the classifier marks
+    realizable; ``realized_verified`` is the summed size of the classes
+    whose representative's certificate passed, once per orientation.
+    Deterministic given (shape, seed).
     """
     if shape.n <= 2 or shape.m <= 2:
         raise OutOfTheoremScope(
             f"census requires n, m > 2; got ({shape.n}, {shape.m})"
         )
     check_pairs_within(shape, cap)
-
-    path = cache_path(cache_dir, shape, seed) if cache_dir is not None else None
-    if path is not None and path.exists():
-        try:
-            report = report_from_obj(json.loads(path.read_text("utf-8")))
-        except (ValueError, KeyError, TypeError, AttributeError):
-            report = None  # unreadable cache entry; recompute and overwrite
-        if (
-            report is not None
-            and report.shape == shape
-            and report.total == automorphism_count(shape)
-            and (not realize_all or report.realized_verified is not None)
-        ):
-            return report
+    if realize_all:
+        from .geometry import realize
+        from .verifier import verify
 
     per_case: dict[str, int] = {}
     unreal_op = 0
     unreal_or = 0
+    realized_verified = 0 if realize_all else None
     for sig, count in signature_tallies(shape).items():
         verdict = classify(sig)
         for case in verdict.op_cases + verdict.or_cases:
@@ -206,26 +200,18 @@ def census(
             unreal_op += count
         if not verdict.or_realizable:
             unreal_or += count
-
-    realized_verified = None
-    if realize_all:
-        from .geometry import realize
-        from .verifier import verify
-
-        realized_verified = 0
-        for aut in enumerate_automorphisms(shape, cap):
-            verdict = classify(signature(aut))
+        if realize_all and (verdict.op_realizable or verdict.or_realizable):
+            rep = _representative(sig)
             for orientation, realizable in (
                 ("op", verdict.op_realizable),
                 ("or", verdict.or_realizable),
             ):
-                if not realizable:
-                    continue
-                iso, emb = realize(aut, orientation, seed)
-                if verify(aut, iso, emb, tol=1e-9).overall:
-                    realized_verified += 1
+                if realizable:
+                    iso, emb = realize(rep, orientation, seed)
+                    if verify(rep, iso, emb, tol=1e-9).overall:
+                        realized_verified += count
 
-    report = CensusReport(
+    return CensusReport(
         shape=shape,
         total=automorphism_count(shape),
         per_case=dict(sorted(per_case.items())),
@@ -235,11 +221,3 @@ def census(
         tool_version=__version__,
         seed=seed,
     )
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(path, canonical_json(report_to_obj(report)))
-    return report
-
-
-def default_cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV_VAR) or None

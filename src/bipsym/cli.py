@@ -21,7 +21,7 @@ import json
 import sys
 
 from ._version import __version__
-from .census import census, default_cache_dir, report_csv, report_to_obj
+from .census import census, report_csv, report_to_obj
 from .classifier import Orientation, classify_aut, dispatch_case
 from .core import BipartiteShape, parse_cycles
 from .errors import BipsymError, NotRealizable, OutOfTheoremScope
@@ -79,8 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("--realize-all", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cache-dir", default=None, help="defaults to $BIPSYM_CACHE_DIR")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=1,
+        help="seed of the representatives' realizations under --realize-all",
+    )
     return parser
 
 
@@ -123,10 +127,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     shape = BipartiteShape(args.n, args.m)
-    cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    report = census(
-        shape, realize_all=args.realize_all, seed=args.seed, cache_dir=cache_dir
-    )
+    report = census(shape, realize_all=args.realize_all, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write(report_csv(report))
     else:

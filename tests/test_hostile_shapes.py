@@ -42,7 +42,7 @@ def _limit_memory() -> None:
     ],
 )
 def test_cli_rejects_huge_shape(argv):
-    env = {k: v for k, v in os.environ.items() if k != "BIPSYM_CACHE_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
         [sys.executable, "-m", "bipsym.cli", *argv],

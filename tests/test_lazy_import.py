@@ -44,7 +44,7 @@ CASES = {
 
 
 def _env() -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "BIPSYM_CACHE_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return env
 
