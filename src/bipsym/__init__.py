@@ -23,7 +23,6 @@ from .core import (
     CycleSignature,
     Part,
     SideAction,
-    SubdividedGraph,
     VertexId,
     automorphism_count,
     compose,
@@ -58,7 +57,6 @@ _LAZY = {
     "FixedSetDescriptor": "geometry",
     "FixedSetKind": "geometry",
     "Isometry4": "geometry",
-    "IsometryOrientation": "geometry",
     "SpatialEmbedding": "geometry",
     "fixed_set": "geometry",
     "glide_isometry": "geometry",
@@ -100,7 +98,6 @@ __all__ = [
     "FixedSetDescriptor",
     "FixedSetKind",
     "Isometry4",
-    "IsometryOrientation",
     "MixedParts",
     "NotBijective",
     "NotRealizable",
@@ -116,7 +113,6 @@ __all__ = [
     "ShapeMismatch",
     "SideAction",
     "SpatialEmbedding",
-    "SubdividedGraph",
     "SwapOnUnequalParts",
     "TooLarge",
     "VertexId",

@@ -27,15 +27,17 @@ from typing import Iterator
 from ._version import __version__
 from .classifier import classify
 from .core import (
-    DEFAULT_ENUMERATION_CAP,
     BipartiteAutomorphism,
     BipartiteShape,
     CycleSignature,
     SideAction,
     automorphism_count,
-    check_pairs_within,
 )
-from .errors import OutOfTheoremScope
+from .errors import OutOfTheoremScope, TooLarge
+
+# census() refuses parts larger than this: it builds all p(n)*p(m) signatures
+# (p the partition count), and K_{16,16}, with --realize-all, takes about 1 s
+MAX_CENSUS_PART = 16
 
 
 @dataclass
@@ -168,7 +170,6 @@ def census(
     shape: BipartiteShape,
     realize_all: bool = False,
     seed: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CensusReport:
     """Classify every automorphism of K_{n,m} and tally the matched cases.
 
@@ -177,13 +178,18 @@ def census(
     representative of every class in each orientation the classifier marks
     realizable; ``realized_verified`` is the summed size of the classes
     whose representative's certificate passed, once per orientation.
-    Deterministic given (shape, seed).
+    Deterministic given (shape, seed).  Raises TooLarge, before any work,
+    when n or m exceeds MAX_CENSUS_PART.
     """
     if shape.n <= 2 or shape.m <= 2:
         raise OutOfTheoremScope(
             f"census requires n, m > 2; got ({shape.n}, {shape.m})"
         )
-    check_pairs_within(shape, cap)
+    if max(shape.n, shape.m) > MAX_CENSUS_PART:
+        raise TooLarge(
+            f"census of K_{{{shape.n},{shape.m}}}: a part has more than "
+            f"{MAX_CENSUS_PART} vertices"
+        )
     if realize_all:
         from .geometry import realize
         from .verifier import verify

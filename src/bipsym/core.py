@@ -301,43 +301,6 @@ def power(a: BipartiteAutomorphism, k: int) -> BipartiteAutomorphism:
 
 
 @dataclass(frozen=True)
-class SubdividedGraph:
-    """K_{n,m} with degree-2 vertices added at the midpoints of some edges.
-
-    Each subdivision vertex is a record (edge, id) where the edge is the
-    (V-endpoint, W-endpoint) pair; at most one subdivision vertex per edge.
-    """
-
-    shape: BipartiteShape
-    subdivision_vertices: tuple[tuple[tuple[VertexId, VertexId], str], ...] = ()
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for (a, b), _ in self.subdivision_vertices:
-            if a.part is not Part.V or b.part is not Part.W:
-                raise ValueError(f"subdivision edge ({a.label}, {b.label}) is not V-W")
-            if not (self.shape.contains(a) and self.shape.contains(b)):
-                raise ValueError(f"subdivision edge ({a.label}, {b.label}) out of range")
-            if (a, b) in seen:
-                raise ValueError(f"edge ({a.label}, {b.label}) subdivided twice")
-            seen.add((a, b))
-
-    def edges(self) -> Iterator[tuple[VertexId | str, VertexId | str]]:
-        """Edges of the subdivided graph; subdivision vertices appear as
-        their string ids."""
-        by_edge = {edge: zid for edge, zid in self.subdivision_vertices}
-        for i in range(1, self.shape.n + 1):
-            for j in range(1, self.shape.m + 1):
-                v, w = VertexId(Part.V, i), VertexId(Part.W, j)
-                z = by_edge.get((v, w))
-                if z is None:
-                    yield v, w
-                else:
-                    yield v, z
-                    yield z, w
-
-
-@dataclass(frozen=True)
 class CycleSignature:
     """Cycle structure of an automorphism; the classifier's sole input.
 

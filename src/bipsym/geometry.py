@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -27,10 +28,9 @@ from .classifier import Orientation, classify, dispatch_case
 from .core import (
     BipartiteAutomorphism,
     BipartiteShape,
-    Part,
     SideAction,
     VertexId,
-    power,
+    _index_cycles,
     signature,
 )
 from .errors import (
@@ -42,15 +42,11 @@ from .errors import (
 
 ORTHOGONALITY_TOL = 1e-12
 ORDER_TOL = 1e-9
+DET_TOL = 1e-9  # |det M - (+-1)| allowed for the claimed orientation
 SUBSPACE_TOL = 1e-9
 IDENTITY_GAP = 1e-6  # a proper power must differ from I by more than this
 SEPARATION = 1e-6  # minimum distance between embedded vertices / landmarks
 MAX_PLACEMENT_ATTEMPTS = 1000
-
-
-class IsometryOrientation(Enum):
-    PRESERVING = "preserving"
-    REVERSING = "reversing"
 
 
 class FixedSetKind(Enum):
@@ -72,7 +68,7 @@ _KIND_BY_DIM = {
 
 @dataclass(frozen=True, eq=False)
 class Isometry4:
-    """A 4x4 orthogonal matrix with its order and orientation sign.
+    """A 4x4 orthogonal matrix with its order and orientation class.
 
     Instances from the four constructors below always satisfy the invariants
     (checked at construction); instances deserialized from files are checked
@@ -81,7 +77,7 @@ class Isometry4:
 
     matrix: np.ndarray
     claimed_order: int
-    orientation: IsometryOrientation
+    orientation: Orientation
 
 
 def _validate_isometry(iso: Isometry4) -> Isometry4:
@@ -90,8 +86,8 @@ def _validate_isometry(iso: Isometry4) -> Isometry4:
     if np.abs(M.T @ M - np.eye(4)).max() > ORTHOGONALITY_TOL:
         raise ValueError("matrix is not orthogonal within 1e-12")
     det = float(np.linalg.det(M))
-    want = 1.0 if iso.orientation is IsometryOrientation.PRESERVING else -1.0
-    if abs(det - want) > 1e-9:
+    want = 1.0 if iso.orientation is Orientation.OP else -1.0
+    if abs(det - want) > DET_TOL:
         raise ValueError(f"determinant {det} does not match {iso.orientation}")
     A = np.eye(4)
     for k in range(1, iso.claimed_order + 1):
@@ -132,7 +128,7 @@ def rotation_isometry(r: int) -> Isometry4:
     if r < 1:
         raise ValueError("order must be at least 1")
     M = _block(_rot2(Fraction(1, r)), np.eye(2))
-    return _validate_isometry(Isometry4(M, r, IsometryOrientation.PRESERVING))
+    return _validate_isometry(Isometry4(M, r, Orientation.OP))
 
 
 def glide_isometry(alpha: Fraction, beta: Fraction, claimed_order: int) -> Isometry4:
@@ -147,13 +143,13 @@ def glide_isometry(alpha: Fraction, beta: Fraction, claimed_order: int) -> Isome
     if claimed_order != order:
         raise OrderMismatch(f"claimed order {claimed_order}, computed {order}")
     M = _block(_rot2(alpha), _rot2(beta))
-    return _validate_isometry(Isometry4(M, order, IsometryOrientation.PRESERVING))
+    return _validate_isometry(Isometry4(M, order, Orientation.OP))
 
 
 def reflection_isometry() -> Isometry4:
     """Reflection of S^3 through the sphere S = {x4 = 0}."""
     M = np.diag([1.0, 1.0, 1.0, -1.0])
-    return _validate_isometry(Isometry4(M, 2, IsometryOrientation.REVERSING))
+    return _validate_isometry(Isometry4(M, 2, Orientation.OR))
 
 
 def improper_isometry(theta: Fraction, claimed_order: int) -> Isometry4:
@@ -167,7 +163,7 @@ def improper_isometry(theta: Fraction, claimed_order: int) -> Isometry4:
     if claimed_order != order:
         raise OrderMismatch(f"claimed order {claimed_order}, computed {order}")
     M = _block(_rot2(theta), np.diag([1.0, -1.0]))
-    return _validate_isometry(Isometry4(M, order, IsometryOrientation.REVERSING))
+    return _validate_isometry(Isometry4(M, order, Orientation.OR))
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,14 +316,20 @@ class SpatialEmbedding:
 
 
 class _Placer:
-    """Collects orbit placements, enforcing the 1e-6 separation floor."""
+    """Collects orbit placements, enforcing the 1e-6 separation floor.
 
-    def __init__(self, M: np.ndarray, rng: SeededPoints) -> None:
+    ``coords`` keys graph vertices by global index and subdivision vertices
+    by their str id.
+    """
+
+    def __init__(self, M: np.ndarray, shape: BipartiteShape, rng: SeededPoints) -> None:
         self.M = M
+        self.shape = shape
         self.rng = rng
-        self.points: list[np.ndarray] = []
-        # keys are VertexId for graph vertices, str ids for subdivision ones
-        self.coords: dict = {}
+        self.coords: dict[int | str, np.ndarray] = {}
+
+    def _label(self, key) -> str:
+        return key if isinstance(key, str) else self.shape.vertex_at(key).label
 
     def _orbit(self, p: np.ndarray, length: int) -> list[np.ndarray]:
         pts = [p]
@@ -343,197 +345,177 @@ class _Placer:
         return pts
 
     def _clear(self, pts: list[np.ndarray]) -> bool:
-        others = np.array([*pts, *self.points])
+        others = np.array([*pts, *self.coords.values()])
         return not _too_close(others[: len(pts)], others)
 
     def put_point(self, key, p: np.ndarray) -> None:
         if not self._clear([p]):
-            raise PlacementFailure(f"fixed position for {key} collides")
-        self.points.append(p)
+            raise PlacementFailure(f"fixed position for {self._label(key)} collides")
         self.coords[key] = p
 
     def put_orbit_at(self, keys, p: np.ndarray) -> None:
         """Place an orbit at a pinned seed point (no resampling)."""
         pts = self._orbit(p, len(keys))
         if not self._clear(pts):
-            raise PlacementFailure(f"pinned orbit through {keys[0]} collides")
-        self.points.extend(pts)
-        for k, q in zip(keys, pts):
-            self.coords[k] = q
+            raise PlacementFailure(
+                f"pinned orbit through {self._label(keys[0])} collides"
+            )
+        self.coords.update(zip(keys, pts))
 
     def put_orbit(self, keys, sample) -> None:
         """Place an orbit at a sampled seed point, resampling on collision."""
         for _ in range(MAX_PLACEMENT_ATTEMPTS):
             pts = self._orbit(sample(), len(keys))
             if self._clear(pts):
-                self.points.extend(pts)
-                for k, q in zip(keys, pts):
-                    self.coords[k] = q
+                self.coords.update(zip(keys, pts))
                 return
         raise PlacementFailure(
-            f"no admissible orbit through {keys[0]} "
+            f"no admissible orbit through {self._label(keys[0])} "
             f"after {MAX_PLACEMENT_ATTEMPTS} attempts"
         )
 
-    def sampler_generic(self, avoid):
+    def sampler(self, draw, avoid=()):
+        """Seed points ``draw(rng)``, redrawn until each distance function in
+        ``avoid`` puts them at least SEPARATION off its landmark set."""
+
         def sample() -> np.ndarray:
             for _ in range(MAX_PLACEMENT_ATTEMPTS):
-                p = self.rng.unit4()
+                p = draw(self.rng)
                 if all(d(p) >= SEPARATION for d in avoid):
                     return p
             raise PlacementFailure("could not sample a point off the landmark sets")
 
         return sample
 
-    def sampler_circle(self, point_at, avoid=()):
-        def sample() -> np.ndarray:
-            for _ in range(MAX_PLACEMENT_ATTEMPTS):
-                p = point_at(self.rng.angle())
-                if all(d(p) >= SEPARATION for d in avoid):
-                    return p
-            raise PlacementFailure("could not sample an admissible circle point")
 
-        return sample
-
-    def sampler_sphere(self) -> "callable":
-        def sample() -> np.ndarray:
-            for _ in range(MAX_PLACEMENT_ATTEMPTS):
-                p = self.rng.unit_on_sphere()
-                if dist_to_x(p) >= SEPARATION:
-                    return p
-            raise PlacementFailure("could not sample a point on S off X")
-
-        return sample
+def _on_circle(point_at):
+    """Draw function for a point of a landmark circle at a random angle."""
+    return lambda rng: point_at(rng.angle())
 
 
 # --- realization -----------------------------------------------------------
+#
+# The constructions work on global indices: a cycle is a tuple of indices
+# starting at its smallest one, so a mixed cycle starts in V.  VertexId keys
+# appear only in the returned SpatialEmbedding.
 
 
-def _as_orientation(orientation) -> Orientation:
-    if isinstance(orientation, Orientation):
-        return orientation
-    return Orientation(str(orientation).lower())
-
-
-def _grouped_cycles(aut: BipartiteAutomorphism, vrole: Part):
-    """Cycles of the automorphism grouped into (pure v-role, pure w-role,
-    mixed), keyed by length."""
+def _grouped_cycles(cycles, n: int, interchanged: bool):
+    """Cycles grouped into (pure v-role, pure w-role, mixed), keyed by
+    length; the v-role part is W when the case matched interchanged."""
     pure_v: dict[int, list] = {}
     pure_w: dict[int, list] = {}
     mixed: dict[int, list] = {}
-    for cyc in aut.cycles():
-        parts = {v.part for v in cyc}
-        if len(parts) == 2:
-            mixed.setdefault(len(cyc), []).append(cyc)
-        elif parts == {vrole}:
-            pure_v.setdefault(len(cyc), []).append(cyc)
+    for cyc in cycles:
+        if cyc[0] < n <= max(cyc):
+            group = mixed
+        elif (cyc[0] < n) != interchanged:
+            group = pure_v
         else:
-            pure_w.setdefault(len(cyc), []).append(cyc)
+            group = pure_w
+        group.setdefault(len(cyc), []).append(cyc)
     return pure_v, pure_w, mixed
 
 
-def _interleave_fixed(aut: BipartiteAutomorphism) -> list[VertexId]:
+def _interleave_fixed(aut: BipartiteAutomorphism) -> list[int]:
     """Fixed vertices ordered so the two parts alternate while both last."""
-    fixed = aut.fixed_vertices()
-    fv = [v for v in fixed if v.part is Part.V]
-    fw = [v for v in fixed if v.part is Part.W]
+    fixed = [g for g, p in enumerate(aut.perm) if p == g]
+    fv = [g for g in fixed if g < aut.shape.n]
+    fw = fixed[len(fv) :]
     first, second = (fv, fw) if len(fv) >= len(fw) else (fw, fv)
-    out = []
-    for i in range(max(len(first), len(second))):
-        if i < len(first):
-            out.append(first[i])
-        if i < len(second):
-            out.append(second[i])
-    return out
+    return [g for pair in zip_longest(first, second) for g in pair if g is not None]
 
 
 def _split_embedding(
     shape: BipartiteShape,
-    placer: "_Placer",
-    sub_edges: dict[str, tuple[VertexId, VertexId]],
+    placer: _Placer,
+    sub_edges: dict[str, tuple[int, int]],
     landmark_names: tuple[str, ...],
 ) -> SpatialEmbedding:
+    vertex_at = shape.vertex_at
     return SpatialEmbedding(
         shape=shape,
-        coordinates={k: p for k, p in placer.coords.items() if isinstance(k, VertexId)},
+        coordinates={
+            vertex_at(k): p for k, p in placer.coords.items() if not isinstance(k, str)
+        },
         subdivision_coordinates={
             k: p for k, p in placer.coords.items() if isinstance(k, str)
         },
-        subdivision_edges=sub_edges,
+        subdivision_edges={
+            z: (vertex_at(a), vertex_at(b)) for z, (a, b) in sub_edges.items()
+        },
         landmarks={k: LANDMARK_DESCRIPTIONS[k] for k in landmark_names},
     )
 
 
-def _realize_rotation(aut, sig, rng) -> tuple[Isometry4, SpatialEmbedding]:
+def _realize_rotation(aut, cycles, sig, rng) -> tuple[Isometry4, SpatialEmbedding]:
     """Cases 1 (part-preserving), 2, 3 and the identity: a single rotation.
 
     Fixed vertices go on X at equally spaced angles, parts alternating when
     both are present; every cycle is a generic r-orbit off X.
     """
     iso = rotation_isometry(sig.r)
-    placer = _Placer(iso.matrix, rng)
+    placer = _Placer(iso.matrix, aut.shape, rng)
     fixed = _interleave_fixed(aut)
-    for t, v in enumerate(fixed):
-        placer.put_point(v, point_on_x(2.0 * math.pi * t / len(fixed)))
-    sample = placer.sampler_generic([dist_to_x])
-    for cyc in aut.cycles():
+    for t, g in enumerate(fixed):
+        placer.put_point(g, point_on_x(2.0 * math.pi * t / len(fixed)))
+    sample = placer.sampler(SeededPoints.unit4, [dist_to_x])
+    for cyc in cycles:
         placer.put_orbit(cyc, sample)
     return iso, _split_embedding(aut.shape, placer, {}, ("X",))
 
 
 def _subdivide_half_turn(aut: BipartiteAutomorphism, r: int):
     """Subdivision vertices for the edges inverted by the half-order power
-    of a part-swapping automorphism of order r, together with their cycles
-    under the induced action (each cycle has length r/2)."""
-    half = power(aut, r // 2)
-    edges = []
-    for i in range(1, aut.shape.n + 1):
-        v = VertexId(Part.V, i)
-        w = half(v)
-        edges.append((v, w))
-    # induced permutation on inverted edges: (v, w) -> (phi(w), phi(v))
-    succ = {}
-    keyset = set(edges)
-    for v, w in edges:
-        img_v, img_w = aut(w), aut(v)  # phi(v) lies in W, phi(w) in V
-        if (img_v, img_w) not in keyset:
-            raise PreconditionError(
-                f"edge ({v.label}, {w.label}) maps to ({img_v.label}, {img_w.label}),"
-                " which the half-order power does not invert"
-            )
-        succ[(v, w)] = (img_v, img_w)
-    cycles = []
-    seen = set()
-    for e in edges:
-        if e in seen:
-            continue
-        cyc = [e]
-        seen.add(e)
-        nxt = succ[e]
-        while nxt != e:
-            seen.add(nxt)
-            cyc.append(nxt)
-            nxt = succ[nxt]
-        cycles.append(cyc)
-    return edges, cycles
+    of a part-swapping automorphism of order r whose cycles all have length
+    r, for odd r/2, with their cycles under the induced action.
+
+    In a cycle (c0 ... c_{r-1}), c0 in V, the half-order power maps c_i to
+    c_{i+r/2}, so it inverts the edge (c_i, c_{i+r/2}) for each even i, and
+    the automorphism maps that edge to (c_{i+r/2+1}, c_{i+1}), the edge at
+    i + r/2 + 1.  As gcd(r/2 + 1, r) = 2, the r/2 edges of a cycle form one
+    cycle of the induced action, listed from the edge at c0.  The edge at the
+    V vertex of global index g gets the id z{g+1}.  Returns the edges by id
+    and the id cycles.
+    """
+    half = r // 2
+    cycles = _index_cycles(aut.perm)
+    swapping = aut.side_action is SideAction.SWAPPING
+    if not swapping or half % 2 == 0 or any(len(cyc) != r for cyc in cycles):
+        raise PreconditionError(
+            f"the half-order power of {aut} (order {r}) does not invert "
+            "one edge at every V vertex"
+        )
+    sub_edges: dict[str, tuple[int, int]] = {}
+    z_cycles = []
+    for cyc in cycles:
+        z_cycle = []
+        for t in range(half):
+            i = t * (half + 1) % r
+            z = f"z{cyc[i] + 1}"
+            sub_edges[z] = (cyc[i], cyc[(i + half) % r])
+            z_cycle.append(z)
+        z_cycles.append(z_cycle)
+    return sub_edges, z_cycles
 
 
-def _realize_glide(aut, sig, case, vrole, rng) -> tuple[Isometry4, SpatialEmbedding]:
+def _realize_glide(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEmbedding]:
     """Cases 1 (part-swapping) and 4-9: a glide rotation R(alpha) + R(beta).
 
     The angle table follows the construction proofs; exceptional cycles go
     on Y (or X), everything else in generic r-orbits off both circles.
     """
     r = sig.r
-    pure_v, pure_w, mixed = _grouped_cycles(aut, vrole)
+    pure_v, pure_w, mixed = _grouped_cycles(cycles, aut.shape.n, case.interchanged)
     on_y: list[tuple] = []  # (cycle, pinned angle or None)
     on_x: list[tuple] = []
-    subdivision_plan = None
+    sub_edges: dict[str, tuple[int, int]] = {}
+    z_cycles: list[list[str]] = []
 
     if case.number == 1:  # part-swapping; all cycles are mixed r-cycles
         if (r // 2) % 2 == 1:
             alpha, beta = Fraction(2, r), Fraction(1, r)
-            subdivision_plan = _subdivide_half_turn(aut, r)
+            sub_edges, z_cycles = _subdivide_half_turn(aut, r)
         else:
             alpha, beta = Fraction(1, 4), Fraction(1, r)
     elif case.number == 4:
@@ -565,39 +547,29 @@ def _realize_glide(aut, sig, case, vrole, rng) -> tuple[Isometry4, SpatialEmbedd
         raise NotRealizable(f"case {case.label} is not a glide construction")
 
     iso = glide_isometry(alpha, beta, r)
-    placer = _Placer(iso.matrix, rng)
+    placer = _Placer(iso.matrix, aut.shape, rng)
 
     placed = set()
-    for cyc, angle in on_y:
-        if angle is None:
-            placer.put_orbit(cyc, placer.sampler_circle(point_on_y))
-        else:
-            placer.put_orbit_at(cyc, point_on_y(angle))
-        placed.add(cyc)
-    for cyc, angle in on_x:
-        if angle is None:
-            placer.put_orbit(cyc, placer.sampler_circle(point_on_x))
-        else:
-            placer.put_orbit_at(cyc, point_on_x(angle))
-        placed.add(cyc)
+    for point_at, pinned in ((point_on_y, on_y), (point_on_x, on_x)):
+        for cyc, angle in pinned:
+            if angle is None:
+                placer.put_orbit(cyc, placer.sampler(_on_circle(point_at)))
+            else:
+                placer.put_orbit_at(cyc, point_at(angle))
+            placed.add(cyc)
 
-    sub_edges: dict[str, tuple[VertexId, VertexId]] = {}
-    if subdivision_plan is not None:
-        edges, z_cycles = subdivision_plan
-        zid = {e: f"z{i + 1}" for i, e in enumerate(sorted(edges))}
-        sub_edges = {zid[e]: e for e in edges}
-        for cyc in z_cycles:
-            placer.put_orbit([zid[e] for e in cyc], placer.sampler_circle(point_on_y))
+    for z_cycle in z_cycles:
+        placer.put_orbit(z_cycle, placer.sampler(_on_circle(point_on_y)))
 
-    sample = placer.sampler_generic([dist_to_x, dist_to_y])
-    for cyc in aut.cycles():
+    sample = placer.sampler(SeededPoints.unit4, [dist_to_x, dist_to_y])
+    for cyc in cycles:
         if cyc not in placed:
             placer.put_orbit(cyc, sample)
 
     return iso, _split_embedding(aut.shape, placer, sub_edges, ("X", "Y"))
 
 
-def _realize_reflection(aut, sig, vrole, rng) -> tuple[Isometry4, SpatialEmbedding]:
+def _realize_reflection(aut, cycles, case, rng) -> tuple[Isometry4, SpatialEmbedding]:
     """Case 11: a reflection through S.
 
     All fixed vertices go on S (the full part on a circle of S, the at most
@@ -605,21 +577,22 @@ def _realize_reflection(aut, sig, vrole, rng) -> tuple[Isometry4, SpatialEmbeddi
     S, giving the planar K_{2,n} pattern); 2-cycles become mirror pairs.
     """
     iso = reflection_isometry()
-    placer = _Placer(iso.matrix, rng)
-    fixed = aut.fixed_vertices()
-    full = [v for v in fixed if v.part is vrole]
-    rest = [v for v in fixed if v.part is not vrole]
-    for t, v in enumerate(full):
-        placer.put_point(v, point_on_y(2.0 * math.pi * t / len(full)))
-    for v, p in zip(rest, F_POINTS):
-        placer.put_point(v, p)
-    sample = placer.sampler_generic([dist_to_sphere])
-    for cyc in aut.cycles():
+    placer = _Placer(iso.matrix, aut.shape, rng)
+    n = aut.shape.n
+    fixed = [g for g, p in enumerate(aut.perm) if p == g]
+    full = [g for g in fixed if (g < n) != case.interchanged]
+    rest = [g for g in fixed if (g < n) == case.interchanged]
+    for t, g in enumerate(full):
+        placer.put_point(g, point_on_y(2.0 * math.pi * t / len(full)))
+    for g, p in zip(rest, F_POINTS):
+        placer.put_point(g, p)
+    sample = placer.sampler(SeededPoints.unit4, [dist_to_sphere])
+    for cyc in cycles:
         placer.put_orbit(cyc, sample)
     return iso, _split_embedding(aut.shape, placer, {}, ("S",))
 
 
-def _realize_improper(aut, sig, case, vrole, rng) -> tuple[Isometry4, SpatialEmbedding]:
+def _realize_improper(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEmbedding]:
     """Cases 10, 12, 13: an improper rotation R(theta) + diag(1, -1).
 
     Fixed vertices sit at the two points of F; 2-cycles lie on X - F
@@ -631,45 +604,47 @@ def _realize_improper(aut, sig, case, vrole, rng) -> tuple[Isometry4, SpatialEmb
     r = sig.r
     theta = Fraction(2, r) if case.sub in ("c", "d") else Fraction(1, r)
     iso = improper_isometry(theta, r)
-    placer = _Placer(iso.matrix, rng)
-    pure_v, pure_w, mixed = _grouped_cycles(aut, vrole)
+    placer = _Placer(iso.matrix, aut.shape, rng)
+    pure_v, pure_w, mixed = _grouped_cycles(cycles, aut.shape.n, case.interchanged)
 
-    for v, p in zip(_interleave_fixed(aut), F_POINTS):
-        placer.put_point(v, p)
+    for g, p in zip(_interleave_fixed(aut), F_POINTS):
+        placer.put_point(g, p)
 
     placed = set()
-    sub_edges: dict[str, tuple[VertexId, VertexId]] = {}
+    sub_edges: dict[str, tuple[int, int]] = {}
 
     if r == 2:
         # every non-fixed vertex is in a 2-cycle; embed them all off S and X
         pass
     elif case.number == 13:
-        two_cycles = sorted(mixed.get(2, []))
+        two_cycles = mixed.get(2, [])
         angles = [math.pi / 2] if len(two_cycles) == 1 else [math.pi / 3, 4 * math.pi / 3]
         for cyc, t, f_point in zip(two_cycles, angles, F_POINTS):
-            # canonical cycles start at their V vertex, so cyc = (v, phi(v))
+            # a mixed cycle starts at its V vertex, so cyc = (v, phi(v))
             placer.put_orbit_at(cyc, point_on_x(t))
             placed.add(cyc)
             zname = f"z{len(sub_edges) + 1}"
             placer.put_point(zname, f_point)
-            sub_edges[zname] = (cyc[0], cyc[1])
+            sub_edges[zname] = cyc
     else:
         if case.sub in ("a", "d"):
             for cyc in pure_w.get(2, []):
                 placer.put_orbit_at(cyc, point_on_x(math.pi / 2))
                 placed.add(cyc)
         if case.sub in ("b", "c"):
+            on_x = placer.sampler(_on_circle(point_on_x), [dist_to_f])
             for cyc in pure_v.get(2, []):
-                placer.put_orbit(cyc, placer.sampler_circle(point_on_x, [dist_to_f]))
+                placer.put_orbit(cyc, on_x)
                 placed.add(cyc)
         if case.sub in ("c", "d"):
             half_cycles = pure_w if case.sub == "c" else pure_v
+            on_s = placer.sampler(SeededPoints.unit_on_sphere, [dist_to_x])
             for cyc in half_cycles.get(r // 2, []):
-                placer.put_orbit(cyc, placer.sampler_sphere())
+                placer.put_orbit(cyc, on_s)
                 placed.add(cyc)
 
-    sample = placer.sampler_generic([dist_to_sphere, dist_to_x])
-    for cyc in aut.cycles():
+    sample = placer.sampler(SeededPoints.unit4, [dist_to_sphere, dist_to_x])
+    for cyc in cycles:
         if cyc not in placed:
             placer.put_orbit(cyc, sample)
 
@@ -681,27 +656,27 @@ def realize(
 ) -> tuple[Isometry4, SpatialEmbedding]:
     """Construct an isometry of S^3 with vertex coordinates inducing ``aut``.
 
-    ``orientation`` selects the realization class ("op" preserving, "or"
-    reversing); NotRealizable is raised when the classifier reports none.
-    The construction is deterministic in ``seed``; the result satisfies
-    verifier.verify at the default tolerance.
+    ``orientation`` selects the realization class (an ``Orientation``, or
+    its value "op" preserving, "or" reversing); NotRealizable is raised when
+    the classifier reports none.  The construction is deterministic in
+    ``seed``; the result satisfies verifier.verify at the default tolerance.
     """
-    orientation = _as_orientation(orientation)
+    orientation = Orientation(orientation)
     sig = signature(aut)
     case = dispatch_case(classify(sig), orientation)
-    vrole = Part.W if case.interchanged else Part.V
+    cycles = [tuple(cyc) for cyc in _index_cycles(aut.perm)]
     rng = SeededPoints(seed)
 
     if orientation is Orientation.OP:
         preserving = sig.side_action is SideAction.PRESERVING
         if case.number in (2, 3) or (case.number == 1 and preserving):
-            iso, emb = _realize_rotation(aut, sig, rng)
+            iso, emb = _realize_rotation(aut, cycles, sig, rng)
         else:
-            iso, emb = _realize_glide(aut, sig, case, vrole, rng)
+            iso, emb = _realize_glide(aut, cycles, sig, case, rng)
     else:
         if case.number == 11:
-            iso, emb = _realize_reflection(aut, sig, vrole, rng)
+            iso, emb = _realize_reflection(aut, cycles, case, rng)
         else:
-            iso, emb = _realize_improper(aut, sig, case, vrole, rng)
+            iso, emb = _realize_improper(aut, cycles, sig, case, rng)
     emb.validate()
     return iso, emb

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .classifier import RealizabilityVerdict
+from .classifier import Orientation, RealizabilityVerdict
 from .core import BipartiteAutomorphism, BipartiteShape, VertexId, parse_cycles
 from .errors import ParseError
 
@@ -156,11 +156,6 @@ def automorphism_from_obj(obj: dict) -> BipartiteAutomorphism:
 
 # --- realizations ------------------------------------------------------------
 
-# keyed by IsometryOrientation values, so that this module loads without numpy
-_ORIENT_TO_JSON = {"preserving": "op", "reversing": "or"}
-_ORIENT_FROM_JSON = {v: k for k, v in _ORIENT_TO_JSON.items()}
-
-
 def realization_to_obj(
     aut: BipartiteAutomorphism,
     iso: Isometry4,
@@ -175,7 +170,7 @@ def realization_to_obj(
         "case": case_label,
         "seed": seed,
         "order": iso.claimed_order,
-        "orientation": _ORIENT_TO_JSON[iso.orientation.value],
+        "orientation": iso.orientation.value,
         "matrix": [[float(x) for x in row] for row in iso.matrix],
         "vertices": {
             v.label: [float(x) for x in p] for v, p in emb.coordinates.items()
@@ -204,7 +199,7 @@ def realization_from_obj(
     """
     import numpy as np
 
-    from .geometry import Isometry4, IsometryOrientation, SpatialEmbedding
+    from .geometry import Isometry4, SpatialEmbedding
 
     if not isinstance(obj, dict):
         raise ParseError(f"realization must be an object, got {type(obj).__name__}")
@@ -221,8 +216,7 @@ def realization_from_obj(
         order = _int_field(obj, "order")
         if order < 1:
             raise ParseError(f"order must be positive, got {order}")
-        orientation = IsometryOrientation(_ORIENT_FROM_JSON[obj["orientation"]])
-        iso = Isometry4(matrix, order, orientation)
+        iso = Isometry4(matrix, order, Orientation(obj["orientation"]))
         coords = {
             VertexId.from_label(label): np.array(_point(p, f"vertex {label}"))
             for label, p in vertices.items()

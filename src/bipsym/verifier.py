@@ -24,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartiteAutomorphism, Part, SubdividedGraph, VertexId
+from .classifier import Orientation
+from .core import BipartiteAutomorphism, Part
 from .errors import PreconditionError, ShapeMismatch
 from .geometry import (
+    DET_TOL,
     IDENTITY_GAP,
     ORTHOGONALITY_TOL,
     SEPARATION,
@@ -34,7 +36,6 @@ from .geometry import (
     _KIND_BY_DIM,
     FixedSetKind,
     Isometry4,
-    IsometryOrientation,
     SpatialEmbedding,
     fixed_subspace,
     subspace_distance,
@@ -66,10 +67,6 @@ class RealizationCertificate:
         raise KeyError(name)
 
 
-def _normalize_edge(a: VertexId, b: VertexId) -> tuple[VertexId, VertexId]:
-    return (a, b) if a.part is Part.V else (b, a)
-
-
 def _proper_divisors(r: int) -> list[int]:
     """Divisors d < r of r, ascending."""
     small = [d for d in range(1, math.isqrt(r) + 1) if r % d == 0]
@@ -79,27 +76,21 @@ def _proper_divisors(r: int) -> list[int]:
 class _Verification:
     """Working state shared by the individual checks of verify().
 
-    Points are indexed as in ``names``: graph vertices in global-index order,
-    then subdivision vertices by id.  Rows of ``point_fixed``, ``edge_fixed``
-    and ``bases`` belong to the proper divisors of the claimed order.
+    Points are indexed by global index for graph vertices, then from
+    ``n_graph`` on by subdivision id in sorted order (``zids``).  Rows of
+    ``point_fixed``, ``edge_fixed`` and ``bases`` belong to the proper
+    divisors of the claimed order.
     """
 
     def __init__(self, aut, iso, emb, tol):
         self.aut = aut
         self.iso = iso
-        self.emb = emb
         self.tol = tol
-        self.names: list = [v for v in aut.shape.vertices()]
-        self.zids = sorted(emb.subdivision_coordinates)
-        self.names += self.zids
-        self.index = {k: i for i, k in enumerate(self.names)}
         self.n_graph = aut.shape.size  # indices below this are graph vertices
+        self.zids = sorted(emb.subdivision_coordinates)
         self.P = np.array(
-            [
-                emb.coordinates[k] if isinstance(k, VertexId)
-                else emb.subdivision_coordinates[k]
-                for k in self.names
-            ]
+            [emb.coordinates[v] for v in aut.shape.vertices()]
+            + [emb.subdivision_coordinates[z] for z in self.zids]
         )
         r = iso.claimed_order
         # powers[i] = matrix^i by repeated multiplication, whose exact bits
@@ -119,41 +110,50 @@ class _Verification:
         self.point_fixed = (
             np.linalg.norm(self.images[self.divisors] - self.P, axis=2) <= tol
         )
-        self.edge_a, self.edge_b = self._adjacency()
+        self.edge_a, self.edge_b = self._adjacency(emb.subdivision_edges)
         self.edge_fixed = (
             self.point_fixed[:, self.edge_a] & self.point_fixed[:, self.edge_b]
         )
 
-    def _adjacency(self) -> np.ndarray:
-        """Edges of the subdivided graph as two index arrays, in the order of
-        ``SubdividedGraph.edges()``."""
-        graph = SubdividedGraph(  # validates: an edge subdivided twice raises
-            self.aut.shape,
-            tuple(
-                (_normalize_edge(*e), z)
-                for z, e in sorted(self.emb.subdivision_edges.items())
-            ),
-        )
-        # V indices precede W indices, so a sorted index pair is a (V, W) edge
-        self.z_at = {
-            (self.index[v], self.index[w]): self.index[z]
-            for (v, w), z in graph.subdivision_vertices
-        }
+    def _adjacency(self, subdivision_edges) -> np.ndarray:
+        """Edges of the subdivided graph as two index arrays: (v, w) for v in
+        V and w in W in index order, a subdivided edge as (v, z), (z, w).
+
+        Raises ShapeMismatch when an edge carries two subdivision vertices.
+        """
+        shape = self.aut.shape
+        # z_edges[i]: the edge of subdivision vertex zids[i] as (V, W) indices;
+        # V indices precede W indices, so the sorted pair is that edge
+        self.z_edges = []
+        self.z_at = {}
+        for k, z in enumerate(self.zids, self.n_graph):
+            edge = tuple(sorted(map(shape.global_index, subdivision_edges[z])))
+            if edge in self.z_at:
+                a, b = map(self.name, edge)
+                raise ShapeMismatch(f"edge ({a}, {b}) subdivided twice")
+            self.z_edges.append(edge)
+            self.z_at[edge] = k
         pairs = []
-        for a in range(self.aut.shape.n):
-            for b in range(self.aut.shape.n, self.n_graph):
+        for a in range(shape.n):
+            for b in range(shape.n, self.n_graph):
                 z = self.z_at.get((a, b))
                 pairs += [(a, b)] if z is None else [(a, z), (z, b)]
         return np.array(pairs).T
+
+    def name(self, k: int) -> str:
+        """Label of embedded point k, for failure messages."""
+        if k < self.n_graph:
+            return self.aut.shape.vertex_at(k).label
+        return self.zids[k - self.n_graph]
 
     def image_index(self, k: int) -> int | None:
         """Index of the image of embedded point k under the automorphism,
         extended over subdivision vertices; None when the subdivision set is
         not closed under the automorphism."""
+        perm = self.aut.perm
         if k < self.n_graph:
-            return self.aut.perm[k]
-        v, w = self.emb.subdivision_edges[self.names[k]]
-        a, b = self.aut.perm[self.index[v]], self.aut.perm[self.index[w]]
+            return perm[k]
+        a, b = (perm[g] for g in self.z_edges[k - self.n_graph])
         return self.z_at.get((min(a, b), max(a, b)))
 
     def by_power(self, findings: dict[int, list[str]]) -> list[str]:
@@ -191,10 +191,12 @@ def verify(
             aut.shape.contains(x) for x in e
         ):
             raise ShapeMismatch(f"subdivision edge {e} is not an edge of the graph")
+    if emb.subdivision_edges.keys() != emb.subdivision_coordinates.keys():
+        raise ShapeMismatch("subdivision vertices and their edges do not match")
 
     try:
         st = _Verification(aut, iso, emb, tol)
-    except ValueError as exc:  # e.g. an edge subdivided twice
+    except ValueError as exc:  # e.g. ragged coordinates
         raise ShapeMismatch(str(exc)) from exc
     M = iso.matrix
     r = iso.claimed_order
@@ -241,17 +243,17 @@ def _check_order(st, r: int) -> CheckResult:
     return CheckResult("order", ok, detail, final)
 
 
-def _check_orientation(M: np.ndarray, orientation: IsometryOrientation) -> CheckResult:
+def _check_orientation(M: np.ndarray, orientation: Orientation) -> CheckResult:
     det = float(np.linalg.det(M))
-    want = 1.0 if orientation is IsometryOrientation.PRESERVING else -1.0
-    ok = abs(det - want) <= 1e-9
+    want = 1.0 if orientation is Orientation.OP else -1.0
+    ok = abs(det - want) <= DET_TOL
     return CheckResult(
         "orientation", ok, f"det = {det:.17g}, expected {want:+.0f}", det
     )
 
 
 def _check_induces(st) -> CheckResult:
-    K = len(st.names)
+    K = len(st.P)
     diff = st.P[:, None, :] - st.P[None, :, :]
     dists = np.linalg.norm(diff, axis=2)
     np.fill_diagonal(dists, np.inf)
@@ -268,17 +270,15 @@ def _check_induces(st) -> CheckResult:
         target = st.image_index(k)
         if target is None:
             ok = False
-            detail.append(f"subdivision set not closed at {st.names[k]}")
+            detail.append(f"subdivision set not closed at {st.name(k)}")
             continue
         d = float(move[k, target])
         worst = max(worst, d)
         if nearest[k] != target or d > st.tol:
             ok = False
-            got = st.names[nearest[k]]
-            want = st.names[target]
             detail.append(
-                f"M*{_label(st.names[k])} matched {_label(got)}, wanted "
-                f"{_label(want)} (dist {d:.3g})"
+                f"M*{st.name(k)} matched {st.name(nearest[k])}, wanted "
+                f"{st.name(target)} (dist {d:.3g})"
             )
     return CheckResult(
         "induces",
@@ -287,10 +287,6 @@ def _check_induces(st) -> CheckResult:
         f"max image deviation {worst:.3g}, min separation {min_sep:.3g}",
         worst,
     )
-
-
-def _label(key) -> str:
-    return key.label if isinstance(key, VertexId) else str(key)
 
 
 def _check_eel1(st) -> CheckResult:
@@ -336,7 +332,7 @@ def _check_eel2(st, r: int) -> CheckResult:
         bad += [(lo + i, a[e], b[e]) for i, e in zip(*np.nonzero(swapped))]
     detail = (
         "; ".join(
-            f"M^{i} interchanges {_label(st.names[a])},{_label(st.names[b])}"
+            f"M^{i} interchanges {st.name(a)},{st.name(b)}"
             for i, a, b in bad
         )
         if bad
@@ -368,13 +364,13 @@ def _arc_findings(st, j: int) -> list[str]:
             return [f"{nv}+{nw} vertices of a part on circle"]
         xy = st.P[on] @ basis
         ring = on[np.argsort(np.arctan2(xy[:, 1], xy[:, 0]), kind="stable")]
-        pos = np.empty(len(st.names), dtype=int)
+        pos = np.empty(len(st.P), dtype=int)
         pos[ring] = np.arange(len(ring))
         a, b = st.edge_a[pairs], st.edge_b[pairs]
         gap = (pos[a] - pos[b]) % len(ring)
         apart = (gap != 1) & (gap != len(ring) - 1)
         return [
-            f"no free arc between {_label(st.names[x])} and {_label(st.names[y])}"
+            f"no free arc between {st.name(x)} and {st.name(y)}"
             for x, y in zip(a[apart], b[apart])
         ]
     if kind is FixedSetKind.SPHERE:

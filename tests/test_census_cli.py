@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -78,8 +79,11 @@ class TestCensus:
             census(BipartiteShape(2, 3))
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            census(BipartiteShape(8, 8), cap=10_000)
+        # MAX_CENSUS_PART = 16 bounds each part; the bound itself is allowed
+        assert census(BipartiteShape(16, 3)).total == math.factorial(16) * 6
+        for shape in (BipartiteShape(17, 3), BipartiteShape(3, 17)):
+            with pytest.raises(TooLarge, match="more than 16 vertices"):
+                census(shape)
 
     def test_deterministic_bytes(self):
         one = canonical_json(report_to_obj(census(S33, seed=9)))

@@ -7,7 +7,6 @@ import pytest
 from bipsym import (
     BipartiteShape,
     FixedSetKind,
-    IsometryOrientation,
     NotRealizable,
     OrderMismatch,
     PreconditionError,
@@ -213,12 +212,7 @@ def test_realize_constructions(nm, text, orientation, expected):
     case = dispatch_case(verdict, Orientation(orientation))
     assert case.label == expected
     iso, emb = realize(aut, orientation, seed=1)
-    want = (
-        IsometryOrientation.PRESERVING
-        if orientation == "op"
-        else IsometryOrientation.REVERSING
-    )
-    assert iso.orientation is want
+    assert iso.orientation is Orientation(orientation)
     cert = verify(aut, iso, emb, tol=1e-9)
     failed = [c.name for c in cert.checks if not c.passed]
     assert cert.overall, f"{text} {orientation}: failed {failed}"

@@ -7,9 +7,6 @@ import bipsym.jsonio
 from bipsym import (
     BipartiteShape,
     ParseError,
-    Part,
-    SubdividedGraph,
-    VertexId,
     parse_cycles,
     realize,
     verify,
@@ -194,33 +191,3 @@ class TestCertificateJson:
         obj = certificate_to_obj(cert)
         assert obj["overall"] is True
         assert {"name", "pass", "detail", "measured"} <= set(obj["checks"][0])
-
-
-class TestSubdividedGraph:
-    def v(self, i):
-        return VertexId(Part.V, i)
-
-    def w(self, i):
-        return VertexId(Part.W, i)
-
-    def test_edges_with_subdivision(self):
-        g = SubdividedGraph(S33, (((self.v(1), self.w(1)), "z1"),))
-        edges = set(g.edges())
-        assert (self.v(1), "z1") in edges and ("z1", self.w(1)) in edges
-        assert (self.v(1), self.w(1)) not in edges
-        assert (self.v(2), self.w(1)) in edges
-        assert len(edges) == 9 + 1
-
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError):
-            SubdividedGraph(
-                S33,
-                (
-                    ((self.v(1), self.w(1)), "z1"),
-                    ((self.v(1), self.w(1)), "z2"),
-                ),
-            )
-
-    def test_wrong_part_order_rejected(self):
-        with pytest.raises(ValueError):
-            SubdividedGraph(S33, (((self.w(1), self.v(1)), "z1"),))

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from bipsym import (
     two_circle_check,
     verify,
 )
+from bipsym.cli import cli_main
 
 S33 = BipartiteShape(3, 3)
 S34 = BipartiteShape(3, 4)
@@ -151,6 +153,44 @@ class TestNegativeControls:
         aut33 = parse_cycles(S33, "(w1 w2)")
         with pytest.raises(ShapeMismatch):
             verify(aut33, iso, emb)
+        # a subdivision vertex needs both a point and an edge
+        emb.subdivision_edges["z1"] = (vid("v1"), vid("w1"))
+        with pytest.raises(ShapeMismatch, match="do not match"):
+            verify(aut34, iso, emb)
+
+
+class TestSubdividedTwice:
+    # OR13 subdivides the edges of the 2-cycles (v1 w1) and (v2 w2) at z1 and
+    # z2; moving z2 onto (v1, w1), endpoints given the other way round, puts
+    # two subdivision vertices on one edge, which no graph here allows
+    TEXT = "(v1 w1)(v2 w2)(v3 w3 v4 w4)"
+
+    def realization(self):
+        aut = parse_cycles(BipartiteShape(4, 4), self.TEXT)
+        iso, emb = realize(aut, "or", seed=1)
+        assert emb.subdivision_edges == {
+            "z1": (vid("v1"), vid("w1")),
+            "z2": (vid("v2"), vid("w2")),
+        }
+        return aut, iso, emb
+
+    def test_verify_raises_shape_mismatch(self):
+        aut, iso, emb = self.realization()
+        emb.subdivision_edges["z2"] = (vid("w1"), vid("v1"))
+        with pytest.raises(ShapeMismatch, match=r"edge \(v1, w1\) subdivided twice"):
+            verify(aut, iso, emb)
+
+    def test_cli_verify_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "realization.json"
+        args = ["realize", "--graph", "4,4", "--perm", self.TEXT, "--orientation", "or"]
+        assert cli_main(args + ["-o", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        obj["subdivision"]["z2"]["edge"] = ["w1", "v1"]
+        path.write_text(json.dumps(obj))
+        assert cli_main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: edge (v1, w1) subdivided twice\n"
 
 
 class TestSmith:

@@ -15,7 +15,7 @@ import bipsym.verifier
 from bipsym import (
     BipartiteShape,
     Isometry4,
-    IsometryOrientation,
+    Orientation,
     SpatialEmbedding,
     VertexId,
     classify_aut,
@@ -152,7 +152,7 @@ def test_point_off_the_sphere(times):
 
 def test_flipped_orientation():
     aut, iso, emb = realized(BipartiteShape(3, 4), "(w3 w4)", "or")
-    flipped = Isometry4(iso.matrix, iso.claimed_order, IsometryOrientation.PRESERVING)
+    flipped = Isometry4(iso.matrix, iso.claimed_order, Orientation.OP)
     failing(aut, flipped, emb, "orientation")
 
 

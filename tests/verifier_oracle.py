@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from bipsym.core import BipartiteAutomorphism, Part, SubdividedGraph, VertexId
+from bipsym.classifier import Orientation
+from bipsym.core import BipartiteAutomorphism, Part, VertexId
 from bipsym.errors import PreconditionError, ShapeMismatch
 from bipsym.geometry import (
     IDENTITY_GAP,
@@ -22,7 +23,6 @@ from bipsym.geometry import (
     _KIND_BY_DIM,
     FixedSetKind,
     Isometry4,
-    IsometryOrientation,
     SpatialEmbedding,
     fixed_subspace,
     subspace_distance,
@@ -32,6 +32,24 @@ from bipsym.verifier import CheckResult, RealizationCertificate
 
 def _normalize_edge(a: VertexId, b: VertexId) -> tuple[VertexId, VertexId]:
     return (a, b) if a.part is Part.V else (b, a)
+
+
+def _subdivided_edges(shape, subdivision_vertices):
+    """Edges of K_{n,m} with the (V-endpoint, W-endpoint) edges of the
+    ``(edge, id)`` records subdivided at their ids; ValueError when an edge
+    carries two of them."""
+    by_edge = {}
+    for (a, b), z in subdivision_vertices:
+        if (a, b) in by_edge:
+            raise ValueError(f"edge ({a.label}, {b.label}) subdivided twice")
+        by_edge[a, b] = z
+    edges = []
+    for i in range(1, shape.n + 1):
+        for j in range(1, shape.m + 1):
+            v, w = VertexId(Part.V, i), VertexId(Part.W, j)
+            z = by_edge.get((v, w))
+            edges += [(v, w)] if z is None else [(v, z), (z, w)]
+    return edges
 
 
 class _Verification:
@@ -70,14 +88,11 @@ class _Verification:
 
     def _adjacency(self) -> list[tuple[int, int]]:
         """Edges of the subdivided graph as index pairs."""
-        graph = SubdividedGraph(
-            self.aut.shape,
-            tuple(
-                (_normalize_edge(*e), z)
-                for z, e in sorted(self.emb.subdivision_edges.items())
-            ),
+        records = sorted(self.emb.subdivision_edges.items())
+        edges = _subdivided_edges(
+            self.aut.shape, [(_normalize_edge(*e), z) for z, e in records]
         )
-        return [(self.index[a], self.index[b]) for a, b in graph.edges()]
+        return [(self.index[a], self.index[b]) for a, b in edges]
 
     def image_index(self, k: int) -> int | None:
         """Index of the image of embedded point k under the automorphism,
@@ -171,9 +186,9 @@ def _check_order(st, r: int) -> CheckResult:
     return CheckResult("order", ok, detail, final)
 
 
-def _check_orientation(M: np.ndarray, orientation: IsometryOrientation) -> CheckResult:
+def _check_orientation(M: np.ndarray, orientation: Orientation) -> CheckResult:
     det = float(np.linalg.det(M))
-    want = 1.0 if orientation is IsometryOrientation.PRESERVING else -1.0
+    want = 1.0 if orientation is Orientation.OP else -1.0
     ok = abs(det - want) <= 1e-9
     return CheckResult(
         "orientation", ok, f"det = {det:.17g}, expected {want:+.0f}", det
