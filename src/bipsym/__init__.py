@@ -66,8 +66,6 @@ _LAZY = {
     "rotation_isometry": "geometry",
     "CheckResult": "verifier",
     "RealizationCertificate": "verifier",
-    "smith_check": "verifier",
-    "two_circle_check": "verifier",
     "verify": "verifier",
 }
 
@@ -135,7 +133,5 @@ __all__ = [
     "reflection_isometry",
     "rotation_isometry",
     "signature",
-    "smith_check",
-    "two_circle_check",
     "verify",
 ]

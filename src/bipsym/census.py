@@ -7,7 +7,16 @@ the n!*m! automorphisms.  A part-preserving class is a pair of cycle types
 part-swapping class is the cycle type lambda of its return map V -> W -> V,
 whose cycles are the mixed cycles 2*lambda, of size n!*n!/z_lambda.  Here
 z_lambda = prod k^{j_k} * j_k! is the centralizer order of a permutation
-with j_k cycles of length k.  Each signature is classified once.
+with j_k cycles of length k.
+
+Few classes are realizable, so the census does not build all p(n)*p(m)
+(+ p(n)) of them.  It reads the case table the other way round: one
+generator per case in ``classifier`` yields the classes whose signature
+can match that case, directly or with the parts interchanged, and the
+census classifies each candidate once with ``classify``, which alone
+decides.  Only the classes it finds realizable add their sizes, from
+z_lambda as above, to the tallies; ``unrealizable_op`` and
+``unrealizable_or`` are the group order minus the realizable sizes.
 
 With ``realize_all`` the census realizes and verifies one representative
 per realizable (class, orientation) and counts the whole class when its
@@ -20,12 +29,10 @@ vertices are relabeled.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from ._version import __version__
-from .classifier import classify
+from .classifier import candidate_classes, classify
 from .core import (
     BipartiteAutomorphism,
     BipartiteShape,
@@ -35,9 +42,14 @@ from .core import (
 )
 from .errors import OutOfTheoremScope, TooLarge
 
-# census() refuses parts larger than this: it builds all p(n)*p(m) signatures
-# (p the partition count), and K_{16,16}, with --realize-all, takes about 1 s
-MAX_CENSUS_PART = 16
+# census() refuses parts larger than these before any work.  The plain census
+# classifies only the case generators' candidates, whose number depends on
+# the divisors of n and m: from the CLI K_{300,300} takes 1.4 s, and the
+# slowest square shape below it, K_{288,288}, about 1 s.  Realize-all also
+# realizes and verifies one representative per realizable (class,
+# orientation); K_{16,16} takes about 1 s.
+MAX_CENSUS_PART = 299
+MAX_REALIZE_ALL_PART = 16
 
 
 @dataclass
@@ -83,58 +95,14 @@ def report_csv(report: CensusReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n as non-increasing tuples, in reverse lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
-
-
 def _centralizer_order(parts: tuple[int, ...]) -> int:
     """z = prod k^{j_k} * j_k!, the order of the centralizer in S_n of a
     permutation with cycle type ``parts``."""
     z = 1
-    for k, j in Counter(parts).items():
+    for k in set(parts):
+        j = parts.count(k)
         z *= k**j * math.factorial(j)
     return z
-
-
-def signature_tallies(shape: BipartiteShape) -> Counter:
-    """Number of automorphisms of K_{n,m} with each cycle signature."""
-    n, m = shape.n, shape.m
-    pairs = math.factorial(n) * math.factorial(m)
-    tally: Counter = Counter()
-    for lam in _partitions(n):
-        for mu in _partitions(m):
-            sig = CycleSignature(
-                shape=shape,
-                side_action=SideAction.PRESERVING,
-                r=math.lcm(*lam, *mu),
-                fixed_v=lam.count(1),
-                fixed_w=mu.count(1),
-                pure_v_cycles=tuple(k for k in lam if k > 1),
-                pure_w_cycles=tuple(k for k in mu if k > 1),
-                mixed_cycles=(),
-            )
-            tally[sig] += pairs // (_centralizer_order(lam) * _centralizer_order(mu))
-    if n == m:
-        for lam in _partitions(n):
-            mixed = tuple(2 * k for k in lam)
-            sig = CycleSignature(
-                shape=shape,
-                side_action=SideAction.SWAPPING,
-                r=math.lcm(*mixed),
-                fixed_v=0,
-                fixed_w=0,
-                pure_v_cycles=(),
-                pure_w_cycles=(),
-                mixed_cycles=mixed,
-            )
-            tally[sig] += pairs // _centralizer_order(lam)
-    return tally
 
 
 def _representative(sig: CycleSignature) -> BipartiteAutomorphism:
@@ -166,6 +134,35 @@ def _representative(sig: CycleSignature) -> BipartiteAutomorphism:
     return BipartiteAutomorphism(sig.shape, tuple(perm))
 
 
+def _class_signature(
+    shape: BipartiteShape, lam: tuple[int, ...], mu: tuple[int, ...] | None
+) -> CycleSignature:
+    """The signature of the class (lam, mu), or of the part-swapping class
+    (lam, None) whose mixed cycles are 2*lam."""
+    if mu is None:
+        mixed = tuple(2 * k for k in lam)
+        return CycleSignature(
+            shape=shape,
+            side_action=SideAction.SWAPPING,
+            r=math.lcm(*mixed),
+            fixed_v=0,
+            fixed_w=0,
+            pure_v_cycles=(),
+            pure_w_cycles=(),
+            mixed_cycles=mixed,
+        )
+    return CycleSignature(
+        shape=shape,
+        side_action=SideAction.PRESERVING,
+        r=math.lcm(*lam, *mu),
+        fixed_v=lam.count(1),
+        fixed_w=mu.count(1),
+        pure_v_cycles=tuple(k for k in lam if k > 1),
+        pure_w_cycles=tuple(k for k in mu if k > 1),
+        mixed_cycles=(),
+    )
+
+
 def census(
     shape: BipartiteShape,
     realize_all: bool = False,
@@ -173,40 +170,50 @@ def census(
 ) -> CensusReport:
     """Classify every automorphism of K_{n,m} and tally the matched cases.
 
-    The tally is counted per conjugacy class (see :func:`signature_tallies`).
-    With ``realize_all``, additionally realize (with ``seed``) and verify one
+    The tally is counted per conjugacy class over the candidates of
+    :func:`~bipsym.classifier.candidate_classes`, which include every
+    realizable class; each class the classifier finds realizable adds its
+    size n!*m!/(z_lambda*z_mu) to its cases, and ``unrealizable_op`` and
+    ``unrealizable_or`` are the total minus the realizable sizes.  With
+    ``realize_all``, additionally realize (with ``seed``) and verify one
     representative of every class in each orientation the classifier marks
     realizable; ``realized_verified`` is the summed size of the classes
     whose representative's certificate passed, once per orientation.
     Deterministic given (shape, seed).  Raises TooLarge, before any work,
-    when n or m exceeds MAX_CENSUS_PART.
+    when n or m exceeds MAX_CENSUS_PART, or MAX_REALIZE_ALL_PART with
+    ``realize_all``.
     """
-    if shape.n <= 2 or shape.m <= 2:
-        raise OutOfTheoremScope(
-            f"census requires n, m > 2; got ({shape.n}, {shape.m})"
-        )
-    if max(shape.n, shape.m) > MAX_CENSUS_PART:
+    n, m = shape.n, shape.m
+    if n <= 2 or m <= 2:
+        raise OutOfTheoremScope(f"census requires n, m > 2; got ({n}, {m})")
+    bound = MAX_REALIZE_ALL_PART if realize_all else MAX_CENSUS_PART
+    if max(n, m) > bound:
         raise TooLarge(
-            f"census of K_{{{shape.n},{shape.m}}}: a part has more than "
-            f"{MAX_CENSUS_PART} vertices"
+            f"census of K_{{{n},{m}}}: a part has more than {bound} vertices"
         )
     if realize_all:
         from .geometry import realize
         from .verifier import verify
 
+    pairs = math.factorial(n) * math.factorial(m)
+    total = automorphism_count(shape)
     per_case: dict[str, int] = {}
-    unreal_op = 0
-    unreal_or = 0
+    realizable_op = 0
+    realizable_or = 0
     realized_verified = 0 if realize_all else None
-    for sig, count in signature_tallies(shape).items():
+    for lam, mu in candidate_classes(shape):
+        sig = _class_signature(shape, lam, mu)
         verdict = classify(sig)
+        if not (verdict.op_realizable or verdict.or_realizable):
+            continue
+        count = pairs // (_centralizer_order(lam) * _centralizer_order(mu or ()))
         for case in verdict.op_cases + verdict.or_cases:
             per_case[case.label] = per_case.get(case.label, 0) + count
-        if not verdict.op_realizable:
-            unreal_op += count
-        if not verdict.or_realizable:
-            unreal_or += count
-        if realize_all and (verdict.op_realizable or verdict.or_realizable):
+        if verdict.op_realizable:
+            realizable_op += count
+        if verdict.or_realizable:
+            realizable_or += count
+        if realize_all:
             rep = _representative(sig)
             for orientation, realizable in (
                 ("op", verdict.op_realizable),
@@ -219,10 +226,10 @@ def census(
 
     return CensusReport(
         shape=shape,
-        total=automorphism_count(shape),
+        total=total,
         per_case=dict(sorted(per_case.items())),
-        unrealizable_op=unreal_op,
-        unrealizable_or=unreal_or,
+        unrealizable_op=total - realizable_op,
+        unrealizable_or=total - realizable_or,
         realized_verified=realized_verified,
         tool_version=__version__,
         seed=seed,

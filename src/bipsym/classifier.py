@@ -17,9 +17,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 
 from .core import (
     BipartiteAutomorphism,
+    BipartiteShape,
     CycleSignature,
     SideAction,
     interchange_parts,
@@ -185,6 +187,229 @@ def _match_or(s: CycleSignature, number: int) -> list[str | None]:
         ok = swap and r % 4 == 0 and set(mx) <= {2, r} and mx.count(2) <= 2
         return [None] if ok else []
     raise ValueError(f"unknown OR case {number}")
+
+
+# The case table read the other way round.  For K_{n,m}, each case has a
+# generator of the conjugacy classes whose signature can match the case
+# directly: a part-preserving class as (lam, mu), the cycle types on V and W,
+# and a part-swapping one (n = m) as (lam, None), the cycle type of its return
+# map V -> W -> V, whose mixed cycles are 2*lam.  Partitions are
+# non-increasing tuples.  A generator may yield a class its matcher rejects
+# (classify decides) but must not miss one it accepts; candidate_classes adds
+# the classes matching with the parts interchanged.  In a generator, r is the
+# order the case asks for, which is the lcm of all cycle lengths, so every
+# length divides it; the census recomputes r from the class it classifies.
+
+
+def _divisors(k: int, least: int = 2) -> list[int]:
+    """Divisors d >= least of k (none when k <= 0)."""
+    return [d for d in range(least, k + 1) if k % d == 0]
+
+
+def _runs(*runs: tuple[int, int]) -> tuple[int, ...]:
+    """The partition with c parts of length k for each run (k, c)."""
+    parts: tuple[int, ...] = ()
+    for k, c in sorted(runs, reverse=True):
+        parts += (k,) * c
+    return parts
+
+
+def _gen_op1(n: int, m: int):
+    # every cycle an r-cycle; part-swapping: all mixed cycles of one length
+    for r in _divisors(math.gcd(n, m)):
+        yield _runs((r, n // r)), _runs((r, m // r))
+    if n == m:
+        for h in _divisors(n, 1):
+            yield _runs((h, n // h)), None
+
+
+def _gen_op2(n: int, m: int):
+    # classify reports the identity (r = 1) under case 2
+    yield _runs((1, n)), _runs((1, m))
+    # W in r-cycles; V in r-cycles and at least one fixed vertex
+    for r in _divisors(m):
+        for a in range((n - 1) // r + 1):
+            yield _runs((r, a), (1, n - a * r)), _runs((r, m // r))
+
+
+def _gen_op3(n: int, m: int):
+    # r-cycles and at most two fixed vertices per part, at least one in all
+    for fv in range(3):
+        for fw in range(3):
+            if fv + fw:
+                for r in _divisors(math.gcd(n - fv, m - fw)):
+                    yield (
+                        _runs((r, (n - fv) // r), (1, fv)),
+                        _runs((r, (m - fw) // r), (1, fw)),
+                    )
+
+
+def _gen_op4(n: int, m: int):
+    # W in r-cycles; V in r-cycles and c >= 1 j-cycles, 2 <= j < r, j | r
+    for r in _divisors(m):
+        for j in _divisors(r)[:-1]:
+            for c in range(1, n // j + 1):
+                if (n - c * j) % r == 0:
+                    yield _runs((r, (n - c * j) // r), (j, c)), _runs((r, m // r))
+
+
+def _gen_op5(n: int, m: int):
+    # W in r-cycles; V in r-cycles, d >= 1 k-cycles and c >= 1 j-cycles,
+    # j < k < r and lcm(j, k) = r
+    for r in _divisors(m):
+        for j, k in combinations(_divisors(r)[:-1], 2):
+            if math.lcm(j, k) == r:
+                for d in range(1, (n - j) // k + 1):
+                    for c in range(1, (n - d * k) // j + 1):
+                        rest = n - d * k - c * j
+                        if rest % r == 0:
+                            yield (
+                                _runs((r, rest // r), (k, d), (j, c)),
+                                _runs((r, m // r)),
+                            )
+
+
+def _gen_op6(n: int, m: int):
+    # V: r-cycles and c >= 1 j-cycles; W: r-cycles and d >= 1 k-cycles;
+    # r = lcm(j, k) > j, k.  Since j | r, j | n; likewise k | m.
+    for j in _divisors(n):
+        for k in _divisors(m):
+            r = math.lcm(j, k)
+            if j < r and k < r:
+                lams = [
+                    _runs((r, (n - c * j) // r), (j, c))
+                    for c in range(1, n // j + 1)
+                    if (n - c * j) % r == 0
+                ]
+                for d in range(1, m // k + 1):
+                    if (m - d * k) % r == 0:
+                        mu = _runs((r, (m - d * k) // r), (k, d))
+                        for lam in lams:
+                            yield lam, mu
+
+
+def _gen_op7(n: int, m: int):
+    # r-cycles and exactly one 2-cycle per part, r even and > 2
+    for r in _divisors(math.gcd(n - 2, m - 2), 4):
+        if r % 2 == 0:
+            yield _runs((r, (n - 2) // r), (2, 1)), _runs((r, (m - 2) // r), (2, 1))
+
+
+def _gen_op8(n: int, m: int):
+    # r = 2h, h odd >= 3; W: r-cycles and one 2-cycle; V: r-cycles, one
+    # 2-cycle and c >= 1 h-cycles
+    for r in _divisors(m - 2, 6):
+        if r % 4 == 2:
+            h = r // 2
+            for c in range(1, (n - 2) // h + 1):
+                rest = n - 2 - c * h
+                if rest % r == 0:
+                    yield (
+                        _runs((r, rest // r), (h, c), (2, 1)),
+                        _runs((r, (m - 2) // r), (2, 1)),
+                    )
+
+
+def _gen_op9(n: int, m: int):
+    # part-swapping with one mixed 4-cycle and mixed r-cycles, 4 | r
+    if n == m:
+        if n % 2 == 0:
+            yield _runs((2, n // 2)), None  # r = 4: every mixed cycle a 4-cycle
+        for h in _divisors(n - 2, 4):
+            if h % 2 == 0:
+                yield _runs((h, (n - 2) // h), (2, 1)), None
+
+
+def _gen_or10(n: int, m: int):
+    # every cycle an r-cycle, r even
+    for r in _divisors(math.gcd(n, m)):
+        if r % 2 == 0:
+            yield _runs((r, n // r)), _runs((r, m // r))
+
+
+def _gen_or11(n: int, m: int):
+    # r = 2: V fixed; W in 2-cycles and at most two fixed vertices
+    for fw in range(3):
+        if m > fw and (m - fw) % 2 == 0:
+            yield _runs((1, n)), _runs((2, (m - fw) // 2), (1, fw))
+
+
+def _gen_or12(n: int, m: int):
+    # r even; at most two fixed vertices, all in V
+    for fv in range(3):
+        # a: V in r-cycles; W in r-cycles and one 2-cycle
+        for r in _divisors(m - 2, 4):
+            if r % 2 == 0 and (n - fv) % r == 0:
+                yield (
+                    _runs((r, (n - fv) // r), (1, fv)),
+                    _runs((r, (m - 2) // r), (2, 1)),
+                )
+        # b: V in r-cycles and c >= 1 2-cycles; W in r-cycles
+        for r in _divisors(m):
+            if r % 2 == 0:
+                for c in range(1, (n - fv) // 2 + 1):
+                    rest = n - fv - 2 * c
+                    if rest % r == 0:
+                        yield _runs((r, rest // r), (2, c), (1, fv)), _runs((r, m // r))
+        # c: r = 2h, h odd >= 3; V in r-cycles and 2-cycles; W in h-cycles
+        for h in _divisors(m, 3):
+            if h % 2:
+                for c in range((n - fv) // 2 + 1):
+                    rest = n - fv - 2 * c
+                    if rest % (2 * h) == 0:
+                        yield (
+                            _runs((2 * h, rest // (2 * h)), (2, c), (1, fv)),
+                            _runs((h, m // h)),
+                        )
+        # d: r = 2h, h odd >= 3; V in h-cycles; W in r-cycles and at most
+        # one 2-cycle
+        for h in _divisors(n - fv, 3):
+            if h % 2:
+                for e in range(2):
+                    if (m - 2 * e) % (2 * h) == 0:
+                        yield (
+                            _runs((h, (n - fv) // h), (1, fv)),
+                            _runs((2 * h, (m - 2 * e) // (2 * h)), (2, e)),
+                        )
+
+
+def _gen_or13(n: int, m: int):
+    # part-swapping with mixed r-cycles, 4 | r, and at most two mixed 2-cycles
+    if n == m:
+        for e in range(3):
+            for h in _divisors(n - e):
+                if h % 2 == 0:
+                    yield _runs((h, (n - e) // h), (1, e)), None
+
+
+CASE_GENERATORS = {
+    1: _gen_op1,
+    2: _gen_op2,
+    3: _gen_op3,
+    4: _gen_op4,
+    5: _gen_op5,
+    6: _gen_op6,
+    7: _gen_op7,
+    8: _gen_op8,
+    9: _gen_op9,
+    10: _gen_or10,
+    11: _gen_or11,
+    12: _gen_or12,
+    13: _gen_or13,
+}
+
+
+def candidate_classes(shape: BipartiteShape) -> set[tuple]:
+    """Every conjugacy class of Aut(K_{n,m}) whose signature some case can
+    match, directly or with the parts interchanged, as (lam, mu) or
+    (lam, None); see CASE_GENERATORS.  Some candidates match no case."""
+    n, m = shape.n, shape.m
+    found: set[tuple] = set()
+    for generate in CASE_GENERATORS.values():
+        found.update(generate(n, m))
+        for lam, mu in generate(m, n):
+            found.add((lam, None) if mu is None else (mu, lam))
+    return found
 
 
 def _collect(sig: CycleSignature) -> tuple[list[CaseId], list[CaseId]]:

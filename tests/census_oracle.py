@@ -1,18 +1,30 @@
-"""Per-automorphism realize-all count, kept as a differential oracle.
+"""Census oracles: the computations the census made before it was sped up.
 
-This is the loop that ``bipsym.census.census`` ran with ``realize_all``
-before it realized one representative per conjugacy class: it enumerates
-every automorphism, classifies it, and realizes and verifies it in each
-orientation the classifier marks realizable.  Nothing under ``src/`` calls
-it; tests require the class-based count to equal its count.
+``signature_tallies`` builds the signature and class size of every
+conjugacy class of Aut(K_{n,m}) from all p(n)*p(m) (+ p(n)) partition
+pairs, and ``census_report`` classifies every one of them.  The census
+classifies only the classes the case generators yield; tests require both
+to give the same report.  ``realized_verified`` is the per-automorphism
+realize-all loop the census ran before it realized one representative per
+conjugacy class: it enumerates every automorphism, classifies it, and
+realizes and verifies it in each orientation the classifier marks
+realizable.  Nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from typing import Iterator
+
+from bipsym.census import CensusReport, _centralizer_order
 from bipsym.classifier import classify
 from bipsym.core import (
     DEFAULT_ENUMERATION_CAP,
     BipartiteShape,
+    CycleSignature,
+    SideAction,
+    automorphism_count,
     enumerate_automorphisms,
     signature,
 )
@@ -37,3 +49,71 @@ def realized_verified(
             if verify(aut, iso, emb, tol=1e-9).overall:
                 realized_verified += 1
     return realized_verified
+
+
+def _partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as non-increasing tuples, in reverse lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def signature_tallies(shape: BipartiteShape) -> Counter:
+    """Number of automorphisms of K_{n,m} with each cycle signature."""
+    n, m = shape.n, shape.m
+    pairs = math.factorial(n) * math.factorial(m)
+    tally: Counter = Counter()
+    for lam in _partitions(n):
+        for mu in _partitions(m):
+            sig = CycleSignature(
+                shape=shape,
+                side_action=SideAction.PRESERVING,
+                r=math.lcm(*lam, *mu),
+                fixed_v=lam.count(1),
+                fixed_w=mu.count(1),
+                pure_v_cycles=tuple(k for k in lam if k > 1),
+                pure_w_cycles=tuple(k for k in mu if k > 1),
+                mixed_cycles=(),
+            )
+            tally[sig] += pairs // (_centralizer_order(lam) * _centralizer_order(mu))
+    if n == m:
+        for lam in _partitions(n):
+            mixed = tuple(2 * k for k in lam)
+            sig = CycleSignature(
+                shape=shape,
+                side_action=SideAction.SWAPPING,
+                r=math.lcm(*mixed),
+                fixed_v=0,
+                fixed_w=0,
+                pure_v_cycles=(),
+                pure_w_cycles=(),
+                mixed_cycles=mixed,
+            )
+            tally[sig] += pairs // _centralizer_order(lam)
+    return tally
+
+
+def census_report(shape: BipartiteShape) -> CensusReport:
+    """The plain census as it was counted over every class of
+    :func:`signature_tallies`, realizable or not."""
+    per_case: dict[str, int] = {}
+    unreal_op = 0
+    unreal_or = 0
+    for sig, count in signature_tallies(shape).items():
+        verdict = classify(sig)
+        for case in verdict.op_cases + verdict.or_cases:
+            per_case[case.label] = per_case.get(case.label, 0) + count
+        if not verdict.op_realizable:
+            unreal_op += count
+        if not verdict.or_realizable:
+            unreal_or += count
+    return CensusReport(
+        shape=shape,
+        total=automorphism_count(shape),
+        per_case=dict(sorted(per_case.items())),
+        unrealizable_op=unreal_op,
+        unrealizable_or=unreal_or,
+    )

@@ -30,12 +30,12 @@ from bipsym import (
     reflection_isometry,
     rotation_isometry,
     signature,
-    smith_check,
-    two_circle_check,
     verify,
 )
 from bipsym.census import report_to_obj
 from bipsym.jsonio import canonical_json
+
+from topology_checks import smith_check, two_circle_check
 
 SHAPES = [
     BipartiteShape(3, 3),

@@ -11,7 +11,7 @@ from bipsym import (
     classify_aut,
     enumerate_automorphisms,
 )
-from bipsym.census import report_csv, report_to_obj
+from bipsym.census import MAX_CENSUS_PART, report_csv, report_to_obj
 from bipsym.cli import cli_main
 from bipsym.jsonio import canonical_json
 
@@ -79,11 +79,19 @@ class TestCensus:
             census(BipartiteShape(2, 3))
 
     def test_too_large(self):
-        # MAX_CENSUS_PART = 16 bounds each part; the bound itself is allowed
-        assert census(BipartiteShape(16, 3)).total == math.factorial(16) * 6
-        for shape in (BipartiteShape(17, 3), BipartiteShape(3, 17)):
-            with pytest.raises(TooLarge, match="more than 16 vertices"):
+        # MAX_CENSUS_PART = 299 bounds each part of a plain census and
+        # MAX_REALIZE_ALL_PART = 16 each part with realize_all; the bounds
+        # themselves are allowed
+        assert census(BipartiteShape(299, 3)).total == math.factorial(299) * 6
+        for shape in (BipartiteShape(300, 3), BipartiteShape(3, 300)):
+            with pytest.raises(TooLarge, match="more than 299 vertices"):
                 census(shape)
+        report = census(BipartiteShape(16, 3), realize_all=True)
+        assert report.total == math.factorial(16) * 6
+        for shape in (BipartiteShape(17, 3), BipartiteShape(3, 17)):
+            assert census(shape).total == math.factorial(17) * 6
+            with pytest.raises(TooLarge, match="more than 16 vertices"):
+                census(shape, realize_all=True)
 
     def test_deterministic_bytes(self):
         one = canonical_json(report_to_obj(census(S33, seed=9)))
@@ -238,6 +246,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("key,value")
         assert "total,144" in out
+
+    def test_census_at_the_bound_prints(self, capsys):
+        # the largest shape's total, 2*(n!)^2, must stay under Python's
+        # 4300-digit limit on int-to-str conversion (1228 digits at n = 299)
+        n = str(MAX_CENSUS_PART)
+        total = str(2 * math.factorial(MAX_CENSUS_PART) ** 2)
+        assert cli_main(["census", n, n]) == 0
+        assert str(json.loads(capsys.readouterr().out)["total"]) == total
+        assert cli_main(["census", n, n, "--format", "csv"]) == 0
+        assert f"total,{total}\n" in capsys.readouterr().out
 
     def test_census_out_of_scope_exit_3(self, capsys):
         assert cli_main(["census", "2", "3"]) == 3

@@ -1,0 +1,120 @@
+"""The census classifies only the classes the case generators yield.
+
+Generators and matchers are two encodings of the paper's case table, and
+these tests hold each against the other.  Up to K_{16,16} (K_{12,15} and
+K_{15,12} included), the candidates ``classify`` accepts must be exactly
+the classes it accepts among all partitions, the census report must equal
+the oracle's, which classifies every class, and each generator must yield
+every class that its own case matches directly.  Up to K_{200,200}, random
+classes with at most three distinct cycle lengths per part, the form of
+every realizable class, must be candidates whenever ``classify`` accepts
+them.
+"""
+
+import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+from bipsym import BipartiteShape, census
+from bipsym.census import _class_signature, report_to_obj
+from bipsym.classifier import (
+    CASE_GENERATORS,
+    _match_op,
+    _match_or,
+    candidate_classes,
+    classify,
+)
+
+import census_oracle
+from census_oracle import _partitions
+
+SHAPES = [(n, m) for n in range(3, 17) for m in range(3, 17)]
+LARGEST_PART = 200
+
+
+@pytest.fixture(autouse=True)
+def _fresh_classify_memo():
+    # the oracle classifies every class of every shape; without this, the
+    # memo would keep all 830 000 verdicts of the sweep alive
+    yield
+    classify.cache_clear()
+
+
+def _classes_of(n: int, m: int) -> list[tuple]:
+    """Every class of Aut(K_{n,m}), keyed as the generators key them."""
+    classes = [(lam, mu) for lam in _partitions(n) for mu in _partitions(m)]
+    if n == m:
+        classes += [(lam, None) for lam in _partitions(n)]
+    return classes
+
+
+def _realizable(sig) -> bool:
+    verdict = classify(sig)
+    return verdict.op_realizable or verdict.or_realizable
+
+
+@pytest.mark.parametrize("n, m", SHAPES)
+def test_candidates_are_the_realizable_classes(n, m):
+    shape = BipartiteShape(n, m)
+    tally = census_oracle.signature_tallies(shape)
+    keys = candidate_classes(shape)
+    # keyed as the oracle keys classes, so no class is counted twice
+    assert keys <= set(_classes_of(n, m))
+    candidates = [_class_signature(shape, lam, mu) for lam, mu in keys]
+    assert {sig for sig in candidates if _realizable(sig)} == {
+        sig for sig in tally if _realizable(sig)
+    }
+    want = census_oracle.census_report(shape)
+    assert report_to_obj(census(shape)) == report_to_obj(want)
+
+
+@pytest.mark.parametrize("n, m", SHAPES)
+def test_each_generator_covers_its_case(n, m):
+    # direct matches only: candidate_classes adds the interchanged ones
+    shape = BipartiteShape(n, m)
+    generated = {number: set(gen(n, m)) for number, gen in CASE_GENERATORS.items()}
+    for lam, mu in _classes_of(n, m):
+        sig = _class_signature(shape, lam, mu)
+        for number in range(1, 10):
+            if _match_op(sig, number):
+                assert (lam, mu) in generated[number], (number, lam, mu)
+        for number in range(10, 14):
+            if _match_or(sig, number):
+                assert (lam, mu) in generated[number], (number, lam, mu)
+
+
+@st.composite
+def cycle_types(draw, main: int):
+    """Some parts of length ``main`` and up to two runs of other lengths,
+    drawn mostly among 1, 2, 2*main and the divisors of ``main``."""
+    lengths = [main] * draw(st.integers(0, LARGEST_PART // main))
+    for _ in range(draw(st.integers(0, 2))):
+        near = [d for d in range(1, main + 1) if main % d == 0] + [2, 2 * main]
+        k = draw(st.one_of(st.sampled_from(near), st.integers(1, LARGEST_PART)))
+        lengths += [k] * draw(st.integers(1, 3))
+    return tuple(sorted(lengths, reverse=True))
+
+
+@st.composite
+def classes(draw):
+    """(shape, lam, mu), or (shape, lam, None) for a part-swapping class."""
+    main = draw(st.integers(1, LARGEST_PART // 2))
+    lam = draw(cycle_types(main))
+    n = sum(lam)
+    assume(3 <= n <= LARGEST_PART)
+    if draw(st.booleans()):
+        return BipartiteShape(n, n), lam, None
+    near = [main, 2 * main, max(1, main // 2)]
+    main_w = draw(st.one_of(st.sampled_from(near), st.integers(1, LARGEST_PART // 2)))
+    mu = draw(cycle_types(main_w))
+    assume(3 <= sum(mu) <= LARGEST_PART)
+    return BipartiteShape(n, sum(mu)), lam, mu
+
+
+@given(classes())
+@settings(max_examples=400, deadline=None)
+def test_every_realizable_class_is_a_candidate(cls):
+    shape, lam, mu = cls
+    if _realizable(_class_signature(shape, lam, mu)):
+        event("realizable")
+        assert (lam, mu) in candidate_classes(shape)

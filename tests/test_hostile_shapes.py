@@ -71,8 +71,10 @@ def test_cap_check_stops_early():
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="exceeds cap 1000"):
         enumerate_automorphisms(shape, cap=1000)
-    with pytest.raises(TooLarge, match="more than 16 vertices"):
+    with pytest.raises(TooLarge, match="more than 299 vertices"):
         census(shape)
+    with pytest.raises(TooLarge, match="more than 16 vertices"):
+        census(shape, realize_all=True)
     assert time.perf_counter() - start < 1.0
 
 

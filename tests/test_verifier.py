@@ -16,11 +16,11 @@ from bipsym import (
     realize,
     reflection_isometry,
     rotation_isometry,
-    smith_check,
-    two_circle_check,
     verify,
 )
 from bipsym.cli import cli_main
+
+from topology_checks import smith_check, two_circle_check
 
 S33 = BipartiteShape(3, 3)
 S34 = BipartiteShape(3, 4)

@@ -26,11 +26,11 @@ from bipsym import (
     realize,
     verify,
 )
-from bipsym.census import _partitions
 from bipsym.geometry import SUBSPACE_TOL
 from bipsym.jsonio import canonical_json, certificate_to_obj
 
 import verifier_oracle
+from census_oracle import _partitions
 
 TOL = 1e-9
 K89_ORDER_72 = "(v1 v2 v3 v4 v5 v6 v7 v8)(w1 w2 w3 w4 w5 w6 w7 w8 w9)"
