@@ -44,11 +44,11 @@ from .errors import OutOfTheoremScope, TooLarge
 
 # census() refuses parts larger than these before any work.  The plain census
 # classifies only the case generators' candidates, whose number depends on
-# the divisors of n and m: from the CLI K_{300,300} takes 1.4 s, and the
-# slowest square shape below it, K_{288,288}, about 1 s.  Realize-all also
+# the divisors of n and m: K_{420,420} takes 1.4 s, and the slowest square
+# shape below it, K_{360,360}, about 1 s from the CLI.  Realize-all also
 # realizes and verifies one representative per realizable (class,
 # orientation); K_{16,16} takes about 1 s.
-MAX_CENSUS_PART = 299
+MAX_CENSUS_PART = 419
 MAX_REALIZE_ALL_PART = 16
 
 
@@ -138,7 +138,8 @@ def _class_signature(
     shape: BipartiteShape, lam: tuple[int, ...], mu: tuple[int, ...] | None
 ) -> CycleSignature:
     """The signature of the class (lam, mu), or of the part-swapping class
-    (lam, None) whose mixed cycles are 2*lam."""
+    (lam, None) whose mixed cycles are 2*lam; lam and mu are non-increasing,
+    so their 1s, the fixed vertices, come last."""
     if mu is None:
         mixed = tuple(2 * k for k in lam)
         return CycleSignature(
@@ -157,8 +158,8 @@ def _class_signature(
         r=math.lcm(*lam, *mu),
         fixed_v=lam.count(1),
         fixed_w=mu.count(1),
-        pure_v_cycles=tuple(k for k in lam if k > 1),
-        pure_w_cycles=tuple(k for k in mu if k > 1),
+        pure_v_cycles=lam[: len(lam) - lam.count(1)],
+        pure_w_cycles=mu[: len(mu) - mu.count(1)],
         mixed_cycles=(),
     )
 

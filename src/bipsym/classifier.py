@@ -9,14 +9,20 @@ attempted both directly and with the two parts interchanged.
 The common frame for every case: besides the fixed vertices and the
 exceptional cycles the case names explicitly, all remaining vertices must
 lie in r-cycles, where r is the order of the automorphism.
+
+``classify`` tallies each part's cycle lengths once (length -> count), and
+apart from them the lengths other than r, the candidates for exceptional
+cycles; it decides all thirteen cases from the tallies, then again with V
+and W exchanged.  A part-swapping signature's cases read only r and its
+mixed cycles, so it is decided once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 
 from .core import (
@@ -24,7 +30,6 @@ from .core import (
     BipartiteShape,
     CycleSignature,
     SideAction,
-    interchange_parts,
     signature,
 )
 from .errors import NotRealizable, OutOfTheoremScope
@@ -41,6 +46,7 @@ class CaseId:
     number: int
     sub: str | None = None
     interchanged: bool = False
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         valid = range(1, 10) if self.orientation is Orientation.OP else range(10, 14)
@@ -48,10 +54,8 @@ class CaseId:
             raise ValueError(f"case {self.number} invalid for {self.orientation}")
         if self.sub is not None and self.number != 12:
             raise ValueError("sub-case letters only exist for case 12")
-
-    @property
-    def label(self) -> str:
-        return f"{self.orientation.value.upper()}{self.number}{self.sub or ''}"
+        label = f"{self.orientation.value.upper()}{self.number}{self.sub or ''}"
+        object.__setattr__(self, "label", label)
 
 
 @dataclass(frozen=True)
@@ -71,122 +75,120 @@ class RealizabilityVerdict:
         return self.op_cases if orientation is Orientation.OP else self.or_cases
 
 
-def _extras(lengths: tuple[int, ...], r: int) -> list[int]:
-    """Cycle lengths other than r (the candidates for 'exceptional' cycles)."""
-    return [L for L in lengths if L != r]
+def _tally(lengths: tuple[int, ...]) -> dict[int, int]:
+    """Cycle length -> number of cycles of that length.  A signature keeps
+    its lengths sorted, so each run of equal lengths ends at a bisection."""
+    tally: dict[int, int] = {}
+    start = 0
+    while start < len(lengths):
+        end = bisect_right(lengths, lengths[start], start)
+        tally[lengths[start]] = end - start
+        start = end
+    return tally
 
 
-def _no_fixed(s: CycleSignature) -> bool:
-    return s.fixed_v == 0 and s.fixed_w == 0
+def _swapping_cases(r: int, tm: dict[int, int]) -> list[tuple]:
+    """The (number, sub) keys of the cases a part-swapping signature with
+    mixed cycles tallied in ``tm`` matches.  Only r and ``tm`` are read, so
+    interchanging the parts matches the same cases."""
+    keys = []
+    # case 1: every mixed cycle an r-cycle
+    if tm.keys() <= {r}:
+        keys.append((1, None))
+    # case 9: one mixed 4-cycle, the rest mixed r-cycles; when r = 4 every
+    # cycle is a mixed 4-cycle and one is designated exceptional
+    if tm.keys() == ({4} if r == 4 else {4, r}) and (r == 4 or tm[4] == 1):
+        keys.append((9, None))
+    # case 13: 4 | r, mixed r-cycles and at most two mixed 2-cycles
+    if r % 4 == 0 and tm.keys() <= {2, r} and tm.get(2, 0) <= 2:
+        keys.append((13, None))
+    return keys
 
 
-def _match_op(s: CycleSignature, number: int) -> bool:
-    r = s.r
-    swap = s.side_action is SideAction.SWAPPING
-    pv, pw, mx = s.pure_v_cycles, s.pure_w_cycles, s.mixed_cycles
-
-    if number == 1:
-        # no fixed vertices, no exceptional cycles
-        if swap:
-            return not _extras(mx, r)
-        return _no_fixed(s) and not _extras(pv, r) and not _extras(pw, r)
-    if number == 2:
-        return (
-            not swap
-            and s.fixed_v >= 1
-            and s.fixed_w == 0
-            and not _extras(pv, r)
-            and not _extras(pw, r)
-        )
-    if number == 3:
-        return (
-            not swap
-            and 1 <= s.fixed_v + s.fixed_w
-            and s.fixed_v <= 2
-            and s.fixed_w <= 2
-            and not _extras(pv, r)
-            and not _extras(pw, r)
-        )
-    if swap and number != 9:
-        return False
-    if not swap and number == 9:
-        return False
-    if number == 9:
-        # one mixed 4-cycle; when r = 4 every cycle is a mixed 4-cycle and one
-        # is designated exceptional, so the whole signature qualifies
-        if r == 4:
-            return set(mx) == {4}
-        return set(mx) == {4, r} and mx.count(4) == 1
-    # cases 4-8 are part-preserving with no fixed vertices
-    if not _no_fixed(s):
-        return False
-    ev, ew = _extras(pv, r), _extras(pw, r)
-    if number == 4:
-        return not ew and bool(ev) and len(set(ev)) == 1
-    if number == 5:
-        if ew or len(set(ev)) != 2:
-            return False
-        j, k = sorted(set(ev))
-        return math.lcm(j, k) == r
-    if number == 6:
-        if not ev or not ew or len(set(ev)) != 1 or len(set(ew)) != 1:
-            return False
-        return math.lcm(ev[0], ew[0]) == r
-    if number == 7:
-        return ev == [2] and ew == [2]
-    if number == 8:
-        if r % 2 or (r // 2) % 2 == 0 or ew != [2]:
-            return False
-        return sorted(set(ev)) == [2, r // 2] and ev.count(2) == 1
-    raise ValueError(f"unknown OP case {number}")
-
-
-def _match_or_12_subs(s: CycleSignature) -> list[str]:
-    r = s.r
-    pv, pw = s.pure_v_cycles, s.pure_w_cycles
-    half = r // 2
-    subs = []
-    if not _extras(pv, r) and pw.count(2) == 1 and set(pw) <= {2, r}:
-        subs.append("a")
-    if pv.count(2) >= 1 and set(pv) <= {2, r} and set(pw) <= {r}:
-        subs.append("b")
-    if half % 2 and half >= 3:
-        if set(pw) == {half} and set(pv) <= {2, r}:
-            subs.append("c")
-        if set(pv) == {half} and pw.count(2) <= 1 and set(pw) <= {2, r}:
-            subs.append("d")
-    return subs
-
-
-def _match_or(s: CycleSignature, number: int) -> list[str | None]:
-    """Matching sub-cases (None marks a match for cases without sub-cases)."""
-    r = s.r
+def _preserving_cases(r, n, fv, fw, tv, tw, ev, ew) -> list[tuple]:
+    """The (number, sub) keys of the cases a part-preserving signature
+    matches, read with V as the first part: |V| = n, V has ``fv`` fixed
+    vertices and its pure cycle lengths tallied in ``tv``, and ``ev`` holds
+    the entries of ``tv`` for lengths other than r; likewise for W."""
+    keys = []
+    frame = not ev and not ew  # every cycle an r-cycle
+    no_fixed = not fv and not fw
+    h = r // 2
+    # case 1: no fixed vertices
+    if frame and no_fixed:
+        keys.append((1, None))
+    # case 2: fixed vertices in V only
+    if frame and fv and not fw:
+        keys.append((2, None))
+    # case 3: at most two fixed vertices per part, at least one in all
+    if frame and fv + fw and fv <= 2 and fw <= 2:
+        keys.append((3, None))
+    # cases 4-8 have no fixed vertices
+    if no_fixed:
+        # case 4: W in r-cycles; V's exceptional cycles of one length
+        if not ew and len(ev) == 1:
+            keys.append((4, None))
+        # case 5: W in r-cycles; V's exceptional cycles of two lengths j, k
+        # with lcm(j, k) = r
+        if not ew and len(ev) == 2 and math.lcm(*ev) == r:
+            keys.append((5, None))
+        # case 6: exceptional j-cycles in V, k-cycles in W, lcm(j, k) = r
+        if len(ev) == 1 and len(ew) == 1 and math.lcm(*ev, *ew) == r:
+            keys.append((6, None))
+        # case 7: one exceptional 2-cycle in each part
+        if ev == {2: 1} and ew == {2: 1}:
+            keys.append((7, None))
+        # case 8: r = 2h, h odd >= 3; W: one exceptional 2-cycle; V: one
+        # exceptional 2-cycle and h-cycles
+        if r % 4 == 2 and h > 2 and ew == {2: 1} and ev.keys() == {2, h} and ev[2] == 1:
+            keys.append((8, None))
+    # cases 10-13 need r even
     if r % 2:
-        return []
-    swap = s.side_action is SideAction.SWAPPING
-    if number == 10:
-        ok = (
-            not swap
-            and _no_fixed(s)
-            and not _extras(s.pure_v_cycles, r)
-            and not _extras(s.pure_w_cycles, r)
-        )
-        return [None] if ok else []
-    if number == 11:
-        ok = not swap and r == 2 and s.fixed_v == s.shape.n and s.fixed_w <= 2
-        return [None] if ok else []
-    if number == 12:
-        if swap or s.fixed_v > 2 or s.fixed_w != 0:
-            return []
-        subs = _match_or_12_subs(s)
-        # the sub-cases are mutually exclusive by construction; a signature
-        # somehow matching several is rejected rather than guessed
-        return subs if len(subs) == 1 else []
-    if number == 13:
-        mx = s.mixed_cycles
-        ok = swap and r % 4 == 0 and set(mx) <= {2, r} and mx.count(2) <= 2
-        return [None] if ok else []
-    raise ValueError(f"unknown OR case {number}")
+        return keys
+    # case 10: no fixed vertices
+    if frame and no_fixed:
+        keys.append((10, None))
+    # case 11: r = 2, V fixed, at most two fixed vertices in W
+    if r == 2 and fv == n and fw <= 2:
+        keys.append((11, None))
+    # case 12: at most two fixed vertices, all in V.  The sub-cases are
+    # mutually exclusive by construction; a signature somehow matching
+    # several is rejected rather than guessed
+    if fv <= 2 and not fw:
+        subs = []
+        # 12a: V in r-cycles; W in r-cycles and one 2-cycle
+        if not ev and tw.get(2) == 1 and ew.keys() <= {2}:
+            subs.append("a")
+        # 12b: V in r-cycles and at least one 2-cycle; W in r-cycles
+        if 2 in tv and ev.keys() <= {2} and not ew:
+            subs.append("b")
+        if h % 2 and h >= 3:
+            # 12c: V in r-cycles and 2-cycles; W in h-cycles
+            if tw.keys() == {h} and ev.keys() <= {2}:
+                subs.append("c")
+            # 12d: V in h-cycles; W in r-cycles and at most one 2-cycle
+            if tv.keys() == {h} and tw.get(2, 0) <= 1 and ew.keys() <= {2}:
+                subs.append("d")
+        if len(subs) == 1:
+            keys.append((12, subs[0]))
+    return keys
+
+
+def _case_keys(sig: CycleSignature) -> tuple[list[tuple], list[tuple]]:
+    """The (number, sub) keys of the cases ``sig`` matches directly, and
+    those it matches with the parts interchanged (none listed for a
+    part-swapping signature, which matches the same cases both ways)."""
+    r = sig.r
+    if sig.side_action is SideAction.SWAPPING:
+        return _swapping_cases(r, _tally(sig.mixed_cycles)), []
+    tv, tw = _tally(sig.pure_v_cycles), _tally(sig.pure_w_cycles)
+    ev = {k: c for k, c in tv.items() if k != r}
+    ew = {k: c for k, c in tw.items() if k != r}
+    n, m, fv, fw = sig.shape.n, sig.shape.m, sig.fixed_v, sig.fixed_w
+    return (
+        _preserving_cases(r, n, fv, fw, tv, tw, ev, ew),
+        _preserving_cases(r, m, fw, fv, tw, tv, ew, ev),
+    )
 
 
 # The case table read the other way round.  For K_{n,m}, each case has a
@@ -412,25 +414,16 @@ def candidate_classes(shape: BipartiteShape) -> set[tuple]:
     return found
 
 
-def _collect(sig: CycleSignature) -> tuple[list[CaseId], list[CaseId]]:
-    op: dict[tuple, CaseId] = {}
-    orr: dict[tuple, CaseId] = {}
-    for interchanged, s in ((False, sig), (True, interchange_parts(sig))):
-        for number in range(1, 10):
-            key = (number, None)
-            if key not in op and _match_op(s, number):
-                op[key] = CaseId(Orientation.OP, number, None, interchanged)
-        for number in range(10, 14):
-            for sub in _match_or(s, number):
-                key = (number, sub)
-                if key not in orr:
-                    orr[key] = CaseId(Orientation.OR, number, sub, interchanged)
-    ordered_op = [op[k] for k in sorted(op, key=lambda k: (k[0], k[1] or ""))]
-    ordered_or = [orr[k] for k in sorted(orr, key=lambda k: (k[0], k[1] or ""))]
-    return ordered_op, ordered_or
+# The CaseId of each (number, sub) key, direct and interchanged.
+_CASE_IDS = {
+    (key, swapped): CaseId(Orientation("op" if key[0] < 10 else "or"), *key, swapped)
+    for key in [(k, None) for k in range(1, 14) if k != 12] + [(12, s) for s in "abcd"]
+    for swapped in (False, True)
+}
+_IDENTITY = RealizabilityVerdict((_CASE_IDS[(2, None), False],), ())
+_UNREALIZABLE = RealizabilityVerdict((), ())
 
 
-@lru_cache(maxsize=None)
 def classify(sig: CycleSignature) -> RealizabilityVerdict:
     """Match a cycle signature against all thirteen cases.
 
@@ -446,9 +439,15 @@ def classify(sig: CycleSignature) -> RealizabilityVerdict:
         # The identity is induced by the identity homeomorphism, which is
         # orientation-preserving; with every vertex fixed it is reported
         # under case 2.  No orientation-reversing realization: r = 1 is odd.
-        return RealizabilityVerdict((CaseId(Orientation.OP, 2),), ())
-    op, orr = _collect(sig)
-    return RealizabilityVerdict(tuple(op), tuple(orr))
+        return _IDENTITY
+    direct, swapped = _case_keys(sig)
+    if not direct and not swapped:
+        return _UNREALIZABLE
+    found = dict.fromkeys(swapped, True)
+    found.update(dict.fromkeys(direct, False))
+    cases = tuple(_CASE_IDS[item] for item in sorted(found.items()))
+    split = sum(c.number < 10 for c in cases)
+    return RealizabilityVerdict(cases[:split], cases[split:])
 
 
 def classify_aut(aut: BipartiteAutomorphism) -> RealizabilityVerdict:

@@ -61,6 +61,15 @@ def _partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]
             yield (k,) + rest
 
 
+def classes_of(n: int, m: int) -> list[tuple]:
+    """Every class of Aut(K_{n,m}), keyed as the case generators key them:
+    (lam, mu), and (lam, None) for a part-swapping class when n = m."""
+    classes = [(lam, mu) for lam in _partitions(n) for mu in _partitions(m)]
+    if n == m:
+        classes += [(lam, None) for lam in _partitions(n)]
+    return classes
+
+
 def signature_tallies(shape: BipartiteShape) -> Counter:
     """Number of automorphisms of K_{n,m} with each cycle signature."""
     n, m = shape.n, shape.m

@@ -79,12 +79,12 @@ class TestCensus:
             census(BipartiteShape(2, 3))
 
     def test_too_large(self):
-        # MAX_CENSUS_PART = 299 bounds each part of a plain census and
+        # MAX_CENSUS_PART = 419 bounds each part of a plain census and
         # MAX_REALIZE_ALL_PART = 16 each part with realize_all; the bounds
         # themselves are allowed
-        assert census(BipartiteShape(299, 3)).total == math.factorial(299) * 6
-        for shape in (BipartiteShape(300, 3), BipartiteShape(3, 300)):
-            with pytest.raises(TooLarge, match="more than 299 vertices"):
+        assert census(BipartiteShape(419, 3)).total == math.factorial(419) * 6
+        for shape in (BipartiteShape(420, 3), BipartiteShape(3, 420)):
+            with pytest.raises(TooLarge, match="more than 419 vertices"):
                 census(shape)
         report = census(BipartiteShape(16, 3), realize_all=True)
         assert report.total == math.factorial(16) * 6
@@ -249,7 +249,7 @@ class TestCli:
 
     def test_census_at_the_bound_prints(self, capsys):
         # the largest shape's total, 2*(n!)^2, must stay under Python's
-        # 4300-digit limit on int-to-str conversion (1228 digits at n = 299)
+        # 4300-digit limit on int-to-str conversion (1838 digits at n = 419)
         n = str(MAX_CENSUS_PART)
         total = str(2 * math.factorial(MAX_CENSUS_PART) ** 2)
         assert cli_main(["census", n, n]) == 0

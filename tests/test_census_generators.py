@@ -1,14 +1,14 @@
 """The census classifies only the classes the case generators yield.
 
-Generators and matchers are two encodings of the paper's case table, and
-these tests hold each against the other.  Up to K_{16,16} (K_{12,15} and
-K_{15,12} included), the candidates ``classify`` accepts must be exactly
-the classes it accepts among all partitions, the census report must equal
-the oracle's, which classifies every class, and each generator must yield
-every class that its own case matches directly.  Up to K_{200,200}, random
-classes with at most three distinct cycle lengths per part, the form of
-every realizable class, must be candidates whenever ``classify`` accepts
-them.
+The generators and the case clauses of ``classify`` are two encodings of
+the paper's case table, and these tests hold each against the other.  Up
+to K_{16,16} (K_{12,15} and K_{15,12} included), the candidates
+``classify`` accepts must be exactly the classes it accepts among all
+partitions, the census report must equal the oracle's, which classifies
+every class, and each generator must yield every class that its own case
+matches directly.  Up to K_{200,200}, random classes with at most three
+distinct cycle lengths per part, the form of every realizable class,
+must be candidates whenever ``classify`` accepts them.
 """
 
 import pytest
@@ -17,35 +17,13 @@ from hypothesis import strategies as st
 
 from bipsym import BipartiteShape, census
 from bipsym.census import _class_signature, report_to_obj
-from bipsym.classifier import (
-    CASE_GENERATORS,
-    _match_op,
-    _match_or,
-    candidate_classes,
-    classify,
-)
+from bipsym.classifier import CASE_GENERATORS, _case_keys, candidate_classes, classify
 
 import census_oracle
-from census_oracle import _partitions
+from census_oracle import classes_of
 
 SHAPES = [(n, m) for n in range(3, 17) for m in range(3, 17)]
 LARGEST_PART = 200
-
-
-@pytest.fixture(autouse=True)
-def _fresh_classify_memo():
-    # the oracle classifies every class of every shape; without this, the
-    # memo would keep all 830 000 verdicts of the sweep alive
-    yield
-    classify.cache_clear()
-
-
-def _classes_of(n: int, m: int) -> list[tuple]:
-    """Every class of Aut(K_{n,m}), keyed as the generators key them."""
-    classes = [(lam, mu) for lam in _partitions(n) for mu in _partitions(m)]
-    if n == m:
-        classes += [(lam, None) for lam in _partitions(n)]
-    return classes
 
 
 def _realizable(sig) -> bool:
@@ -59,7 +37,7 @@ def test_candidates_are_the_realizable_classes(n, m):
     tally = census_oracle.signature_tallies(shape)
     keys = candidate_classes(shape)
     # keyed as the oracle keys classes, so no class is counted twice
-    assert keys <= set(_classes_of(n, m))
+    assert keys <= set(classes_of(n, m))
     candidates = [_class_signature(shape, lam, mu) for lam, mu in keys]
     assert {sig for sig in candidates if _realizable(sig)} == {
         sig for sig in tally if _realizable(sig)
@@ -73,14 +51,10 @@ def test_each_generator_covers_its_case(n, m):
     # direct matches only: candidate_classes adds the interchanged ones
     shape = BipartiteShape(n, m)
     generated = {number: set(gen(n, m)) for number, gen in CASE_GENERATORS.items()}
-    for lam, mu in _classes_of(n, m):
-        sig = _class_signature(shape, lam, mu)
-        for number in range(1, 10):
-            if _match_op(sig, number):
-                assert (lam, mu) in generated[number], (number, lam, mu)
-        for number in range(10, 14):
-            if _match_or(sig, number):
-                assert (lam, mu) in generated[number], (number, lam, mu)
+    for lam, mu in classes_of(n, m):
+        direct, _ = _case_keys(_class_signature(shape, lam, mu))
+        for number, _sub in direct:
+            assert (lam, mu) in generated[number], (number, lam, mu)
 
 
 @st.composite

@@ -134,8 +134,11 @@ class TestVerdictStructure:
                 assert signature(aut).r % 2 == 0
 
     def test_verdict_function_of_signature_alone(self):
+        # two conjugate automorphisms: equal signatures, equal verdicts
         sig = signature(parse_cycles(S33, "(v1 v2)(w1 w2 w3)"))
-        assert classify(sig) is classify(sig)  # memoized on the signature
+        other = signature(parse_cycles(S33, "(v2 v3)(w3 w2 w1)"))
+        assert sig == other and sig is not other
+        assert classify(sig) == classify(other) == classify(sig)
 
     def test_interchange_toggles_flags_only(self):
         for text in ["(w3 w4)", "(v1 v2)(w1 w2 w3 w4)", "(v1 v2 v3)"]:

@@ -71,7 +71,7 @@ def test_cap_check_stops_early():
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="exceeds cap 1000"):
         enumerate_automorphisms(shape, cap=1000)
-    with pytest.raises(TooLarge, match="more than 299 vertices"):
+    with pytest.raises(TooLarge, match="more than 419 vertices"):
         census(shape)
     with pytest.raises(TooLarge, match="more than 16 vertices"):
         census(shape, realize_all=True)
