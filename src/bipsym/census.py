@@ -7,7 +7,11 @@ the n!*m! automorphisms.  A part-preserving class is a pair of cycle types
 part-swapping class is the cycle type lambda of its return map V -> W -> V,
 whose cycles are the mixed cycles 2*lambda, of size n!*n!/z_lambda.  Here
 z_lambda = prod k^{j_k} * j_k! is the centralizer order of a permutation
-with j_k cycles of length k.
+with j_k cycles of length k.  For n = m, Aut(K_{n,n}) also holds the part
+swap, which conjugates (lambda, mu) into (mu, lambda): the census keeps
+the one with lambda >= mu, a class of twice that size when lambda != mu.
+Its case labels are those of (mu, lambda) too, because ``classify``
+matches both orientations and a label does not say which one matched.
 
 Few classes are realizable, so the census does not build all p(n)*p(m)
 (+ p(n)) of them.  It reads the case table the other way round: one
@@ -22,8 +26,8 @@ With ``realize_all`` the census realizes and verifies one representative
 per realizable (class, orientation) and counts the whole class when its
 certificate passes.  One representative speaks for its class because, if
 (M, x) realizes a, then (M, x o s^-1) realizes s a s^-1 for every
-automorphism s, and every check of ``verify`` keeps its result when the
-vertices are relabeled.
+automorphism s, a part-swapping s included, and every check of ``verify``
+keeps its result when the vertices are relabeled.
 """
 
 from __future__ import annotations
@@ -44,12 +48,14 @@ from .errors import OutOfTheoremScope, TooLarge
 
 # census() refuses parts larger than these before any work.  The plain census
 # classifies only the case generators' candidates, whose number depends on
-# the divisors of n and m: K_{420,420} takes 1.4 s, and the slowest square
-# shape below it, K_{360,360}, about 1 s from the CLI.  Realize-all also
+# the divisors of n and m: the slowest square shape within the bound,
+# K_{360,360}, takes about 0.6 s from the CLI.  Realize-all also
 # realizes and verifies one representative per realizable (class,
-# orientation); K_{16,16} takes about 1 s.
+# orientation), and the divisors of n and m set its cost too: the slowest
+# shapes within the bound, K_{36,40} and K_{40,36}, take about 1.4 s from the
+# CLI, K_{40,40} 0.6 s, and K_{42,40} 1.6 s.
 MAX_CENSUS_PART = 419
-MAX_REALIZE_ALL_PART = 16
+MAX_REALIZE_ALL_PART = 40
 
 
 @dataclass
@@ -173,13 +179,14 @@ def census(
 
     The tally is counted per conjugacy class over the candidates of
     :func:`~bipsym.classifier.candidate_classes`, which include every
-    realizable class; each class the classifier finds realizable adds its
-    size n!*m!/(z_lambda*z_mu) to its cases, and ``unrealizable_op`` and
-    ``unrealizable_or`` are the total minus the realizable sizes.  With
-    ``realize_all``, additionally realize (with ``seed``) and verify one
-    representative of every class in each orientation the classifier marks
-    realizable; ``realized_verified`` is the summed size of the classes
-    whose representative's certificate passed, once per orientation.
+    realizable class, with (lambda, mu) and (mu, lambda) one class when
+    n = m; each class the classifier finds realizable adds its size to its
+    cases, and ``unrealizable_op`` and ``unrealizable_or`` are the total
+    minus the realizable sizes.  With ``realize_all``, additionally realize
+    (with ``seed``) and verify one representative of every class in each
+    orientation the classifier marks realizable; ``realized_verified`` is
+    the summed size of the classes whose representative's certificate
+    passed, once per orientation.
     Deterministic given (shape, seed).  Raises TooLarge, before any work,
     when n or m exceeds MAX_CENSUS_PART, or MAX_REALIZE_ALL_PART with
     ``realize_all``.
@@ -203,11 +210,17 @@ def census(
     realizable_or = 0
     realized_verified = 0 if realize_all else None
     for lam, mu in candidate_classes(shape):
+        # for n = m the part swap conjugates (lam, mu) into (mu, lam), and
+        # candidate_classes yields both: keep the one with lam >= mu
+        if n == m and mu is not None and lam < mu:
+            continue
         sig = _class_signature(shape, lam, mu)
         verdict = classify(sig)
         if not (verdict.op_realizable or verdict.or_realizable):
             continue
         count = pairs // (_centralizer_order(lam) * _centralizer_order(mu or ()))
+        if n == m and mu not in (None, lam):
+            count *= 2  # the class of (mu, lam) as well
         for case in verdict.op_cases + verdict.or_cases:
             per_case[case.label] = per_case.get(case.label, 0) + count
         if verdict.op_realizable:

@@ -325,6 +325,16 @@ class CycleSignature:
             self.fixed_v or self.fixed_w or self.pure_v_cycles or self.pure_w_cycles
         ):
             raise ValueError("a part-swapping automorphism has only mixed cycles")
+        # a mixed cycle alternates between the parts, so half of it lies in V
+        mixed = sum(self.mixed_cycles)
+        if 2 * (self.shape.n - self.fixed_v - sum(self.pure_v_cycles)) != mixed or (
+            2 * (self.shape.m - self.fixed_w - sum(self.pure_w_cycles)) != mixed
+        ):
+            raise ValueError("the fixed vertices and cycles do not cover n and m")
+        if self.r != math.lcm(
+            1, *self.pure_v_cycles, *self.pure_w_cycles, *self.mixed_cycles
+        ):
+            raise ValueError("r is not the lcm of the cycle lengths")
 
 
 def signature(aut: BipartiteAutomorphism) -> CycleSignature:

@@ -13,15 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipsym import (
-    BipartiteShape,
-    CycleSignature,
-    SideAction,
-    classify,
-    parse_cycles,
-    signature,
-)
+from bipsym import BipartiteShape, classify, parse_cycles, signature
 from bipsym.census import _class_signature
+from bipsym.classifier import _preserving_cases
 
 import classifier_oracle
 from census_oracle import classes_of
@@ -107,13 +101,10 @@ def test_exceptional_length_equal_to_r(graph, perm, op, orr):
 
 
 def test_several_or12_subcases_rejected():
-    # no consistent signature matches two sub-cases of case 12; this one
-    # leaves a vertex of W uncounted and matches 12a and 12b, so neither is
-    # reported
-    sig = CycleSignature(
-        BipartiteShape(3, 3), SideAction.PRESERVING, 2, 1, 0, (2,), (2,), ()
-    )
-    verdict = classify(sig)
-    assert verdict == classifier_oracle.classify(sig)
-    assert [c.label for c in verdict.op_cases] == ["OP2", "OP3"]
-    assert verdict.or_cases == ()
+    # no consistent signature matches two sub-cases of case 12, and
+    # CycleSignature refuses an inconsistent one, so the guard is reached
+    # through the tallies: on K_{3,3} with r = 2, one fixed vertex and one
+    # 2-cycle in V and one 2-cycle in W (a vertex of W left uncounted) meet
+    # 12a and 12b, so neither is reported
+    keys = _preserving_cases(2, 3, 1, 0, {2: 1}, {2: 1}, {}, {})
+    assert keys == [(2, None), (3, None)]

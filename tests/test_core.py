@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bipsym import (
     BipartiteShape,
+    CycleSignature,
     DuplicateVertex,
     MixedParts,
     NotBijective,
@@ -144,6 +145,24 @@ class TestSignature:
             assert sig.fixed_v + sum(sig.pure_v_cycles) + sum(sig.mixed_cycles) // 2 == 3
             assert sig.fixed_w + sum(sig.pure_w_cycles) + sum(sig.mixed_cycles) // 2 == 4
             assert all(length % 2 == 0 for length in sig.mixed_cycles)
+
+    def test_inconsistent_signature_rejected(self):
+        # r must be the lcm of the cycle lengths (here 3), and the fixed
+        # vertices and cycles must cover each part, half a mixed cycle in each
+        with pytest.raises(ValueError, match="lcm"):
+            CycleSignature(S33, SideAction.PRESERVING, 7, 0, 0, (3,), (3,), ())
+        preserving, swapping = SideAction.PRESERVING, SideAction.SWAPPING
+        for args in [
+            (preserving, 2, 1, 0, (2,), (2,), ()),  # a vertex of W uncounted
+            (preserving, 6, 0, 0, (2,), (3,), ()),  # a vertex of V uncounted
+            (preserving, 3, 0, 1, (3,), (3,), ()),
+            (preserving, 2, 1, 1, (2,), (2, 2), ()),
+            (swapping, 4, 0, 0, (), (), (4,)),
+            (swapping, 6, 0, 0, (), (), (2, 3)),
+            (swapping, 2, 0, 0, (), (), (2, 2, 2, 2)),
+        ]:
+            with pytest.raises(ValueError, match="cover"):
+                CycleSignature(S33, *args)
 
 
 class TestGroupOperations:

@@ -73,7 +73,7 @@ def test_cap_check_stops_early():
         enumerate_automorphisms(shape, cap=1000)
     with pytest.raises(TooLarge, match="more than 419 vertices"):
         census(shape)
-    with pytest.raises(TooLarge, match="more than 16 vertices"):
+    with pytest.raises(TooLarge, match="more than 40 vertices"):
         census(shape, realize_all=True)
     assert time.perf_counter() - start < 1.0
 
