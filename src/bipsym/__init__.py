@@ -54,11 +54,8 @@ from .errors import (
 # geometry and verifier need numpy, which classification and censuses never
 # touch, so their names are imported on first access (PEP 562) and cached
 _LAZY = {
-    "FixedSetDescriptor": "geometry",
-    "FixedSetKind": "geometry",
     "Isometry4": "geometry",
     "SpatialEmbedding": "geometry",
-    "fixed_set": "geometry",
     "glide_isometry": "geometry",
     "improper_isometry": "geometry",
     "realize": "geometry",
@@ -93,8 +90,6 @@ __all__ = [
     "CheckResult",
     "CycleSignature",
     "DuplicateVertex",
-    "FixedSetDescriptor",
-    "FixedSetKind",
     "Isometry4",
     "MixedParts",
     "NotBijective",
@@ -120,7 +115,6 @@ __all__ = [
     "classify_aut",
     "compose",
     "enumerate_automorphisms",
-    "fixed_set",
     "glide_isometry",
     "identity_automorphism",
     "improper_isometry",

@@ -70,37 +70,6 @@ class CensusReport:
     seed: int = 1
 
 
-def report_to_obj(report: CensusReport) -> dict:
-    return {
-        "n": report.shape.n,
-        "m": report.shape.m,
-        "total": report.total,
-        "per_case": dict(report.per_case),
-        "unrealizable_op": report.unrealizable_op,
-        "unrealizable_or": report.unrealizable_or,
-        "realized_verified": report.realized_verified,
-        "tool_version": report.tool_version,
-        "seed": report.seed,
-    }
-
-
-def report_csv(report: CensusReport) -> str:
-    """Two-column CSV: one row per case label, then the summary rows."""
-    lines = ["key,value"]
-    for label in sorted(report.per_case):
-        lines.append(f"case:{label},{report.per_case[label]}")
-    lines.append(f"total,{report.total}")
-    lines.append(f"unrealizable_op,{report.unrealizable_op}")
-    lines.append(f"unrealizable_or,{report.unrealizable_or}")
-    rv = "" if report.realized_verified is None else report.realized_verified
-    lines.append(f"realized_verified,{rv}")
-    lines.append(f"n,{report.shape.n}")
-    lines.append(f"m,{report.shape.m}")
-    lines.append(f"seed,{report.seed}")
-    lines.append(f"tool_version,{report.tool_version}")
-    return "\n".join(lines) + "\n"
-
-
 def _centralizer_order(parts: tuple[int, ...]) -> int:
     """z = prod k^{j_k} * j_k!, the order of the centralizer in S_n of a
     permutation with cycle type ``parts``."""

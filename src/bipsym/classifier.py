@@ -322,13 +322,6 @@ def _gen_op9(n: int, m: int):
                 yield _runs((h, (n - 2) // h), (2, 1)), None
 
 
-def _gen_or10(n: int, m: int):
-    # every cycle an r-cycle, r even
-    for r in _divisors(math.gcd(n, m)):
-        if r % 2 == 0:
-            yield _runs((r, n // r)), _runs((r, m // r))
-
-
 def _gen_or11(n: int, m: int):
     # r = 2: V fixed; W in 2-cycles and at most two fixed vertices
     for fw in range(3):
@@ -394,7 +387,7 @@ CASE_GENERATORS = {
     7: _gen_op7,
     8: _gen_op8,
     9: _gen_op9,
-    10: _gen_or10,
+    10: _gen_op1,  # case 10 (every cycle an r-cycle, r even) is part of case 1
     11: _gen_or11,
     12: _gen_or12,
     13: _gen_or13,
@@ -407,7 +400,7 @@ def candidate_classes(shape: BipartiteShape) -> set[tuple]:
     (lam, None); see CASE_GENERATORS.  Some candidates match no case."""
     n, m = shape.n, shape.m
     found: set[tuple] = set()
-    for generate in CASE_GENERATORS.values():
+    for generate in dict.fromkeys(CASE_GENERATORS.values()):  # 1 and 10 share one
         found.update(generate(n, m))
         for lam, mu in generate(m, n):
             found.add((lam, None) if mu is None else (mu, lam))

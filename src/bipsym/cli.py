@@ -21,7 +21,7 @@ import json
 import sys
 
 from ._version import __version__
-from .census import census, report_csv, report_to_obj
+from .census import census
 from .classifier import Orientation, classify_aut, dispatch_case
 from .core import BipartiteShape, parse_cycles
 from .errors import BipsymError, NotRealizable, OutOfTheoremScope
@@ -30,6 +30,8 @@ from .jsonio import (
     certificate_to_obj,
     realization_from_obj,
     realization_to_obj,
+    report_csv,
+    report_to_obj,
     verdict_to_obj,
     write_text_atomic,
 )
@@ -114,7 +116,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     aut, iso, emb = realization_from_obj(obj)

@@ -128,11 +128,6 @@ class BipartiteAutomorphism:
             tuple(vertex_at(g) for g in cyc) for cyc in _index_cycles(self.perm)
         )
 
-    def fixed_vertices(self) -> tuple[VertexId, ...]:
-        return tuple(
-            self.shape.vertex_at(g) for g, p in enumerate(self.perm) if p == g
-        )
-
     def order(self) -> int:
         return math.lcm(*(len(c) for c in _index_cycles(self.perm)), 1)
 

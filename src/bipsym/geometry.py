@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -47,23 +46,6 @@ SUBSPACE_TOL = 1e-9
 IDENTITY_GAP = 1e-6  # a proper power must differ from I by more than this
 SEPARATION = 1e-6  # minimum distance between embedded vertices / landmarks
 MAX_PLACEMENT_ATTEMPTS = 1000
-
-
-class FixedSetKind(Enum):
-    EMPTY = "empty"
-    TWO_POINTS = "two_points"
-    CIRCLE = "circle"
-    SPHERE = "sphere"
-    ALL = "all"
-
-
-_KIND_BY_DIM = {
-    0: FixedSetKind.EMPTY,
-    1: FixedSetKind.TWO_POINTS,
-    2: FixedSetKind.CIRCLE,
-    3: FixedSetKind.SPHERE,
-    4: FixedSetKind.ALL,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,37 +146,6 @@ def improper_isometry(theta: Fraction, claimed_order: int) -> Isometry4:
         raise OrderMismatch(f"claimed order {claimed_order}, computed {order}")
     M = _block(_rot2(theta), np.diag([1.0, -1.0]))
     return _validate_isometry(Isometry4(M, order, Orientation.OR))
-
-
-@dataclass(frozen=True, eq=False)
-class FixedSetDescriptor:
-    kind: FixedSetKind
-    basis: np.ndarray  # 4 x d, orthonormal columns spanning the +1-eigenspace
-
-
-def fixed_subspace(A: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:
-    """Orthonormal basis (4 x d) of the +1-eigenspace of an orthogonal A."""
-    _, s, vh = np.linalg.svd(A - np.eye(4))
-    d = int(np.sum(s <= tol))
-    if d == 0:
-        return np.zeros((4, 0))
-    return vh[4 - d :].T
-
-
-def fixed_set(iso: Isometry4, pw: int = 1) -> FixedSetDescriptor:
-    """Structure of the fixed-point set of the pw-th power of the isometry."""
-    if not 1 <= pw <= iso.claimed_order:
-        raise ValueError(f"power must lie in [1, {iso.claimed_order}]")
-    A = np.linalg.matrix_power(iso.matrix, pw)
-    basis = fixed_subspace(A)
-    return FixedSetDescriptor(_KIND_BY_DIM[basis.shape[1]], basis)
-
-
-def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
-    """sin of the largest principal angle (2-norm of projector difference)."""
-    p1 = b1 @ b1.T
-    p2 = b2 @ b2.T
-    return float(np.linalg.norm(p1 - p2, 2))
 
 
 # --- landmark geometry -----------------------------------------------------

@@ -19,6 +19,7 @@ from .core import BipartiteAutomorphism, BipartiteShape, VertexId, parse_cycles
 from .errors import ParseError
 
 if TYPE_CHECKING:
+    from .census import CensusReport
     from .geometry import Isometry4, SpatialEmbedding
 
 
@@ -164,9 +165,7 @@ def realization_to_obj(
     seed: int,
 ) -> dict:
     return {
-        "n": aut.shape.n,
-        "m": aut.shape.m,
-        "perm": aut.cycle_string(),
+        **automorphism_to_obj(aut),
         "case": case_label,
         "seed": seed,
         "order": iso.claimed_order,
@@ -263,3 +262,37 @@ def certificate_to_obj(cert) -> dict:
             for c in cert.checks
         ],
     }
+
+
+# --- census reports ----------------------------------------------------------
+
+
+def report_to_obj(report: CensusReport) -> dict:
+    return {
+        "n": report.shape.n,
+        "m": report.shape.m,
+        "total": report.total,
+        "per_case": dict(report.per_case),
+        "unrealizable_op": report.unrealizable_op,
+        "unrealizable_or": report.unrealizable_or,
+        "realized_verified": report.realized_verified,
+        "tool_version": report.tool_version,
+        "seed": report.seed,
+    }
+
+
+def report_csv(report: CensusReport) -> str:
+    """Two-column CSV: one row per case label, then the summary rows."""
+    lines = ["key,value"]
+    for label in sorted(report.per_case):
+        lines.append(f"case:{label},{report.per_case[label]}")
+    lines.append(f"total,{report.total}")
+    lines.append(f"unrealizable_op,{report.unrealizable_op}")
+    lines.append(f"unrealizable_or,{report.unrealizable_or}")
+    rv = "" if report.realized_verified is None else report.realized_verified
+    lines.append(f"realized_verified,{rv}")
+    lines.append(f"n,{report.shape.n}")
+    lines.append(f"m,{report.shape.m}")
+    lines.append(f"seed,{report.seed}")
+    lines.append(f"tool_version,{report.tool_version}")
+    return "\n".join(lines) + "\n"

@@ -33,12 +33,8 @@ from .geometry import (
     ORTHOGONALITY_TOL,
     SEPARATION,
     SUBSPACE_TOL,
-    _KIND_BY_DIM,
-    FixedSetKind,
     Isometry4,
     SpatialEmbedding,
-    fixed_subspace,
-    subspace_distance,
 )
 
 _POWER_BLOCK = 1024  # powers per block of the eel2 comparison, bounding its memory
@@ -65,6 +61,26 @@ class RealizationCertificate:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+
+def fixed_subspace(A: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:
+    """Orthonormal basis (4 x d) of the +1-eigenspace of an orthogonal A.
+
+    Its dimension d = 0, 1, 2, 3, 4 makes the fixed set in S^3 empty, two
+    points, a circle, a sphere or all of S^3.
+    """
+    _, s, vh = np.linalg.svd(A - np.eye(4))
+    d = int(np.sum(s <= tol))
+    if d == 0:
+        return np.zeros((4, 0))
+    return vh[4 - d :].T
+
+
+def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
+    """sin of the largest principal angle (2-norm of projector difference)."""
+    p1 = b1 @ b1.T
+    p2 = b2 @ b2.T
+    return float(np.linalg.norm(p1 - p2, 2))
 
 
 def _proper_divisors(r: int) -> list[int]:
@@ -353,12 +369,11 @@ def _arc_findings(st, j: int) -> list[str]:
     if not pairs.size:
         return []
     basis = st.bases[j]
-    kind = _KIND_BY_DIM[basis.shape[1]]
+    dim = basis.shape[1]
     on = np.flatnonzero(st.point_fixed[j])
-    if kind in (FixedSetKind.EMPTY, FixedSetKind.TWO_POINTS):
-        # a discrete fixed set contains no arc between distinct points
+    if dim <= 1:  # empty or two points: no arc between distinct points
         return ["adjacent pair fixed by a power whose fixed set contains no arcs"]
-    if kind is FixedSetKind.CIRCLE:
+    if dim == 2:  # a circle
         nv, nw, _ = _part_counts(st, on)
         if nv > 2 or nw > 2:
             return [f"{nv}+{nw} vertices of a part on circle"]
@@ -373,7 +388,7 @@ def _arc_findings(st, j: int) -> list[str]:
             f"no free arc between {st.name(x)} and {st.name(y)}"
             for x, y in zip(a[apart], b[apart])
         ]
-    if kind is FixedSetKind.SPHERE:
+    if dim == 3:  # a sphere; all of S^3 (dim 4) leaves nothing to check
         nv, nw, nz = _part_counts(st, on)
         if nz:
             return ["subdivision vertices on a fixed sphere, arc pattern indeterminate"]

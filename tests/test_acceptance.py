@@ -32,8 +32,7 @@ from bipsym import (
     signature,
     verify,
 )
-from bipsym.census import report_to_obj
-from bipsym.jsonio import canonical_json
+from bipsym.jsonio import canonical_json, report_to_obj
 
 from topology_checks import smith_check, two_circle_check
 

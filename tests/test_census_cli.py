@@ -11,9 +11,9 @@ from bipsym import (
     classify_aut,
     enumerate_automorphisms,
 )
-from bipsym.census import MAX_CENSUS_PART, report_csv, report_to_obj
+from bipsym.census import MAX_CENSUS_PART
 from bipsym.cli import cli_main
-from bipsym.jsonio import canonical_json
+from bipsym.jsonio import canonical_json, report_csv, report_to_obj
 
 S33 = BipartiteShape(3, 3)
 S34 = BipartiteShape(3, 4)

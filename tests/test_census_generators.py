@@ -16,8 +16,9 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bipsym import BipartiteShape, census
-from bipsym.census import _class_signature, report_to_obj
+from bipsym.census import _class_signature
 from bipsym.classifier import CASE_GENERATORS, _case_keys, candidate_classes, classify
+from bipsym.jsonio import report_to_obj
 
 import census_oracle
 from census_oracle import classes_of

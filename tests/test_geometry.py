@@ -6,12 +6,10 @@ import pytest
 
 from bipsym import (
     BipartiteShape,
-    FixedSetKind,
     NotRealizable,
     OrderMismatch,
     PreconditionError,
     classify_aut,
-    fixed_set,
     glide_isometry,
     improper_isometry,
     parse_cycles,
@@ -28,8 +26,10 @@ from bipsym.geometry import (
     dist_to_sphere,
     dist_to_x,
     dist_to_y,
-    subspace_distance,
 )
+from bipsym.verifier import subspace_distance
+
+from topology_checks import FixedSetKind, fixed_set
 
 XBASIS = np.eye(4)[:, 2:]  # span(e3, e4): the circle x1 = x2 = 0
 YBASIS = np.eye(4)[:, :2]

@@ -6,6 +6,7 @@ fails the test instead of the machine.
 """
 
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from bipsym import (
     enumerate_automorphisms,
     parse_cycles,
 )
+from bipsym.census import MAX_CENSUS_PART, MAX_REALIZE_ALL_PART
 from bipsym.core import MAX_VERTICES
 
 SRC = str(Path(bipsym.__file__).resolve().parents[1])
@@ -76,6 +78,23 @@ def test_cap_check_stops_early():
     with pytest.raises(TooLarge, match="more than 40 vertices"):
         census(shape, realize_all=True)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("MAX_VERTICES", MAX_VERTICES),
+        ("MAX_CENSUS_PART", MAX_CENSUS_PART),
+        ("MAX_REALIZE_ALL_PART", MAX_REALIZE_ALL_PART),
+    ],
+)
+def test_readme_states_the_bound(name, value):
+    # the README writes each bound as "N vertices (... `NAME` ...)"
+    readme = Path(SRC).parent / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    stated = re.findall(rf"(\d[\d ]*) vertices \([^)]*`{name}`", text)
+    assert stated, f"README does not state {name}"
+    assert {int(n.replace(" ", "")) for n in stated} == {value}
 
 
 @pytest.mark.parametrize("n, m, cap", [(3, 3, 36), (4, 3, 144), (1, 1, 1), (5, 4, 2880)])

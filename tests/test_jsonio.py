@@ -143,6 +143,8 @@ MALFORMED = {
         v01=obj["vertices"].pop("v2")
     ),
     "not_an_object": lambda obj: [obj],
+    # file text rather than an object: json.load recurses once per bracket
+    "deeply_nested": lambda obj: "[" * 200_000 + "]" * 200_000,
 }
 
 
@@ -161,10 +163,14 @@ class TestMalformedRealization:
     def test_parse_error_and_exit_2(self, realization_obj, case, tmp_path, capsys):
         obj = json.loads(json.dumps(realization_obj))
         obj = MALFORMED[case](obj) or obj
-        with pytest.raises(ParseError):
-            realization_from_obj(obj)
+        if isinstance(obj, str):
+            text = obj
+        else:
+            with pytest.raises(ParseError):
+                realization_from_obj(obj)
+            text = json.dumps(obj)
         path = tmp_path / "realization.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(text)
         assert cli_main(["verify", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,5 +1,6 @@
 """Fixed-set checks of the isometry constructors, independent of verify().
 
+``fixed_set`` names the fixed-point set of a power of an isometry;
 ``smith_check`` checks that every proper power of an isometry has the fixed
 set Smith theory allows for its orientation; ``two_circle_check`` checks
 the fixed circles of a fixed-point-free isometry.  They take one SVD per
@@ -11,20 +12,51 @@ builds its isometries from.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from bipsym.errors import PreconditionError
-from bipsym.geometry import (
-    IDENTITY_GAP,
-    SUBSPACE_TOL,
-    _KIND_BY_DIM,
-    FixedSetKind,
-    Isometry4,
+from bipsym.geometry import IDENTITY_GAP, SUBSPACE_TOL, Isometry4
+from bipsym.verifier import (
+    CheckResult,
+    RealizationCertificate,
     fixed_subspace,
     subspace_distance,
 )
-from bipsym.verifier import CheckResult, RealizationCertificate
+
+
+class FixedSetKind(Enum):
+    EMPTY = "empty"
+    TWO_POINTS = "two_points"
+    CIRCLE = "circle"
+    SPHERE = "sphere"
+    ALL = "all"
+
+
+_KIND_BY_DIM = {
+    0: FixedSetKind.EMPTY,
+    1: FixedSetKind.TWO_POINTS,
+    2: FixedSetKind.CIRCLE,
+    3: FixedSetKind.SPHERE,
+    4: FixedSetKind.ALL,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class FixedSetDescriptor:
+    kind: FixedSetKind
+    basis: np.ndarray  # 4 x d, orthonormal columns spanning the +1-eigenspace
+
+
+def fixed_set(iso: Isometry4, pw: int = 1) -> FixedSetDescriptor:
+    """Structure of the fixed-point set of the pw-th power of the isometry."""
+    if not 1 <= pw <= iso.claimed_order:
+        raise ValueError(f"power must lie in [1, {iso.claimed_order}]")
+    A = np.linalg.matrix_power(iso.matrix, pw)
+    basis = fixed_subspace(A)
+    return FixedSetDescriptor(_KIND_BY_DIM[basis.shape[1]], basis)
 
 
 def smith_check(iso: Isometry4) -> RealizationCertificate:

@@ -20,14 +20,16 @@ from bipsym.geometry import (
     ORTHOGONALITY_TOL,
     SEPARATION,
     SUBSPACE_TOL,
-    _KIND_BY_DIM,
-    FixedSetKind,
     Isometry4,
     SpatialEmbedding,
+)
+from bipsym.verifier import (
+    CheckResult,
+    RealizationCertificate,
     fixed_subspace,
     subspace_distance,
 )
-from bipsym.verifier import CheckResult, RealizationCertificate
+from topology_checks import _KIND_BY_DIM, FixedSetKind
 
 
 def _normalize_edge(a: VertexId, b: VertexId) -> tuple[VertexId, VertexId]:
