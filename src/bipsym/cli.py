@@ -12,12 +12,19 @@ check an isometry import numpy (through ``geometry`` and ``verifier``):
 ``realize`` once the classifier has found a case, ``verify``, and
 ``census --realize-all``.  A process that needs no matrix never pays for
 loading numpy.
+
+``main()``, the entry point of the ``bipsym`` script and of ``python -m
+bipsym.cli``, has those launches load numpy with one BLAS thread: it sets
+``OPENBLAS_NUM_THREADS=1`` unless the user has set ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, and a value the user sets wins.
+``cli_main`` and ``import bipsym`` leave the environment and BLAS alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from ._version import __version__
@@ -41,6 +48,13 @@ EXIT_USAGE = 2
 EXIT_SCOPE = 3
 EXIT_NOT_REALIZABLE = 4
 EXIT_CERT_FAIL = 5
+
+# The variables OpenBLAS reads for its thread count, in the order it reads
+# them.  The OpenBLAS bundled with numpy starts one thread per CPU when numpy
+# is imported, yet bipsym's largest BLAS product is (K x 4) @ (4 x 4).  On 2
+# CPUs `import numpy` takes 133-160 ms with that pool and 55-64 ms with one
+# thread, which makes each `realize` and `verify` launch about 70 ms faster.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _graph_arg(text: str) -> BipartiteShape:
@@ -163,6 +177,10 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # Only the process entry point may configure BLAS, and only before the
+    # first import of numpy; a library call must not.
+    if not any(var in os.environ for var in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(cli_main())
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .classifier import Orientation
 from .core import BipartiteAutomorphism, Part
-from .errors import PreconditionError, ShapeMismatch
+from .errors import PreconditionError, ShapeMismatch, TooLarge
 from .geometry import (
     DET_TOL,
     IDENTITY_GAP,
@@ -191,7 +191,8 @@ def verify(
 
     The certificate always contains the checks: unit_norm, orthogonal,
     order, orientation, induces, eel1, eel2, eel3, eel4.  ``tol`` must be
-    finite and positive.
+    finite and positive.  Raises TooLarge when the stack of the claimed
+    order's matrix powers does not fit in memory.
     """
     if aut.shape != emb.shape:
         raise ShapeMismatch(f"automorphism {aut.shape} vs embedding {emb.shape}")
@@ -214,6 +215,10 @@ def verify(
         st = _Verification(aut, iso, emb, tol)
     except ValueError as exc:  # e.g. ragged coordinates
         raise ShapeMismatch(str(exc)) from exc
+    except MemoryError as exc:  # the (r+1)-power stacks do not fit
+        raise TooLarge(
+            f"claimed order {iso.claimed_order} needs more memory than is available"
+        ) from exc
     M = iso.matrix
     r = iso.claimed_order
     checks = [

@@ -5,6 +5,8 @@ and 10 s, so a command that allocates per vertex or computes n! in full
 fails the test instead of the machine.
 """
 
+import dataclasses
+import json
 import os
 import re
 import resource
@@ -18,13 +20,17 @@ import pytest
 import bipsym
 from bipsym import (
     BipartiteShape,
+    Orientation,
     TooLarge,
     census,
     enumerate_automorphisms,
     parse_cycles,
+    realize,
+    verify,
 )
 from bipsym.census import MAX_CENSUS_PART, MAX_REALIZE_ALL_PART
 from bipsym.core import MAX_VERTICES
+from bipsym.jsonio import realization_to_obj
 
 SRC = str(Path(bipsym.__file__).resolve().parents[1])
 ADDRESS_SPACE = 1 << 30
@@ -58,6 +64,42 @@ def test_cli_rejects_huge_shape(argv):
     assert out.stdout == ""
     assert out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
+
+
+# 10^13 + 1 stacked 4 x 4 float matrices take 1.3 PB, which no machine can
+# allocate, so this claimed order fails the same way everywhere
+HUGE_ORDER = 10**13
+
+
+def _huge_order_realization():
+    aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2)")
+    iso, emb = realize(aut, Orientation.OR, 1)
+    return aut, dataclasses.replace(iso, claimed_order=HUGE_ORDER), emb
+
+
+def test_verify_rejects_unallocatable_order():
+    with pytest.raises(TooLarge, match=f"claimed order {HUGE_ORDER} "):
+        verify(*_huge_order_realization())
+
+
+def test_cli_verify_rejects_unallocatable_order(tmp_path):
+    aut, iso, emb = _huge_order_realization()
+    path = tmp_path / "huge_order.json"
+    path.write_text(json.dumps(realization_to_obj(aut, iso, emb, "OR11", 1)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-m", "bipsym.cli", "verify", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"error: claimed order {HUGE_ORDER} ")
+    assert out.stderr.count("\n") == 1
 
 
 def test_parse_bound_is_inclusive():
