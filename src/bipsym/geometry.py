@@ -37,6 +37,7 @@ from .errors import (
     OrderMismatch,
     PlacementFailure,
     PreconditionError,
+    TooLarge,
 )
 
 ORTHOGONALITY_TOL = 1e-12
@@ -187,6 +188,10 @@ def dist_to_f(p: np.ndarray) -> float:
     return min(float(np.linalg.norm(p - f)) for f in F_POINTS)
 
 
+# distance to each landmark set a generic orbit avoids; F lies on X
+LANDMARK_DISTANCES = {"X": dist_to_x, "Y": dist_to_y, "S": dist_to_sphere}
+
+
 class SeededPoints:
     """Deterministic unit-point generator.
 
@@ -230,14 +235,6 @@ class SeededPoints:
                 return p / norm
 
 
-def _too_close(pts: np.ndarray, others: np.ndarray) -> bool:
-    """Whether some point of ``pts`` (k x 4) lies closer than SEPARATION to
-    another row of ``others``, whose first k rows are ``pts`` themselves."""
-    d = np.linalg.norm(pts[:, None, :] - others[None, :, :], axis=2)
-    np.fill_diagonal(d, np.inf)  # each point against itself
-    return bool((d < SEPARATION).any())
-
-
 @dataclass(eq=False)
 class SpatialEmbedding:
     """Unit-S^3 coordinates for every (possibly subdivided) vertex.
@@ -253,72 +250,80 @@ class SpatialEmbedding:
     subdivision_edges: dict[str, tuple[VertexId, VertexId]] = field(default_factory=dict)
     landmarks: dict[str, str] = field(default_factory=dict)
 
-    def all_points(self) -> list[np.ndarray]:
-        return list(self.coordinates.values()) + list(
-            self.subdivision_coordinates.values()
-        )
-
-    def validate(self) -> None:
-        arr = np.array(self.all_points()).reshape(-1, 4)
-        if (np.abs(np.linalg.norm(arr, axis=1) - 1.0) > ORTHOGONALITY_TOL).any():
-            raise ValueError("embedded point is not on the unit sphere")
-        if _too_close(arr, arr):
-            raise ValueError("two embedded vertices are closer than 1e-6")
-
 
 class _Placer:
-    """Collects orbit placements, enforcing the 1e-6 separation floor.
+    """Owns an embedding while its orbits are placed.
 
-    ``coords`` keys graph vertices by global index and subdivision vertices
-    by their str id.
+    The points fill the rows of one array preallocated for the graph and
+    ``subdivisions`` subdivision vertices; ``rows`` maps each placed key
+    (graph vertices by global index, subdivision vertices by their str id)
+    to its row.  A new orbit is written after the placed rows and compared,
+    once, with every row before it and with itself, so each pair of points
+    is tested against SEPARATION exactly once; a rejected orbit is
+    overwritten by the next one.  ``embedding`` places the remaining cycles
+    and checks unit norm once over the array.
     """
 
-    def __init__(self, M: np.ndarray, shape: BipartiteShape, rng: SeededPoints) -> None:
+    def __init__(
+        self, M: np.ndarray, shape: BipartiteShape, rng: SeededPoints, subdivisions: int = 0
+    ) -> None:
         self.M = M
         self.shape = shape
         self.rng = rng
-        self.coords: dict[int | str, np.ndarray] = {}
+        self.points = np.empty((shape.size + subdivisions, 4))
+        self.rows: dict[int | str, int] = {}
 
     def _label(self, key) -> str:
         return key if isinstance(key, str) else self.shape.vertex_at(key).label
 
-    def _orbit(self, p: np.ndarray, length: int) -> list[np.ndarray]:
-        pts = [p]
-        q = p
-        for _ in range(length - 1):
-            q = self.M @ q
-            pts.append(q)
-        closure = np.linalg.norm(self.M @ q - p)
+    def _orbit(self, p: np.ndarray, length: int) -> None:
+        """Write the orbit of p into the rows after the placed ones."""
+        start = len(self.rows)
+        pts = self.points[start : start + length]
+        pts[0] = p
+        for i in range(1, length):
+            pts[i] = self.M @ pts[i - 1]
+        closure = np.linalg.norm(self.M @ pts[-1] - p)
         if closure > ORDER_TOL:
             raise PlacementFailure(
                 f"orbit of length {length} does not close (deviation {closure:.3g})"
             )
-        return pts
 
-    def _clear(self, pts: list[np.ndarray]) -> bool:
-        others = np.array([*pts, *self.coords.values()])
-        return not _too_close(others[: len(pts)], others)
+    def _admit(self, keys) -> bool:
+        """Keep the points written after the placed rows, one per key, when
+        none lies closer than SEPARATION to a placed point or to another."""
+        start, k = len(self.rows), len(keys)
+        new = self.points[start : start + k]
+        try:
+            d = np.linalg.norm(new[:, None, :] - self.points[None, : start + k], axis=2)
+        except MemoryError as exc:  # the k x (start + k) x 4 difference block
+            raise TooLarge(
+                f"placing an orbit of {k} points needs more memory than is available"
+            ) from exc
+        np.fill_diagonal(d[:, start:], np.inf)  # each point against itself
+        if (d < SEPARATION).any():
+            return False
+        self.rows.update(zip(keys, range(start, start + k)))
+        return True
 
     def put_point(self, key, p: np.ndarray) -> None:
-        if not self._clear([p]):
+        self.points[len(self.rows)] = p
+        if not self._admit([key]):
             raise PlacementFailure(f"fixed position for {self._label(key)} collides")
-        self.coords[key] = p
 
     def put_orbit_at(self, keys, p: np.ndarray) -> None:
         """Place an orbit at a pinned seed point (no resampling)."""
-        pts = self._orbit(p, len(keys))
-        if not self._clear(pts):
+        self._orbit(p, len(keys))
+        if not self._admit(keys):
             raise PlacementFailure(
                 f"pinned orbit through {self._label(keys[0])} collides"
             )
-        self.coords.update(zip(keys, pts))
 
     def put_orbit(self, keys, sample) -> None:
         """Place an orbit at a sampled seed point, resampling on collision."""
         for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            pts = self._orbit(sample(), len(keys))
-            if self._clear(pts):
-                self.coords.update(zip(keys, pts))
+            self._orbit(sample(), len(keys))
+            if self._admit(keys):
                 return
         raise PlacementFailure(
             f"no admissible orbit through {self._label(keys[0])} "
@@ -337,6 +342,35 @@ class _Placer:
             raise PlacementFailure("could not sample a point off the landmark sets")
 
         return sample
+
+    def embedding(
+        self,
+        cycles,
+        sub_edges: dict[str, tuple[int, int]],
+        landmark_names: tuple[str, ...],
+    ) -> SpatialEmbedding:
+        """Place every cycle not yet placed as a generic orbit off the
+        landmark sets, in ``cycles`` order, and return the embedding."""
+        avoid = [LANDMARK_DISTANCES[k] for k in landmark_names if k in LANDMARK_DISTANCES]
+        sample = self.sampler(SeededPoints.unit4, avoid)
+        for cyc in cycles:
+            if cyc[0] not in self.rows:
+                self.put_orbit(cyc, sample)
+        points = self.points[: len(self.rows)]
+        if (np.abs(np.linalg.norm(points, axis=1) - 1.0) > ORTHOGONALITY_TOL).any():
+            raise ValueError("embedded point is not on the unit sphere")
+        vertex_at = self.shape.vertex_at
+        return SpatialEmbedding(
+            shape=self.shape,
+            coordinates={
+                vertex_at(k): points[i] for k, i in self.rows.items() if k not in sub_edges
+            },
+            subdivision_coordinates={z: points[self.rows[z]] for z in sub_edges},
+            subdivision_edges={
+                z: (vertex_at(a), vertex_at(b)) for z, (a, b) in sub_edges.items()
+            },
+            landmarks={k: LANDMARK_DESCRIPTIONS[k] for k in landmark_names},
+        )
 
 
 def _on_circle(point_at):
@@ -377,28 +411,6 @@ def _interleave_fixed(aut: BipartiteAutomorphism) -> list[int]:
     return [g for pair in zip_longest(first, second) for g in pair if g is not None]
 
 
-def _split_embedding(
-    shape: BipartiteShape,
-    placer: _Placer,
-    sub_edges: dict[str, tuple[int, int]],
-    landmark_names: tuple[str, ...],
-) -> SpatialEmbedding:
-    vertex_at = shape.vertex_at
-    return SpatialEmbedding(
-        shape=shape,
-        coordinates={
-            vertex_at(k): p for k, p in placer.coords.items() if not isinstance(k, str)
-        },
-        subdivision_coordinates={
-            k: p for k, p in placer.coords.items() if isinstance(k, str)
-        },
-        subdivision_edges={
-            z: (vertex_at(a), vertex_at(b)) for z, (a, b) in sub_edges.items()
-        },
-        landmarks={k: LANDMARK_DESCRIPTIONS[k] for k in landmark_names},
-    )
-
-
 def _realize_rotation(aut, cycles, sig, rng) -> tuple[Isometry4, SpatialEmbedding]:
     """Cases 1 (part-preserving), 2, 3 and the identity: a single rotation.
 
@@ -410,10 +422,7 @@ def _realize_rotation(aut, cycles, sig, rng) -> tuple[Isometry4, SpatialEmbeddin
     fixed = _interleave_fixed(aut)
     for t, g in enumerate(fixed):
         placer.put_point(g, point_on_x(2.0 * math.pi * t / len(fixed)))
-    sample = placer.sampler(SeededPoints.unit4, [dist_to_x])
-    for cyc in cycles:
-        placer.put_orbit(cyc, sample)
-    return iso, _split_embedding(aut.shape, placer, {}, ("X",))
+    return iso, placer.embedding(cycles, {}, ("X",))
 
 
 def _subdivide_half_turn(aut: BipartiteAutomorphism, r: int):
@@ -498,26 +507,19 @@ def _realize_glide(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEmbed
         raise NotRealizable(f"case {case.label} is not a glide construction")
 
     iso = glide_isometry(alpha, beta, r)
-    placer = _Placer(iso.matrix, aut.shape, rng)
+    placer = _Placer(iso.matrix, aut.shape, rng, len(sub_edges))
 
-    placed = set()
     for point_at, pinned in ((point_on_y, on_y), (point_on_x, on_x)):
         for cyc, angle in pinned:
             if angle is None:
                 placer.put_orbit(cyc, placer.sampler(_on_circle(point_at)))
             else:
                 placer.put_orbit_at(cyc, point_at(angle))
-            placed.add(cyc)
 
     for z_cycle in z_cycles:
         placer.put_orbit(z_cycle, placer.sampler(_on_circle(point_on_y)))
 
-    sample = placer.sampler(SeededPoints.unit4, [dist_to_x, dist_to_y])
-    for cyc in cycles:
-        if cyc not in placed:
-            placer.put_orbit(cyc, sample)
-
-    return iso, _split_embedding(aut.shape, placer, sub_edges, ("X", "Y"))
+    return iso, placer.embedding(cycles, sub_edges, ("X", "Y"))
 
 
 def _realize_reflection(aut, cycles, case, rng) -> tuple[Isometry4, SpatialEmbedding]:
@@ -537,10 +539,7 @@ def _realize_reflection(aut, cycles, case, rng) -> tuple[Isometry4, SpatialEmbed
         placer.put_point(g, point_on_y(2.0 * math.pi * t / len(full)))
     for g, p in zip(rest, F_POINTS):
         placer.put_point(g, p)
-    sample = placer.sampler(SeededPoints.unit4, [dist_to_sphere])
-    for cyc in cycles:
-        placer.put_orbit(cyc, sample)
-    return iso, _split_embedding(aut.shape, placer, {}, ("S",))
+    return iso, placer.embedding(cycles, {}, ("S",))
 
 
 def _realize_improper(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEmbedding]:
@@ -555,51 +554,40 @@ def _realize_improper(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEm
     r = sig.r
     theta = Fraction(2, r) if case.sub in ("c", "d") else Fraction(1, r)
     iso = improper_isometry(theta, r)
-    placer = _Placer(iso.matrix, aut.shape, rng)
     pure_v, pure_w, mixed = _grouped_cycles(cycles, aut.shape.n, case.interchanged)
+    # case 13 (4 | r) has at most two mixed 2-cycles; each edge gets a
+    # subdivision vertex at a point of F
+    two_cycles = mixed.get(2, []) if case.number == 13 else []
+    sub_edges = {f"z{i}": cyc for i, cyc in enumerate(two_cycles, 1)}
+    placer = _Placer(iso.matrix, aut.shape, rng, len(sub_edges))
 
     for g, p in zip(_interleave_fixed(aut), F_POINTS):
         placer.put_point(g, p)
-
-    placed = set()
-    sub_edges: dict[str, tuple[int, int]] = {}
 
     if r == 2:
         # every non-fixed vertex is in a 2-cycle; embed them all off S and X
         pass
     elif case.number == 13:
-        two_cycles = mixed.get(2, [])
         angles = [math.pi / 2] if len(two_cycles) == 1 else [math.pi / 3, 4 * math.pi / 3]
-        for cyc, t, f_point in zip(two_cycles, angles, F_POINTS):
+        for (z, cyc), t, f_point in zip(sub_edges.items(), angles, F_POINTS):
             # a mixed cycle starts at its V vertex, so cyc = (v, phi(v))
             placer.put_orbit_at(cyc, point_on_x(t))
-            placed.add(cyc)
-            zname = f"z{len(sub_edges) + 1}"
-            placer.put_point(zname, f_point)
-            sub_edges[zname] = cyc
+            placer.put_point(z, f_point)
     else:
         if case.sub in ("a", "d"):
             for cyc in pure_w.get(2, []):
                 placer.put_orbit_at(cyc, point_on_x(math.pi / 2))
-                placed.add(cyc)
         if case.sub in ("b", "c"):
             on_x = placer.sampler(_on_circle(point_on_x), [dist_to_f])
             for cyc in pure_v.get(2, []):
                 placer.put_orbit(cyc, on_x)
-                placed.add(cyc)
         if case.sub in ("c", "d"):
             half_cycles = pure_w if case.sub == "c" else pure_v
             on_s = placer.sampler(SeededPoints.unit_on_sphere, [dist_to_x])
             for cyc in half_cycles.get(r // 2, []):
                 placer.put_orbit(cyc, on_s)
-                placed.add(cyc)
 
-    sample = placer.sampler(SeededPoints.unit4, [dist_to_sphere, dist_to_x])
-    for cyc in cycles:
-        if cyc not in placed:
-            placer.put_orbit(cyc, sample)
-
-    return iso, _split_embedding(aut.shape, placer, sub_edges, ("X", "S", "F"))
+    return iso, placer.embedding(cycles, sub_edges, ("X", "S", "F"))
 
 
 def realize(
@@ -611,6 +599,8 @@ def realize(
     its value "op" preserving, "or" reversing); NotRealizable is raised when
     the classifier reports none.  The construction is deterministic in
     ``seed``; the result satisfies verifier.verify at the default tolerance.
+    TooLarge is raised when an orbit is too long for its distance block to
+    fit in memory.
     """
     orientation = Orientation(orientation)
     sig = signature(aut)
@@ -621,13 +611,8 @@ def realize(
     if orientation is Orientation.OP:
         preserving = sig.side_action is SideAction.PRESERVING
         if case.number in (2, 3) or (case.number == 1 and preserving):
-            iso, emb = _realize_rotation(aut, cycles, sig, rng)
-        else:
-            iso, emb = _realize_glide(aut, cycles, sig, case, rng)
-    else:
-        if case.number == 11:
-            iso, emb = _realize_reflection(aut, cycles, case, rng)
-        else:
-            iso, emb = _realize_improper(aut, cycles, sig, case, rng)
-    emb.validate()
-    return iso, emb
+            return _realize_rotation(aut, cycles, sig, rng)
+        return _realize_glide(aut, cycles, sig, case, rng)
+    if case.number == 11:
+        return _realize_reflection(aut, cycles, case, rng)
+    return _realize_improper(aut, cycles, sig, case, rng)

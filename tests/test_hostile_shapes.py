@@ -102,6 +102,73 @@ def test_cli_verify_rejects_unallocatable_order(tmp_path):
     assert out.stderr.count("\n") == 1
 
 
+def _cycles(n: int, length: int) -> str:
+    """Both parts of K_{n,n} in consecutive pure cycles of ``length``."""
+    return "".join(
+        "(" + " ".join(f"{p}{i}" for i in range(s, s + length)) + ")"
+        for p in "vw"
+        for s in range(1, n + 1, length)
+    )
+
+
+def _run_limited(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=_limit_memory,
+    )
+
+
+# placing one 9000-point orbit compares it with itself in a 9000 x 9000 x 4
+# float block, 2.4 GiB
+HUGE_ORBIT = 9000
+HUGE_ORBIT_ERROR = f"placing an orbit of {HUGE_ORBIT} points needs more memory than is available"
+
+
+def test_realize_rejects_unallocatable_orbit():
+    script = (
+        "import sys\n"
+        "from bipsym import BipartiteShape, TooLarge, parse_cycles, realize\n"
+        "aut = parse_cycles(BipartiteShape(int(sys.argv[1]), int(sys.argv[1])), sys.argv[2])\n"
+        "try:\n"
+        "    realize(aut, 'op', 1)\n"
+        "except TooLarge as exc:\n"
+        "    print(exc)\n"
+    )
+    out = _run_limited(["-c", script, str(HUGE_ORBIT), _cycles(HUGE_ORBIT, HUGE_ORBIT)], 60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == HUGE_ORBIT_ERROR + "\n"
+
+
+def test_cli_realize_rejects_unallocatable_orbit():
+    graph = f"{HUGE_ORBIT},{HUGE_ORBIT}"
+    perm = _cycles(HUGE_ORBIT, HUGE_ORBIT)
+    out = _run_limited(
+        ["-m", "bipsym.cli", "realize", "--graph", graph, "--perm", perm, "--orientation", "op"],
+        60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == f"error: {HUGE_ORBIT_ERROR}\n"
+
+
+def test_cli_realizes_k2000_in_ten_cycles():
+    # each orbit is checked against the points before it once, when it is
+    # placed, so memory stays linear in the 4000 points
+    out = _run_limited(
+        ["-m", "bipsym.cli", "realize", "--graph", "2000,2000", "--perm", _cycles(2000, 10),
+         "--orientation", "op"],
+        10,
+    )
+    assert out.returncode == 0, out.stderr
+    assert len(json.loads(out.stdout)["vertices"]) == 4000
+
+
 def test_parse_bound_is_inclusive():
     n = MAX_VERTICES - 3
     aut = parse_cycles(BipartiteShape(n, 3), f"(v{n} v1)(w1 w3)")
