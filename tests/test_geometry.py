@@ -8,6 +8,7 @@ from bipsym import (
     BipartiteShape,
     NotRealizable,
     OrderMismatch,
+    PlacementFailure,
     PreconditionError,
     classify_aut,
     glide_isometry,
@@ -19,8 +20,13 @@ from bipsym import (
 )
 from bipsym.classifier import Orientation
 from bipsym.geometry import (
+    DET_TOL,
     F_POINTS,
+    IDENTITY_GAP,
+    ORDER_TOL,
+    ORTHOGONALITY_TOL,
     SeededPoints,
+    _Placer,
     _subdivide_half_turn,
     dispatch_case,
     dist_to_sphere,
@@ -158,6 +164,91 @@ class TestImproper:
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
             improper_isometry(Fraction(1, 4), 8)
+
+
+# -- constructed isometries: the invariants verify checks at run time ---------
+#
+# The constructors take the order from exact turn fractions and do not check
+# the float matrix; these sweeps check, for every turn fraction with
+# denominator at most 24, what the verifier would: orthogonality, the
+# determinant of the orientation, M^r = I by repeated product and no earlier
+# power within IDENTITY_GAP of I; and that the matrices are read-only.
+
+DENOMINATORS = range(1, 25)
+
+
+def turn_fractions(d):
+    """The turn fractions in [0, 1) with denominator exactly d."""
+    return [Fraction(a, d) for a in range(d) if math.gcd(a, d) == 1]
+
+
+def assert_constructed_invariants(isos):
+    """Check isometries of one claimed order and orientation together, the
+    repeated product taken over the stack of their matrices."""
+    (r,) = {iso.claimed_order for iso in isos}
+    (orientation,) = {iso.orientation for iso in isos}
+    assert not any(iso.matrix.flags.writeable for iso in isos)
+    M = np.stack([iso.matrix for iso in isos])
+    eye = np.eye(4)
+    assert np.abs(M.transpose(0, 2, 1) @ M - eye).max() <= ORTHOGONALITY_TOL
+    want = 1.0 if orientation is Orientation.OP else -1.0
+    assert np.abs(np.linalg.det(M) - want).max() <= DET_TOL
+    A = np.broadcast_to(eye, M.shape)
+    for k in range(1, r):
+        A = A @ M
+        assert np.abs(A - eye).max(axis=(1, 2)).min() > IDENTITY_GAP, f"M^{k} = I"
+    assert np.abs(A @ M - eye).max() <= ORDER_TOL
+
+
+class TestConstructedInvariants:
+    @pytest.mark.parametrize("r", DENOMINATORS)
+    def test_rotation(self, r):
+        assert_constructed_invariants([rotation_isometry(r)])
+
+    @pytest.mark.parametrize("j", DENOMINATORS)
+    def test_glide(self, j):
+        for k in DENOMINATORS:
+            r = math.lcm(j, k)
+            assert_constructed_invariants(
+                [
+                    glide_isometry(alpha, beta, r)
+                    for alpha in turn_fractions(j)
+                    for beta in turn_fractions(k)
+                ]
+            )
+
+    def test_reflection(self):
+        assert_constructed_invariants([reflection_isometry()])
+
+    @pytest.mark.parametrize("d", DENOMINATORS)
+    def test_improper(self, d):
+        r = math.lcm(d, 2)
+        assert_constructed_invariants(
+            [improper_isometry(theta, r) for theta in turn_fractions(d)]
+        )
+
+    def test_order_below_identity_gap(self):
+        # 2*pi/r < IDENTITY_GAP: M is within the gap of I, but the order is
+        # exact, and only the verifier measures M
+        iso = rotation_isometry(7_000_000)
+        assert iso.claimed_order == 7_000_000
+        assert np.abs(iso.matrix - np.eye(4)).max() <= IDENTITY_GAP
+
+
+class TestPlacerChecks:
+    def test_orbit_that_does_not_close(self):
+        # an orbit of the 2*pi/5 rotation has 5 points off X, not 3
+        shape = BipartiteShape(3, 3)
+        placer = _Placer(rotation_isometry(5).matrix, shape, SeededPoints(1))
+        with pytest.raises(PlacementFailure, match="orbit of length 3 does not close"):
+            placer._orbit(np.array([1.0, 0.0, 0.0, 0.0]), 3)
+
+    def test_pinned_point_off_the_sphere(self):
+        placer = _Placer(rotation_isometry(1).matrix, BipartiteShape(1, 1), SeededPoints(1))
+        placer.put_point(0, np.array([2.0, 0.0, 0.0, 0.0]))
+        placer.put_point(1, np.array([0.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="not on the unit sphere"):
+            placer.embedding([(0,), (1,)], {}, ("X",))
 
 
 class TestSeededPoints:

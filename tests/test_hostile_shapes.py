@@ -169,6 +169,26 @@ def test_cli_realizes_k2000_in_ten_cycles():
     assert len(json.loads(out.stdout)["vertices"]) == 4000
 
 
+def test_cli_realizes_k1499_1500_of_order_2248500():
+    # the order of the glide R(2*pi/1499) + R(2*pi/1500) is lcm(1499, 1500),
+    # exact from the turn fractions, so realize never multiplies out its
+    # 2 248 500 powers
+    perm = "".join(
+        "(" + " ".join(f"{p}{i}" for i in range(1, size + 1)) + ")"
+        for p, size in (("v", 1499), ("w", 1500))
+    )
+    out = _run_limited(
+        ["-m", "bipsym.cli", "realize", "--graph", "1499,1500", "--perm", perm,
+         "--orientation", "op"],
+        10,
+    )
+    assert out.returncode == 0, out.stderr
+    obj = json.loads(out.stdout)
+    assert obj["case"] == "OP6"
+    assert obj["order"] == 1499 * 1500
+    assert len(obj["vertices"]) == 2999
+
+
 def test_parse_bound_is_inclusive():
     n = MAX_VERTICES - 3
     aut = parse_cycles(BipartiteShape(n, 3), f"(v{n} v1)(w1 w3)")
