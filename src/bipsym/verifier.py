@@ -6,26 +6,46 @@ the fixed-point sets of the powers of the matrix, and the hypotheses of the
 edge-embedding conditions (named eel1-eel4 in the certificate).  Nothing is
 trusted from the construction that produced the triple.
 
-Each check runs on arrays stacked over the powers M^0..M^r of the matrix
-(r the claimed order) and over the embedded points.  Fixed sets are worked
-out once per proper divisor of r, not once per power: when M^r = I, the
-powers M^i and M^g with g = gcd(i, r) generate the same cyclic group (g is
-an integer combination of i and r, and i is a multiple of g), and a point is
-fixed by a power exactly when the group that power generates fixes it.  So
-M^i has the fixed subspace and the fixed points of M^g, and a finding about
-M^g is reported for every power i with gcd(i, r) = g.  When M^r is not the
-identity the order check fails, and the certificate with it.
+The powers M^1..M^r of the matrix (r the claimed order) are made once, by
+repeated multiplication, in blocks of _POWER_BLOCK, and no stack of all of
+them is kept.  That one pass finds the first power within IDENTITY_GAP of I,
+keeps M^r for the order check and M^d for each proper divisor d of r, and
+runs eel2 on the powers of each block.  Time grows linearly with r, which
+MAX_CLAIMED_ORDER bounds; memory does not grow with r beyond one int per
+power (their gcds with r).
+
+Fixed sets are worked out once per proper divisor of r, not once per power:
+when M^r = I, the powers M^i and M^g with g = gcd(i, r) generate the same
+cyclic group (g is an integer combination of i and r, and i is a multiple of
+g), and a point is fixed by a power exactly when the group that power
+generates fixes it.  So M^i has the fixed subspace and the fixed points of
+M^g, and a finding about M^g is reported for every power i with
+gcd(i, r) = g.  When M^r is not the identity the order check fails, and the
+certificate with it.
+
+eel2 tests geometrically only the (power, edge) pairs that can fail.  Let π
+be the point permutation the automorphism prescribes.  π^i interchanges the
+ends of an edge only when both lie in one π-cycle of even length L, L/2
+apart, and i ≡ L/2 (mod L).  When the induces check finds that π(k) is the
+point nearest M x_k for every point k, within a step δ, and M and the points
+pass the orthogonality and unit-norm checks, then M^i x_k lies within about
+i·δ of x_{π^i(k)}; while tol plus that drift for i = r stays
+below the minimum separation, M^i brings an edge's ends within tol of each
+other's places only where π^i interchanges them.  Otherwise every (power,
+edge) pair is tested, in the same blocks, up to MAX_SWAP_TESTS pairs.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .classifier import Orientation
-from .core import BipartiteAutomorphism, Part
+from .core import BipartiteAutomorphism, Part, SideAction, _index_cycles
 from .errors import PreconditionError, ShapeMismatch, TooLarge
 from .geometry import (
     DET_TOL,
@@ -37,7 +57,28 @@ from .geometry import (
     SpatialEmbedding,
 )
 
-_POWER_BLOCK = 1024  # powers per block of the eel2 comparison, bounding its memory
+# The power pass takes about 2 µs per power on 2 CPUs (x86-64, OpenBLAS), so
+# a K_{3,3} file claiming this order gets its certificate in about a second;
+# a larger claim raises TooLarge before any product.
+MAX_CLAIMED_ORDER = 500_000
+# n*m edges plus the subdivision vertices: the edge arrays grow with them,
+# and on balanced shapes the separation grid of the points too.  At this
+# bound, K_{1000,1000} in pure 10-cycles verifies in about 1.1 s at 420 MB
+# peak RSS on 2 CPUs; larger graphs raise TooLarge before any array is built.
+MAX_VERIFY_EDGES = 1_000_000
+# When π is not established, eel2 tests every (power, edge) pair, about five
+# million a second on 2 CPUs.  This bound keeps that to a few seconds and
+# admits a K_{300,300} file with a moved point at its order 300 (2.7 * 10^7
+# pairs, 5 s); more raise TooLarge before the power pass.
+MAX_SWAP_TESTS = 30_000_000
+
+_POWER_BLOCK = 1024  # powers per block of the power pass, bounding its memory
+_PAIR_BUDGET = 1 << 18  # 4-vectors per eel2 array of one block
+# Drift of a computed image M^i x per power beyond the step δ of M: the
+# rounding of one 4 x 4 product and of the image, with a wide margin
+_ROUNDING = 1e-12
+_I4 = np.eye(4)
+_I4.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -69,8 +110,8 @@ def fixed_subspace(A: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:
     Its dimension d = 0, 1, 2, 3, 4 makes the fixed set in S^3 empty, two
     points, a circle, a sphere or all of S^3.
     """
-    _, s, vh = np.linalg.svd(A - np.eye(4))
-    d = int(np.sum(s <= tol))
+    _, s, vh = np.linalg.svd(A - _I4)
+    d = int(np.count_nonzero(s <= tol))
     if d == 0:
         return np.zeros((4, 0))
     return vh[4 - d :].T
@@ -83,61 +124,52 @@ def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
     return float(np.linalg.norm(p1 - p2, 2))
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, as np.linalg.norm computes them
+    for floats, without its argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def _proper_divisors(r: int) -> list[int]:
     """Divisors d < r of r, ascending."""
     small = [d for d in range(1, math.isqrt(r) + 1) if r % d == 0]
-    return sorted({*small, *(r // d for d in small)} - {r})
+    large = [r // d for d in reversed(small) if r // d != d]
+    return (small + large)[:-1]  # r // 1 = r comes last
 
 
 class _Verification:
     """Working state shared by the individual checks of verify().
 
     Points are indexed by global index for graph vertices, then from
-    ``n_graph`` on by subdivision id in sorted order (``zids``).  Rows of
+    ``n_graph`` on by subdivision id in sorted order (``zids``).  ``image``
+    is the point permutation π: image[k] is the index of the automorphism's
+    image of point k, extended over subdivision vertices, and -1 where the
+    subdivision set is not closed under the automorphism.  The induces check
+    sets ``min_sep`` and ``step``; ``run_powers`` sets the rest.  Rows of
     ``point_fixed``, ``edge_fixed`` and ``bases`` belong to the proper
     divisors of the claimed order.
     """
 
-    def __init__(self, aut, iso, emb, tol):
+    def __init__(self, aut, iso, emb, tol, coordinates):
         self.aut = aut
         self.iso = iso
         self.tol = tol
         self.n_graph = aut.shape.size  # indices below this are graph vertices
         self.zids = sorted(emb.subdivision_coordinates)
-        self.P = np.array(
-            [emb.coordinates[v] for v in aut.shape.vertices()]
-            + [emb.subdivision_coordinates[z] for z in self.zids]
-        )
-        r = iso.claimed_order
-        # powers[i] = matrix^i by repeated multiplication, whose exact bits
-        # the order check reports
-        self.powers = np.empty((r + 1, 4, 4))
-        A = np.eye(4)
-        self.powers[0] = A
-        for i in range(1, r + 1):
-            A = A @ iso.matrix
-            self.powers[i] = A
-        # images[i, k] = matrix^i applied to point k
-        self.images = np.einsum("ikl,pl->ipk", self.powers, self.P)
-        self.gcd = np.gcd(np.arange(r), r)  # gcd[i] = gcd(i, r) for powers i < r
-        self.divisors = _proper_divisors(r)
-        self.bases = [fixed_subspace(self.powers[d]) for d in self.divisors]
-        # point_fixed[j, k]: the power divisors[j] fixes point k within tol
-        self.point_fixed = (
-            np.linalg.norm(self.images[self.divisors] - self.P, axis=2) <= tol
-        )
+        self.P = np.array(coordinates + [emb.subdivision_coordinates[z] for z in self.zids])
+        if self.P.ndim != 2 or self.P.shape[1] != 4 or np.shape(iso.matrix) != (4, 4):
+            raise ValueError("points need 4 coordinates and the matrix 4 x 4")
         self.edge_a, self.edge_b = self._adjacency(emb.subdivision_edges)
-        self.edge_fixed = (
-            self.point_fixed[:, self.edge_a] & self.point_fixed[:, self.edge_b]
-        )
+        self.image = self._point_image()
 
-    def _adjacency(self, subdivision_edges) -> np.ndarray:
+    def _adjacency(self, subdivision_edges) -> tuple[np.ndarray, np.ndarray]:
         """Edges of the subdivided graph as two index arrays: (v, w) for v in
         V and w in W in index order, a subdivided edge as (v, z), (z, w).
 
         Raises ShapeMismatch when an edge carries two subdivision vertices.
         """
         shape = self.aut.shape
+        n, m = shape.n, shape.m
         # z_edges[i]: the edge of subdivision vertex zids[i] as (V, W) indices;
         # V indices precede W indices, so the sorted pair is that edge
         self.z_edges = []
@@ -149,12 +181,28 @@ class _Verification:
                 raise ShapeMismatch(f"edge ({a}, {b}) subdivided twice")
             self.z_edges.append(edge)
             self.z_at[edge] = k
-        pairs = []
-        for a in range(shape.n):
-            for b in range(shape.n, self.n_graph):
-                z = self.z_at.get((a, b))
-                pairs += [(a, b)] if z is None else [(a, z), (z, b)]
-        return np.array(pairs).T
+        a, b = np.divmod(np.arange(n * m), m)
+        b += n
+        if self.z_edges:
+            za, zb = np.array(self.z_edges).T
+            at = za * m + zb - n  # position of each subdivided edge
+            width = np.ones(n * m, dtype=np.int64)
+            width[at] = 2
+            a, b = np.repeat(a, width), np.repeat(b, width)
+            first = np.cumsum(width)[at] - 2  # (v, z) here, (z, w) next
+            z = np.arange(self.n_graph, self.n_graph + len(self.zids))
+            b[first] = z
+            a[first + 1] = z
+        return a, b
+
+    def _point_image(self) -> np.ndarray:
+        perm = self.aut.perm
+        image = np.empty(len(self.P), dtype=np.int64)
+        image[: self.n_graph] = perm
+        for k, (a, b) in enumerate(self.z_edges, self.n_graph):
+            a, b = perm[a], perm[b]
+            image[k] = self.z_at.get((min(a, b), max(a, b)), -1)
+        return image
 
     def name(self, k: int) -> str:
         """Label of embedded point k, for failure messages."""
@@ -162,15 +210,11 @@ class _Verification:
             return self.aut.shape.vertex_at(k).label
         return self.zids[k - self.n_graph]
 
-    def image_index(self, k: int) -> int | None:
-        """Index of the image of embedded point k under the automorphism,
-        extended over subdivision vertices; None when the subdivision set is
-        not closed under the automorphism."""
-        perm = self.aut.perm
-        if k < self.n_graph:
-            return perm[k]
-        a, b = (perm[g] for g in self.z_edges[k - self.n_graph])
-        return self.z_at.get((min(a, b), max(a, b)))
+    @cached_property
+    def gcd(self) -> np.ndarray:
+        """gcd[i] = gcd(i, r) for the powers i < r of the claimed order r."""
+        r = self.iso.claimed_order
+        return np.gcd(np.arange(r), r)
 
     def by_power(self, findings: dict[int, list[str]]) -> list[str]:
         """Findings keyed by divisor d, repeated in order for every power
@@ -179,6 +223,97 @@ class _Verification:
             return []
         powers = np.flatnonzero(np.isin(self.gcd, list(findings)))
         return [f"power {i}: {text}" for i in powers for text in findings[self.gcd[i]]]
+
+    def run_powers(self, r: int, pi_exact: bool) -> None:
+        """Make M^1..M^r once, in blocks, and take from them what the checks need.
+
+        Sets ``order_dev`` (max |M^r - I|), ``early`` (the first power below
+        r within IDENTITY_GAP of I, or None), the per-divisor rows and
+        ``swaps``: (power, a, b) for every edge (a, b) whose ends a power
+        below r interchanges, in (power, edge) order.  ``pi_exact`` says that
+        only the pairs π can interchange need testing (module docstring).
+        """
+        M = self.iso.matrix
+        self.divisors = _proper_divisors(r)
+        groups = self._swap_groups(pi_exact)
+        # eel2 holds (block size) x (points, or a group's edges) 4-vectors
+        # per array when a group has edges
+        width = max([len(self.P)] + [len(edges) for _, edges in groups])
+        size = min(_POWER_BLOCK, r, max(1, _PAIR_BUDGET // width))
+        block = np.empty((size, 4, 4))
+        divisors = np.array(self.divisors, dtype=np.int64)
+        at_divisors = np.empty((len(divisors), 4, 4))
+        self.early = None
+        self.swaps = []
+        A = _I4
+        j0 = 0
+        for lo in range(1, r + 1, size):
+            powers = block[: min(size, r + 1 - lo)]  # M^lo, M^(lo+1), ...
+            for row in powers:
+                np.matmul(A, M, out=row)
+                A = row
+            devs = np.abs(powers - _I4).max(axis=(1, 2))
+            if self.early is None:
+                near = devs[: r - lo] <= IDENTITY_GAP  # powers below r only
+                if near.any():
+                    self.early = lo + int(near.argmax())
+            j1 = bisect.bisect_left(self.divisors, lo + len(powers))
+            at_divisors[j0:j1] = powers[divisors[j0:j1] - lo]
+            j0 = j1
+            if groups:
+                self.swaps += self._swaps(powers[: r - lo], lo, groups)
+        self.order_dev = float(devs[-1])  # M^r ends the last block
+        self.bases = [fixed_subspace(D) for D in at_divisors]
+        # images[j, k] = M^divisors[j] applied to point k
+        images = np.einsum("ikl,pl->ipk", at_divisors, self.P)
+        # point_fixed[j, k]: the power divisors[j] fixes point k within tol
+        self.point_fixed = _norms(images - self.P) <= self.tol
+        self.edge_fixed = (
+            self.point_fixed[:, self.edge_a] & self.point_fixed[:, self.edge_b]
+        )
+
+    def _swap_groups(self, pi_exact: bool) -> list[tuple[int, np.ndarray]]:
+        """(L, edges) groups: a power i can interchange the ends of those
+        edges only when i ≡ L // 2 (mod L).  Every edge, with L = 1, unless
+        ``pi_exact``; then the edges whose ends lie L/2 apart in a π-cycle
+        of even length L."""
+        if not pi_exact:
+            return [(1, np.arange(len(self.edge_a)))]
+        if self.aut.side_action is SideAction.PRESERVING:
+            # π keeps V, W and the subdivision vertices, and no edge lies
+            # within one of them
+            return []
+        partner = np.full(len(self.P), -1)  # partner[k] = π^(L/2)(k)
+        period = np.zeros(len(self.P), dtype=np.int64)
+        for cycle in _index_cycles(self.image.tolist()):
+            half = len(cycle) // 2
+            if 2 * half == len(cycle):
+                partner[cycle] = cycle[half:] + cycle[:half]
+                period[cycle] = len(cycle)
+        edges = np.flatnonzero(partner[self.edge_a] == self.edge_b)
+        lengths = period[self.edge_a[edges]]
+        # sorted(set()), not np.unique, which imports numpy.ma on first use
+        return [(L, edges[lengths == L]) for L in sorted(set(lengths.tolist()))]
+
+    def _swaps(self, powers, lo, groups) -> list[tuple[int, int, int]]:
+        """(i, a, b) for each group edge (a, b) whose ends M^i, the row
+        i - lo of ``powers``, interchanges, in (power, edge) order."""
+        # images[i, k] = M^(lo + i) applied to point k
+        images = np.einsum("ikl,pl->ipk", powers, self.P)
+        found = []
+        for L, edges in groups:
+            rows = np.arange((L // 2 - lo) % L, len(powers), L)
+            a, b = self.edge_a[edges], self.edge_b[edges]
+            Q = images[rows]
+            hit = (_norms(Q[:, a] - self.P[b]) <= self.tol) & (
+                _norms(Q[:, b] - self.P[a]) <= self.tol
+            )
+            i, j = np.nonzero(hit)
+            found.append((rows[i] + lo, edges[j]))
+        p, e = (np.concatenate(x) for x in zip(*found))
+        order = np.lexsort((e, p))
+        p, e = p[order], e[order]
+        return list(zip(p.tolist(), self.edge_a[e].tolist(), self.edge_b[e].tolist()))
 
 
 def verify(
@@ -191,44 +326,79 @@ def verify(
 
     The certificate always contains the checks: unit_norm, orthogonal,
     order, orientation, induces, eel1, eel2, eel3, eel4.  ``tol`` must be
-    finite and positive.  Raises TooLarge when the stack of the claimed
-    order's matrix powers does not fit in memory.
+    finite and positive.  One pass makes the powers M^1..M^r of the claimed
+    order r, so time grows linearly with r while memory does not depend on
+    it beyond one int per power; eel2 tests only the (power, edge) pairs a
+    power of the point permutation π can invert, unless π is not
+    established (module docstring).  Raises TooLarge, before any work, when
+    r exceeds MAX_CLAIMED_ORDER or the edges plus the subdivision vertices
+    exceed MAX_VERIFY_EDGES; before the power pass when eel2 would test
+    every pair and there are more than MAX_SWAP_TESTS; and when the checks'
+    arrays do not fit in memory.
     """
-    if aut.shape != emb.shape:
-        raise ShapeMismatch(f"automorphism {aut.shape} vs embedding {emb.shape}")
-    if iso.claimed_order < 1:
-        raise PreconditionError(f"claimed order must be positive, got {iso.claimed_order}")
+    shape = aut.shape
+    if shape != emb.shape:
+        raise ShapeMismatch(f"automorphism {shape} vs embedding {emb.shape}")
+    r = iso.claimed_order
+    if r < 1:
+        raise PreconditionError(f"claimed order must be positive, got {r}")
+    if r > MAX_CLAIMED_ORDER:
+        raise TooLarge(f"claimed order {r} is more than {MAX_CLAIMED_ORDER}")
     if not (math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"tolerance must be finite and positive, got {tol}")
-    missing = [v for v in aut.shape.vertices() if v not in emb.coordinates]
-    if missing:
-        raise ShapeMismatch(f"embedding lacks coordinates for {missing[0].label}")
+    edges = shape.n * shape.m
+    subdivisions = len(emb.subdivision_coordinates)
+    if edges + subdivisions > MAX_VERIFY_EDGES:
+        raise TooLarge(
+            f"K_{{{shape.n},{shape.m}}} has {edges} edges and {subdivisions} "
+            f"subdivision vertices, more than {MAX_VERIFY_EDGES} together"
+        )
+    try:
+        coordinates = [emb.coordinates[v] for v in shape.vertices()]
+    except KeyError as exc:
+        raise ShapeMismatch(f"embedding lacks coordinates for {exc.args[0].label}") from None
     for e in emb.subdivision_edges.values():
         if {e[0].part, e[1].part} != {Part.V, Part.W} or not all(
-            aut.shape.contains(x) for x in e
+            shape.contains(x) for x in e
         ):
             raise ShapeMismatch(f"subdivision edge {e} is not an edge of the graph")
     if emb.subdivision_edges.keys() != emb.subdivision_coordinates.keys():
         raise ShapeMismatch("subdivision vertices and their edges do not match")
 
     try:
-        st = _Verification(aut, iso, emb, tol)
+        st = _Verification(aut, iso, emb, tol, coordinates)
     except ValueError as exc:  # e.g. ragged coordinates
         raise ShapeMismatch(str(exc)) from exc
-    except MemoryError as exc:  # the (r+1)-power stacks do not fit
-        raise TooLarge(
-            f"claimed order {iso.claimed_order} needs more memory than is available"
-        ) from exc
     M = iso.matrix
-    r = iso.claimed_order
+    try:
+        unit_norm = _check_unit_norm(st)
+        orthogonal = _check_orthogonal(M)
+        induces = _check_induces(st)
+        # step is finite only when π(k) is the point nearest M x_k for every
+        # k, so π is then a permutation.  With |M| within 1 + 2 *
+        # ORTHOGONALITY_TOL of 1 and unit points, the computed M^i x_k lies
+        # within i * (2 * step + rounding) of x_{π^i(k)}.
+        drift = tol + r * (2 * st.step + _ROUNDING)
+        pi_exact = unit_norm.passed and orthogonal.passed and drift < st.min_sep
+        tests = (r - 1) * len(st.edge_a)
+        if not pi_exact and tests > MAX_SWAP_TESTS:
+            raise TooLarge(
+                f"claimed order {r} needs {tests} edge comparisons, "
+                f"more than {MAX_SWAP_TESTS}"
+            )
+        st.run_powers(r, pi_exact)
+    except MemoryError as exc:  # the separation grid is quadratic in the points
+        raise TooLarge(
+            f"verifying K_{{{shape.n},{shape.m}}} needs more memory than is available"
+        ) from exc
     checks = [
-        _check_unit_norm(st),
-        _check_orthogonal(M),
+        unit_norm,
+        orthogonal,
         _check_order(st, r),
         _check_orientation(M, iso.orientation),
-        _check_induces(st),
+        induces,
         _check_eel1(st),
-        _check_eel2(st, r),
+        _check_eel2(st),
         _check_eel3(st),
         _check_eel4(st),
     ]
@@ -236,7 +406,7 @@ def verify(
 
 
 def _check_unit_norm(st) -> CheckResult:
-    dev = float(np.abs(np.linalg.norm(st.P, axis=1) - 1.0).max())
+    dev = float(np.abs(_norms(st.P) - 1.0).max())
     return CheckResult(
         "unit_norm",
         dev <= ORTHOGONALITY_TOL,
@@ -246,22 +416,19 @@ def _check_unit_norm(st) -> CheckResult:
 
 
 def _check_orthogonal(M: np.ndarray) -> CheckResult:
-    dev = float(np.abs(M.T @ M - np.eye(4)).max())
+    dev = float(np.abs(M.T @ M - _I4).max())
     return CheckResult(
         "orthogonal", dev <= ORTHOGONALITY_TOL, f"max |M^T M - I| = {dev:.3g}", dev
     )
 
 
 def _check_order(st, r: int) -> CheckResult:
-    final = float(np.abs(st.powers[r] - np.eye(4)).max())
-    ok = final <= st.tol
-    detail = f"|M^{r} - I| = {final:.3g}"
-    devs = np.abs(st.powers[1:r] - np.eye(4)).max(axis=(1, 2))
-    early = np.flatnonzero(devs <= IDENTITY_GAP)
-    if early.size:
+    ok = st.order_dev <= st.tol
+    detail = f"|M^{r} - I| = {st.order_dev:.3g}"
+    if st.early is not None:
         ok = False
-        detail += f"; M^{early[0] + 1} is already the identity"
-    return CheckResult("order", ok, detail, final)
+        detail += f"; M^{st.early} is already the identity"
+    return CheckResult("order", ok, detail, st.order_dev)
 
 
 def _check_orientation(M: np.ndarray, orientation: Orientation) -> CheckResult:
@@ -274,33 +441,42 @@ def _check_orientation(M: np.ndarray, orientation: Orientation) -> CheckResult:
 
 
 def _check_induces(st) -> CheckResult:
-    K = len(st.P)
-    diff = st.P[:, None, :] - st.P[None, :, :]
-    dists = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dists, np.inf)
-    min_sep = float(dists.min()) if K > 1 else math.inf
-    Q = st.P @ st.iso.matrix.T
-    move = np.linalg.norm(Q[:, None, :] - st.P[None, :, :], axis=2)
+    P = st.P
+    K = len(P)
+    Q = P @ st.iso.matrix.T
+    # rows below K: distances between points; from K on: from M x_k to each
+    # point.  The grid is the largest array of verify, so it is squared in place.
+    grid = np.concatenate((P, Q))[:, None, :] - P
+    grid *= grid
+    grid = np.sqrt(np.add.reduce(grid, axis=-1))
+    dists, move = grid[:K], grid[K:]
+    dists.flat[:: K + 1] = np.inf
+    min_sep = float(dists.min())
     nearest = move.argmin(axis=1)
-    worst = 0.0
+    target = st.image
+    matched = nearest == target  # never where target is -1
+    dev = move[np.arange(K), target]  # d(M x_k, x_target); unused where not closed
+    st.min_sep = min_sep
+    st.step = float(dev.max()) if matched.all() else math.inf
+    if st.step <= st.tol:  # every point matched within tol, no NaN
+        worst, bad = st.step, ()
+    else:
+        # as Python's max over the points in order: a NaN deviation never wins
+        worst = float(np.max(dev, where=(target >= 0) & (dev > 0), initial=0.0))
+        bad = np.flatnonzero(~matched | (dev > st.tol))
     ok = min_sep >= SEPARATION
     detail = []
     if not ok:
         detail.append(f"min separation {min_sep:.3g} < 1e-6")
-    for k in range(K):
-        target = st.image_index(k)
-        if target is None:
-            ok = False
+    for k in bad:
+        ok = False
+        if target[k] < 0:
             detail.append(f"subdivision set not closed at {st.name(k)}")
             continue
-        d = float(move[k, target])
-        worst = max(worst, d)
-        if nearest[k] != target or d > st.tol:
-            ok = False
-            detail.append(
-                f"M*{st.name(k)} matched {st.name(nearest[k])}, wanted "
-                f"{st.name(target)} (dist {d:.3g})"
-            )
+        detail.append(
+            f"M*{st.name(k)} matched {st.name(int(nearest[k]))}, wanted "
+            f"{st.name(int(target[k]))} (dist {float(dev[k]):.3g})"
+        )
     return CheckResult(
         "induces",
         ok,
@@ -316,11 +492,12 @@ def _check_eel1(st) -> CheckResult:
     # has the subspace of gcd(i, r), so each later divisor is compared once
     # and counts for all of its powers; the powers sharing the first
     # divisor's gcd agree with it.
-    powers_with_gcd = np.bincount(st.gcd[1:])
+    multi = np.flatnonzero(st.edge_fixed.sum(axis=0) >= 2)
+    powers_with_gcd = np.bincount(st.gcd[1:]) if multi.size else None
     distances: dict[tuple[int, int], float | None] = {}  # None: dimensions differ
     worst = 0.0
     bad = 0
-    for e in np.flatnonzero(st.edge_fixed.sum(axis=0) >= 2):
+    for e in multi:
         first, *later = np.flatnonzero(st.edge_fixed[:, e])
         for j in later:
             if (first, j) not in distances:
@@ -342,15 +519,8 @@ def _check_eel1(st) -> CheckResult:
     return CheckResult("eel1", ok, detail, worst)
 
 
-def _check_eel2(st, r: int) -> CheckResult:
-    a, b = st.edge_a, st.edge_b
-    bad = []
-    for lo in range(1, r, _POWER_BLOCK):
-        Q = st.images[lo : min(lo + _POWER_BLOCK, r)]
-        swapped = (np.linalg.norm(Q[:, a] - st.P[b], axis=2) <= st.tol) & (
-            np.linalg.norm(Q[:, b] - st.P[a], axis=2) <= st.tol
-        )
-        bad += [(lo + i, a[e], b[e]) for i, e in zip(*np.nonzero(swapped))]
+def _check_eel2(st) -> CheckResult:
+    bad = st.swaps
     detail = (
         "; ".join(
             f"M^{i} interchanges {st.name(a)},{st.name(b)}"
@@ -369,10 +539,9 @@ def _part_counts(st, members: np.ndarray) -> tuple[int, int, int]:
 
 
 def _arc_findings(st, j: int) -> list[str]:
-    """Arc conditions on the fixed set of the power st.divisors[j]."""
+    """Arc conditions on the fixed set of the power st.divisors[j], which
+    fixes some edge."""
     pairs = np.flatnonzero(st.edge_fixed[j])
-    if not pairs.size:
-        return []
     basis = st.bases[j]
     dim = basis.shape[1]
     on = np.flatnonzero(st.point_fixed[j])
@@ -404,10 +573,10 @@ def _arc_findings(st, j: int) -> list[str]:
 
 def _check_eel3(st) -> CheckResult:
     findings = {}
-    for j, d in enumerate(st.divisors):
+    for j in np.flatnonzero(st.edge_fixed.any(axis=1)):
         found = _arc_findings(st, j)
         if found:
-            findings[d] = found
+            findings[st.divisors[j]] = found
     problems = st.by_power(findings)
     return CheckResult(
         "eel3",

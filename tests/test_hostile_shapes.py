@@ -31,6 +31,7 @@ from bipsym import (
 from bipsym.census import MAX_CENSUS_PART, MAX_REALIZE_ALL_PART
 from bipsym.core import MAX_VERTICES
 from bipsym.jsonio import realization_to_obj
+from bipsym.verifier import MAX_CLAIMED_ORDER, MAX_VERIFY_EDGES
 
 SRC = str(Path(bipsym.__file__).resolve().parents[1])
 ADDRESS_SPACE = 1 << 30
@@ -100,6 +101,98 @@ def test_cli_verify_rejects_unallocatable_order(tmp_path):
     assert out.stdout == ""
     assert out.stderr.startswith(f"error: claimed order {HUGE_ORDER} ")
     assert out.stderr.count("\n") == 1
+
+
+def _write_claiming(path: Path, order: int) -> None:
+    """The K_{3,3} realization of (v1 v2), claiming ``order``, as a file."""
+    aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2)")
+    iso, emb = realize(aut, Orientation.OR, 1)
+    iso = dataclasses.replace(iso, claimed_order=order)
+    path.write_text(json.dumps(realization_to_obj(aut, iso, emb, "OR11", 1)))
+
+
+def test_verify_refuses_order_above_bound_before_any_product():
+    aut, iso, emb = _huge_order_realization()
+    iso = dataclasses.replace(iso, claimed_order=MAX_CLAIMED_ORDER + 1)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"claimed order {MAX_CLAIMED_ORDER + 1} "):
+        verify(aut, iso, emb)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_cli_verify_refuses_order_above_bound(tmp_path):
+    path = tmp_path / "above.json"
+    _write_claiming(path, MAX_CLAIMED_ORDER + 1)
+    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"error: claimed order {MAX_CLAIMED_ORDER + 1} ")
+    assert out.stderr.count("\n") == 1
+
+
+def test_cli_verify_at_order_bound_is_small_and_fails(tmp_path):
+    # M has order 2, so the even order at the bound passes |M^r - I| but
+    # M^2 is already the identity; the pass over the powers keeps no stack
+    assert MAX_CLAIMED_ORDER % 2 == 0
+    path = tmp_path / "at_bound.json"
+    _write_claiming(path, MAX_CLAIMED_ORDER)
+    script = (
+        "import resource, sys\n"
+        "from bipsym.cli import cli_main\n"
+        "code = cli_main(['verify', sys.argv[1]])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    out = _run_limited(["-c", script, str(path)], 10)
+    assert out.returncode == 5, out.stderr
+    cert = json.loads(out.stdout)
+    assert cert["overall"] is False
+    order = next(c for c in cert["checks"] if c["name"] == "order")
+    assert order["detail"].endswith("; M^2 is already the identity")
+    peak_kb = int(out.stderr.split()[-1])
+    assert peak_kb < 200 * 1024
+
+
+def _write_unit_points(path: Path, n: int, m: int) -> None:
+    """A realization file of the identity of K_{n,m}, every vertex at one point."""
+    labels = [f"v{i}" for i in range(1, n + 1)] + [f"w{j}" for j in range(1, m + 1)]
+    obj = {
+        "n": n, "m": m, "perm": "()", "case": "OP1", "seed": 1, "order": 1,
+        "orientation": "op",
+        "matrix": [[float(i == j) for j in range(4)] for i in range(4)],
+        "vertices": {label: [1.0, 0.0, 0.0, 0.0] for label in labels},
+        "subdivision": {}, "landmarks": {},
+    }
+    path.write_text(json.dumps(obj))
+
+
+def test_cli_verify_refuses_too_many_edges(tmp_path):
+    # K_{50000,50000} is within MAX_VERTICES, but its 2.5 * 10^9 edges are
+    # refused before the edge arrays are built
+    path = tmp_path / "k50000.json"
+    _write_unit_points(path, 50_000, 50_000)
+    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == (
+        "error: K_{50000,50000} has 2500000000 edges and 0 subdivision "
+        f"vertices, more than {MAX_VERIFY_EDGES} together\n"
+    )
+
+
+def test_cli_verify_refuses_unallocatable_separation_grid(tmp_path):
+    # K_{3,99997} has few enough edges, but the separation grid of its
+    # 100 000 points does not fit in 1 GB
+    n, m = 3, MAX_VERTICES - 3
+    assert n * m <= MAX_VERIFY_EDGES
+    path = tmp_path / "skinny.json"
+    _write_unit_points(path, n, m)
+    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == (
+        f"error: verifying K_{{{n},{m}}} needs more memory than is available\n"
+    )
 
 
 def _cycles(n: int, length: int) -> str:

@@ -1,8 +1,13 @@
 """The array verifier against the per-power loop verifier it replaced.
 
 ``verifier_oracle.verify`` builds every power and one fixed subspace per
-power; ``bipsym.verify`` works per divisor of the order on stacked arrays.
-Their certificates must serialize to the same bytes, passing or failing.
+power; ``bipsym.verify`` makes the powers in one blocked pass and works per
+divisor of the order.  Their certificates must serialize to the same bytes,
+passing or failing.  On tampered matrices whose claimed order is not theirs,
+or with a tolerance comparable to the distances between points, a power and
+the power of its gcd with the order need not fix the same points; there the
+fixed-set checks eel1, eel3 and eel4 may differ and every other check must
+still agree byte for byte.
 """
 
 import random
@@ -10,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bipsym.verifier
 from bipsym import (
@@ -256,3 +263,121 @@ def test_order_1_takes_no_subspace(monkeypatch):
     calls = count_fixed_subspace(monkeypatch)
     assert verify(aut, iso, emb, tol=TOL).overall
     assert calls == []
+
+
+# --- eel2: the pairs π can interchange, or every pair ------------------------
+
+# the checks that do not read the fixed sets of the divisor rows
+NOT_FIXED_SET = ("unit_norm", "orthogonal", "order", "orientation", "induces", "eel2")
+
+
+def assert_same_checks(aut, iso, emb, tol):
+    got = certificate_to_obj(verify(aut, iso, emb, tol=tol))["checks"]
+    want = certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol))["checks"]
+    assert [c["name"] for c in got] == [c["name"] for c in want]
+    for g, w in zip(got, want):
+        if g["name"] in NOT_FIXED_SET:
+            assert canonical_json(g) == canonical_json(w)
+    return {c["name"]: c for c in got}
+
+
+def eel2_paths(monkeypatch):
+    """The ``pi_exact`` argument of every eel2 candidate choice."""
+    seen = []
+    real = bipsym.verifier._Verification._swap_groups
+
+    def spy(self, pi_exact):
+        seen.append(pi_exact)
+        return real(self, pi_exact)
+
+    monkeypatch.setattr(bipsym.verifier._Verification, "_swap_groups", spy)
+    return seen
+
+
+def separation(emb) -> float:
+    points = np.array([*emb.coordinates.values(), *emb.subdivision_coordinates.values()])
+    dists = np.linalg.norm(points[:, None] - points[None], axis=2)
+    return float(dists[np.triu_indices(len(points), 1)].min())
+
+
+@pytest.mark.parametrize("case", ["exact", "tol near separation", "step of sep/8"])
+def test_inverted_edges_on_both_eel2_paths(monkeypatch, case):
+    # without subdivision, M^3 of the 6-cycle (v1 w1 v2 w2 v3 w3) inverts
+    # the edges (v1, w2), (v2, w3) and (v3, w1).  A tolerance just below the
+    # separation matches the same pairs, but tol plus the drift of the powers
+    # no longer stays below the separation, so every pair is tested; so too
+    # when M moves a point by an eighth of the separation, which six powers
+    # can add up to more than the separation.
+    aut, iso, emb = realized(BipartiteShape(3, 3), "(v1 w1 v2 w2 v3 w3)", "op")
+    emb.subdivision_edges.clear()
+    emb.subdivision_coordinates.clear()
+    sep = separation(emb)
+    tol = sep - 1e-13 if case == "tol near separation" else TOL
+    if case == "step of sep/8":
+        p = emb.coordinates[vid("v1")] + np.array([0.0, 0.0, 0.0, sep / 8])
+        emb.coordinates[vid("v1")] = p / np.linalg.norm(p)
+    seen = eel2_paths(monkeypatch)
+    checks = assert_same_checks(aut, iso, emb, tol)
+    assert seen == [case == "exact"]
+    inverted = ["M^3 interchanges v2,w3", "M^3 interchanges v3,w1"]
+    if case != "step of sep/8":
+        inverted.insert(0, "M^3 interchanges v1,w2")
+    assert checks["eel2"]["detail"] == "; ".join(inverted)
+
+
+def test_inversions_from_two_cycle_lengths_in_power_order():
+    # π = (v1 w1)(v2 w2 v3 w3 v4 w4), realized exactly by R(1/2) + R(1/6) on
+    # points of the two coordinate planes: the 2-cycle inverts (v1, w1) at
+    # powers 1, 3 and 5, the 6-cycle three edges at power 3
+    shape = BipartiteShape(4, 4)
+    aut = parse_cycles(shape, "(v1 w1)(v2 w2 v3 w3 v4 w4)")
+    coords = {vid("v1"): np.array([1.0, 0.0, 0.0, 0.0]), vid("w1"): np.array([-1.0, 0.0, 0.0, 0.0])}
+    for k, label in enumerate(["v2", "w2", "v3", "w3", "v4", "w4"]):
+        a = 2 * np.pi * k / 6
+        coords[vid(label)] = np.array([0.0, 0.0, np.cos(a), np.sin(a)])
+    M = np.zeros((4, 4))
+    M[:2, :2] = -np.eye(2)
+    M[2:, 2:] = [[np.cos(np.pi / 3), -np.sin(np.pi / 3)], [np.sin(np.pi / 3), np.cos(np.pi / 3)]]
+    iso = Isometry4(M, 6, Orientation.OP)
+    emb = SpatialEmbedding(shape=shape, coordinates=coords)
+    checks = assert_same_checks(aut, iso, emb, TOL)
+    assert checks["eel2"]["detail"] == "; ".join(
+        f"M^{i} interchanges {a},{b}"
+        for i, a, b in [(1, "v1", "w1"), (3, "v1", "w1"), (3, "v2", "w3"), (3, "v3", "w4"),
+                        (3, "v4", "w2"), (5, "v1", "w1")]
+    )
+
+
+TAMPER_CASES = [
+    ((3, 3), "(v1 w1 v2 w2 v3 w3)"),
+    ((3, 3), "(v1 v2 v3)(w1 w2 w3)"),
+    ((3, 4), "(w3 w4)"),
+    ((4, 4), "(v1 w1)(v2 w2)(v3 w3 v4 w4)"),
+    ((4, 4), "(v1 w1 v2 w2)(v3 w3 v4 w4)"),
+]
+
+
+@st.composite
+def tampered_realizations(draw):
+    """A realization whose matrix may be composed with the reflection that
+    swaps two of its points, claiming 2-5 times its true order."""
+    shape, text = draw(st.sampled_from(TAMPER_CASES))
+    aut = parse_cycles(BipartiteShape(*shape), text)
+    verdict = classify_aut(aut)
+    orientations = [o for o, ok in (("op", verdict.op_realizable), ("or", verdict.or_realizable)) if ok]
+    iso, emb = realize(aut, draw(st.sampled_from(orientations)), draw(st.integers(1, 1 << 16)))
+    points = [*emb.coordinates.values(), *emb.subdivision_coordinates.values()]
+    i, j = draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=2, unique=True))
+    u = (points[i] - points[j]) / np.linalg.norm(points[i] - points[j])
+    swap = np.eye(4) - 2 * np.outer(u, u)
+    M = draw(st.sampled_from([iso.matrix, swap @ iso.matrix, iso.matrix @ swap]))
+    times = draw(st.integers(2, 5))
+    tol = draw(st.sampled_from([1e-3, 0.5]))
+    return aut, Isometry4(M, times * iso.claimed_order, iso.orientation), emb, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tampered_realizations())
+def test_tampered_realizations_agree_with_the_oracle(case):
+    aut, iso, emb, tol = case
+    assert_same_checks(aut, iso, emb, tol)

@@ -1,14 +1,15 @@
 """Fuzzing of ``bipsym verify`` with mutated realization files.
 
 A real realization file is mutated (keys dropped, values retyped, lists
-shortened or lengthened, NaN or infinity inserted) and handed to the CLI.
-Whatever the file holds, ``cli_main`` must return 0, 2 or 5 and let no
-exception escape.
+shortened or lengthened, NaN or infinity inserted, the claimed order set to
+any size) and handed to the CLI.  Whatever the file holds, ``cli_main`` must
+return 0, 2 or 5 and let no exception escape.
 
-Integers written into the file are at most 64.  The verifier's time and
-memory grow linearly with the claimed order, so an unbounded ``order``
-would measure that known cost (ROADMAP item 4), not robustness; it is
-out of scope here.
+Other integers written into the file are at most 64.  The claimed ``order``
+may take any value, up to 10^13 and beyond: ``verify`` makes one pass over
+the powers with no stack of them, refuses an order above MAX_CLAIMED_ORDER
+before any product, and refuses too many eel2 comparisons before it starts
+them, so every order ends in a certificate or exit 2 within seconds.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from bipsym import BipartiteShape, parse_cycles, realize
 from bipsym.cli import cli_main
 from bipsym.jsonio import canonical_json, realization_to_obj
+from bipsym.verifier import MAX_CLAIMED_ORDER
 
 MAX_INT = 64
 
@@ -66,7 +68,12 @@ LEAVES = st.one_of(
     st.just({}),
     st.just([0.0, 0.0, 0.0]),
 )
-ACTIONS = ("drop", "replace", "nonfinite", "shorten", "lengthen", "wrap", "stringify")
+ORDERS = st.one_of(
+    st.integers(-3, 10**16),
+    st.integers(1, 4 * MAX_CLAIMED_ORDER),
+    st.sampled_from([MAX_CLAIMED_ORDER, MAX_CLAIMED_ORDER + 1, 10**13, 2**63, 2**64]),
+)
+ACTIONS = ("drop", "replace", "nonfinite", "shorten", "lengthen", "wrap", "stringify", "order")
 
 
 def _parent(obj, path):
@@ -93,6 +100,9 @@ def mutated_files(draw):
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(PATHS))
         action = draw(st.sampled_from(ACTIONS))
+        if action == "order":
+            obj["order"] = draw(ORDERS)
+            continue
         parent = _parent(obj, path)
         if parent is None:
             continue
