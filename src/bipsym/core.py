@@ -379,32 +379,25 @@ def automorphism_count(shape: BipartiteShape) -> int:
     return 2 * base if shape.n == shape.m else base
 
 
-def check_pairs_within(shape: BipartiteShape, cap: int) -> None:
-    """Raise TooLarge when n!*m! exceeds cap.
-
-    The product is built factor by factor and abandoned once it passes cap,
-    so a huge shape fails after at most log2(cap) + 1 multiplications.
-    """
-    factors = itertools.chain(range(2, shape.n + 1), range(2, shape.m + 1))
-    pairs = 1
-    while pairs <= cap:
-        k = next(factors, None)
-        if k is None:
-            return
-        pairs *= k
-    raise TooLarge(f"n!*m! for K_{{{shape.n},{shape.m}}} exceeds cap {cap}")
-
-
 def enumerate_automorphisms(
     shape: BipartiteShape, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[BipartiteAutomorphism]:
     """Stream every automorphism of K_{n,m} exactly once.
 
     Order is lexicographic over (V-permutation, W-permutation, swap-flag),
-    the swap flag varying fastest.  Raises TooLarge when n!*m! exceeds cap.
+    the swap flag varying fastest.  Raises TooLarge, before the first
+    automorphism, when n!*m! exceeds cap: the product is built factor by
+    factor and abandoned once it passes cap, so a huge shape fails after at
+    most log2(cap) + 1 multiplications.
     """
-    check_pairs_within(shape, cap)
-    return _enumerate(shape)
+    factors = itertools.chain(range(2, shape.n + 1), range(2, shape.m + 1))
+    pairs = 1
+    while pairs <= cap:
+        k = next(factors, None)
+        if k is None:
+            return _enumerate(shape)
+        pairs *= k
+    raise TooLarge(f"n!*m! for K_{{{shape.n},{shape.m}}} exceeds cap {cap}")
 
 
 def _enumerate(shape: BipartiteShape) -> Iterator[BipartiteAutomorphism]:

@@ -10,10 +10,10 @@ Coordinate conventions, fixed once for the whole package:
 
 Angles are exact rationals: a ``Fraction`` f denotes rotation by 2*pi*f,
 so ``Fraction(1, r)`` is the 2*pi/r rotation.  A constructed isometry takes
-its order exactly from these fractions (``turn_order``, lcm), and its
-float64 matrix is not checked here: ``verifier.verify`` is the one numerical
-check of a matrix, by repeated multiplication against the tolerances below,
-never by eigendecomposition.
+its order exactly from these fractions (``turn_order``, lcm).  Neither its
+float64 matrix nor the placed points are checked here: ``verifier.verify``
+is the one numerical check of both, by repeated multiplication against the
+tolerances below, never by eigendecomposition.
 """
 
 from __future__ import annotations
@@ -34,16 +34,9 @@ from .core import (
     _index_cycles,
     signature,
 )
-from .errors import (
-    NotRealizable,
-    OrderMismatch,
-    PlacementFailure,
-    PreconditionError,
-    TooLarge,
-)
+from .errors import OrderMismatch, PlacementFailure, PreconditionError, TooLarge
 
 ORTHOGONALITY_TOL = 1e-12
-ORDER_TOL = 1e-9
 DET_TOL = 1e-9  # |det M - (+-1)| allowed for the claimed orientation
 SUBSPACE_TOL = 1e-9
 IDENTITY_GAP = 1e-6  # a proper power must differ from I by more than this
@@ -231,7 +224,7 @@ class SpatialEmbedding:
 
 
 class _Placer:
-    """Owns an embedding while its orbits are placed.
+    """Owns the points of an embedding while its orbits are placed.
 
     The points fill the rows of one array preallocated for the graph and
     ``subdivisions`` subdivision vertices; ``rows`` maps each placed key
@@ -239,8 +232,8 @@ class _Placer:
     to its row.  A new orbit is written after the placed rows and compared,
     once, with every row before it and with itself, so each pair of points
     is tested against SEPARATION exactly once; a rejected orbit is
-    overwritten by the next one.  ``embedding`` places the remaining cycles
-    and checks unit norm once over the array.
+    overwritten by the next one.  Unit norm and closure under M are left
+    to ``verifier.verify``.
     """
 
     def __init__(
@@ -262,11 +255,6 @@ class _Placer:
         pts[0] = p
         for i in range(1, length):
             pts[i] = self.M @ pts[i - 1]
-        closure = np.linalg.norm(self.M @ pts[-1] - p)
-        if closure > ORDER_TOL:
-            raise PlacementFailure(
-                f"orbit of length {length} does not close (deviation {closure:.3g})"
-            )
 
     def _admit(self, keys) -> bool:
         """Keep the points written after the placed rows, one per key, when
@@ -285,70 +273,32 @@ class _Placer:
         self.rows.update(zip(keys, range(start, start + k)))
         return True
 
-    def put_point(self, key, p: np.ndarray) -> None:
-        self.points[len(self.rows)] = p
-        if not self._admit([key]):
-            raise PlacementFailure(f"fixed position for {self._label(key)} collides")
+    def put(self, keys, seed, avoid=()) -> None:
+        """Place ``keys`` as the orbit of ``seed`` under M.
 
-    def put_orbit_at(self, keys, p: np.ndarray) -> None:
-        """Place an orbit at a pinned seed point (no resampling)."""
-        self._orbit(p, len(keys))
-        if not self._admit(keys):
-            raise PlacementFailure(
-                f"pinned orbit through {self._label(keys[0])} collides"
-            )
-
-    def put_orbit(self, keys, sample) -> None:
-        """Place an orbit at a sampled seed point, resampling on collision."""
+        ``seed`` is a pinned point, placed as it is, or a draw function of
+        the rng.  A drawn point is redrawn until each distance function in
+        ``avoid`` puts it at least SEPARATION off its landmark set, and its
+        orbit is redrawn until it is admitted.
+        """
+        if not callable(seed):
+            self._orbit(seed, len(keys))
+            if not self._admit(keys):
+                raise PlacementFailure(
+                    f"pinned orbit through {self._label(keys[0])} collides"
+                )
+            return
         for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            self._orbit(sample(), len(keys))
+            draws = (seed(self.rng) for _ in range(MAX_PLACEMENT_ATTEMPTS))
+            p = next((p for p in draws if all(d(p) >= SEPARATION for d in avoid)), None)
+            if p is None:
+                raise PlacementFailure("could not sample a point off the landmark sets")
+            self._orbit(p, len(keys))
             if self._admit(keys):
                 return
         raise PlacementFailure(
             f"no admissible orbit through {self._label(keys[0])} "
             f"after {MAX_PLACEMENT_ATTEMPTS} attempts"
-        )
-
-    def sampler(self, draw, avoid=()):
-        """Seed points ``draw(rng)``, redrawn until each distance function in
-        ``avoid`` puts them at least SEPARATION off its landmark set."""
-
-        def sample() -> np.ndarray:
-            for _ in range(MAX_PLACEMENT_ATTEMPTS):
-                p = draw(self.rng)
-                if all(d(p) >= SEPARATION for d in avoid):
-                    return p
-            raise PlacementFailure("could not sample a point off the landmark sets")
-
-        return sample
-
-    def embedding(
-        self,
-        cycles,
-        sub_edges: dict[str, tuple[int, int]],
-        landmark_names: tuple[str, ...],
-    ) -> SpatialEmbedding:
-        """Place every cycle not yet placed as a generic orbit off the
-        landmark sets, in ``cycles`` order, and return the embedding."""
-        avoid = [LANDMARK_DISTANCES[k] for k in landmark_names if k in LANDMARK_DISTANCES]
-        sample = self.sampler(SeededPoints.unit4, avoid)
-        for cyc in cycles:
-            if cyc[0] not in self.rows:
-                self.put_orbit(cyc, sample)
-        points = self.points[: len(self.rows)]
-        if (np.abs(np.linalg.norm(points, axis=1) - 1.0) > ORTHOGONALITY_TOL).any():
-            raise ValueError("embedded point is not on the unit sphere")
-        vertex_at = self.shape.vertex_at
-        return SpatialEmbedding(
-            shape=self.shape,
-            coordinates={
-                vertex_at(k): points[i] for k, i in self.rows.items() if k not in sub_edges
-            },
-            subdivision_coordinates={z: points[self.rows[z]] for z in sub_edges},
-            subdivision_edges={
-                z: (vertex_at(a), vertex_at(b)) for z, (a, b) in sub_edges.items()
-            },
-            landmarks={k: LANDMARK_DESCRIPTIONS[k] for k in landmark_names},
         )
 
 
@@ -362,6 +312,11 @@ def _on_circle(point_at):
 # The constructions work on global indices: a cycle is a tuple of indices
 # starting at its smallest one, so a mixed cycle starts in V.  VertexId keys
 # appear only in the returned SpatialEmbedding.
+#
+# A construction places nothing: it returns (isometry, plan, subdivision
+# edges, landmark names), the plan listing its special orbits in placement
+# order as steps (keys, seed[, avoid]) of ``_Placer.put``.  ``realize`` runs
+# the plan, then places every other cycle as a generic orbit.
 
 
 def _grouped_cycles(cycles, n: int, interchanged: bool):
@@ -390,18 +345,15 @@ def _interleave_fixed(aut: BipartiteAutomorphism) -> list[int]:
     return [g for pair in zip_longest(first, second) for g in pair if g is not None]
 
 
-def _realize_rotation(aut, cycles, sig, rng) -> tuple[Isometry4, SpatialEmbedding]:
+def _realize_rotation(aut, sig):
     """Cases 1 (part-preserving), 2, 3 and the identity: a single rotation.
 
     Fixed vertices go on X at equally spaced angles, parts alternating when
     both are present; every cycle is a generic r-orbit off X.
     """
-    iso = rotation_isometry(sig.r)
-    placer = _Placer(iso.matrix, aut.shape, rng)
     fixed = _interleave_fixed(aut)
-    for t, g in enumerate(fixed):
-        placer.put_point(g, point_on_x(2.0 * math.pi * t / len(fixed)))
-    return iso, placer.embedding(cycles, {}, ("X",))
+    plan = [((g,), point_on_x(2.0 * math.pi * t / len(fixed))) for t, g in enumerate(fixed)]
+    return rotation_isometry(sig.r), plan, {}, ("X",)
 
 
 def _subdivide_half_turn(aut: BipartiteAutomorphism, r: int):
@@ -438,7 +390,7 @@ def _subdivide_half_turn(aut: BipartiteAutomorphism, r: int):
     return sub_edges, z_cycles
 
 
-def _realize_glide(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEmbedding]:
+def _realize_glide(aut, cycles, sig, case):
     """Cases 1 (part-swapping) and 4-9: a glide rotation R(alpha) + R(beta).
 
     The angle table follows the construction proofs; exceptional cycles go
@@ -446,21 +398,21 @@ def _realize_glide(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEmbed
     """
     r = sig.r
     pure_v, pure_w, mixed = _grouped_cycles(cycles, aut.shape.n, case.interchanged)
-    on_y: list[tuple] = []  # (cycle, pinned angle or None)
-    on_x: list[tuple] = []
+    on_y, on_x = _on_circle(point_on_y), _on_circle(point_on_x)
     sub_edges: dict[str, tuple[int, int]] = {}
-    z_cycles: list[list[str]] = []
+    plan: list[tuple] = []
 
     if case.number == 1:  # part-swapping; all cycles are mixed r-cycles
         if (r // 2) % 2 == 1:
             alpha, beta = Fraction(2, r), Fraction(1, r)
             sub_edges, z_cycles = _subdivide_half_turn(aut, r)
+            plan = [(z_cycle, on_y) for z_cycle in z_cycles]
         else:
             alpha, beta = Fraction(1, 4), Fraction(1, r)
     elif case.number == 4:
         j = next(L for L in pure_v if L != r)
         alpha, beta = Fraction(1, j), Fraction(1, r)
-        on_y = [(c, None) for c in pure_v[j]]
+        plan = [(c, on_y) for c in pure_v[j]]
     elif case.number in (5, 6):
         if case.number == 5:
             j, k = sorted(L for L in pure_v if L != r)
@@ -470,58 +422,37 @@ def _realize_glide(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEmbed
             k = next(L for L in pure_w if L != r)
             k_cycles = pure_w[k]
         alpha, beta = Fraction(1, j), Fraction(1, k)
-        on_y = [(c, None) for c in pure_v[j]]
-        on_x = [(c, None) for c in k_cycles]
-    elif case.number == 7:
-        alpha, beta = Fraction(1, 2), Fraction(1, r)
-        on_y = [(pure_v[2][0], 0.0), (pure_w[2][0], math.pi / 2)]
-    elif case.number == 8:
-        alpha, beta = Fraction(1, 2), Fraction(2, r)
-        on_y = [(pure_v[2][0], 0.0), (pure_w[2][0], math.pi / 2)]
-        on_x = [(c, None) for c in pure_v[r // 2]]
-    elif case.number == 9:
+        plan = [(c, on_y) for c in pure_v[j]] + [(c, on_x) for c in k_cycles]
+    elif case.number in (7, 8):
+        alpha = Fraction(1, 2)
+        beta = Fraction(1, r) if case.number == 7 else Fraction(2, r)
+        plan = [(pure_v[2][0], point_on_y(0.0)), (pure_w[2][0], point_on_y(math.pi / 2))]
+        if case.number == 8:
+            plan += [(c, on_x) for c in pure_v[r // 2]]
+    else:  # case 9
         alpha, beta = Fraction(1, 4), Fraction(1, r)
-        on_y = [(mixed[4][0], None)]
-    else:
-        raise NotRealizable(f"case {case.label} is not a glide construction")
+        plan = [(mixed[4][0], on_y)]
 
-    iso = glide_isometry(alpha, beta, r)
-    placer = _Placer(iso.matrix, aut.shape, rng, len(sub_edges))
-
-    for point_at, pinned in ((point_on_y, on_y), (point_on_x, on_x)):
-        for cyc, angle in pinned:
-            if angle is None:
-                placer.put_orbit(cyc, placer.sampler(_on_circle(point_at)))
-            else:
-                placer.put_orbit_at(cyc, point_at(angle))
-
-    for z_cycle in z_cycles:
-        placer.put_orbit(z_cycle, placer.sampler(_on_circle(point_on_y)))
-
-    return iso, placer.embedding(cycles, sub_edges, ("X", "Y"))
+    return glide_isometry(alpha, beta, r), plan, sub_edges, ("X", "Y")
 
 
-def _realize_reflection(aut, cycles, case, rng) -> tuple[Isometry4, SpatialEmbedding]:
+def _realize_reflection(aut, case):
     """Case 11: a reflection through S.
 
     All fixed vertices go on S (the full part on a circle of S, the at most
     two fixed vertices of the other part at the poles of that circle within
     S, giving the planar K_{2,n} pattern); 2-cycles become mirror pairs.
     """
-    iso = reflection_isometry()
-    placer = _Placer(iso.matrix, aut.shape, rng)
     n = aut.shape.n
     fixed = [g for g, p in enumerate(aut.perm) if p == g]
     full = [g for g in fixed if (g < n) != case.interchanged]
     rest = [g for g in fixed if (g < n) == case.interchanged]
-    for t, g in enumerate(full):
-        placer.put_point(g, point_on_y(2.0 * math.pi * t / len(full)))
-    for g, p in zip(rest, F_POINTS):
-        placer.put_point(g, p)
-    return iso, placer.embedding(cycles, {}, ("S",))
+    plan = [((g,), point_on_y(2.0 * math.pi * t / len(full))) for t, g in enumerate(full)]
+    plan += [((g,), p) for g, p in zip(rest, F_POINTS)]
+    return reflection_isometry(), plan, {}, ("S",)
 
 
-def _realize_improper(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEmbedding]:
+def _realize_improper(aut, cycles, sig, case):
     """Cases 10, 12, 13: an improper rotation R(theta) + diag(1, -1).
 
     Fixed vertices sit at the two points of F; 2-cycles lie on X - F
@@ -538,10 +469,7 @@ def _realize_improper(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEm
     # subdivision vertex at a point of F
     two_cycles = mixed.get(2, []) if case.number == 13 else []
     sub_edges = {f"z{i}": cyc for i, cyc in enumerate(two_cycles, 1)}
-    placer = _Placer(iso.matrix, aut.shape, rng, len(sub_edges))
-
-    for g, p in zip(_interleave_fixed(aut), F_POINTS):
-        placer.put_point(g, p)
+    plan = [((g,), p) for g, p in zip(_interleave_fixed(aut), F_POINTS)]
 
     if r == 2:
         # every non-fixed vertex is in a 2-cycle; embed them all off S and X
@@ -550,23 +478,19 @@ def _realize_improper(aut, cycles, sig, case, rng) -> tuple[Isometry4, SpatialEm
         angles = [math.pi / 2] if len(two_cycles) == 1 else [math.pi / 3, 4 * math.pi / 3]
         for (z, cyc), t, f_point in zip(sub_edges.items(), angles, F_POINTS):
             # a mixed cycle starts at its V vertex, so cyc = (v, phi(v))
-            placer.put_orbit_at(cyc, point_on_x(t))
-            placer.put_point(z, f_point)
+            plan += [(cyc, point_on_x(t)), ((z,), f_point)]
     else:
         if case.sub in ("a", "d"):
-            for cyc in pure_w.get(2, []):
-                placer.put_orbit_at(cyc, point_on_x(math.pi / 2))
+            plan += [(cyc, point_on_x(math.pi / 2)) for cyc in pure_w.get(2, [])]
         if case.sub in ("b", "c"):
-            on_x = placer.sampler(_on_circle(point_on_x), [dist_to_f])
-            for cyc in pure_v.get(2, []):
-                placer.put_orbit(cyc, on_x)
+            on_x = _on_circle(point_on_x)
+            plan += [(cyc, on_x, (dist_to_f,)) for cyc in pure_v.get(2, [])]
         if case.sub in ("c", "d"):
             half_cycles = pure_w if case.sub == "c" else pure_v
-            on_s = placer.sampler(SeededPoints.unit_on_sphere, [dist_to_x])
-            for cyc in half_cycles.get(r // 2, []):
-                placer.put_orbit(cyc, on_s)
+            on_s = SeededPoints.unit_on_sphere
+            plan += [(cyc, on_s, (dist_to_x,)) for cyc in half_cycles.get(r // 2, [])]
 
-    return iso, placer.embedding(cycles, sub_edges, ("X", "S", "F"))
+    return iso, plan, sub_edges, ("X", "S", "F")
 
 
 def realize(
@@ -578,22 +502,46 @@ def realize(
     its value "op" preserving, "or" reversing); NotRealizable is raised when
     the classifier reports none.  The construction is deterministic in
     ``seed``.  The result satisfies verifier.verify at the default tolerance
-    wherever verify's stacks of matrix powers fit in memory (they grow with
-    the order); above that, verify raises TooLarge.  realize itself raises
-    TooLarge when an orbit is too long for its distance block to fit in
-    memory.
+    wherever verify accepts its size: verify raises TooLarge for a claimed
+    order above MAX_CLAIMED_ORDER or more edges than MAX_VERIFY_EDGES, so,
+    for example, the OP6 realization of K_{997,1000} (order 997000) is built
+    but not certified.  realize itself raises TooLarge when an orbit is too
+    long for its distance block to fit in memory.
     """
     orientation = Orientation(orientation)
     sig = signature(aut)
     case = dispatch_case(classify(sig), orientation)
     cycles = [tuple(cyc) for cyc in _index_cycles(aut.perm)]
-    rng = SeededPoints(seed)
 
     if orientation is Orientation.OP:
         preserving = sig.side_action is SideAction.PRESERVING
         if case.number in (2, 3) or (case.number == 1 and preserving):
-            return _realize_rotation(aut, cycles, sig, rng)
-        return _realize_glide(aut, cycles, sig, case, rng)
-    if case.number == 11:
-        return _realize_reflection(aut, cycles, case, rng)
-    return _realize_improper(aut, cycles, sig, case, rng)
+            construction = _realize_rotation(aut, sig)
+        else:
+            construction = _realize_glide(aut, cycles, sig, case)
+    elif case.number == 11:
+        construction = _realize_reflection(aut, case)
+    else:
+        construction = _realize_improper(aut, cycles, sig, case)
+    iso, plan, sub_edges, landmark_names = construction
+
+    placer = _Placer(iso.matrix, aut.shape, SeededPoints(seed), len(sub_edges))
+    for step in plan:
+        placer.put(*step)
+    avoid = [LANDMARK_DISTANCES[k] for k in landmark_names if k in LANDMARK_DISTANCES]
+    for cyc in cycles:
+        if cyc[0] not in placer.rows:
+            placer.put(cyc, SeededPoints.unit4, avoid)
+
+    points, rows, vertex_at = placer.points, placer.rows, aut.shape.vertex_at
+    return iso, SpatialEmbedding(
+        shape=aut.shape,
+        coordinates={
+            vertex_at(k): points[i] for k, i in rows.items() if k not in sub_edges
+        },
+        subdivision_coordinates={z: points[rows[z]] for z in sub_edges},
+        subdivision_edges={
+            z: (vertex_at(a), vertex_at(b)) for z, (a, b) in sub_edges.items()
+        },
+        landmarks={k: LANDMARK_DESCRIPTIONS[k] for k in landmark_names},
+    )

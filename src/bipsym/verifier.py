@@ -104,14 +104,14 @@ class RealizationCertificate:
         raise KeyError(name)
 
 
-def fixed_subspace(A: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:
+def fixed_subspace(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis (4 x d) of the +1-eigenspace of an orthogonal A.
 
     Its dimension d = 0, 1, 2, 3, 4 makes the fixed set in S^3 empty, two
     points, a circle, a sphere or all of S^3.
     """
     _, s, vh = np.linalg.svd(A - _I4)
-    d = int(np.count_nonzero(s <= tol))
+    d = int(np.count_nonzero(s <= SUBSPACE_TOL))
     if d == 0:
         return np.zeros((4, 0))
     return vh[4 - d :].T

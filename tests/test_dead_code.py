@@ -1,4 +1,5 @@
-"""Every top-level function and class under ``src/bipsym`` is used.
+"""Every top-level function, class and assigned name under ``src/bipsym`` is
+used.
 
 A definition counts as used when ``bipsym.__all__`` lists it, or when code
 outside its own body in some ``src/bipsym`` module names it: as a name, as an
@@ -28,7 +29,8 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def unused_definitions(src: Path) -> list[str]:
-    """``module.name`` of each top-level def or class nothing else names."""
+    """``module.name`` of each top-level def, class or assigned name that
+    nothing else names."""
     defs = []
     used = set()
     for path in sorted(src.glob("*.py")):
@@ -36,6 +38,16 @@ def unused_definitions(src: Path) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 # a recursive call does not keep a function alive
                 defs.append((path.stem, node.name, _names(node) - {node.name}))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = {
+                    sub.id
+                    for target in targets
+                    for sub in ast.walk(target)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+                }
+                defs.extend((path.stem, name, set()) for name in sorted(bound))
+                used |= _names(node) - bound
             else:
                 used |= _names(node)
     for _, _, names in defs:
@@ -55,7 +67,8 @@ def test_every_definition_is_used():
 
 def test_guard_flags_an_unused_helper(tmp_path):
     (tmp_path / "mod.py").write_text(
-        "def used():\n    return helper()\n\n\n"
+        "LIMIT = 3\nUNUSED: int = 2\n\n\n"
+        "def used():\n    return helper() + LIMIT\n\n\n"
         "def helper():\n    return 1\n\n\n"
         "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n\n"
         "class Orphan:\n    pass\n\n\n"
@@ -63,4 +76,4 @@ def test_guard_flags_an_unused_helper(tmp_path):
         "print(used())\n",
         encoding="utf-8",
     )
-    assert unused_definitions(tmp_path) == ["mod.recursive", "mod.Orphan"]
+    assert unused_definitions(tmp_path) == ["mod.UNUSED", "mod.recursive", "mod.Orphan"]

@@ -1,26 +1,41 @@
 """Realization and certificate bits pinned across refactors.
 
-One sha256 covers the canonical JSON of ``realization_to_obj`` and
+``GOLDEN_SHA256`` covers the canonical JSON of ``realization_to_obj`` and
 ``certificate_to_obj`` for every realizable (class, orientation) of
 K_{n,m}, 3 <= n <= m <= 7: the census representative of the class and one
 seeded part-preserving relabelling of it, each realized at seeds 1 and 7.
 A change to the placement order, the random draws, the isometries or the
 verifier's messages changes the digest.  The floats come from numpy, so a
 numpy or BLAS build that rounds differently changes it as well.
+
+K_{3,3}..K_{7,7} never dispatch OP8, so ``BRANCH_SHA256`` pins every
+construction branch on its own: the same two lines for each entry of
+``REALIZE_CASES`` and for OP8 with the parts interchanged, at seeds 1 and 7.
 """
 
 import hashlib
 import random
 
-from bipsym import BipartiteAutomorphism, BipartiteShape, Orientation, realize, verify
+from bipsym import (
+    BipartiteAutomorphism,
+    BipartiteShape,
+    Orientation,
+    parse_cycles,
+    realize,
+    verify,
+)
 from bipsym.census import _representative
-from bipsym.classifier import classify, dispatch_case
+from bipsym.classifier import classify, classify_aut, dispatch_case
 from bipsym.jsonio import canonical_json, certificate_to_obj, realization_to_obj
 
 from census_oracle import signature_tallies
+from test_geometry import REALIZE_CASES
 
 GOLDEN_SHA256 = "c93362f163c4a599b538de5e75f57583d89c6e5dae208092ff40fe796f9e040e"
+BRANCH_SHA256 = "0d9e13e57ac0059654c0eca20dbe0da627fc53a7de019fe7abf1a9a009127a51"
 SEEDS = (1, 7)
+# OP8 with the parts interchanged: the W 2-cycle and 3-cycle take the v-role
+OP8_INTERCHANGED = ((8, 5), "(w1 w2)(w3 w4 w5)(v1 v2)(v3 v4 v5 v6 v7 v8)", "op", "OP8")
 
 
 def _relabelled(aut: BipartiteAutomorphism, rng: random.Random):
@@ -36,6 +51,16 @@ def _relabelled(aut: BipartiteAutomorphism, rng: random.Random):
     return BipartiteAutomorphism(aut.shape, tuple(perm))
 
 
+def _lines(aut, orientation, label):
+    """The realization and certificate JSON of ``aut`` at each seed."""
+    for seed in SEEDS:
+        iso, emb = realize(aut, orientation, seed)
+        cert = verify(aut, iso, emb, tol=1e-9)
+        assert cert.overall, (str(aut), orientation, seed)
+        yield canonical_json(realization_to_obj(aut, iso, emb, label, seed))
+        yield canonical_json(certificate_to_obj(cert))
+
+
 def _golden_lines():
     rng = random.Random(2024)
     for n in range(3, 8):
@@ -49,21 +74,29 @@ def _golden_lines():
                 for aut in (rep, _relabelled(rep, rng)):
                     for orientation in orientations:
                         label = dispatch_case(verdict, orientation).label
-                        for seed in SEEDS:
-                            iso, emb = realize(aut, orientation, seed)
-                            cert = verify(aut, iso, emb, tol=1e-9)
-                            assert cert.overall, (str(aut), orientation, seed)
-                            yield canonical_json(
-                                realization_to_obj(aut, iso, emb, label, seed)
-                            )
-                            yield canonical_json(certificate_to_obj(cert))
+                        yield from _lines(aut, orientation, label)
+
+
+def _branch_lines():
+    for nm, text, orientation, expected in [*REALIZE_CASES, OP8_INTERCHANGED]:
+        aut = parse_cycles(BipartiteShape(*nm), text)
+        label = dispatch_case(classify_aut(aut), Orientation(orientation)).label
+        assert label == expected
+        yield from _lines(aut, orientation, label)
+
+
+def _digest(lines) -> tuple[str, int]:
+    digest = hashlib.sha256()
+    count = 0
+    for line in lines:
+        digest.update(line.encode("utf-8") + b"\n")
+        count += 1
+    return digest.hexdigest(), count
 
 
 def test_golden_realizations_and_certificates():
-    digest = hashlib.sha256()
-    count = 0
-    for line in _golden_lines():
-        digest.update(line.encode("utf-8") + b"\n")
-        count += 1
-    assert count == 2 * 1288
-    assert digest.hexdigest() == GOLDEN_SHA256
+    assert _digest(_golden_lines()) == (GOLDEN_SHA256, 2 * 1288)
+
+
+def test_every_construction_branch():
+    assert _digest(_branch_lines()) == (BRANCH_SHA256, 2 * 2 * (len(REALIZE_CASES) + 1))

@@ -18,7 +18,9 @@ from bipsym import (
     rotation_isometry,
     verify,
 )
+from bipsym.classifier import Orientation
 from bipsym.cli import cli_main
+from bipsym.geometry import Isometry4
 
 from topology_checks import smith_check, two_circle_check
 
@@ -105,6 +107,26 @@ class TestNegativeControls:
         emb.coordinates[vid("w1")] = emb.coordinates[vid("w1")] * (1 + 1e-8)
         tampered = verify(aut, iso, emb, tol=1e-9)
         assert not tampered.check("unit_norm").passed
+
+    @pytest.mark.parametrize("claimed", [3, 5])
+    def test_orbit_that_does_not_close_fails(self, claimed):
+        # each 3-cycle sits on three points of one orbit of the 2*pi/5
+        # rotation, which has 5 points off X: M maps v3 to a fourth point,
+        # not back to v1
+        aut = parse_cycles(S33, "(v1 v2 v3)(w1 w2 w3)")
+        M = rotation_isometry(5).matrix
+        coords = {}
+        seeds = {"v": np.array([0.6, 0.0, 0.8, 0.0]), "w": np.array([0.0, 0.6, 0.0, 0.8])}
+        for part, p in seeds.items():
+            for i in (1, 2, 3):
+                coords[vid(f"{part}{i}")] = p
+                p = M @ p
+        iso = Isometry4(M, claimed, Orientation.OP)
+        cert = verify(aut, iso, SpatialEmbedding(shape=S33, coordinates=coords), tol=1e-9)
+        assert cert.check("unit_norm").passed
+        assert not cert.check("induces").passed
+        assert cert.check("order").passed == (claimed == 5)
+        assert not cert.overall
 
     def test_near_coincident_vertices_fail_separation(self):
         aut, iso, emb, cert = realize_and_verify(S33, "(v1 v2 v3)(w1 w2 w3)", "op")
