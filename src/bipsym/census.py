@@ -52,10 +52,11 @@ from .errors import OutOfTheoremScope, TooLarge
 # K_{360,360}, takes about 0.6 s from the CLI.  Realize-all also
 # realizes and verifies one representative per realizable (class,
 # orientation), and the divisors of n and m set its cost too: the slowest
-# shapes within the bound, K_{36,40} and K_{40,36}, take about 1.4 s from the
-# CLI, K_{40,40} 0.6 s, and K_{42,40} 1.6 s.
+# shapes within the bound, K_{36,42} and K_{40,42}, take about 1.2-1.6 s from
+# the CLI on 2 CPUs, no longer than K_{36,40} took when the bound was 40;
+# K_{45,45} takes 0.5 s, and K_{42,48} 1.7 s.
 MAX_CENSUS_PART = 419
-MAX_REALIZE_ALL_PART = 40
+MAX_REALIZE_ALL_PART = 45
 
 
 @dataclass

@@ -79,10 +79,8 @@ class BipartiteShape:
         return self.n + self.m
 
     def vertices(self) -> Iterator[VertexId]:
-        for i in range(1, self.n + 1):
-            yield VertexId(Part.V, i)
-        for j in range(1, self.m + 1):
-            yield VertexId(Part.W, j)
+        yield from map(VertexId, itertools.repeat(Part.V), range(1, self.n + 1))
+        yield from map(VertexId, itertools.repeat(Part.W), range(1, self.m + 1))
 
     def contains(self, v: VertexId) -> bool:
         bound = self.n if v.part is Part.V else self.m

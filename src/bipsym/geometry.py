@@ -223,17 +223,48 @@ class SpatialEmbedding:
     landmarks: dict[str, str] = field(default_factory=dict)
 
 
+# pairs of points that the distance block of one batch of _Placer.place may
+# compare: its two float arrays then take 1 MiB.  A batch stops before the
+# orbit that would exceed the budget; an orbit larger than it is a batch of
+# its own, and one whose block cannot be allocated raises TooLarge.
+_PAIR_BUDGET = 1 << 16
+
+
+def _distances(new: np.ndarray, placed: np.ndarray) -> np.ndarray:
+    """The len(new) x len(placed) matrix of Euclidean distances, with the
+    bits of ``np.linalg.norm(new[:, None] - placed[None], axis=2)``: the
+    squared differences are summed in coordinate order, like norm's reduce,
+    but coordinate by coordinate, which is several times faster for 4-vectors
+    and holds two pair-sized arrays instead of a 4-vector per pair.  Both
+    are allocated before either is written, so a block too large for memory
+    fails before it touches any."""
+    d = np.empty((len(new), len(placed)))
+    diff = np.empty_like(d)
+    new, placed = new[:, None], placed[None]
+    np.subtract(new[..., 0], placed[..., 0], out=diff)
+    np.multiply(diff, diff, out=d)
+    for c in (1, 2, 3):
+        np.subtract(new[..., c], placed[..., c], out=diff)
+        d += np.multiply(diff, diff, out=diff)
+    return np.sqrt(d, out=d)
+
+
 class _Placer:
     """Owns the points of an embedding while its orbits are placed.
 
     The points fill the rows of one array preallocated for the graph and
     ``subdivisions`` subdivision vertices; ``rows`` maps each placed key
     (graph vertices by global index, subdivision vertices by their str id)
-    to its row.  A new orbit is written after the placed rows and compared,
-    once, with every row before it and with itself, so each pair of points
-    is tested against SEPARATION exactly once; a rejected orbit is
-    overwritten by the next one.  Unit norm and closure under M are left
-    to ``verifier.verify``.
+    to its row.  ``place`` writes orbits after the placed rows in batches
+    and compares each batch, once, with every row before it and with
+    itself, in one distance block of at most _PAIR_BUDGET pairs.  A batch
+    keeps its orbits up to the first one with a point closer than
+    SEPARATION to an earlier row; from that orbit on it is overwritten by
+    the next batch, with the rng rewound to its state right after that
+    orbit's draw.  So each kept pair is tested against SEPARATION exactly
+    once, and the draws, points, rows and errors are those of placing one
+    orbit at a time (``tests/placement_oracle.py``).  Unit norm and closure
+    under M are left to ``verifier.verify``.
     """
 
     def __init__(
@@ -248,58 +279,92 @@ class _Placer:
     def _label(self, key) -> str:
         return key if isinstance(key, str) else self.shape.vertex_at(key).label
 
-    def _orbit(self, p: np.ndarray, length: int) -> None:
-        """Write the orbit of p into the rows after the placed ones."""
+    def _admit(self, orbits) -> int:
+        """Keep the orbits written after the placed rows, given as key lists
+        in row order, up to the first with a point closer than SEPARATION to
+        an earlier row; return how many were kept."""
         start = len(self.rows)
-        pts = self.points[start : start + length]
-        pts[0] = p
-        for i in range(1, length):
-            pts[i] = self.M @ pts[i - 1]
-
-    def _admit(self, keys) -> bool:
-        """Keep the points written after the placed rows, one per key, when
-        none lies closer than SEPARATION to a placed point or to another."""
-        start, k = len(self.rows), len(keys)
-        new = self.points[start : start + k]
+        end = start + sum(map(len, orbits))
         try:
-            d = np.linalg.norm(new[:, None, :] - self.points[None, : start + k], axis=2)
-        except MemoryError as exc:  # the k x (start + k) x 4 difference block
+            d = _distances(self.points[start:end], self.points[:end])
+        except MemoryError as exc:  # only a lone orbit exceeds _PAIR_BUDGET
             raise TooLarge(
-                f"placing an orbit of {k} points needs more memory than is available"
+                f"placing an orbit of {end - start} points needs more memory than is available"
             ) from exc
         np.fill_diagonal(d[:, start:], np.inf)  # each point against itself
-        if (d < SEPARATION).any():
-            return False
-        self.rows.update(zip(keys, range(start, start + k)))
-        return True
+        close = d < SEPARATION
+        if close.any():  # end at the first row too close to an earlier one
+            close[:, start:] &= np.tri(end - start, k=-1, dtype=bool)
+            end = start + int(close.any(axis=1).argmax())
+        for kept, keys in enumerate(orbits):
+            row = len(self.rows)
+            if row + len(keys) > end:
+                return kept
+            self.rows.update(zip(keys, range(row, row + len(keys))))
+        return len(orbits)
 
-    def put(self, keys, seed, avoid=()) -> None:
-        """Place ``keys`` as the orbit of ``seed`` under M.
+    def place(self, steps) -> None:
+        """Place each step ``(keys, seed[, avoid])`` as the orbit of ``seed``
+        under M, in order.
 
         ``seed`` is a pinned point, placed as it is, or a draw function of
         the rng.  A drawn point is redrawn until each distance function in
         ``avoid`` puts it at least SEPARATION off its landmark set, and its
-        orbit is redrawn until it is admitted.
+        orbit is redrawn until it is admitted, at most
+        MAX_PLACEMENT_ATTEMPTS times.  The steps go in batches: each batch
+        draws and writes its orbits, then admits the orbits before the first
+        one that comes too close to an earlier row (see the class
+        docstring).  The next batch starts at that orbit, from the rng state
+        right after its draw.  A pinned orbit that comes too close raises
+        PlacementFailure, as does a failed draw once every orbit before it
+        has been admitted.
         """
-        if not callable(seed):
-            self._orbit(seed, len(keys))
-            if not self._admit(keys):
+        points, M = self.points, self.M
+        first, attempts = 0, 0  # the batch's first step, and its failed attempts
+        while first < len(steps):
+            start = end = len(self.rows)
+            batch = []  # (keys, pinned, rng state after the draw)
+            failure = None
+            for keys, seed, *avoid in steps[first:]:
+                k = len(keys)
+                if batch and (end + k - start) * (end + k) > _PAIR_BUDGET:
+                    break
+                pinned = not callable(seed)
+                if not pinned:
+                    draws = (seed(self.rng) for _ in range(MAX_PLACEMENT_ATTEMPTS))
+                    landmarks = avoid[0] if avoid else ()
+                    seed = next(
+                        (p for p in draws if all(d(p) >= SEPARATION for d in landmarks)),
+                        None,
+                    )
+                    if seed is None:
+                        failure = PlacementFailure(
+                            "could not sample a point off the landmark sets"
+                        )
+                        break
+                points[end] = seed
+                for row in range(end + 1, end + k):
+                    points[row] = M @ points[row - 1]
+                batch.append((keys, pinned, self.rng.state))
+                end += k
+            kept = self._admit([keys for keys, _, _ in batch]) if batch else 0
+            if kept == len(batch):
+                if failure is not None:
+                    raise failure
+                first, attempts = first + kept, 0
+                continue
+            # rewind the rng to just after the draw of the first orbit not
+            # kept; its next attempt draws from there, as one at a time
+            keys, pinned, self.rng.state = batch[kept]
+            if pinned:
+                raise PlacementFailure(f"pinned orbit through {self._label(keys[0])} collides")
+            attempts = (attempts if kept == 0 else 0) + 1
+            if attempts == MAX_PLACEMENT_ATTEMPTS:
                 raise PlacementFailure(
-                    f"pinned orbit through {self._label(keys[0])} collides"
+                    f"no admissible orbit through {self._label(keys[0])} "
+                    f"after {MAX_PLACEMENT_ATTEMPTS} attempts"
                 )
-            return
-        for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            draws = (seed(self.rng) for _ in range(MAX_PLACEMENT_ATTEMPTS))
-            p = next((p for p in draws if all(d(p) >= SEPARATION for d in avoid)), None)
-            if p is None:
-                raise PlacementFailure("could not sample a point off the landmark sets")
-            self._orbit(p, len(keys))
-            if self._admit(keys):
-                return
-        raise PlacementFailure(
-            f"no admissible orbit through {self._label(keys[0])} "
-            f"after {MAX_PLACEMENT_ATTEMPTS} attempts"
-        )
+            first += kept
 
 
 def _on_circle(point_at):
@@ -315,8 +380,8 @@ def _on_circle(point_at):
 #
 # A construction places nothing: it returns (isometry, plan, subdivision
 # edges, landmark names), the plan listing its special orbits in placement
-# order as steps (keys, seed[, avoid]) of ``_Placer.put``.  ``realize`` runs
-# the plan, then places every other cycle as a generic orbit.
+# order as steps (keys, seed[, avoid]) of ``_Placer.place``.  ``realize``
+# appends a generic-orbit step for every other cycle and places them all.
 
 
 def _grouped_cycles(cycles, n: int, interchanged: bool):
@@ -507,6 +572,13 @@ def realize(
     for example, the OP6 realization of K_{997,1000} (order 997000) is built
     but not certified.  realize itself raises TooLarge when an orbit is too
     long for its distance block to fit in memory.
+
+    The plan and then one generic orbit per remaining cycle (drawn with
+    ``SeededPoints.unit4`` off the landmark sets) go to ``_Placer.place``.
+    It places them in batches and checks each batch once against the points
+    before it; when an orbit of a batch comes too close to an earlier point,
+    the orbits before it are kept and the rng is rewound to just after that
+    orbit's draw, so the points are those of placing one orbit at a time.
     """
     orientation = Orientation(orientation)
     sig = signature(aut)
@@ -525,23 +597,18 @@ def realize(
         construction = _realize_improper(aut, cycles, sig, case)
     iso, plan, sub_edges, landmark_names = construction
 
-    placer = _Placer(iso.matrix, aut.shape, SeededPoints(seed), len(sub_edges))
-    for step in plan:
-        placer.put(*step)
+    planned = {k for keys, *_ in plan for k in keys}
     avoid = [LANDMARK_DISTANCES[k] for k in landmark_names if k in LANDMARK_DISTANCES]
-    for cyc in cycles:
-        if cyc[0] not in placer.rows:
-            placer.put(cyc, SeededPoints.unit4, avoid)
+    generic = [(cyc, SeededPoints.unit4, avoid) for cyc in cycles if cyc[0] not in planned]
+    placer = _Placer(iso.matrix, aut.shape, SeededPoints(seed), len(sub_edges))
+    placer.place(plan + generic)
 
-    points, rows, vertex_at = placer.points, placer.rows, aut.shape.vertex_at
+    ids = list(aut.shape.vertices())  # VertexId by global index
+    rows, points = placer.rows, placer.points
     return iso, SpatialEmbedding(
         shape=aut.shape,
-        coordinates={
-            vertex_at(k): points[i] for k, i in rows.items() if k not in sub_edges
-        },
+        coordinates={ids[k]: p for k, p in zip(rows, points) if k not in sub_edges},
         subdivision_coordinates={z: points[rows[z]] for z in sub_edges},
-        subdivision_edges={
-            z: (vertex_at(a), vertex_at(b)) for z, (a, b) in sub_edges.items()
-        },
+        subdivision_edges={z: (ids[a], ids[b]) for z, (a, b) in sub_edges.items()},
         landmarks={k: LANDMARK_DESCRIPTIONS[k] for k in landmark_names},
     )

@@ -217,8 +217,9 @@ def _run_limited(args: list[str], timeout: float) -> subprocess.CompletedProcess
     )
 
 
-# placing one 9000-point orbit compares it with itself in a 9000 x 9000 x 4
-# float block, 2.4 GiB
+# placing one 9000-point orbit compares it with itself in two 9000 x 9000
+# float arrays, 1.3 GB; an orbit above the placer's pair budget is a batch of
+# its own
 HUGE_ORBIT = 9000
 HUGE_ORBIT_ERROR = f"placing an orbit of {HUGE_ORBIT} points needs more memory than is available"
 
@@ -251,8 +252,8 @@ def test_cli_realize_rejects_unallocatable_orbit():
 
 
 def test_cli_realizes_k2000_in_ten_cycles():
-    # each orbit is checked against the points before it once, when it is
-    # placed, so memory stays linear in the 4000 points
+    # each batch of orbits is checked against the points before it once, in
+    # a block of at most 2^16 pairs, so memory stays linear in the 4000 points
     out = _run_limited(
         ["-m", "bipsym.cli", "realize", "--graph", "2000,2000", "--perm", _cycles(2000, 10),
          "--orientation", "op"],
@@ -297,7 +298,7 @@ def test_cap_check_stops_early():
         enumerate_automorphisms(shape, cap=1000)
     with pytest.raises(TooLarge, match="more than 419 vertices"):
         census(shape)
-    with pytest.raises(TooLarge, match="more than 40 vertices"):
+    with pytest.raises(TooLarge, match="more than 45 vertices"):
         census(shape, realize_all=True)
     assert time.perf_counter() - start < 1.0
 

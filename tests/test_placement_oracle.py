@@ -1,12 +1,20 @@
-"""The placer's one-pass separation check against the dense all-pairs oracle.
+"""Batched placement against one-orbit-at-a-time placement, and the
+placer's one-pass separation check against the dense all-pairs oracle.
 
-``_Placer`` compares each new orbit with the rows placed before it and with
-itself, when the orbit is placed, and keeps it only if no distance is below
-SEPARATION.  ``placement_oracle`` recomputes the full distance matrix.  On
-random point clouds with pairs at SEPARATION * (1 +- 1e-9) both must accept
-and reject the same groups, and every realized embedding must pass the
-oracle.
+``_Placer.place`` writes orbits in batches, compares each batch with the
+rows placed before it and with itself, keeps the orbits before the first one
+with a point closer than SEPARATION to an earlier row, and rewinds the rng
+to just after that orbit's draw.  ``placement_oracle.SequentialPlacer``
+places one orbit at a time; on scripted step lists that force collisions at
+SEPARATION * (1 +- 1e-9), inside one orbit and across orbits, both must
+leave the same points, rows, rng state and error.  ``placement_oracle``
+also recomputes the full distance matrix: on random point clouds with pairs
+at SEPARATION * (1 +- 1e-9) the placer must accept and reject the same
+groups, one at a time or offered together, and every realized embedding
+must pass the oracle.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +22,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from bipsym import BipartiteShape, Orientation, parse_cycles, realize
+from bipsym import geometry
 from bipsym.census import _representative
 from bipsym.classifier import classify
-from bipsym.geometry import SEPARATION, SeededPoints, _Placer
+from bipsym.errors import PlacementFailure, TooLarge
+from bipsym.geometry import SEPARATION, SeededPoints, _distances, _Placer
 
 from census_oracle import signature_tallies
-from placement_oracle import too_close, validate
+from placement_oracle import SequentialPlacer, too_close, validate
 from test_geometry import REALIZE_CASES
 
 # distances just below, at and just above the threshold, and clearly off it
@@ -52,9 +62,18 @@ def _placer(capacity: int) -> _Placer:
 
 def _offer(placer: _Placer, group: np.ndarray) -> bool:
     """Write ``group`` after the placed rows and let the placer decide."""
-    start = len(placer.rows)
-    placer.points[start : start + len(group)] = group
-    return placer._admit([f"p{start + i}" for i in range(len(group))])
+    return _offer_all(placer, [group]) == 1
+
+
+def _offer_all(placer: _Placer, groups) -> int:
+    """Write ``groups`` after the placed rows, in order, and return how many
+    the placer keeps in one batch."""
+    row, orbits = len(placer.rows), []
+    for group in groups:
+        placer.points[row : row + len(group)] = group
+        orbits.append([f"p{i}" for i in range(row, row + len(group))])
+        row += len(group)
+    return placer._admit(orbits)
 
 
 @given(point_groups())
@@ -71,6 +90,33 @@ def test_placer_accepts_what_the_dense_check_accepts(groups):
     assert np.array_equal(placer.points[: len(placer.rows)], np.array(kept).reshape(-1, 4))
 
 
+@given(point_groups())
+@settings(max_examples=400, deadline=None)
+def test_batch_keeps_the_groups_before_the_first_rejected(groups):
+    placer = _placer(sum(len(g) for g in groups))
+    kept, first_rejected = [], len(groups)
+    for i, group in enumerate(groups):
+        if too_close(group, np.array([*group, *kept])):
+            first_rejected = i
+            break
+        kept.extend(group)
+    event(f"{len(groups) - first_rejected} of {len(groups)} groups dropped")
+    assert _offer_all(placer, groups) == first_rejected
+    assert np.array_equal(placer.points[: len(placer.rows)], np.array(kept).reshape(-1, 4))
+
+
+@given(st.integers(1, 40), st.integers(0, 60), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_distances_have_the_bits_of_norm(k, placed, seed):
+    # pairs near SEPARATION and at scales from 1e-8 to 1
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(placed + k, 4)) * 10.0 ** rng.uniform(-8, 0, size=(placed + k, 1))
+    pts[placed:] = pts[rng.integers(0, placed + k, size=k)] + rng.normal(size=(k, 4)) * SEPARATION
+    new = pts[placed:]
+    expected = np.linalg.norm(new[:, None, :] - pts[None, :, :], axis=2)
+    assert _distances(new, pts).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("factor, kept", [(1 - 1e-9, False), (1 + 1e-9, True)])
 def test_threshold_pair(factor, kept):
     base = np.array([0.0, 0.0, 0.0, 1.0])
@@ -82,6 +128,100 @@ def test_threshold_pair(factor, kept):
     placer = _placer(2)
     assert _offer(placer, pair[:1])
     assert _offer(placer, pair[1:]) == kept
+
+
+def _shift(t: float) -> np.ndarray:
+    """Maps (x1, x2, x3, x4) to (x1 + t x4, x2, x3, x4): the orbit of a point
+    with x4 = 1 takes steps of length t, with x4 = 2 of length 2t."""
+    M = np.eye(4)
+    M[0, 3] = t
+    return M
+
+
+def _never(p):
+    """A landmark distance that rejects every draw."""
+    return 0.0
+
+
+@st.composite
+def placements(draw):
+    """(M, steps, seed) for ``place``: orbits of up to 4 points taking steps
+    of STEPS * SEPARATION, pinned or drawn from a table of points SEPARATION
+    * STEPS apart, some drawn off a table point and a few off everything."""
+    table = []
+    for _ in range(draw(st.integers(1, 4))):
+        anchor = np.array(
+            [*draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)),
+             draw(st.sampled_from([1.0, 2.0]))]
+        )
+        table.append(anchor)
+        for _ in range(draw(st.integers(0, 3))):
+            q = anchor.copy()
+            step = SEPARATION * draw(st.sampled_from(STEPS))
+            q[draw(st.integers(0, 2))] += draw(st.sampled_from([-step, step]))
+            table.append(q)
+    M = _shift(SEPARATION * draw(st.sampled_from(STEPS)))
+
+    def pick(rng):
+        return table[int(rng.uniform() * len(table))]
+
+    def off_first(p):
+        return float(np.linalg.norm(p - table[0]))
+
+    steps, key = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        keys = tuple(range(key, key + draw(st.integers(1, 4))))
+        key += len(keys)
+        kind = draw(st.sampled_from(["pinned", "drawn", "drawn", "off table[0]", "off all"]))
+        event(kind)
+        if kind == "pinned":
+            steps.append((keys, draw(st.sampled_from(table))))
+        elif kind == "drawn":
+            steps.append((keys, pick))
+        else:
+            steps.append((keys, pick, (off_first,) if kind == "off table[0]" else (_never,)))
+    return M, steps, draw(st.integers(0, 2**64 - 1))
+
+
+def _outcome(placer, steps) -> str:
+    try:
+        placer.place(steps)
+    except (PlacementFailure, TooLarge) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "placed"
+
+
+@given(placements(), st.sampled_from([1, 8, 40, geometry._PAIR_BUDGET]))
+@settings(max_examples=300, deadline=None)
+def test_batches_place_what_one_orbit_at_a_time_places(placement, budget):
+    # budget 1 makes every orbit a batch of its own, 8 and 40 split the steps
+    M, steps, seed = placement
+    shape = BipartiteShape(sum(len(keys) for keys, *_ in steps), 1)
+    expected = SequentialPlacer(M, shape, SeededPoints(seed))
+    placer = _Placer(M, shape, SeededPoints(seed))
+    with mock.patch.object(geometry, "_PAIR_BUDGET", budget):
+        outcome = _outcome(placer, steps)
+    assert outcome == _outcome(expected, steps)
+    event(outcome.split(" through")[0])
+    assert placer.rows == expected.rows
+    n = len(expected.rows)
+    assert placer.points[:n].tobytes() == expected.points[:n].tobytes()
+    assert placer.rng.state == expected.rng.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_saved_state_replays_the_draws(seed):
+    # batched placement rewinds the rng by setting its state back
+    rng = SeededPoints(seed)
+    rng.unit4()
+    saved = rng.state
+    draws = [rng.unit4(), rng.unit_on_sphere(), rng.angle(), rng.unit4()]
+    after = rng.state
+    rng.state = saved
+    again = [rng.unit4(), rng.unit_on_sphere(), rng.angle(), rng.unit4()]
+    assert rng.state == after
+    for a, b in zip(draws, again):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @pytest.mark.parametrize("nm,text,orientation,expected", REALIZE_CASES)
