@@ -8,19 +8,26 @@ part-swapping class is the cycle type lambda of its return map V -> W -> V,
 whose cycles are the mixed cycles 2*lambda, of size n!*n!/z_lambda.  Here
 z_lambda = prod k^{j_k} * j_k! is the centralizer order of a permutation
 with j_k cycles of length k.  For n = m, Aut(K_{n,n}) also holds the part
-swap, which conjugates (lambda, mu) into (mu, lambda): the census keeps
-the one with lambda >= mu, a class of twice that size when lambda != mu.
-Its case labels are those of (mu, lambda) too, because ``classify``
-matches both orientations and a label does not say which one matched.
+swap, which conjugates (lambda, mu) into (mu, lambda), so the two are one
+class, of twice that size when lambda != mu; ``candidate_classes`` yields
+it once, as the member with lambda >= mu.  Its case labels are those of
+(mu, lambda) too, because ``classify`` matches both orientations and a
+label does not say which one matched.
 
 Few classes are realizable, so the census does not build all p(n)*p(m)
 (+ p(n)) of them.  It reads the case table the other way round: one
 generator per case in ``classifier`` yields the classes whose signature
 can match that case, directly or with the parts interchanged, and the
 census classifies each candidate once with ``classify``, which alone
-decides.  Only the classes it finds realizable add their sizes, from
-z_lambda as above, to the tallies; ``unrealizable_op`` and
-``unrealizable_or`` are the group order minus the realizable sizes.
+decides.  The candidates share far fewer cycle types than they have
+pairs, so the census works per cycle type: each one the candidates use
+gets one row, for this census only, with its class size n!/z_lambda in
+its own symmetric group, its lcm, its fixed points and its cycle lengths
+other than 1.  A candidate's signature is built from its two rows, with r
+the lcm of their lcms, and a realizable class adds the product of the two
+class sizes (n! for the V -> W half of a part swap), doubled for a folded
+pair, to the tallies; ``unrealizable_op`` and ``unrealizable_or`` are the
+group order minus the realizable sizes.
 
 With ``realize_all`` the census realizes and verifies one representative
 per realizable (class, orientation) and counts the whole class when its
@@ -48,8 +55,11 @@ from .errors import OutOfTheoremScope, TooLarge
 
 # census() refuses parts larger than these before any work.  The plain census
 # classifies only the case generators' candidates, whose number depends on
-# the divisors of n and m: the slowest square shape within the bound,
-# K_{360,360}, takes about 0.6 s from the CLI.  Realize-all also
+# the divisors of n and m: K_{360,360}, the slowest square shape within the
+# bound, takes about 0.9-1.4 s from the CLI on 2 CPUs, and the slowest
+# shapes, K_{360,396} and K_{360,408}, whose candidates do not fold, about
+# 1.6-2.5 s.  Past 419 they grow slower still (K_{360,420} 2.4 s in-process,
+# K_{420,432} 2.9 s), so the bound stays below 420.  Realize-all also
 # realizes and verifies one representative per realizable (class,
 # orientation), and the divisors of n and m set its cost too: the slowest
 # shapes within the bound, K_{36,42} and K_{40,42}, take about 1.2-1.6 s from
@@ -71,14 +81,32 @@ class CensusReport:
     seed: int = 1
 
 
-def _centralizer_order(parts: tuple[int, ...]) -> int:
-    """z = prod k^{j_k} * j_k!, the order of the centralizer in S_n of a
-    permutation with cycle type ``parts``."""
-    z = 1
-    for k in set(parts):
-        j = parts.count(k)
-        z *= k**j * math.factorial(j)
-    return z
+class _PartitionRows(dict):
+    """Cycle type p -> (size, lcm(p), p.count(1), pure), built on first use
+    and kept for one census.  size = (sum p)!/z_p is the size of its class
+    in the symmetric group of its part, with z_p = prod k^{j_k} * j_k! the
+    order of the centralizer of a permutation with j_k cycles of length k;
+    pure is p without its 1s.  ``factorials`` maps each part size to its
+    factorial."""
+
+    def __init__(self, factorials: dict[int, int]) -> None:
+        super().__init__()
+        self.factorials = factorials
+
+    def __missing__(self, p: tuple[int, ...]) -> tuple:
+        lengths = set(p)
+        z = 1
+        for k in lengths:
+            j = p.count(k)
+            z *= k**j * math.factorial(j)
+        fixed = p.count(1)
+        row = self[p] = (
+            self.factorials[sum(p)] // z,
+            math.lcm(*lengths),
+            fixed,
+            p[: len(p) - fixed],  # p itself, not a copy, when nothing is fixed
+        )
+        return row
 
 
 def _representative(sig: CycleSignature) -> BipartiteAutomorphism:
@@ -110,36 +138,6 @@ def _representative(sig: CycleSignature) -> BipartiteAutomorphism:
     return BipartiteAutomorphism(sig.shape, tuple(perm))
 
 
-def _class_signature(
-    shape: BipartiteShape, lam: tuple[int, ...], mu: tuple[int, ...] | None
-) -> CycleSignature:
-    """The signature of the class (lam, mu), or of the part-swapping class
-    (lam, None) whose mixed cycles are 2*lam; lam and mu are non-increasing,
-    so their 1s, the fixed vertices, come last."""
-    if mu is None:
-        mixed = tuple(2 * k for k in lam)
-        return CycleSignature(
-            shape=shape,
-            side_action=SideAction.SWAPPING,
-            r=math.lcm(*mixed),
-            fixed_v=0,
-            fixed_w=0,
-            pure_v_cycles=(),
-            pure_w_cycles=(),
-            mixed_cycles=mixed,
-        )
-    return CycleSignature(
-        shape=shape,
-        side_action=SideAction.PRESERVING,
-        r=math.lcm(*lam, *mu),
-        fixed_v=lam.count(1),
-        fixed_w=mu.count(1),
-        pure_v_cycles=lam[: len(lam) - lam.count(1)],
-        pure_w_cycles=mu[: len(mu) - mu.count(1)],
-        mixed_cycles=(),
-    )
-
-
 def census(
     shape: BipartiteShape,
     realize_all: bool = False,
@@ -149,10 +147,12 @@ def census(
 
     The tally is counted per conjugacy class over the candidates of
     :func:`~bipsym.classifier.candidate_classes`, which include every
-    realizable class, with (lambda, mu) and (mu, lambda) one class when
-    n = m; each class the classifier finds realizable adds its size to its
-    cases, and ``unrealizable_op`` and ``unrealizable_or`` are the total
-    minus the realizable sizes.  With ``realize_all``, additionally realize
+    realizable class, with (lambda, mu) and (mu, lambda) one candidate when
+    n = m.  Each cycle type's class size, lcm and fixed points are computed
+    once per call; each class the classifier finds realizable adds its
+    size, one product of two class sizes, to its cases, and
+    ``unrealizable_op`` and ``unrealizable_or`` are the total minus the
+    realizable sizes.  With ``realize_all``, additionally realize
     (with ``seed``) and verify one representative of every class in each
     orientation the classifier marks realizable; ``realized_verified`` is
     the summed size of the classes whose representative's certificate
@@ -173,22 +173,45 @@ def census(
         from .geometry import realize
         from .verifier import verify
 
-    pairs = math.factorial(n) * math.factorial(m)
+    factorials = {n: math.factorial(n), m: math.factorial(m)}
+    rows = _PartitionRows(factorials)
     total = automorphism_count(shape)
     per_case: dict[str, int] = {}
     realizable_op = 0
     realizable_or = 0
     realized_verified = 0 if realize_all else None
     for lam, mu in candidate_classes(shape):
-        # for n = m the part swap conjugates (lam, mu) into (mu, lam), and
-        # candidate_classes yields both: keep the one with lam >= mu
-        if n == m and mu is not None and lam < mu:
-            continue
-        sig = _class_signature(shape, lam, mu)
+        size_v, lcm_v, fixed_v, pure_v = rows[lam]
+        if mu is None:
+            # n! choices of the V -> W half for each return map
+            size_w = factorials[n]
+            mixed = tuple(2 * k for k in lam)
+            sig = CycleSignature(
+                shape=shape,
+                side_action=SideAction.SWAPPING,
+                r=2 * lcm_v,
+                fixed_v=0,
+                fixed_w=0,
+                pure_v_cycles=(),
+                pure_w_cycles=(),
+                mixed_cycles=mixed,
+            )
+        else:
+            size_w, lcm_w, fixed_w, pure_w = rows[mu]
+            sig = CycleSignature(
+                shape=shape,
+                side_action=SideAction.PRESERVING,
+                r=math.lcm(lcm_v, lcm_w),
+                fixed_v=fixed_v,
+                fixed_w=fixed_w,
+                pure_v_cycles=pure_v,
+                pure_w_cycles=pure_w,
+                mixed_cycles=(),
+            )
         verdict = classify(sig)
         if not (verdict.op_realizable or verdict.or_realizable):
             continue
-        count = pairs // (_centralizer_order(lam) * _centralizer_order(mu or ()))
+        count = size_v * size_w
         if n == m and mu not in (None, lam):
             count *= 2  # the class of (mu, lam) as well
         for case in verdict.op_cases + verdict.or_cases:

@@ -397,13 +397,21 @@ CASE_GENERATORS = {
 def candidate_classes(shape: BipartiteShape) -> set[tuple]:
     """Every conjugacy class of Aut(K_{n,m}) whose signature some case can
     match, directly or with the parts interchanged, as (lam, mu) or
-    (lam, None); see CASE_GENERATORS.  Some candidates match no case."""
+    (lam, None); see CASE_GENERATORS.  Some candidates match no case.
+
+    For n = m the part swap conjugates (lam, mu) into (mu, lam), and both
+    classes match the same cases, so each generator runs once and each
+    such pair is one candidate, the one with lam >= mu."""
     n, m = shape.n, shape.m
     found: set[tuple] = set()
     for generate in dict.fromkeys(CASE_GENERATORS.values()):  # 1 and 10 share one
+        if n == m:
+            for lam, mu in generate(n, n):
+                found.add((mu, lam) if mu is not None and lam < mu else (lam, mu))
+            continue
         found.update(generate(n, m))
         for lam, mu in generate(m, n):
-            found.add((lam, None) if mu is None else (mu, lam))
+            found.add((mu, lam))
     return found
 
 

@@ -157,7 +157,13 @@ def dist_to_sphere(p: np.ndarray) -> float:
 
 
 def dist_to_f(p: np.ndarray) -> float:
-    return min(float(np.linalg.norm(p - f)) for f in F_POINTS)
+    return min(_norm(p - f) for f in F_POINTS)
+
+
+def _norm(d: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D array, bit for bit as ``np.linalg.norm``
+    computes it, without its dispatch."""
+    return math.sqrt(d.dot(d))
 
 
 # distance to each landmark set a generic orbit avoids; F lies on X
@@ -195,14 +201,14 @@ class SeededPoints:
     def unit4(self) -> np.ndarray:
         while True:
             p = np.array([self.gaussian() for _ in range(4)])
-            norm = np.linalg.norm(p)
+            norm = _norm(p)
             if norm > 1e-3:
                 return p / norm
 
     def unit_on_sphere(self) -> np.ndarray:
         while True:
             p = np.array([self.gaussian(), self.gaussian(), self.gaussian(), 0.0])
-            norm = np.linalg.norm(p)
+            norm = _norm(p)
             if norm > 1e-3:
                 return p / norm
 

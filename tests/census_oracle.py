@@ -1,8 +1,10 @@
 """Census oracles: the computations the census made before it was sped up.
 
-``signature_tallies`` builds the signature and class size of every
-conjugacy class of Aut(K_{n,m}) from all p(n)*p(m) (+ p(n)) partition
-pairs, and ``census_report`` classifies every one of them.  The census
+``signature_tallies`` builds the signature (``class_signature``) and class
+size (from ``centralizer_order``) of every conjugacy class of S_n x S_m and
+of the part-swapping classes of K_{n,n}, from all p(n)*p(m) (+ p(n))
+partition pairs, and ``census_report`` classifies every one of them.
+``fold`` keys a class as the census's candidates key it.  The census
 classifies only the classes the case generators yield; tests require both
 to give the same report.  ``realized_verified`` is the per-automorphism
 realize-all loop the census ran before it realized one representative per
@@ -17,7 +19,7 @@ import math
 from collections import Counter
 from typing import Iterator
 
-from bipsym.census import CensusReport, _centralizer_order
+from bipsym.census import CensusReport
 from bipsym.classifier import classify
 from bipsym.core import (
     DEFAULT_ENUMERATION_CAP,
@@ -70,38 +72,64 @@ def classes_of(n: int, m: int) -> list[tuple]:
     return classes
 
 
+def centralizer_order(parts: tuple[int, ...]) -> int:
+    """z = prod k^{j_k} * j_k!, the order of the centralizer in S_n of a
+    permutation with cycle type ``parts``."""
+    z = 1
+    for k in set(parts):
+        j = parts.count(k)
+        z *= k**j * math.factorial(j)
+    return z
+
+
+def class_signature(
+    shape: BipartiteShape, lam: tuple[int, ...], mu: tuple[int, ...] | None
+) -> CycleSignature:
+    """The signature of the class (lam, mu), or of the part-swapping class
+    (lam, None) whose mixed cycles are 2*lam."""
+    if mu is None:
+        mixed = tuple(2 * k for k in lam)
+        return CycleSignature(
+            shape=shape,
+            side_action=SideAction.SWAPPING,
+            r=math.lcm(*mixed),
+            fixed_v=0,
+            fixed_w=0,
+            pure_v_cycles=(),
+            pure_w_cycles=(),
+            mixed_cycles=mixed,
+        )
+    return CycleSignature(
+        shape=shape,
+        side_action=SideAction.PRESERVING,
+        r=math.lcm(*lam, *mu),
+        fixed_v=lam.count(1),
+        fixed_w=mu.count(1),
+        pure_v_cycles=tuple(k for k in lam if k > 1),
+        pure_w_cycles=tuple(k for k in mu if k > 1),
+        mixed_cycles=(),
+    )
+
+
+def fold(n: int, m: int, lam: tuple[int, ...], mu: tuple[int, ...] | None) -> tuple:
+    """The key ``candidate_classes`` gives the class (lam, mu) of K_{n,m},
+    or the part-swapping class (lam, None).  On K_{n,n} the part swap
+    conjugates (lam, mu) into (mu, lam), so the two are one class of
+    Aut(K_{n,n}), keyed by its member with lam >= mu; any other key is
+    kept as it is."""
+    if n == m and mu is not None and lam < mu:
+        return mu, lam
+    return lam, mu
+
+
 def signature_tallies(shape: BipartiteShape) -> Counter:
     """Number of automorphisms of K_{n,m} with each cycle signature."""
     n, m = shape.n, shape.m
     pairs = math.factorial(n) * math.factorial(m)
     tally: Counter = Counter()
-    for lam in _partitions(n):
-        for mu in _partitions(m):
-            sig = CycleSignature(
-                shape=shape,
-                side_action=SideAction.PRESERVING,
-                r=math.lcm(*lam, *mu),
-                fixed_v=lam.count(1),
-                fixed_w=mu.count(1),
-                pure_v_cycles=tuple(k for k in lam if k > 1),
-                pure_w_cycles=tuple(k for k in mu if k > 1),
-                mixed_cycles=(),
-            )
-            tally[sig] += pairs // (_centralizer_order(lam) * _centralizer_order(mu))
-    if n == m:
-        for lam in _partitions(n):
-            mixed = tuple(2 * k for k in lam)
-            sig = CycleSignature(
-                shape=shape,
-                side_action=SideAction.SWAPPING,
-                r=math.lcm(*mixed),
-                fixed_v=0,
-                fixed_w=0,
-                pure_v_cycles=(),
-                pure_w_cycles=(),
-                mixed_cycles=mixed,
-            )
-            tally[sig] += pairs // _centralizer_order(lam)
+    for lam, mu in classes_of(n, m):
+        z = centralizer_order(lam) * centralizer_order(mu or ())
+        tally[class_signature(shape, lam, mu)] += pairs // z
     return tally
 
 

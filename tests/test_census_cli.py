@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -263,3 +264,40 @@ class TestCli:
     def test_bad_usage_exit_2(self, capsys):
         assert cli_main(["classify", "--graph", "3x3", "--perm", "()"]) == 2
         assert cli_main(["frobnicate"]) == 2
+
+
+# sha256 of `bipsym census` stdout, pinned before the census counted per
+# partition: the plain census at its largest tested shapes, both parts'
+# orders, and the realize-all census of K_{6,6}
+CENSUS_STDOUT_SHA256 = {
+    ("100", "100"): "62563dff9598963fff82c8e185d95d764d790ca742761ed55151a881b589280d",
+    ("100", "100", "--format", "csv"): (
+        "0ac8886c7233f46ed1aea8fdf0b65616087be7b45cb15974176dd6684abba123"
+    ),
+    ("360", "360"): "18f7b76c8fd7f7725ea2e44695ce0fef8d9497adc7608cdda8fb9890dc63a48a",
+    ("360", "360", "--format", "csv"): (
+        "d6903b23d07514ed8e28db5ff8c8c944f6c190d002b1f0f89399b749e5a45ab6"
+    ),
+    ("419", "419"): "d3378e75e935b44059a49dd28a0f39cf5801ba97e339c013dc9591773bca7012",
+    ("419", "419", "--format", "csv"): (
+        "7ce8c389f4c1acbfee00345ff02e539495307b78c18c02267d338e19b76a6939"
+    ),
+    ("12", "15"): "10771ec6c5fe86f61d3288b8ffc85c1be7ac63ae28e060a736cd35fad1ec3190",
+    ("12", "15", "--format", "csv"): (
+        "05860fca9998bc8d9b6eaf502634d0fdaa7578e9b1b7ccdca6ddf4395bc2cb4c"
+    ),
+    ("15", "12"): "d4526964f1aa32411d9eb71da2ba380284d09b77e081f6d1d496833230969f65",
+    ("15", "12", "--format", "csv"): (
+        "967ba7b464267cb25953c135459984e2cffb21abff6e0253d4aa15e53244049b"
+    ),
+    ("6", "6", "--realize-all"): (
+        "b4247647fcb655437b76eb13ad345c31ba82e59b5d7c8dfcc915a9b8d6c4d493"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(CENSUS_STDOUT_SHA256), ids=" ".join)
+def test_census_stdout_is_pinned(args, capsys):
+    assert cli_main(["census", *args]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CENSUS_STDOUT_SHA256[args]

@@ -4,11 +4,14 @@ The generators and the case clauses of ``classify`` are two encodings of
 the paper's case table, and these tests hold each against the other.  Up
 to K_{16,16} (K_{12,15} and K_{15,12} included), the candidates
 ``classify`` accepts must be exactly the classes it accepts among all
-partitions, the census report must equal the oracle's, which classifies
-every class, and each generator must yield every class that its own case
-matches directly.  Up to K_{200,200}, random classes with at most three
+partitions, keyed as the census keys them (``census_oracle.fold``: on
+K_{n,n}, (lam, mu) and (mu, lam) are one class), the census report must
+equal the oracle's, which classifies every class without folding, and
+each generator must yield every class that its own case matches
+directly.  Up to K_{200,200}, random classes with at most three
 distinct cycle lengths per part, the form of every realizable class,
-must be candidates whenever ``classify`` accepts them.
+must be candidates, under their folded key, whenever ``classify``
+accepts them.
 """
 
 import pytest
@@ -16,12 +19,11 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bipsym import BipartiteShape, census
-from bipsym.census import _class_signature
 from bipsym.classifier import CASE_GENERATORS, _case_keys, candidate_classes, classify
 from bipsym.jsonio import report_to_obj
 
 import census_oracle
-from census_oracle import classes_of
+from census_oracle import class_signature, classes_of, fold
 
 SHAPES = [(n, m) for n in range(3, 17) for m in range(3, 17)]
 LARGEST_PART = 200
@@ -35,13 +37,15 @@ def _realizable(sig) -> bool:
 @pytest.mark.parametrize("n, m", SHAPES)
 def test_candidates_are_the_realizable_classes(n, m):
     shape = BipartiteShape(n, m)
-    tally = census_oracle.signature_tallies(shape)
+    classes = {fold(n, m, lam, mu) for lam, mu in classes_of(n, m)}
     keys = candidate_classes(shape)
-    # keyed as the oracle keys classes, so no class is counted twice
-    assert keys <= set(classes_of(n, m))
-    candidates = [_class_signature(shape, lam, mu) for lam, mu in keys]
+    # keyed as the folded oracle classes, so no class is counted twice
+    assert keys <= classes
+    candidates = [class_signature(shape, lam, mu) for lam, mu in keys]
     assert {sig for sig in candidates if _realizable(sig)} == {
-        sig for sig in tally if _realizable(sig)
+        sig
+        for sig in (class_signature(shape, lam, mu) for lam, mu in classes)
+        if _realizable(sig)
     }
     want = census_oracle.census_report(shape)
     assert report_to_obj(census(shape)) == report_to_obj(want)
@@ -53,7 +57,7 @@ def test_each_generator_covers_its_case(n, m):
     shape = BipartiteShape(n, m)
     generated = {number: set(gen(n, m)) for number, gen in CASE_GENERATORS.items()}
     for lam, mu in classes_of(n, m):
-        direct, _ = _case_keys(_class_signature(shape, lam, mu))
+        direct, _ = _case_keys(class_signature(shape, lam, mu))
         for number, _sub in direct:
             assert (lam, mu) in generated[number], (number, lam, mu)
 
@@ -90,6 +94,6 @@ def classes(draw):
 @settings(max_examples=400, deadline=None)
 def test_every_realizable_class_is_a_candidate(cls):
     shape, lam, mu = cls
-    if _realizable(_class_signature(shape, lam, mu)):
+    if _realizable(class_signature(shape, lam, mu)):
         event("realizable")
-        assert (lam, mu) in candidate_classes(shape)
+        assert fold(shape.n, shape.m, lam, mu) in candidate_classes(shape)

@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipsym import BipartiteShape, classify, parse_cycles, signature
-from bipsym.census import _class_signature
 from bipsym.classifier import _preserving_cases
 
 import classifier_oracle
-from census_oracle import classes_of
+from census_oracle import class_signature, classes_of
 
 LARGEST_PART = 200
 
@@ -28,7 +27,7 @@ def test_every_class_up_to_k12(n):
     for m in range(3, 13):
         shape = BipartiteShape(n, m)
         for lam, mu in classes_of(n, m):
-            sig = _class_signature(shape, lam, mu)
+            sig = class_signature(shape, lam, mu)
             assert classify(sig) == classifier_oracle.classify(sig), (lam, mu)
 
 
@@ -55,9 +54,9 @@ def signatures(draw):
     n = draw(st.integers(3, LARGEST_PART))
     lam = draw(cycle_type(n))
     if draw(st.booleans()):
-        return _class_signature(BipartiteShape(n, n), lam, None)
+        return class_signature(BipartiteShape(n, n), lam, None)
     m = draw(st.one_of(st.just(n), st.integers(3, LARGEST_PART)))
-    return _class_signature(BipartiteShape(n, m), lam, draw(cycle_type(m)))
+    return class_signature(BipartiteShape(n, m), lam, draw(cycle_type(m)))
 
 
 @given(signatures())

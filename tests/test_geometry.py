@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipsym import (
     BipartiteShape,
@@ -24,6 +26,7 @@ from bipsym.geometry import (
     IDENTITY_GAP,
     ORTHOGONALITY_TOL,
     SeededPoints,
+    _norm,
     _subdivide_half_turn,
     dispatch_case,
     dist_to_sphere,
@@ -246,6 +249,16 @@ class TestSeededPoints:
         rng = SeededPoints(3)
         for _ in range(50):
             assert abs(np.linalg.norm(rng.unit4()) - 1.0) < 1e-12
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=4))
+@settings(max_examples=500, deadline=None)
+def test_norm_is_numpy_norm_bitwise(xs):
+    # unit4, unit_on_sphere and dist_to_f normalize with _norm; a different
+    # bit would move every realization
+    p = np.array(xs)
+    want = np.linalg.norm(p)
+    assert np.float64(_norm(p)).tobytes() == want.tobytes()
 
 
 # -- realize: at least one automorphism per construction family --------------
