@@ -62,9 +62,10 @@ from .errors import OutOfTheoremScope, TooLarge
 # K_{420,432} 2.9 s), so the bound stays below 420.  Realize-all also
 # realizes and verifies one representative per realizable (class,
 # orientation), and the divisors of n and m set its cost too: the slowest
-# shapes within the bound, K_{36,42} and K_{40,42}, take about 1.2-1.6 s from
+# shapes within the bound, K_{36,42} and K_{40,42}, take about 1.0-1.5 s from
 # the CLI on 2 CPUs, no longer than K_{36,40} took when the bound was 40;
-# K_{45,45} takes 0.5 s, and K_{42,48} 1.7 s.
+# K_{45,45} takes 0.5 s.  A bound of 48 would admit K_{36,48} and K_{42,48},
+# about 10% slower than K_{36,42} took when the bound was set, so it stays 45.
 MAX_CENSUS_PART = 419
 MAX_REALIZE_ALL_PART = 45
 

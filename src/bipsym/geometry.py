@@ -34,7 +34,7 @@ from .core import (
     _index_cycles,
     signature,
 )
-from .errors import OrderMismatch, PlacementFailure, PreconditionError, TooLarge
+from .errors import OrderMismatch, PlacementFailure, TooLarge
 
 ORTHOGONALITY_TOL = 1e-12
 DET_TOL = 1e-9  # |det M - (+-1)| allowed for the claimed orientation
@@ -427,10 +427,10 @@ def _realize_rotation(aut, sig):
     return rotation_isometry(sig.r), plan, {}, ("X",)
 
 
-def _subdivide_half_turn(aut: BipartiteAutomorphism, r: int):
-    """Subdivision vertices for the edges inverted by the half-order power
-    of a part-swapping automorphism of order r whose cycles all have length
-    r, for odd r/2, with their cycles under the induced action.
+def _subdivide_half_turn(cycles, r: int):
+    """Subdivision vertices for the edges that the half-order power inverts,
+    with their cycles under the induced action, given the cycles of a
+    part-swapping automorphism of order r, odd r/2, all mixed r-cycles.
 
     In a cycle (c0 ... c_{r-1}), c0 in V, the half-order power maps c_i to
     c_{i+r/2}, so it inverts the edge (c_i, c_{i+r/2}) for each even i, and
@@ -441,13 +441,6 @@ def _subdivide_half_turn(aut: BipartiteAutomorphism, r: int):
     and the id cycles.
     """
     half = r // 2
-    cycles = _index_cycles(aut.perm)
-    swapping = aut.side_action is SideAction.SWAPPING
-    if not swapping or half % 2 == 0 or any(len(cyc) != r for cyc in cycles):
-        raise PreconditionError(
-            f"the half-order power of {aut} (order {r}) does not invert "
-            "one edge at every V vertex"
-        )
     sub_edges: dict[str, tuple[int, int]] = {}
     z_cycles = []
     for cyc in cycles:
@@ -476,7 +469,7 @@ def _realize_glide(aut, cycles, sig, case):
     if case.number == 1:  # part-swapping; all cycles are mixed r-cycles
         if (r // 2) % 2 == 1:
             alpha, beta = Fraction(2, r), Fraction(1, r)
-            sub_edges, z_cycles = _subdivide_half_turn(aut, r)
+            sub_edges, z_cycles = _subdivide_half_turn(mixed[r], r)
             plan = [(z_cycle, on_y) for z_cycle in z_cycles]
         else:
             alpha, beta = Fraction(1, 4), Fraction(1, r)

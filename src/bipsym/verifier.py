@@ -33,6 +33,11 @@ i·δ of x_{π^i(k)}; while tol plus that drift for i = r stays
 below the minimum separation, M^i brings an edge's ends within tol of each
 other's places only where π^i interchanges them.  Otherwise every (power,
 edge) pair is tested, in the same blocks, up to MAX_SWAP_TESTS pairs.
+
+The induces check measures every distance between points, and from each
+image M x_k to every point, with geometry's one pairwise-distance kernel,
+_distances; a test pins its bits to np.linalg.norm's, and the verifier
+oracle in the tests measures with np.linalg.norm itself.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .geometry import (
     SUBSPACE_TOL,
     Isometry4,
     SpatialEmbedding,
+    _distances,
 )
 
 # The power pass takes about 2 µs per power on 2 CPUs (x86-64, OpenBLAS), so
@@ -62,9 +68,10 @@ from .geometry import (
 # a larger claim raises TooLarge before any product.
 MAX_CLAIMED_ORDER = 500_000
 # n*m edges plus the subdivision vertices: the edge arrays grow with them,
-# and on balanced shapes the separation grid of the points too.  At this
-# bound, K_{1000,1000} in pure 10-cycles verifies in about 1.1 s at 420 MB
-# peak RSS on 2 CPUs; larger graphs raise TooLarge before any array is built.
+# and on balanced shapes the induces check's distance block of the points
+# too.  At this bound, K_{1000,1000} in pure 10-cycles verifies in about
+# 0.5 s at 170 MB peak RSS on 2 CPUs; larger graphs raise TooLarge before
+# any array is built.
 MAX_VERIFY_EDGES = 1_000_000
 # When π is not established, eel2 tests every (power, edge) pair, about five
 # million a second on 2 CPUs.  This bound keeps that to a few seconds and
@@ -112,9 +119,7 @@ def fixed_subspace(A: np.ndarray) -> np.ndarray:
     """
     _, s, vh = np.linalg.svd(A - _I4)
     d = int(np.count_nonzero(s <= SUBSPACE_TOL))
-    if d == 0:
-        return np.zeros((4, 0))
-    return vh[4 - d :].T
+    return vh[4 - d :].T  # 4 x 0 when d = 0
 
 
 def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -186,13 +191,9 @@ class _Verification:
         if self.z_edges:
             za, zb = np.array(self.z_edges).T
             at = za * m + zb - n  # position of each subdivided edge
-            width = np.ones(n * m, dtype=np.int64)
-            width[at] = 2
-            a, b = np.repeat(a, width), np.repeat(b, width)
-            first = np.cumsum(width)[at] - 2  # (v, z) here, (z, w) next
             z = np.arange(self.n_graph, self.n_graph + len(self.zids))
-            b[first] = z
-            a[first + 1] = z
+            b[at] = z  # (v, z) in the edge's place, (z, w) right after it
+            a, b = np.insert(a, at + 1, z), np.insert(b, at + 1, zb)
         return a, b
 
     def _point_image(self) -> np.ndarray:
@@ -387,7 +388,7 @@ def verify(
                 f"more than {MAX_SWAP_TESTS}"
             )
         st.run_powers(r, pi_exact)
-    except MemoryError as exc:  # the separation grid is quadratic in the points
+    except MemoryError as exc:  # the induces distance block is quadratic in the points
         raise TooLarge(
             f"verifying K_{{{shape.n},{shape.m}}} needs more memory than is available"
         ) from exc
@@ -443,13 +444,10 @@ def _check_orientation(M: np.ndarray, orientation: Orientation) -> CheckResult:
 def _check_induces(st) -> CheckResult:
     P = st.P
     K = len(P)
-    Q = P @ st.iso.matrix.T
     # rows below K: distances between points; from K on: from M x_k to each
-    # point.  The grid is the largest array of verify, so it is squared in place.
-    grid = np.concatenate((P, Q))[:, None, :] - P
-    grid *= grid
-    grid = np.sqrt(np.add.reduce(grid, axis=-1))
-    dists, move = grid[:K], grid[K:]
+    # point.  The block is the largest array of verify.
+    block = _distances(np.concatenate((P, P @ st.iso.matrix.T)), P)
+    dists, move = block[:K], block[K:]
     dists.flat[:: K + 1] = np.inf
     min_sep = float(dists.min())
     nearest = move.argmin(axis=1)

@@ -10,7 +10,6 @@ from bipsym import (
     BipartiteShape,
     NotRealizable,
     OrderMismatch,
-    PreconditionError,
     classify_aut,
     glide_isometry,
     improper_isometry,
@@ -27,7 +26,6 @@ from bipsym.geometry import (
     ORTHOGONALITY_TOL,
     SeededPoints,
     _norm,
-    _subdivide_half_turn,
     dispatch_case,
     dist_to_sphere,
     dist_to_x,
@@ -370,12 +368,6 @@ class TestRealizeDetails:
             realize(aut, "op", seed=1)
         with pytest.raises(NotRealizable):
             realize(aut, "or", seed=1)
-
-    def test_half_turn_subdivision_needs_inverted_edges(self):
-        # r = 4: the half-order power preserves the parts, so it inverts no edge
-        aut = parse_cycles(BipartiteShape(4, 4), "(v1 w1 v2 w2)(v3 w3 v4 w4)")
-        with pytest.raises(PreconditionError):
-            _subdivide_half_turn(aut, aut.order())
 
     def test_induced_permutation_matches(self):
         aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2)(w1 w2 w3)")

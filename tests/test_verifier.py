@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipsym import (
     BipartiteShape,
@@ -21,6 +23,7 @@ from bipsym import (
 from bipsym.classifier import Orientation
 from bipsym.cli import cli_main
 from bipsym.geometry import Isometry4
+from bipsym.verifier import _Verification
 
 from topology_checks import smith_check, two_circle_check
 
@@ -213,6 +216,55 @@ class TestSubdividedTwice:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: edge (v1, w1) subdivided twice\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_subdivided_edge_list_matches_plain_lists(data):
+    """The edge arrays of the subdivided graph equal a plain-list walk over
+    the edges in position order, each subdivided (v, w) becoming (v, z),
+    (z, w) in its place, with ids whose sorted order is not position order
+    and edges given either way round."""
+    n = data.draw(st.integers(1, 9), label="n")
+    m = data.draw(st.integers(1, 9), label="m")
+    shape = BipartiteShape(n, m)
+    at = data.draw(st.lists(st.integers(0, n * m - 1), unique=True), label="edges")
+    ids = data.draw(
+        st.lists(st.integers(0, 99), min_size=len(at), max_size=len(at), unique=True),
+        label="ids",
+    )
+    flips = data.draw(st.lists(st.booleans(), min_size=len(at), max_size=len(at)))
+    ids = [f"z{i}" for i in ids]
+    edges = {}  # (v, w) global indices -> id
+    subdivision_edges = {}
+    for e, z, flip in zip(at, ids, flips):
+        v, w = divmod(e, m)
+        edges[v, n + w] = z
+        ends = (shape.vertex_at(v), shape.vertex_at(n + w))
+        subdivision_edges[z] = ends[::-1] if flip else ends
+    emb = SpatialEmbedding(
+        shape,
+        {},
+        subdivision_coordinates={z: np.zeros(4) for z in ids},
+        subdivision_edges=subdivision_edges,
+    )
+    coordinates = [np.zeros(4)] * shape.size
+    aut = parse_cycles(shape, "")
+    state = _Verification(aut, rotation_isometry(1), emb, 1e-9, coordinates)
+
+    point = {z: shape.size + k for k, z in enumerate(sorted(ids))}
+    want_a, want_b = [], []
+    for v in range(n):
+        for w in range(n, n + m):
+            z = edges.get((v, w))
+            if z is None:
+                want_a.append(v)
+                want_b.append(w)
+            else:
+                want_a += [v, point[z]]
+                want_b += [point[z], w]
+    assert state.edge_a.tolist() == want_a
+    assert state.edge_b.tolist() == want_b
 
 
 class TestSmith:
