@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .core import (
     _index_cycles,
     signature,
 )
-from .errors import OrderMismatch, PlacementFailure, TooLarge
+from .errors import OrderMismatch, PlacementFailure
 
 ORTHOGONALITY_TOL = 1e-12
 DET_TOL = 1e-9  # |det M - (+-1)| allowed for the claimed orientation
@@ -229,11 +229,10 @@ class SpatialEmbedding:
     landmarks: dict[str, str] = field(default_factory=dict)
 
 
-# pairs of points that the distance block of one batch of _Placer.place may
-# compare: its two float arrays then take 1 MiB.  A batch stops before the
-# orbit that would exceed the budget; an orbit larger than it is a batch of
-# its own, and one whose block cannot be allocated raises TooLarge.
-_PAIR_BUDGET = 1 << 16
+# width of the cells of _Placer's grid, a power of two so that scaling by it
+# is exact; the cells are offset by half a width so that the exact 0 and +-1
+# coordinates of landmark points lie mid-cell, not on four cell boundaries
+_CELL_WIDTH = 2.0**-10
 
 
 def _distances(new: np.ndarray, placed: np.ndarray) -> np.ndarray:
@@ -261,16 +260,16 @@ class _Placer:
     The points fill the rows of one array preallocated for the graph and
     ``subdivisions`` subdivision vertices; ``rows`` maps each placed key
     (graph vertices by global index, subdivision vertices by their str id)
-    to its row.  ``place`` writes orbits after the placed rows in batches
-    and compares each batch, once, with every row before it and with
-    itself, in one distance block of at most _PAIR_BUDGET pairs.  A batch
-    keeps its orbits up to the first one with a point closer than
-    SEPARATION to an earlier row; from that orbit on it is overwritten by
-    the next batch, with the rng rewound to its state right after that
-    orbit's draw.  So each kept pair is tested against SEPARATION exactly
-    once, and the draws, points, rows and errors are those of placing one
-    orbit at a time (``tests/placement_oracle.py``).  Unit norm and closure
-    under M are left to ``verifier.verify``.
+    to its row.  ``place`` writes one orbit at a time after the placed rows
+    and keeps it when ``_admit`` finds no point of it closer than SEPARATION
+    to an earlier row.  ``cells`` is a grid over R^4 that files each placed
+    row under every cell of width _CELL_WIDTH that its ball of radius
+    2 * SEPARATION meets, almost always one cell and at most 16.  A new
+    point is measured only against the rows filed under its own cell, so
+    each pair is measured at most once and every pair closer than
+    SEPARATION is measured.  The draws, points, rows and errors are those
+    of the dense check (``tests/placement_oracle.py``).  Unit norm and
+    closure under M are left to ``verifier.verify``.
     """
 
     def __init__(
@@ -281,33 +280,43 @@ class _Placer:
         self.rng = rng
         self.points = np.empty((shape.size + subdivisions, 4))
         self.rows: dict[int | str, int] = {}
+        self.cells: dict[tuple[int, ...], list[int]] = {}
 
     def _label(self, key) -> str:
         return key if isinstance(key, str) else self.shape.vertex_at(key).label
 
-    def _admit(self, orbits) -> int:
-        """Keep the orbits written after the placed rows, given as key lists
-        in row order, up to the first with a point closer than SEPARATION to
-        an earlier row; return how many were kept."""
-        start = len(self.rows)
-        end = start + sum(map(len, orbits))
-        try:
-            d = _distances(self.points[start:end], self.points[:end])
-        except MemoryError as exc:  # only a lone orbit exceeds _PAIR_BUDGET
-            raise TooLarge(
-                f"placing an orbit of {end - start} points needs more memory than is available"
-            ) from exc
-        np.fill_diagonal(d[:, start:], np.inf)  # each point against itself
-        close = d < SEPARATION
-        if close.any():  # end at the first row too close to an earlier one
-            close[:, start:] &= np.tri(end - start, k=-1, dtype=bool)
-            end = start + int(close.any(axis=1).argmax())
-        for kept, keys in enumerate(orbits):
-            row = len(self.rows)
-            if row + len(keys) > end:
-                return kept
-            self.rows.update(zip(keys, range(row, row + len(keys))))
-        return len(orbits)
+    def _admit(self, keys) -> bool:
+        """Keep the orbit written after the placed rows, its keys given in
+        row order, unless one of its points is closer than SEPARATION to an
+        earlier row; return whether it was kept.
+
+        If |q - o| < SEPARATION, every coordinate of q lies within
+        SEPARATION of o's, so q's own cell is one that o was filed under:
+        the radius 2 * SEPARATION covers the rounding of both cell indices.
+        """
+        points, cells, floor = self.points, self.cells, math.floor
+        start, filed = len(self.rows), []
+        low, high = 0.5 - 2.0 * SEPARATION / _CELL_WIDTH, 0.5 + 2.0 * SEPARATION / _CELL_WIDTH
+        scaled = (points[start : start + len(keys)] / _CELL_WIDTH).tolist()
+        for row, (a, b, c, d) in enumerate(scaled, start):
+            # the cells of the ball's lowest and highest corners
+            lo = (floor(a + low), floor(b + low), floor(c + low), floor(d + low))
+            hi = (floor(a + high), floor(b + high), floor(c + high), floor(d + high))
+            own, ball = lo, (lo,)
+            if lo != hi:  # the ball meets more than one cell
+                own = (floor(a + 0.5), floor(b + 0.5), floor(c + 0.5), floor(d + 0.5))
+                ball = product(*map(range, lo, [i + 1 for i in hi]))
+            near = cells.get(own)
+            if near and (_distances(points[row : row + 1], points[near]) < SEPARATION).any():
+                for cell in filed:  # the orbit's rows are the last of their cells
+                    cell.pop()
+                return False
+            for index in ball:
+                cell = cells.setdefault(index, [])
+                cell.append(row)
+                filed.append(cell)
+        self.rows.update(zip(keys, range(start, start + len(keys))))
+        return True
 
     def place(self, steps) -> None:
         """Place each step ``(keys, seed[, avoid])`` as the orbit of ``seed``
@@ -317,60 +326,33 @@ class _Placer:
         the rng.  A drawn point is redrawn until each distance function in
         ``avoid`` puts it at least SEPARATION off its landmark set, and its
         orbit is redrawn until it is admitted, at most
-        MAX_PLACEMENT_ATTEMPTS times.  The steps go in batches: each batch
-        draws and writes its orbits, then admits the orbits before the first
-        one that comes too close to an earlier row (see the class
-        docstring).  The next batch starts at that orbit, from the rng state
-        right after its draw.  A pinned orbit that comes too close raises
-        PlacementFailure, as does a failed draw once every orbit before it
-        has been admitted.
+        MAX_PLACEMENT_ATTEMPTS times.  A pinned orbit that comes too close
+        raises PlacementFailure, as does a failed draw.
         """
         points, M = self.points, self.M
-        first, attempts = 0, 0  # the batch's first step, and its failed attempts
-        while first < len(steps):
-            start = end = len(self.rows)
-            batch = []  # (keys, pinned, rng state after the draw)
-            failure = None
-            for keys, seed, *avoid in steps[first:]:
-                k = len(keys)
-                if batch and (end + k - start) * (end + k) > _PAIR_BUDGET:
-                    break
-                pinned = not callable(seed)
+        for keys, seed, *avoid in steps:
+            start, pinned = len(self.rows), not callable(seed)
+            landmarks = avoid[0] if avoid else ()
+            for _ in range(MAX_PLACEMENT_ATTEMPTS):
+                p = seed
                 if not pinned:
                     draws = (seed(self.rng) for _ in range(MAX_PLACEMENT_ATTEMPTS))
-                    landmarks = avoid[0] if avoid else ()
-                    seed = next(
-                        (p for p in draws if all(d(p) >= SEPARATION for d in landmarks)),
-                        None,
-                    )
-                    if seed is None:
-                        failure = PlacementFailure(
-                            "could not sample a point off the landmark sets"
-                        )
-                        break
-                points[end] = seed
-                for row in range(end + 1, end + k):
+                    off = (p for p in draws if all(d(p) >= SEPARATION for d in landmarks))
+                    p = next(off, None)
+                    if p is None:
+                        raise PlacementFailure("could not sample a point off the landmark sets")
+                points[start] = p
+                for row in range(start + 1, start + len(keys)):
                     points[row] = M @ points[row - 1]
-                batch.append((keys, pinned, self.rng.state))
-                end += k
-            kept = self._admit([keys for keys, _, _ in batch]) if batch else 0
-            if kept == len(batch):
-                if failure is not None:
-                    raise failure
-                first, attempts = first + kept, 0
-                continue
-            # rewind the rng to just after the draw of the first orbit not
-            # kept; its next attempt draws from there, as one at a time
-            keys, pinned, self.rng.state = batch[kept]
-            if pinned:
-                raise PlacementFailure(f"pinned orbit through {self._label(keys[0])} collides")
-            attempts = (attempts if kept == 0 else 0) + 1
-            if attempts == MAX_PLACEMENT_ATTEMPTS:
+                if self._admit(keys):
+                    break
+                if pinned:
+                    raise PlacementFailure(f"pinned orbit through {self._label(keys[0])} collides")
+            else:
                 raise PlacementFailure(
                     f"no admissible orbit through {self._label(keys[0])} "
                     f"after {MAX_PLACEMENT_ATTEMPTS} attempts"
                 )
-            first += kept
 
 
 def _on_circle(point_at):
@@ -387,7 +369,8 @@ def _on_circle(point_at):
 # A construction places nothing: it returns (isometry, plan, subdivision
 # edges, landmark names), the plan listing its special orbits in placement
 # order as steps (keys, seed[, avoid]) of ``_Placer.place``.  ``realize``
-# appends a generic-orbit step for every other cycle and places them all.
+# appends a generic-orbit step for every other cycle and places them all,
+# one orbit at a time.
 
 
 def _grouped_cycles(cycles, n: int, interchanged: bool):
@@ -569,15 +552,13 @@ def realize(
     wherever verify accepts its size: verify raises TooLarge for a claimed
     order above MAX_CLAIMED_ORDER or more edges than MAX_VERIFY_EDGES, so,
     for example, the OP6 realization of K_{997,1000} (order 997000) is built
-    but not certified.  realize itself raises TooLarge when an orbit is too
-    long for its distance block to fit in memory.
+    but not certified.
 
     The plan and then one generic orbit per remaining cycle (drawn with
     ``SeededPoints.unit4`` off the landmark sets) go to ``_Placer.place``.
-    It places them in batches and checks each batch once against the points
-    before it; when an orbit of a batch comes too close to an earlier point,
-    the orbits before it are kept and the rng is rewound to just after that
-    orbit's draw, so the points are those of placing one orbit at a time.
+    It places one orbit at a time and checks each of its points only
+    against the earlier points filed under the point's cell of a grid, so
+    its time and memory grow linearly with the points.
     """
     orientation = Orientation(orientation)
     sig = signature(aut)

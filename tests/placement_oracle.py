@@ -1,18 +1,15 @@
 """One-orbit-at-a-time placement and the dense all-pairs check, kept as
 differential oracles.
 
-``bipsym.geometry._Placer.place`` writes orbits in batches and compares
-each batch, once, with the points placed before it and with itself.  On a
-rejection it keeps the orbits before the first one with a point too close
-to an earlier row, and rewinds ``SeededPoints.state`` (one int) to its
-value right after that orbit's draw.  ``SequentialPlacer`` is the placement
-that batching replaced: each orbit is drawn, written and checked on its
-own, and a drawn orbit is redrawn until it is admitted.  The batch rule and
-the rewind must give the same draws, points, rows, final rng state and
-errors.  ``too_close`` is the check the one-pass separation test replaced:
-the full distance matrix of a point set with the same ``< SEPARATION``
-test, and ``validate`` adds unit norm per point.  Nothing under ``src/``
-calls this module.
+``bipsym.geometry._Placer.place`` places one orbit at a time, and checks
+each new point only against the points filed under its own cell of a grid.
+``SequentialPlacer`` is the same loop with the dense check: each orbit is
+drawn, written and checked against every point placed before it and against
+itself, and a drawn orbit is redrawn until it is admitted.  The grid must
+give the same draws, points, rows, final rng state and errors.
+``too_close`` is that dense check: the full distance matrix of a point set
+with the same ``< SEPARATION`` test, and ``validate`` adds unit norm per
+point.  Nothing under ``src/`` calls this module.
 """
 
 from __future__ import annotations

@@ -1,19 +1,18 @@
-"""Batched placement against one-orbit-at-a-time placement, and the
-placer's one-pass separation check against the dense all-pairs oracle.
+"""The placer's grid check against the dense all-pairs oracle, and its
+placement against the oracle's one-orbit-at-a-time placement.
 
-``_Placer.place`` writes orbits in batches, compares each batch with the
-rows placed before it and with itself, keeps the orbits before the first one
-with a point closer than SEPARATION to an earlier row, and rewinds the rng
-to just after that orbit's draw.  ``placement_oracle.SequentialPlacer``
-places one orbit at a time; on scripted step lists that force collisions at
+``_Placer._admit`` measures each new point only against the rows filed
+under its own cell of a grid.  ``placement_oracle.too_close`` recomputes the
+full distance matrix: on random point clouds, and on points on and next to
+the cell boundaries, with pairs at SEPARATION * (1 +- 1e-9), the placer must
+accept and reject the same groups, and every realized embedding must pass
+the oracle.  ``placement_oracle.SequentialPlacer`` places one orbit at a
+time with the dense check; on scripted step lists that force collisions at
 SEPARATION * (1 +- 1e-9), inside one orbit and across orbits, both must
-leave the same points, rows, rng state and error.  ``placement_oracle``
-also recomputes the full distance matrix: on random point clouds with pairs
-at SEPARATION * (1 +- 1e-9) the placer must accept and reject the same
-groups, one at a time or offered together, and every realized embedding
-must pass the oracle.
+leave the same points, rows, rng state and error.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -26,7 +25,7 @@ from bipsym import geometry
 from bipsym.census import _representative
 from bipsym.classifier import classify
 from bipsym.errors import PlacementFailure, TooLarge
-from bipsym.geometry import SEPARATION, SeededPoints, _distances, _Placer
+from bipsym.geometry import _CELL_WIDTH, SEPARATION, SeededPoints, _distances, _Placer
 
 from census_oracle import signature_tallies
 from placement_oracle import SequentialPlacer, too_close, validate
@@ -56,27 +55,55 @@ def point_groups(draw):
     return groups
 
 
+@st.composite
+def cell_boundary_groups(draw):
+    """Groups of 1-2 points, each fresh or a partner of a point drawn before
+    it.  A fresh point's coordinates lie on and next to the boundaries of the
+    placer's grid cells, at (z - 1/2) * _CELL_WIDTH + SEPARATION *
+    {0, +-1/2, +-(1 +- 1e-9), +-2}, or are the exact 0 and +-1 of landmark
+    points.  A partner lies SEPARATION * {1/2, 1 +- 1e-9, 2} away, along one
+    axis or diagonally across two to four."""
+
+    offsets = [sign * f for f in (0.0, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0) for sign in (-1, 1)]
+
+    def coordinate():
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.sampled_from([0.0, 1.0, -1.0]))
+        z = draw(st.integers(-1024, 1024))
+        return (z - 0.5) * _CELL_WIDTH + SEPARATION * draw(st.sampled_from(offsets))
+
+    groups, drawn = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        group = []
+        for _ in range(draw(st.integers(1, 2))):
+            if drawn and draw(st.booleans()):
+                axes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+                step = SEPARATION * draw(st.sampled_from([0.5, 1 - 1e-9, 1 + 1e-9, 2.0]))
+                step /= math.sqrt(len(axes))
+                p = draw(st.sampled_from(drawn)).copy()
+                for axis in axes:
+                    p[axis] += draw(st.sampled_from([-step, step]))
+                event("partner along an axis" if len(axes) == 1 else "diagonal partner")
+            else:
+                p = np.array([coordinate() for _ in range(4)])
+            group.append(p)
+            drawn.append(p)
+        groups.append(np.array(group))
+    return groups
+
+
 def _placer(capacity: int) -> _Placer:
     return _Placer(np.eye(4), BipartiteShape(capacity, 1), SeededPoints(1))
 
 
 def _offer(placer: _Placer, group: np.ndarray) -> bool:
     """Write ``group`` after the placed rows and let the placer decide."""
-    return _offer_all(placer, [group]) == 1
+    row = len(placer.rows)
+    placer.points[row : row + len(group)] = group
+    return placer._admit([f"p{i}" for i in range(row, row + len(group))])
 
 
-def _offer_all(placer: _Placer, groups) -> int:
-    """Write ``groups`` after the placed rows, in order, and return how many
-    the placer keeps in one batch."""
-    row, orbits = len(placer.rows), []
-    for group in groups:
-        placer.points[row : row + len(group)] = group
-        orbits.append([f"p{i}" for i in range(row, row + len(group))])
-        row += len(group)
-    return placer._admit(orbits)
-
-
-@given(point_groups())
+@given(st.one_of(point_groups(), cell_boundary_groups()))
 @settings(max_examples=400, deadline=None)
 def test_placer_accepts_what_the_dense_check_accepts(groups):
     placer = _placer(sum(len(g) for g in groups))
@@ -90,19 +117,24 @@ def test_placer_accepts_what_the_dense_check_accepts(groups):
     assert np.array_equal(placer.points[: len(placer.rows)], np.array(kept).reshape(-1, 4))
 
 
-@given(point_groups())
-@settings(max_examples=400, deadline=None)
-def test_batch_keeps_the_groups_before_the_first_rejected(groups):
-    placer = _placer(sum(len(g) for g in groups))
-    kept, first_rejected = [], len(groups)
-    for i, group in enumerate(groups):
-        if too_close(group, np.array([*group, *kept])):
-            first_rejected = i
-            break
-        kept.extend(group)
-    event(f"{len(groups) - first_rejected} of {len(groups)} groups dropped")
-    assert _offer_all(placer, groups) == first_rejected
-    assert np.array_equal(placer.points[: len(placer.rows)], np.array(kept).reshape(-1, 4))
+def test_placement_measures_next_to_no_pairs():
+    # a dense check of K_{2000,2000} measures 8 million pairs; the grid
+    # measures a point only against the rows filed under its own cell
+    measured = []
+
+    def counted(new, placed):
+        measured.append(len(new) * len(placed))
+        return _distances(new, placed)
+
+    perm = "".join(
+        "(" + " ".join(f"{p}{i}" for i in range(s, s + 10)) + ")"
+        for p in "vw"
+        for s in range(1, 2001, 10)
+    )
+    aut = parse_cycles(BipartiteShape(2000, 2000), perm)
+    with mock.patch.object(geometry, "_distances", counted):
+        realize(aut, "op", 1)
+    assert sum(measured) <= 8
 
 
 @given(st.integers(1, 40), st.integers(0, 60), st.integers(0, 2**32))
@@ -191,16 +223,14 @@ def _outcome(placer, steps) -> str:
     return "placed"
 
 
-@given(placements(), st.sampled_from([1, 8, 40, geometry._PAIR_BUDGET]))
+@given(placements())
 @settings(max_examples=300, deadline=None)
-def test_batches_place_what_one_orbit_at_a_time_places(placement, budget):
-    # budget 1 makes every orbit a batch of its own, 8 and 40 split the steps
+def test_batches_place_what_one_orbit_at_a_time_places(placement):
     M, steps, seed = placement
     shape = BipartiteShape(sum(len(keys) for keys, *_ in steps), 1)
     expected = SequentialPlacer(M, shape, SeededPoints(seed))
     placer = _Placer(M, shape, SeededPoints(seed))
-    with mock.patch.object(geometry, "_PAIR_BUDGET", budget):
-        outcome = _outcome(placer, steps)
+    outcome = _outcome(placer, steps)
     assert outcome == _outcome(expected, steps)
     event(outcome.split(" through")[0])
     assert placer.rows == expected.rows
@@ -211,7 +241,8 @@ def test_batches_place_what_one_orbit_at_a_time_places(placement, budget):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_saved_state_replays_the_draws(seed):
-    # batched placement rewinds the rng by setting its state back
+    # the generator's whole state is one int: setting it back replays the
+    # draws bit for bit
     rng = SeededPoints(seed)
     rng.unit4()
     saved = rng.state
