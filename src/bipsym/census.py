@@ -18,23 +18,32 @@ Few classes are realizable, so the census does not build all p(n)*p(m)
 (+ p(n)) of them.  It reads the case table the other way round: one
 generator per case in ``classifier`` yields the classes whose signature
 can match that case, directly or with the parts interchanged, and the
-census classifies each candidate once with ``classify``, which alone
-decides.  The candidates share far fewer cycle types than they have
-pairs, so the census works per cycle type: each one the candidates use
-gets one row, for this census only, with its class size n!/z_lambda in
-its own symmetric group, its lcm, its fixed points and its cycle lengths
-other than 1.  A candidate's signature is built from its two rows, with r
-the lcm of their lcms, and a realizable class adds the product of the two
-class sizes (n! for the V -> W half of a part swap), doubled for a folded
-pair, to the tallies; ``unrealizable_op`` and ``unrealizable_or`` are the
-group order minus the realizable sizes.
+census decides each candidate once, with the decision ``classify``
+makes.  The candidates share far fewer cycle types than they have pairs,
+so the census works per cycle type: each one the candidates use gets one
+row, for this census only, with its class size n!/z_lambda in its own
+symmetric group, its lcm, its fixed points and the tally of its cycle
+lengths other than 1.  A candidate is decided from the tallies of its two
+rows, with r the lcm of their lcms, and no signature is built; a part swap
+(lambda, None) has r twice the lcm of lambda and its mixed cycles tally 2k
+for each k-cycle of lambda and 2 for each fixed point.  A realizable class
+adds the product of the two class sizes (n! for the V -> W half of a part
+swap), doubled for a folded pair, to the tallies; ``unrealizable_op`` and
+``unrealizable_or`` are the group order minus the realizable sizes.
 
-With ``realize_all`` the census realizes and verifies one representative
-per realizable (class, orientation) and counts the whole class when its
-certificate passes.  One representative speaks for its class because, if
-(M, x) realizes a, then (M, x o s^-1) realizes s a s^-1 for every
-automorphism s, a part-swapping s included, and every check of ``verify``
-keeps its result when the vertices are relabeled.
+With ``realize_all`` the census builds the signature of each realizable
+class, realizes and verifies one representative per realizable (class,
+orientation) and counts the whole class when its certificate passes.  One
+representative speaks for its class because, if (M, x) realizes a, then
+(M, x o s^-1) realizes s a s^-1 for every automorphism s, a part-swapping s
+included, and every check of ``verify`` keeps its result when the vertices
+are relabeled.
+
+The package re-exports the function ``census`` under this module's name,
+so ``bipsym.census`` and ``import bipsym.census as c`` give the function.
+The module, whose bounds MAX_CENSUS_PART and MAX_REALIZE_ALL_PART a caller
+may read or set, is ``importlib.import_module("bipsym.census")``; ``from
+bipsym.census import MAX_CENSUS_PART`` reads a bound as well.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .classifier import candidate_classes, classify
+from .classifier import _decide, candidate_classes
 from .core import (
     BipartiteAutomorphism,
     BipartiteShape,
@@ -54,12 +63,13 @@ from .core import (
 from .errors import OutOfTheoremScope, TooLarge
 
 # census() refuses parts larger than these before any work.  The plain census
-# classifies only the case generators' candidates, whose number depends on
-# the divisors of n and m: K_{360,360}, the slowest square shape within the
-# bound, takes about 0.9-1.4 s from the CLI on 2 CPUs, and the slowest
+# decides only the case generators' candidates, whose number depends on the
+# divisors of n and m: K_{360,360}, the slowest square shape within the
+# bound, takes about 0.6-0.9 s from the CLI on 2 CPUs, and the slowest
 # shapes, K_{360,396} and K_{360,408}, whose candidates do not fold, about
-# 1.6-2.5 s.  Past 419 they grow slower still (K_{360,420} 2.4 s in-process,
-# K_{420,432} 2.9 s), so the bound stays below 420.  Realize-all also
+# 1.2-1.7 s.  Past 419 they grow slower still (K_{360,420} 1.6-2.3 s,
+# K_{420,432} 1.5-2.2 s), and non-square shapes past it are not yet scanned,
+# so the bound stays below 420.  Realize-all also
 # realizes and verifies one representative per realizable (class,
 # orientation), and the divisors of n and m set its cost too: the slowest
 # shapes within the bound, K_{36,42} and K_{40,42}, take about 1.0-1.5 s from
@@ -83,30 +93,25 @@ class CensusReport:
 
 
 class _PartitionRows(dict):
-    """Cycle type p -> (size, lcm(p), p.count(1), pure), built on first use
+    """Cycle type p -> (size, lcm(p), p.count(1), tally), built on first use
     and kept for one census.  size = (sum p)!/z_p is the size of its class
     in the symmetric group of its part, with z_p = prod k^{j_k} * j_k! the
     order of the centralizer of a permutation with j_k cycles of length k;
-    pure is p without its 1s.  ``factorials`` maps each part size to its
-    factorial."""
+    tally maps each length k > 1 of p to j_k.  ``factorials`` maps each part
+    size to its factorial."""
 
     def __init__(self, factorials: dict[int, int]) -> None:
         super().__init__()
         self.factorials = factorials
 
     def __missing__(self, p: tuple[int, ...]) -> tuple:
-        lengths = set(p)
+        tally = {}
         z = 1
-        for k in lengths:
-            j = p.count(k)
+        for k in set(p):
+            j = tally[k] = p.count(k)
             z *= k**j * math.factorial(j)
-        fixed = p.count(1)
-        row = self[p] = (
-            self.factorials[sum(p)] // z,
-            math.lcm(*lengths),
-            fixed,
-            p[: len(p) - fixed],  # p itself, not a copy, when nothing is fixed
-        )
+        fixed = tally.pop(1, 0)
+        row = self[p] = (self.factorials[sum(p)] // z, math.lcm(*tally), fixed, tally)
         return row
 
 
@@ -149,11 +154,12 @@ def census(
     The tally is counted per conjugacy class over the candidates of
     :func:`~bipsym.classifier.candidate_classes`, which include every
     realizable class, with (lambda, mu) and (mu, lambda) one candidate when
-    n = m.  Each cycle type's class size, lcm and fixed points are computed
-    once per call; each class the classifier finds realizable adds its
-    size, one product of two class sizes, to its cases, and
-    ``unrealizable_op`` and ``unrealizable_or`` are the total minus the
-    realizable sizes.  With ``realize_all``, additionally realize
+    n = m.  Each cycle type's class size, lcm, fixed points and tally of
+    cycle lengths are computed once per call, and each candidate is decided
+    from the tallies of its two cycle types; each class the classifier
+    finds realizable adds its size, one product of two class sizes, to its
+    cases, and ``unrealizable_op`` and ``unrealizable_or`` are the total
+    minus the realizable sizes.  With ``realize_all``, additionally realize
     (with ``seed``) and verify one representative of every class in each
     orientation the classifier marks realizable; ``realized_verified`` is
     the summed size of the classes whose representative's certificate
@@ -182,34 +188,20 @@ def census(
     realizable_or = 0
     realized_verified = 0 if realize_all else None
     for lam, mu in candidate_classes(shape):
-        size_v, lcm_v, fixed_v, pure_v = rows[lam]
+        size_v, lcm_v, fixed_v, tally_v = rows[lam]
         if mu is None:
-            # n! choices of the V -> W half for each return map
+            # n! choices of the V -> W half for each return map, whose
+            # k-cycles are the mixed 2k-cycles
             size_w = factorials[n]
-            mixed = tuple(2 * k for k in lam)
-            sig = CycleSignature(
-                shape=shape,
-                side_action=SideAction.SWAPPING,
-                r=2 * lcm_v,
-                fixed_v=0,
-                fixed_w=0,
-                pure_v_cycles=(),
-                pure_w_cycles=(),
-                mixed_cycles=mixed,
-            )
+            r = 2 * lcm_v
+            mixed = {2 * k: j for k, j in tally_v.items()}
+            if fixed_v:
+                mixed[2] = fixed_v
+            verdict = _decide(r, mixed)
         else:
-            size_w, lcm_w, fixed_w, pure_w = rows[mu]
-            sig = CycleSignature(
-                shape=shape,
-                side_action=SideAction.PRESERVING,
-                r=math.lcm(lcm_v, lcm_w),
-                fixed_v=fixed_v,
-                fixed_w=fixed_w,
-                pure_v_cycles=pure_v,
-                pure_w_cycles=pure_w,
-                mixed_cycles=(),
-            )
-        verdict = classify(sig)
+            size_w, lcm_w, fixed_w, tally_w = rows[mu]
+            r = math.lcm(lcm_v, lcm_w)
+            verdict = _decide(r, None, n, m, fixed_v, fixed_w, tally_v, tally_w)
         if not (verdict.op_realizable or verdict.or_realizable):
             continue
         count = size_v * size_w
@@ -222,6 +214,28 @@ def census(
         if verdict.or_realizable:
             realizable_or += count
         if realize_all:
+            if mu is None:
+                sig = CycleSignature(
+                    shape=shape,
+                    side_action=SideAction.SWAPPING,
+                    r=r,
+                    fixed_v=0,
+                    fixed_w=0,
+                    pure_v_cycles=(),
+                    pure_w_cycles=(),
+                    mixed_cycles=tuple(2 * k for k in lam),
+                )
+            else:
+                sig = CycleSignature(
+                    shape=shape,
+                    side_action=SideAction.PRESERVING,
+                    r=r,
+                    fixed_v=fixed_v,
+                    fixed_w=fixed_w,
+                    pure_v_cycles=lam[: len(lam) - fixed_v],
+                    pure_w_cycles=mu[: len(mu) - fixed_w],
+                    mixed_cycles=(),
+                )
             rep = _representative(sig)
             for orientation, realizable in (
                 ("op", verdict.op_realizable),

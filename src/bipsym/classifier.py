@@ -10,11 +10,14 @@ The common frame for every case: besides the fixed vertices and the
 exceptional cycles the case names explicitly, all remaining vertices must
 lie in r-cycles, where r is the order of the automorphism.
 
-``classify`` tallies each part's cycle lengths once (length -> count), and
-apart from them the lengths other than r, the candidates for exceptional
-cycles; it decides all thirteen cases from the tallies, then again with V
-and W exchanged.  A part-swapping signature's cases read only r and its
-mixed cycles, so it is decided once.
+The cases read only tallies of cycle lengths (length -> count): r, each
+part's size, fixed vertices and tally of pure cycle lengths, and apart from
+them the lengths other than r, the candidates for exceptional cycles.
+``_decide`` decides all thirteen cases from the tallies, then again with V
+and W exchanged; a part-swapping class's cases read only r and the tally
+of its mixed cycles, so it is decided once.  ``classify`` tallies a
+signature and calls ``_decide``; the census calls it with the tallies it
+keeps per cycle type, and builds no signature.
 """
 
 from __future__ import annotations
@@ -172,23 +175,6 @@ def _preserving_cases(r, n, fv, fw, tv, tw, ev, ew) -> list[tuple]:
         if len(subs) == 1:
             keys.append((12, subs[0]))
     return keys
-
-
-def _case_keys(sig: CycleSignature) -> tuple[list[tuple], list[tuple]]:
-    """The (number, sub) keys of the cases ``sig`` matches directly, and
-    those it matches with the parts interchanged (none listed for a
-    part-swapping signature, which matches the same cases both ways)."""
-    r = sig.r
-    if sig.side_action is SideAction.SWAPPING:
-        return _swapping_cases(r, _tally(sig.mixed_cycles)), []
-    tv, tw = _tally(sig.pure_v_cycles), _tally(sig.pure_w_cycles)
-    ev = {k: c for k, c in tv.items() if k != r}
-    ew = {k: c for k, c in tw.items() if k != r}
-    n, m, fv, fw = sig.shape.n, sig.shape.m, sig.fixed_v, sig.fixed_w
-    return (
-        _preserving_cases(r, n, fv, fw, tv, tw, ev, ew),
-        _preserving_cases(r, m, fw, fv, tw, tv, ew, ev),
-    )
 
 
 # The case table read the other way round.  For K_{n,m}, each case has a
@@ -401,17 +387,21 @@ def candidate_classes(shape: BipartiteShape) -> set[tuple]:
 
     For n = m the part swap conjugates (lam, mu) into (mu, lam), and both
     classes match the same cases, so each generator runs once and each
-    such pair is one candidate, the one with lam >= mu."""
+    such pair is one candidate, the one with lam >= mu.  The generators
+    build each partition afresh; equal partitions are kept as one tuple."""
     n, m = shape.n, shape.m
     found: set[tuple] = set()
+    parts: dict = {}  # each distinct partition once, for this call only
     for generate in dict.fromkeys(CASE_GENERATORS.values()):  # 1 and 10 share one
         if n == m:
             for lam, mu in generate(n, n):
+                lam, mu = parts.setdefault(lam, lam), parts.setdefault(mu, mu)
                 found.add((mu, lam) if mu is not None and lam < mu else (lam, mu))
             continue
-        found.update(generate(n, m))
+        for lam, mu in generate(n, m):
+            found.add((parts.setdefault(lam, lam), parts.setdefault(mu, mu)))
         for lam, mu in generate(m, n):
-            found.add((mu, lam))
+            found.add((parts.setdefault(mu, mu), parts.setdefault(lam, lam)))
     return found
 
 
@@ -425,23 +415,26 @@ _IDENTITY = RealizabilityVerdict((_CASE_IDS[(2, None), False],), ())
 _UNREALIZABLE = RealizabilityVerdict((), ())
 
 
-def classify(sig: CycleSignature) -> RealizabilityVerdict:
-    """Match a cycle signature against all thirteen cases.
-
-    Requires n > 2 and m > 2 (OutOfTheoremScope otherwise).  The returned
-    case lists are sorted by case number; for a case matching both directly
-    and with parts interchanged, the direct match is kept.
-    """
-    if sig.shape.n <= 2 or sig.shape.m <= 2:
-        raise OutOfTheoremScope(
-            f"classification requires n, m > 2; got ({sig.shape.n}, {sig.shape.m})"
-        )
-    if sig.r == 1:
+def _decide(r, mixed, n=0, m=0, fv=0, fw=0, tv=None, tw=None) -> RealizabilityVerdict:
+    """The verdict of a class of order r, read from the tallies of its cycle
+    lengths (length -> count), as ``classify`` returns it.  A part-swapping
+    class gives the tally of its mixed cycles as ``mixed``; a part-preserving
+    one gives ``mixed`` None, the part sizes n and m, the fixed vertices
+    ``fv`` and ``fw`` of V and W, and the tallies ``tv`` and ``tw`` of their
+    pure cycle lengths."""
+    if r == 1:
         # The identity is induced by the identity homeomorphism, which is
         # orientation-preserving; with every vertex fixed it is reported
         # under case 2.  No orientation-reversing realization: r = 1 is odd.
         return _IDENTITY
-    direct, swapped = _case_keys(sig)
+    if mixed is not None:
+        # r and the mixed cycles read the same with the parts interchanged
+        direct, swapped = _swapping_cases(r, mixed), []
+    else:
+        ev = {k: c for k, c in tv.items() if k != r}
+        ew = {k: c for k, c in tw.items() if k != r}
+        direct = _preserving_cases(r, n, fv, fw, tv, tw, ev, ew)
+        swapped = _preserving_cases(r, m, fw, fv, tw, tv, ew, ev)
     if not direct and not swapped:
         return _UNREALIZABLE
     found = dict.fromkeys(swapped, True)
@@ -449,6 +442,22 @@ def classify(sig: CycleSignature) -> RealizabilityVerdict:
     cases = tuple(_CASE_IDS[item] for item in sorted(found.items()))
     split = sum(c.number < 10 for c in cases)
     return RealizabilityVerdict(cases[:split], cases[split:])
+
+
+def classify(sig: CycleSignature) -> RealizabilityVerdict:
+    """Match a cycle signature against all thirteen cases.
+
+    Requires n > 2 and m > 2 (OutOfTheoremScope otherwise).  The returned
+    case lists are sorted by case number; for a case matching both directly
+    and with parts interchanged, the direct match is kept.
+    """
+    n, m = sig.shape.n, sig.shape.m
+    if n <= 2 or m <= 2:
+        raise OutOfTheoremScope(f"classification requires n, m > 2; got ({n}, {m})")
+    if sig.side_action is SideAction.SWAPPING:
+        return _decide(sig.r, _tally(sig.mixed_cycles))
+    tv, tw = _tally(sig.pure_v_cycles), _tally(sig.pure_w_cycles)
+    return _decide(sig.r, None, n, m, sig.fixed_v, sig.fixed_w, tv, tw)
 
 
 def classify_aut(aut: BipartiteAutomorphism) -> RealizabilityVerdict:

@@ -4,7 +4,8 @@
 size (from ``centralizer_order``) of every conjugacy class of S_n x S_m and
 of the part-swapping classes of K_{n,n}, from all p(n)*p(m) (+ p(n))
 partition pairs, and ``census_report`` classifies every one of them.
-``fold`` keys a class as the census's candidates key it.  The census
+``fold`` keys a class as the census's candidates key it, and ``case_keys``
+reads the cases a signature matches directly from its verdict.  The census
 classifies only the classes the case generators yield; tests require both
 to give the same report.  ``realized_verified`` is the per-automorphism
 realize-all loop the census ran before it realized one representative per
@@ -109,6 +110,18 @@ def class_signature(
         pure_w_cycles=tuple(k for k in mu if k > 1),
         mixed_cycles=(),
     )
+
+
+def case_keys(sig: CycleSignature) -> tuple[list[tuple], list[tuple]]:
+    """The (number, sub) keys of the cases ``sig`` matches directly, and of
+    those it matches only with the parts interchanged, read from the
+    interchanged flags of its verdict: ``classify`` reports a case matching
+    both ways as a direct match."""
+    verdict = classify(sig)
+    keys: tuple[list[tuple], list[tuple]] = ([], [])
+    for case in verdict.op_cases + verdict.or_cases:
+        keys[case.interchanged].append((case.number, case.sub))
+    return keys
 
 
 def fold(n: int, m: int, lam: tuple[int, ...], mu: tuple[int, ...] | None) -> tuple:
