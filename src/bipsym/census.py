@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .classifier import _decide, candidate_classes
+from .classifier import Orientation, _decide, candidate_classes
 from .core import (
     BipartiteAutomorphism,
     BipartiteShape,
@@ -69,15 +69,15 @@ from .errors import OutOfTheoremScope, TooLarge
 # shapes, K_{360,396} and K_{360,408}, whose candidates do not fold, about
 # 1.2-1.7 s.  Past 419 they grow slower still (K_{360,420} 1.6-2.3 s,
 # K_{420,432} 1.5-2.2 s), and non-square shapes past it are not yet scanned,
-# so the bound stays below 420.  Realize-all also
-# realizes and verifies one representative per realizable (class,
-# orientation), and the divisors of n and m set its cost too: the slowest
-# shapes within the bound, K_{36,42} and K_{40,42}, take about 1.0-1.5 s from
-# the CLI on 2 CPUs, no longer than K_{36,40} took when the bound was 40;
-# K_{45,45} takes 0.5 s.  A bound of 48 would admit K_{36,48} and K_{42,48},
-# about 10% slower than K_{36,42} took when the bound was set, so it stays 45.
+# so the bound stays below 420.  Realize-all also realizes and verifies one
+# representative per realizable (class, orientation), and the divisors of n
+# and m set its cost too.  From the CLI on 2 CPUs, every shape with a part of
+# 46 or 47 (the slowest, K_{36,46}, 0.6-0.75 s) is faster than K_{36,42} and
+# K_{40,42} were at a bound of 45 (0.9-1.1 s; 0.75-0.95 s since realize takes
+# the census's classification); K_{36,48}, K_{42,48} and K_{48,42} take
+# 1.1-1.5 s.  K_{47,47} takes 0.2 s.
 MAX_CENSUS_PART = 419
-MAX_REALIZE_ALL_PART = 45
+MAX_REALIZE_ALL_PART = 47
 
 
 @dataclass
@@ -177,7 +177,7 @@ def census(
             f"census of K_{{{n},{m}}}: a part has more than {bound} vertices"
         )
     if realize_all:
-        from .geometry import realize
+        from .geometry import _realize
         from .verifier import verify
 
     factorials = {n: math.factorial(n), m: math.factorial(m)}
@@ -237,12 +237,9 @@ def census(
                     mixed_cycles=(),
                 )
             rep = _representative(sig)
-            for orientation, realizable in (
-                ("op", verdict.op_realizable),
-                ("or", verdict.or_realizable),
-            ):
-                if realizable:
-                    iso, emb = realize(rep, orientation, seed)
+            for orientation in Orientation:
+                if verdict.cases(orientation):
+                    iso, emb = _realize(rep, sig, verdict, orientation, seed)
                     if verify(rep, iso, emb, tol=1e-9).overall:
                         realized_verified += count
 

@@ -29,8 +29,8 @@ import sys
 
 from ._version import __version__
 from .census import census
-from .classifier import Orientation, classify_aut, dispatch_case
-from .core import BipartiteShape, parse_cycles
+from .classifier import Orientation, classify, classify_aut, dispatch_case
+from .core import BipartiteShape, parse_cycles, signature
 from .errors import BipsymError, NotRealizable, OutOfTheoremScope
 from .jsonio import (
     canonical_json,
@@ -114,10 +114,12 @@ def _cmd_classify(args) -> int:
 def _cmd_realize(args) -> int:
     aut = parse_cycles(args.graph, args.perm)
     orientation = Orientation(args.orientation)
-    case = dispatch_case(classify_aut(aut), orientation)
-    from .geometry import realize
+    sig = signature(aut)
+    verdict = classify(sig)
+    case = dispatch_case(verdict, orientation)
+    from .geometry import _realize
 
-    iso, emb = realize(aut, orientation, args.seed)
+    iso, emb = _realize(aut, sig, verdict, orientation, args.seed)
     text = canonical_json(realization_to_obj(aut, iso, emb, case.label, args.seed))
     if args.output:
         write_text_atomic(args.output, text + "\n")

@@ -30,7 +30,6 @@ from .core import (
     BipartiteAutomorphism,
     BipartiteShape,
     SideAction,
-    VertexId,
     _index_cycles,
     signature,
 )
@@ -215,17 +214,19 @@ class SeededPoints:
 
 @dataclass(eq=False)
 class SpatialEmbedding:
-    """Unit-S^3 coordinates for every (possibly subdivided) vertex.
+    """Unit-S^3 points of every (possibly subdivided) vertex, by index.
 
-    landmarks names the distinguished sets (X, Y, S, F) that the
-    construction used; subdivision vertices are keyed by opaque ids with
-    their underlying edge recorded as (V-endpoint, W-endpoint).
+    ``points`` is an (n + m + S) x 4 array: the graph vertices by global
+    index, then the S subdivision vertices in the order of their sorted
+    ``subdivision_ids``, each subdividing the edge ``subdivision_pairs``
+    holds for it as (V index, W index).  ``landmarks`` names the
+    distinguished sets (X, Y, S, F) that the construction used.
     """
 
     shape: BipartiteShape
-    coordinates: dict[VertexId, np.ndarray]
-    subdivision_coordinates: dict[str, np.ndarray] = field(default_factory=dict)
-    subdivision_edges: dict[str, tuple[VertexId, VertexId]] = field(default_factory=dict)
+    points: np.ndarray
+    subdivision_ids: tuple[str, ...] = ()
+    subdivision_pairs: tuple[tuple[int, int], ...] = ()
     landmarks: dict[str, str] = field(default_factory=dict)
 
 
@@ -363,8 +364,9 @@ def _on_circle(point_at):
 # --- realization -----------------------------------------------------------
 #
 # The constructions work on global indices: a cycle is a tuple of indices
-# starting at its smallest one, so a mixed cycle starts in V.  VertexId keys
-# appear only in the returned SpatialEmbedding.
+# starting at its smallest one, so a mixed cycle starts in V.  The returned
+# SpatialEmbedding is keyed by index as well; labels are made only where
+# files and failure messages are written.
 #
 # A construction places nothing: it returns (isometry, plan, subdivision
 # edges, landmark names), the plan listing its special orbits in placement
@@ -543,11 +545,12 @@ def _realize_improper(aut, cycles, sig, case):
 def realize(
     aut: BipartiteAutomorphism, orientation, seed: int = 1
 ) -> tuple[Isometry4, SpatialEmbedding]:
-    """Construct an isometry of S^3 with vertex coordinates inducing ``aut``.
+    """Construct an isometry of S^3 and the points, by index, inducing ``aut``.
 
     ``orientation`` selects the realization class (an ``Orientation``, or
-    its value "op" preserving, "or" reversing); NotRealizable is raised when
-    the classifier reports none.  The construction is deterministic in
+    its value "op" preserving, "or" reversing); ``aut``'s signature is
+    classified, NotRealizable is raised when the classifier reports none, and
+    ``_realize`` builds the rest.  The construction is deterministic in
     ``seed``.  The result satisfies verifier.verify at the default tolerance
     wherever verify accepts its size: verify raises TooLarge for a claimed
     order above MAX_CLAIMED_ORDER or more edges than MAX_VERIFY_EDGES, so,
@@ -560,9 +563,14 @@ def realize(
     against the earlier points filed under the point's cell of a grid, so
     its time and memory grow linearly with the points.
     """
-    orientation = Orientation(orientation)
     sig = signature(aut)
-    case = dispatch_case(classify(sig), orientation)
+    return _realize(aut, sig, classify(sig), Orientation(orientation), seed)
+
+
+def _realize(aut, sig, verdict, orientation, seed):
+    """``realize``, for a caller that holds the signature ``sig`` of ``aut``
+    and the classifier's ``verdict`` on it already."""
+    case = dispatch_case(verdict, orientation)
     cycles = [tuple(cyc) for cyc in _index_cycles(aut.perm)]
 
     if orientation is Orientation.OP:
@@ -583,12 +591,12 @@ def realize(
     placer = _Placer(iso.matrix, aut.shape, SeededPoints(seed), len(sub_edges))
     placer.place(plan + generic)
 
-    ids = list(aut.shape.vertices())  # VertexId by global index
-    rows, points = placer.rows, placer.points
+    zids = tuple(sorted(sub_edges))
+    rows = placer.rows
     return iso, SpatialEmbedding(
         shape=aut.shape,
-        coordinates={ids[k]: p for k, p in zip(rows, points) if k not in sub_edges},
-        subdivision_coordinates={z: points[rows[z]] for z in sub_edges},
-        subdivision_edges={z: (ids[a], ids[b]) for z, (a, b) in sub_edges.items()},
+        points=placer.points[[rows[k] for k in (*range(aut.shape.size), *zids)]],
+        subdivision_ids=zids,
+        subdivision_pairs=tuple(sub_edges[z] for z in zids),
         landmarks={k: LANDMARK_DESCRIPTIONS[k] for k in landmark_names},
     )

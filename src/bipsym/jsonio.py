@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .classifier import Orientation, RealizabilityVerdict
-from .core import BipartiteAutomorphism, BipartiteShape, VertexId, parse_cycles
-from .errors import ParseError
+from .core import BipartiteAutomorphism, BipartiteShape, Part, VertexId, parse_cycles
+from .errors import ParseError, ShapeMismatch
 
 if TYPE_CHECKING:
     from .census import CensusReport
@@ -164,6 +164,8 @@ def realization_to_obj(
     case_label: str,
     seed: int,
 ) -> dict:
+    shape, points = emb.shape, emb.points.tolist()
+    pairs = zip(emb.subdivision_ids, emb.subdivision_pairs, points[shape.size :])
     return {
         **automorphism_to_obj(aut),
         "case": case_label,
@@ -171,16 +173,10 @@ def realization_to_obj(
         "order": iso.claimed_order,
         "orientation": iso.orientation.value,
         "matrix": [[float(x) for x in row] for row in iso.matrix],
-        "vertices": {
-            v.label: [float(x) for x in p] for v, p in emb.coordinates.items()
-        },
+        "vertices": {v.label: p for v, p in zip(shape.vertices(), points)},
         "subdivision": {
-            z: {
-                "edge": [emb.subdivision_edges[z][0].label,
-                         emb.subdivision_edges[z][1].label],
-                "point": [float(x) for x in p],
-            }
-            for z, p in emb.subdivision_coordinates.items()
+            z: {"edge": [shape.vertex_at(a).label, shape.vertex_at(b).label], "point": p}
+            for z, (a, b), p in pairs
         },
         "landmarks": dict(emb.landmarks),
     }
@@ -193,8 +189,9 @@ def realization_from_obj(
 
     Raises ParseError unless n, m and order are integers (not booleans or
     floats), the matrix is 4x4, every vertex and subdivision point has four
-    coordinates, all of them finite numbers, and vertices, subdivision and
-    landmarks are objects.
+    coordinates, all of them finite numbers, vertices, subdivision and
+    landmarks are objects, and the vertices are exactly those of the graph;
+    ShapeMismatch when a subdivision edge is not an edge of the graph.
     """
     import numpy as np
 
@@ -217,7 +214,7 @@ def realization_from_obj(
             raise ParseError(f"order must be positive, got {order}")
         iso = Isometry4(matrix, order, Orientation(obj["orientation"]))
         coords = {
-            VertexId.from_label(label): np.array(_point(p, f"vertex {label}"))
+            VertexId.from_label(label): _point(p, f"vertex {label}")
             for label, p in vertices.items()
         }
         sub_coords = {}
@@ -230,20 +227,22 @@ def realization_from_obj(
                 and all(isinstance(t, str) for t in edge)
             ):
                 raise ParseError(f"subdivision {z} edge must be two vertex labels")
-            sub_coords[z] = np.array(_point(rec["point"], f"subdivision {z}"))
+            sub_coords[z] = _point(rec["point"], f"subdivision {z}")
             sub_edges[z] = (VertexId.from_label(edge[0]), VertexId.from_label(edge[1]))
-        emb = SpatialEmbedding(
-            shape=aut.shape,
-            coordinates=coords,
-            subdivision_coordinates=sub_coords,
-            subdivision_edges=sub_edges,
-            landmarks=dict(_as_dict(obj.get("landmarks", {}), "landmarks")),
-        )
+        landmarks = dict(_as_dict(obj.get("landmarks", {}), "landmarks"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad realization object: {exc}") from exc
-    if set(coords) != set(aut.shape.vertices()):
+    shape = aut.shape
+    if set(coords) != set(shape.vertices()):
         raise ParseError("vertex coordinates do not cover the graph exactly")
-    return aut, iso, emb
+    for e in sub_edges.values():
+        if {e[0].part, e[1].part} != {Part.V, Part.W} or not all(map(shape.contains, e)):
+            raise ShapeMismatch(f"subdivision edge {e} is not an edge of the graph")
+    zids = tuple(sorted(sub_coords))
+    points = np.array([coords[v] for v in shape.vertices()] + [sub_coords[z] for z in zids])
+    # V indices precede W indices, so a sorted pair is (V, W)
+    pairs = tuple(tuple(sorted(map(shape.global_index, sub_edges[z]))) for z in zids)
+    return aut, iso, SpatialEmbedding(shape, points, zids, pairs, landmarks)
 
 
 # --- certificates ------------------------------------------------------------

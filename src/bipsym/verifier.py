@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .classifier import Orientation
-from .core import BipartiteAutomorphism, Part, SideAction, _index_cycles
+from .core import BipartiteAutomorphism, SideAction, _index_cycles
 from .errors import PreconditionError, ShapeMismatch, TooLarge
 from .geometry import (
     DET_TOL,
@@ -145,46 +145,48 @@ def _proper_divisors(r: int) -> list[int]:
 class _Verification:
     """Working state shared by the individual checks of verify().
 
-    Points are indexed by global index for graph vertices, then from
-    ``n_graph`` on by subdivision id in sorted order (``zids``).  ``image``
-    is the point permutation π: image[k] is the index of the automorphism's
-    image of point k, extended over subdivision vertices, and -1 where the
-    subdivision set is not closed under the automorphism.  The induces check
-    sets ``min_sep`` and ``step``; ``run_powers`` sets the rest.  Rows of
-    ``point_fixed``, ``edge_fixed`` and ``bases`` belong to the proper
-    divisors of the claimed order.
+    Points are the rows of the embedding's array: graph vertices by global
+    index, then from ``n_graph`` on the subdivision vertices, whose ids are
+    ``zids``.  ``image`` is the point permutation π: image[k] is the index
+    of the automorphism's image of point k, extended over subdivision
+    vertices, and -1 where the subdivision set is not closed under the
+    automorphism.  The induces check sets ``min_sep`` and ``step``;
+    ``run_powers`` sets the rest.  Rows of ``point_fixed``, ``edge_fixed``
+    and ``bases`` belong to the proper divisors of the claimed order.
     """
 
-    def __init__(self, aut, iso, emb, tol, coordinates):
+    def __init__(self, aut, iso, emb, tol):
         self.aut = aut
         self.iso = iso
         self.tol = tol
         self.n_graph = aut.shape.size  # indices below this are graph vertices
-        self.zids = sorted(emb.subdivision_coordinates)
-        self.P = np.array(coordinates + [emb.subdivision_coordinates[z] for z in self.zids])
-        if self.P.ndim != 2 or self.P.shape[1] != 4 or np.shape(iso.matrix) != (4, 4):
-            raise ValueError("points need 4 coordinates and the matrix 4 x 4")
-        self.edge_a, self.edge_b = self._adjacency(emb.subdivision_edges)
+        self.zids = emb.subdivision_ids
+        if len(emb.subdivision_pairs) != len(self.zids):
+            raise ValueError("subdivision vertices and their edges do not match")
+        self.P = np.ascontiguousarray(emb.points, dtype=float)
+        K = self.n_graph + len(self.zids)
+        if self.P.shape != (K, 4) or np.shape(iso.matrix) != (4, 4):
+            raise ValueError(f"the points must be {K} x 4 and the matrix 4 x 4")
+        self.edge_a, self.edge_b = self._adjacency(emb.subdivision_pairs)
         self.image = self._point_image()
 
-    def _adjacency(self, subdivision_edges) -> tuple[np.ndarray, np.ndarray]:
+    def _adjacency(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Edges of the subdivided graph as two index arrays: (v, w) for v in
         V and w in W in index order, a subdivided edge as (v, z), (z, w).
 
-        Raises ShapeMismatch when an edge carries two subdivision vertices.
+        Raises ShapeMismatch when a pair is not (V index, W index) or an edge
+        carries two subdivision vertices.
         """
-        shape = self.aut.shape
-        n, m = shape.n, shape.m
-        # z_edges[i]: the edge of subdivision vertex zids[i] as (V, W) indices;
-        # V indices precede W indices, so the sorted pair is that edge
-        self.z_edges = []
+        n, m = self.aut.shape.n, self.aut.shape.m
+        # z_edges[i]: the (V, W) edge of subdivision vertex zids[i]
+        self.z_edges = [tuple(edge) for edge in pairs]
         self.z_at = {}
-        for k, z in enumerate(self.zids, self.n_graph):
-            edge = tuple(sorted(map(shape.global_index, subdivision_edges[z])))
+        for k, edge in enumerate(self.z_edges, self.n_graph):
+            if tuple(map(type, edge)) != (int, int) or not 0 <= edge[0] < n <= edge[1] < n + m:
+                raise ShapeMismatch(f"subdivision {self.name(k)} edge {edge} is not (V, W)")
             if edge in self.z_at:
                 a, b = map(self.name, edge)
                 raise ShapeMismatch(f"edge ({a}, {b}) subdivided twice")
-            self.z_edges.append(edge)
             self.z_at[edge] = k
         a, b = np.divmod(np.arange(n * m), m)
         b += n
@@ -335,7 +337,9 @@ def verify(
     r exceeds MAX_CLAIMED_ORDER or the edges plus the subdivision vertices
     exceed MAX_VERIFY_EDGES; before the power pass when eel2 would test
     every pair and there are more than MAX_SWAP_TESTS; and when the checks'
-    arrays do not fit in memory.
+    arrays do not fit in memory.  Raises ShapeMismatch unless ``emb.points``
+    is (n + m + S) x 4 for S subdivision ids, each with its own edge of the
+    graph as a (V index, W index) pair.
     """
     shape = aut.shape
     if shape != emb.shape:
@@ -348,27 +352,15 @@ def verify(
     if not (math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"tolerance must be finite and positive, got {tol}")
     edges = shape.n * shape.m
-    subdivisions = len(emb.subdivision_coordinates)
+    subdivisions = len(emb.subdivision_ids)
     if edges + subdivisions > MAX_VERIFY_EDGES:
         raise TooLarge(
             f"K_{{{shape.n},{shape.m}}} has {edges} edges and {subdivisions} "
             f"subdivision vertices, more than {MAX_VERIFY_EDGES} together"
         )
     try:
-        coordinates = [emb.coordinates[v] for v in shape.vertices()]
-    except KeyError as exc:
-        raise ShapeMismatch(f"embedding lacks coordinates for {exc.args[0].label}") from None
-    for e in emb.subdivision_edges.values():
-        if {e[0].part, e[1].part} != {Part.V, Part.W} or not all(
-            shape.contains(x) for x in e
-        ):
-            raise ShapeMismatch(f"subdivision edge {e} is not an edge of the graph")
-    if emb.subdivision_edges.keys() != emb.subdivision_coordinates.keys():
-        raise ShapeMismatch("subdivision vertices and their edges do not match")
-
-    try:
-        st = _Verification(aut, iso, emb, tol, coordinates)
-    except ValueError as exc:  # e.g. ragged coordinates
+        st = _Verification(aut, iso, emb, tol)
+    except ValueError as exc:  # ragged or mis-shaped points, or pairs without ids
         raise ShapeMismatch(str(exc)) from exc
     M = iso.matrix
     try:

@@ -90,9 +90,7 @@ class SequentialPlacer:
 def validate(emb: SpatialEmbedding) -> None:
     """Raise ValueError unless every point of ``emb`` is a unit vector at
     least SEPARATION from every other."""
-    arr = np.array(
-        [*emb.coordinates.values(), *emb.subdivision_coordinates.values()]
-    ).reshape(-1, 4)
+    arr = emb.points
     if (np.abs(np.linalg.norm(arr, axis=1) - 1.0) > ORTHOGONALITY_TOL).any():
         raise ValueError("embedded point is not on the unit sphere")
     if too_close(arr, arr):

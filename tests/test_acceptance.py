@@ -34,6 +34,7 @@ from bipsym import (
 )
 from bipsym.jsonio import canonical_json, report_to_obj
 
+from labelled import coordinates_of
 from topology_checks import smith_check, two_circle_check
 
 SHAPES = [
@@ -181,21 +182,21 @@ def test_criterion_6_negative_controls():
 
     aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2 v3)(w1 w2 w3)")
     iso, emb = realize(aut, "op", seed=1)
-    a, b = VertexId.from_label("v1"), VertexId.from_label("v2")
-    emb.coordinates[a], emb.coordinates[b] = emb.coordinates[b], emb.coordinates[a]
+    a, b = (aut.shape.global_index(VertexId.from_label(v)) for v in ("v1", "v2"))
+    emb.points[[a, b]] = emb.points[[b, a]]
     results.append(not verify(aut, iso, emb, tol=tol).check("induces").passed)
 
     aut = parse_cycles(BipartiteShape(3, 4), "(w3 w4)")
     iso, emb = realize(aut, "or", seed=1)
-    p = emb.coordinates[VertexId.from_label("v1")] + np.array([0.0, 0.0, 0.0, 0.4])
-    emb.coordinates[VertexId.from_label("v1")] = p / np.linalg.norm(p)
+    p = coordinates_of(emb)[VertexId.from_label("v1")] + np.array([0.0, 0.0, 0.0, 0.4])
+    emb.points[aut.shape.global_index(VertexId.from_label("v1"))] = p / np.linalg.norm(p)
     results.append(not verify(aut, iso, emb, tol=tol).check("eel4").passed)
 
     aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2 v3)(w1 w2 w3)")
     iso, emb = realize(aut, "op", seed=1)
-    p = emb.coordinates[VertexId.from_label("v1")].copy()
+    p = coordinates_of(emb)[VertexId.from_label("v1")].copy()
     p[0] += 10 * tol
-    emb.coordinates[VertexId.from_label("v1")] = p
+    emb.points[aut.shape.global_index(VertexId.from_label("v1"))] = p
     cert = verify(aut, iso, emb, tol=tol)
     results.append(not cert.check("induces").passed and not cert.overall)
 
@@ -211,8 +212,8 @@ def test_criterion_7_determinism():
     sd1 = realize(parse_cycles(shape, "(v1 v2 v3)"), "op", seed=3)[1]
     sd2 = realize(parse_cycles(shape, "(v1 v2 v3)"), "op", seed=3)[1]
     realize_deterministic = all(
-        np.array_equal(sd1.coordinates[v], sd2.coordinates[v])
-        for v in sd1.coordinates
+        np.array_equal(coordinates_of(sd1)[v], coordinates_of(sd2)[v])
+        for v in coordinates_of(sd1)
     )
 
     _report(

@@ -81,17 +81,17 @@ class TestCensus:
 
     def test_too_large(self):
         # MAX_CENSUS_PART = 419 bounds each part of a plain census and
-        # MAX_REALIZE_ALL_PART = 45 each part with realize_all; the bounds
+        # MAX_REALIZE_ALL_PART = 47 each part with realize_all; the bounds
         # themselves are allowed
         assert census(BipartiteShape(419, 3)).total == math.factorial(419) * 6
         for shape in (BipartiteShape(420, 3), BipartiteShape(3, 420)):
             with pytest.raises(TooLarge, match="more than 419 vertices"):
                 census(shape)
-        report = census(BipartiteShape(45, 3), realize_all=True)
-        assert report.total == math.factorial(45) * 6
-        for shape in (BipartiteShape(46, 3), BipartiteShape(3, 46)):
-            assert census(shape).total == math.factorial(46) * 6
-            with pytest.raises(TooLarge, match="more than 45 vertices"):
+        report = census(BipartiteShape(47, 3), realize_all=True)
+        assert report.total == math.factorial(47) * 6
+        for shape in (BipartiteShape(48, 3), BipartiteShape(3, 48)):
+            assert census(shape).total == math.factorial(48) * 6
+            with pytest.raises(TooLarge, match="more than 47 vertices"):
                 census(shape, realize_all=True)
 
     def test_deterministic_bytes(self):

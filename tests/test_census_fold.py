@@ -37,13 +37,13 @@ def test_interchanged_class_has_the_same_labels(n):
 )
 def test_realize_all_once_per_merged_class(monkeypatch, n, runs, verified):
     calls = []
-    realize = bipsym.geometry.realize
+    realize = bipsym.geometry._realize
 
     def counting(*args, **kwargs):
         calls.append(args)
         return realize(*args, **kwargs)
 
-    monkeypatch.setattr(bipsym.geometry, "realize", counting)
+    monkeypatch.setattr(bipsym.geometry, "_realize", counting)
     report = census(BipartiteShape(n, n), realize_all=True)
     assert len(calls) == runs
     assert report.realized_verified == verified

@@ -26,6 +26,12 @@ from bipsym.census import _representative
 
 import census_oracle
 from census_oracle import signature_tallies
+from labelled import (
+    coordinates_of,
+    embedding_from_labels,
+    subdivision_coordinates_of,
+    subdivision_edges_of,
+)
 
 # (n, m, seed); the oracle realizes K_{5,5}'s 11 300 pairs at one seed only
 ORACLE_SHAPES = [
@@ -56,13 +62,13 @@ def random_relabeling(
 def relabel(emb: SpatialEmbedding, sigma: BipartiteAutomorphism) -> SpatialEmbedding:
     """The embedding x o sigma^-1: vertex sigma(v) sits where v sat."""
     edges = {}
-    for zid, (v, w) in emb.subdivision_edges.items():
+    for zid, (v, w) in subdivision_edges_of(emb).items():
         a, b = sigma(v), sigma(w)
         edges[zid] = (a, b) if a.part is Part.V else (b, a)
-    return SpatialEmbedding(
-        shape=emb.shape,
-        coordinates={sigma(v): x for v, x in emb.coordinates.items()},
-        subdivision_coordinates=dict(emb.subdivision_coordinates),
+    return embedding_from_labels(
+        emb.shape,
+        {sigma(v): x for v, x in coordinates_of(emb).items()},
+        subdivision_coordinates=dict(subdivision_coordinates_of(emb)),
         subdivision_edges=edges,
         landmarks=dict(emb.landmarks),
     )

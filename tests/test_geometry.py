@@ -33,6 +33,7 @@ from bipsym.geometry import (
 )
 from bipsym.verifier import subspace_distance
 
+from labelled import coordinates_of, subdivision_coordinates_of
 from topology_checks import FixedSetKind, fixed_set
 
 ORDER_TOL = 1e-9  # |M^r - I| allowed in the constructed-invariant sweeps
@@ -312,17 +313,17 @@ class TestRealizeDetails:
         assert orbit_size(iso.matrix, [1, 0, 0, 0]) == 4
         assert orbit_size(iso.matrix, [0, 0, 1, 0]) == 3
         for i in (1, 2, 3, 4):
-            assert dist_to_y(emb.coordinates[parse_vertex(f"v{i}")]) <= 1e-12
+            assert dist_to_y(coordinates_of(emb)[parse_vertex(f"v{i}")]) <= 1e-12
         for i in (1, 2, 3):
-            assert dist_to_x(emb.coordinates[parse_vertex(f"w{i}")]) <= 1e-12
+            assert dist_to_x(coordinates_of(emb)[parse_vertex(f"w{i}")]) <= 1e-12
 
     def test_reflection_matrix_pinned(self):
         aut = parse_cycles(BipartiteShape(3, 4), "(w3 w4)")
         iso, emb = realize(aut, "or", seed=1)
         assert np.allclose(iso.matrix, np.diag([1.0, 1.0, 1.0, -1.0]))
         for i in (1, 2, 3):
-            assert dist_to_sphere(emb.coordinates[parse_vertex(f"v{i}")]) <= 1e-12
-        pair = [emb.coordinates[parse_vertex("w3")], emb.coordinates[parse_vertex("w4")]]
+            assert dist_to_sphere(coordinates_of(emb)[parse_vertex(f"v{i}")]) <= 1e-12
+        pair = [coordinates_of(emb)[parse_vertex("w3")], coordinates_of(emb)[parse_vertex("w4")]]
         assert np.allclose(iso.matrix @ pair[0], pair[1], atol=1e-12)
 
     def test_glide_1b_quarter_turns(self):
@@ -330,15 +331,15 @@ class TestRealizeDetails:
         iso, emb = realize(aut, "op", seed=1)
         assert iso.claimed_order == 4
         assert np.allclose(iso.matrix[:2, :2], [[0, -1], [1, 0]], atol=1e-12)
-        for p in emb.coordinates.values():
+        for p in coordinates_of(emb).values():
             assert dist_to_x(p) > 1e-6 and dist_to_y(p) > 1e-6
 
     def test_case_13_subdivision_at_f(self):
         aut = parse_cycles(BipartiteShape(4, 4), "(v1 w1)(v2 w2)(v3 w3 v4 w4)")
         iso, emb = realize(aut, "or", seed=1)
-        assert len(emb.subdivision_coordinates) == 2
+        assert len(subdivision_coordinates_of(emb)) == 2
         placed = sorted(
-            tuple(np.round(p, 12)) for p in emb.subdivision_coordinates.values()
+            tuple(np.round(p, 12)) for p in subdivision_coordinates_of(emb).values()
         )
         expected = sorted(tuple(np.round(f, 12)) for f in F_POINTS)
         assert placed == expected
@@ -346,8 +347,8 @@ class TestRealizeDetails:
     def test_case_1a_subdivision_count(self):
         aut = parse_cycles(BipartiteShape(3, 3), "(v1 w1 v2 w2 v3 w3)")
         iso, emb = realize(aut, "op", seed=1)
-        assert len(emb.subdivision_coordinates) == 3  # n midpoints
-        for p in emb.subdivision_coordinates.values():
+        assert len(subdivision_coordinates_of(emb)) == 3  # n midpoints
+        for p in subdivision_coordinates_of(emb).values():
             assert dist_to_y(p) <= 1e-12  # they live on Y
 
     def test_deterministic_in_seed(self):
@@ -355,11 +356,11 @@ class TestRealizeDetails:
         _, emb1 = realize(aut, "op", seed=5)
         _, emb2 = realize(aut, "op", seed=5)
         _, emb3 = realize(aut, "op", seed=6)
-        for v in emb1.coordinates:
-            assert np.array_equal(emb1.coordinates[v], emb2.coordinates[v])
+        for v in coordinates_of(emb1):
+            assert np.array_equal(coordinates_of(emb1)[v], coordinates_of(emb2)[v])
         assert any(
-            not np.array_equal(emb1.coordinates[v], emb3.coordinates[v])
-            for v in emb1.coordinates
+            not np.array_equal(coordinates_of(emb1)[v], coordinates_of(emb3)[v])
+            for v in coordinates_of(emb1)
         )
 
     def test_not_realizable(self):
@@ -372,8 +373,8 @@ class TestRealizeDetails:
     def test_induced_permutation_matches(self):
         aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2)(w1 w2 w3)")
         iso, emb = realize(aut, "or", seed=2)
-        for v, p in emb.coordinates.items():
-            image = emb.coordinates[aut(v)]
+        for v, p in coordinates_of(emb).items():
+            image = coordinates_of(emb)[aut(v)]
             assert np.linalg.norm(iso.matrix @ p - image) <= 1e-9
 
 

@@ -228,7 +228,7 @@ def test_realize_places_one_9000_point_orbit():
         "import sys\n"
         "from bipsym import BipartiteShape, parse_cycles, realize\n"
         "aut = parse_cycles(BipartiteShape(int(sys.argv[1]), int(sys.argv[1])), sys.argv[2])\n"
-        "print(len(realize(aut, 'op', 1)[1].coordinates))\n"
+        "print(len(realize(aut, 'op', 1)[1].points))\n"
     )
     out = _run_limited(["-c", script, str(HUGE_ORBIT), _cycles(HUGE_ORBIT, HUGE_ORBIT)], 60)
     assert out.returncode == 0, out.stderr
@@ -293,7 +293,7 @@ def test_cap_check_stops_early():
         enumerate_automorphisms(shape, cap=1000)
     with pytest.raises(TooLarge, match="more than 419 vertices"):
         census(shape)
-    with pytest.raises(TooLarge, match="more than 45 vertices"):
+    with pytest.raises(TooLarge, match="more than 47 vertices"):
         census(shape, realize_all=True)
     assert time.perf_counter() - start < 1.0
 

@@ -7,6 +7,7 @@ import bipsym.jsonio
 from bipsym import (
     BipartiteShape,
     ParseError,
+    ShapeMismatch,
     parse_cycles,
     realize,
     verify,
@@ -20,6 +21,8 @@ from bipsym.jsonio import (
     realization_from_obj,
     realization_to_obj,
 )
+
+from labelled import subdivision_edges_of
 
 S33 = BipartiteShape(3, 3)
 
@@ -67,7 +70,7 @@ class TestRealizationJson:
         aut2, iso2, emb2 = realization_from_obj(json.loads(text))
         assert aut2 == aut
         assert np.array_equal(iso2.matrix, iso.matrix)
-        assert emb2.subdivision_edges == emb.subdivision_edges
+        assert subdivision_edges_of(emb2) == subdivision_edges_of(emb)
         assert verify(aut2, iso2, emb2, tol=1e-9).overall
 
     def test_serialization_is_deterministic(self):
@@ -85,6 +88,62 @@ class TestRealizationJson:
         obj["matrix"] = [[1, 0], [0, 1]]
         with pytest.raises(ParseError):
             realization_from_obj(obj)
+
+
+# (shape, permutation, orientation, subdivision vertices): OR11 has none;
+# OP1 of a part swap with odd r/2 has r/2, whose ids z1, z10, z11, z2, ...
+# sort as strings at K_{11,11}; OR13 has one per mixed 2-cycle
+ROUND_TRIPS = [
+    ((3, 4), "(w3 w4)", "or", 0),
+    ((3, 3), "(v1 w1 v2 w2 v3 w3)", "op", 3),
+    ((11, 11), "(" + " ".join(f"v{i} w{i}" for i in range(1, 12)) + ")", "op", 11),
+    ((4, 4), "(v1 w1)(v2 w2)(v3 w3 v4 w4)", "or", 2),
+]
+
+
+@pytest.mark.parametrize("shape, text, orientation, subdivisions", ROUND_TRIPS)
+@pytest.mark.parametrize("through_text", [False, True])
+def test_round_trip_keeps_the_bits(shape, text, orientation, subdivisions, through_text):
+    aut = parse_cycles(BipartiteShape(*shape), text)
+    iso, emb = realize(aut, orientation, seed=5)
+    obj = realization_to_obj(aut, iso, emb, "label", 5)
+    if through_text:
+        obj = json.loads(canonical_json(obj))
+    aut2, iso2, emb2 = realization_from_obj(obj)
+    assert aut2 == aut
+    assert iso2.matrix.tobytes() == iso.matrix.tobytes()
+    assert emb2.points.dtype == emb.points.dtype
+    assert emb2.points.shape == emb.points.shape
+    assert emb2.points.tobytes() == emb.points.tobytes()
+    assert emb2.subdivision_ids == emb.subdivision_ids == tuple(sorted(emb.subdivision_ids))
+    assert emb2.subdivision_pairs == emb.subdivision_pairs
+    assert emb2.landmarks == emb.landmarks
+    assert len(emb.subdivision_ids) == subdivisions
+    again = realization_to_obj(aut2, iso2, emb2, "label", 5)
+    assert canonical_json(again) == canonical_json(obj)
+
+
+def test_subdivision_edges_given_w_first_are_read_as_v_w(realization_obj):
+    obj = json.loads(json.dumps(realization_obj))
+    for rec in obj["subdivision"].values():
+        rec["edge"].reverse()
+    _, _, emb = realization_from_obj(obj)
+    _, _, want = realization_from_obj(realization_obj)
+    assert emb.subdivision_pairs == want.subdivision_pairs == ((0, 4), (1, 5))
+
+
+@pytest.mark.parametrize("edge", [["v1", "v2"], ["w1", "w2"], ["v1", "w9"], ["v9", "w1"]])
+def test_subdivision_off_the_graph_is_a_shape_mismatch(realization_obj, edge, tmp_path, capsys):
+    obj = json.loads(json.dumps(realization_obj))
+    obj["subdivision"]["z1"]["edge"] = edge
+    with pytest.raises(ShapeMismatch, match="is not an edge of the graph"):
+        realization_from_obj(obj)
+    path = tmp_path / "realization.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: subdivision edge (")
 
 
 def _set(key, value):

@@ -10,7 +10,6 @@ from bipsym import (
     BipartiteShape,
     PreconditionError,
     ShapeMismatch,
-    SpatialEmbedding,
     VertexId,
     glide_isometry,
     improper_isometry,
@@ -25,6 +24,7 @@ from bipsym.cli import cli_main
 from bipsym.geometry import Isometry4
 from bipsym.verifier import _Verification
 
+from labelled import coordinates_of, embedding_from_labels, subdivision_edges_of
 from topology_checks import smith_check, two_circle_check
 
 S33 = BipartiteShape(3, 3)
@@ -75,11 +75,8 @@ class TestNegativeControls:
     def test_swapped_pair_fails_induces(self):
         aut, iso, emb, cert = realize_and_verify(S33, "(v1 v2 v3)(w1 w2 w3)", "op")
         assert cert.overall
-        a, b = vid("v1"), vid("v2")
-        emb.coordinates[a], emb.coordinates[b] = (
-            emb.coordinates[b],
-            emb.coordinates[a],
-        )
+        a, b = S33.global_index(vid("v1")), S33.global_index(vid("v2"))
+        emb.points[[a, b]] = emb.points[[b, a]]
         tampered = verify(aut, iso, emb, tol=1e-9)
         assert not tampered.check("induces").passed
         assert not tampered.overall
@@ -88,8 +85,8 @@ class TestNegativeControls:
         aut, iso, emb, cert = realize_and_verify(S34, "(w3 w4)", "or")
         assert cert.overall
         # push a V vertex off the fixed sphere; W is already partly off it
-        p = emb.coordinates[vid("v1")] + np.array([0.0, 0.0, 0.0, 0.4])
-        emb.coordinates[vid("v1")] = p / np.linalg.norm(p)
+        p = coordinates_of(emb)[vid("v1")] + np.array([0.0, 0.0, 0.0, 0.4])
+        emb.points[S34.global_index(vid("v1"))] = p / np.linalg.norm(p)
         tampered = verify(aut, iso, emb, tol=1e-9)
         assert not tampered.check("eel4").passed
         assert not tampered.overall
@@ -98,16 +95,16 @@ class TestNegativeControls:
         aut, iso, emb, cert = realize_and_verify(S33, "(v1 v2 v3)(w1 w2 w3)", "op")
         assert cert.overall
         tol = 1e-9
-        p = emb.coordinates[vid("v1")].copy()
+        p = coordinates_of(emb)[vid("v1")].copy()
         p[0] += 10 * tol
-        emb.coordinates[vid("v1")] = p
+        emb.points[S33.global_index(vid("v1"))] = p
         tampered = verify(aut, iso, emb, tol=tol)
         assert not tampered.check("induces").passed
         assert not tampered.overall
 
     def test_radial_perturbation_fails_unit_norm(self):
         aut, iso, emb, cert = realize_and_verify(S33, "(v1 v2 v3)(w1 w2 w3)", "op")
-        emb.coordinates[vid("w1")] = emb.coordinates[vid("w1")] * (1 + 1e-8)
+        emb.points[S33.global_index(vid("w1"))] = coordinates_of(emb)[vid("w1")] * (1 + 1e-8)
         tampered = verify(aut, iso, emb, tol=1e-9)
         assert not tampered.check("unit_norm").passed
 
@@ -125,7 +122,7 @@ class TestNegativeControls:
                 coords[vid(f"{part}{i}")] = p
                 p = M @ p
         iso = Isometry4(M, claimed, Orientation.OP)
-        cert = verify(aut, iso, SpatialEmbedding(shape=S33, coordinates=coords), tol=1e-9)
+        cert = verify(aut, iso, embedding_from_labels(S33, coords), tol=1e-9)
         assert cert.check("unit_norm").passed
         assert not cert.check("induces").passed
         assert cert.check("order").passed == (claimed == 5)
@@ -133,7 +130,7 @@ class TestNegativeControls:
 
     def test_near_coincident_vertices_fail_separation(self):
         aut, iso, emb, cert = realize_and_verify(S33, "(v1 v2 v3)(w1 w2 w3)", "op")
-        emb.coordinates[vid("w1")] = emb.coordinates[vid("v1")] + 1e-8
+        emb.points[S33.global_index(vid("w1"))] = coordinates_of(emb)[vid("v1")] + 1e-8
         tampered = verify(aut, iso, emb, tol=1e-9)
         assert not tampered.check("induces").passed
 
@@ -159,7 +156,7 @@ class TestNegativeControls:
             coords[vid(label)] = seed
             partner = {"v2": "v3", "w2": "w3"}[label]
             coords[vid(partner)] = iso.matrix @ seed
-        emb = SpatialEmbedding(shape=S33, coordinates=coords)
+        emb = embedding_from_labels(S33, coords)
         cert = verify(aut, iso, emb, tol=1e-9)
         assert cert.check("induces").passed
         assert not cert.check("eel3").passed
@@ -179,21 +176,57 @@ class TestNegativeControls:
         with pytest.raises(ShapeMismatch):
             verify(aut33, iso, emb)
         # a subdivision vertex needs both a point and an edge
-        emb.subdivision_edges["z1"] = (vid("v1"), vid("w1"))
+        emb.subdivision_pairs = ((0, 3),)
         with pytest.raises(ShapeMismatch, match="do not match"):
             verify(aut34, iso, emb)
 
 
+class TestIndexChecks:
+    # verify reads the points and pairs as they are, trusting no maker
+    TEXT = "(v1 w1)(v2 w2)(v3 w3 v4 w4)"
+
+    def realization(self):
+        aut = parse_cycles(BipartiteShape(4, 4), self.TEXT)
+        return (aut, *realize(aut, "or", seed=1))
+
+    @pytest.mark.parametrize("rows", [9, 11])
+    def test_points_not_one_row_per_vertex(self, rows):
+        aut, iso, emb = self.realization()
+        emb.points = np.resize(emb.points, (rows, 4))
+        with pytest.raises(ShapeMismatch, match="the points must be 10 x 4"):
+            verify(aut, iso, emb)
+
+    def test_points_not_four_coordinates(self):
+        aut, iso, emb = self.realization()
+        emb.points = emb.points[:, :3]
+        with pytest.raises(ShapeMismatch, match="the points must be 10 x 4"):
+            verify(aut, iso, emb)
+
+    @pytest.mark.parametrize("pair", [(4, 0), (0, 1), (4, 5), (0, 8), (-1, 4), (0, 4.0)])
+    def test_pair_not_a_v_w_edge(self, pair):
+        aut, iso, emb = self.realization()
+        emb.subdivision_pairs = (emb.subdivision_pairs[0], pair)
+        with pytest.raises(ShapeMismatch, match=r"subdivision z2 edge .* is not \(V, W\)"):
+            verify(aut, iso, emb)
+
+    def test_more_pairs_than_ids(self):
+        aut, iso, emb = self.realization()
+        emb.subdivision_pairs += ((2, 6),)
+        with pytest.raises(ShapeMismatch, match="do not match"):
+            verify(aut, iso, emb)
+
+
 class TestSubdividedTwice:
     # OR13 subdivides the edges of the 2-cycles (v1 w1) and (v2 w2) at z1 and
-    # z2; moving z2 onto (v1, w1), endpoints given the other way round, puts
-    # two subdivision vertices on one edge, which no graph here allows
+    # z2; moving z2 onto (v1, w1), as the index pair (0, 4) or in a file with
+    # the endpoints given the other way round, puts two subdivision vertices
+    # on one edge, which no graph here allows
     TEXT = "(v1 w1)(v2 w2)(v3 w3 v4 w4)"
 
     def realization(self):
         aut = parse_cycles(BipartiteShape(4, 4), self.TEXT)
         iso, emb = realize(aut, "or", seed=1)
-        assert emb.subdivision_edges == {
+        assert subdivision_edges_of(emb) == {
             "z1": (vid("v1"), vid("w1")),
             "z2": (vid("v2"), vid("w2")),
         }
@@ -201,7 +234,7 @@ class TestSubdividedTwice:
 
     def test_verify_raises_shape_mismatch(self):
         aut, iso, emb = self.realization()
-        emb.subdivision_edges["z2"] = (vid("w1"), vid("v1"))
+        emb.subdivision_pairs = ((0, 4), (0, 4))  # z2 on (v1, w1)
         with pytest.raises(ShapeMismatch, match=r"edge \(v1, w1\) subdivided twice"):
             verify(aut, iso, emb)
 
@@ -242,15 +275,14 @@ def test_subdivided_edge_list_matches_plain_lists(data):
         edges[v, n + w] = z
         ends = (shape.vertex_at(v), shape.vertex_at(n + w))
         subdivision_edges[z] = ends[::-1] if flip else ends
-    emb = SpatialEmbedding(
+    emb = embedding_from_labels(
         shape,
-        {},
+        dict.fromkeys(shape.vertices(), np.zeros(4)),
         subdivision_coordinates={z: np.zeros(4) for z in ids},
         subdivision_edges=subdivision_edges,
     )
-    coordinates = [np.zeros(4)] * shape.size
     aut = parse_cycles(shape, "")
-    state = _Verification(aut, rotation_isometry(1), emb, 1e-9, coordinates)
+    state = _Verification(aut, rotation_isometry(1), emb, 1e-9)
 
     point = {z: shape.size + k for k, z in enumerate(sorted(ids))}
     want_a, want_b = [], []

@@ -10,6 +10,7 @@ fixed-set checks eel1, eel3 and eel4 may differ and every other check must
 still agree byte for byte.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from bipsym import (
     BipartiteShape,
     Isometry4,
     Orientation,
-    SpatialEmbedding,
     VertexId,
     classify_aut,
     enumerate_automorphisms,
@@ -38,6 +38,7 @@ from bipsym.jsonio import canonical_json, certificate_to_obj
 
 import verifier_oracle
 from census_oracle import _partitions
+from labelled import coordinates_of, embedding_from_labels, subdivision_edges_of
 
 TOL = 1e-9
 K89_ORDER_72 = "(v1 v2 v3 v4 v5 v6 v7 v8)(w1 w2 w3 w4 w5 w6 w7 w8 w9)"
@@ -45,6 +46,17 @@ K89_ORDER_72 = "(v1 v2 v3 v4 v5 v6 v7 v8)(w1 w2 w3 w4 w5 w6 w7 w8 w9)"
 
 def vid(label):
     return VertexId.from_label(label)
+
+
+def row(emb, label):
+    """The row of ``emb.points`` that holds vertex ``label``."""
+    return emb.shape.global_index(vid(label))
+
+
+def without_subdivision(emb):
+    return dataclasses.replace(
+        emb, points=emb.points[: emb.shape.size], subdivision_ids=(), subdivision_pairs=()
+    )
 
 
 def assert_same_certificate(aut, iso, emb, tol=TOL):
@@ -127,16 +139,16 @@ def failing(aut, iso, emb, check):
 
 def test_perturbed_coordinate():
     aut, iso, emb = realized(BipartiteShape(3, 3), "(v1 v2 v3)(w1 w2 w3)", "op")
-    p = emb.coordinates[vid("v1")].copy()
+    p = coordinates_of(emb)[vid("v1")].copy()
     p[0] += 10 * TOL
-    emb.coordinates[vid("v1")] = p
+    emb.points[row(emb, "v1")] = p
     failing(aut, iso, emb, "induces")
 
 
 def test_swapped_images():
     aut, iso, emb = realized(BipartiteShape(3, 3), "(v1 v2 v3)(w1 w2 w3)", "op")
-    a, b = vid("v1"), vid("v2")
-    emb.coordinates[a], emb.coordinates[b] = emb.coordinates[b], emb.coordinates[a]
+    a, b = row(emb, "v1"), row(emb, "v2")
+    emb.points[[a, b]] = emb.points[[b, a]]
     failing(aut, iso, emb, "induces")
 
 
@@ -150,10 +162,10 @@ def claiming(iso, times):
 def test_point_off_the_sphere(times):
     aut, iso, emb = realized(BipartiteShape(3, 4), "(w3 w4)", "or")
     iso = claiming(iso, times)
-    p = emb.coordinates[vid("v1")] + np.array([0.0, 0.0, 0.0, 0.4])
-    emb.coordinates[vid("v1")] = p / np.linalg.norm(p)
+    p = coordinates_of(emb)[vid("v1")] + np.array([0.0, 0.0, 0.0, 0.4])
+    emb.points[row(emb, "v1")] = p / np.linalg.norm(p)
     failing(aut, iso, emb, "eel4")
-    emb.coordinates[vid("w1")] = emb.coordinates[vid("w1")] * (1 + 1e-8)
+    emb.points[row(emb, "w1")] = coordinates_of(emb)[vid("w1")] * (1 + 1e-8)
     failing(aut, iso, emb, "unit_norm")
 
 
@@ -178,9 +190,7 @@ def test_claimed_order_twice_the_true_one(shape, text, orientation):
 
 def test_inverted_edges_without_subdivision():
     aut, iso, emb = realized(BipartiteShape(3, 3), "(v1 w1 v2 w2 v3 w3)", "op")
-    emb.subdivision_edges.clear()
-    emb.subdivision_coordinates.clear()
-    failing(aut, iso, emb, "eel2")
+    failing(aut, iso, without_subdivision(emb), "eel2")
 
 
 def test_claimed_order_a_multiple_changes_only_subspace_noise():
@@ -201,15 +211,17 @@ def test_claimed_order_a_multiple_changes_only_subspace_noise():
 
 def test_subdivision_set_not_closed():
     aut, iso, emb = realized(BipartiteShape(3, 3), "(v1 w1 v2 w2 v3 w3)", "op")
-    assert emb.subdivision_edges
-    z = sorted(emb.subdivision_edges)[0]
-    v, _ = emb.subdivision_edges[z]
+    assert subdivision_edges_of(emb)
+    z = sorted(subdivision_edges_of(emb))[0]
+    v, _ = subdivision_edges_of(emb)[z]
     free = next(
         (v, w)
         for w in (vid("w1"), vid("w2"), vid("w3"))
-        if (v, w) not in emb.subdivision_edges.values()
+        if (v, w) not in subdivision_edges_of(emb).values()
     )
-    emb.subdivision_edges[z] = free
+    pairs = dict(zip(emb.subdivision_ids, emb.subdivision_pairs))
+    pairs[z] = tuple(map(emb.shape.global_index, free))
+    emb.subdivision_pairs = tuple(pairs.values())
     failing(aut, iso, emb, "induces")
 
 
@@ -228,7 +240,7 @@ def test_adjacent_pair_on_two_point_fixed_set(times):
     ):
         coords[vid(label)] = p
         coords[vid(partner)] = iso.matrix @ p
-    emb = SpatialEmbedding(shape=shape, coordinates=coords)
+    emb = embedding_from_labels(shape, coords)
     failing(aut, iso, emb, "eel3")
 
 
@@ -295,7 +307,7 @@ def eel2_paths(monkeypatch):
 
 
 def separation(emb) -> float:
-    points = np.array([*emb.coordinates.values(), *emb.subdivision_coordinates.values()])
+    points = emb.points
     dists = np.linalg.norm(points[:, None] - points[None], axis=2)
     return float(dists[np.triu_indices(len(points), 1)].min())
 
@@ -309,13 +321,12 @@ def test_inverted_edges_on_both_eel2_paths(monkeypatch, case):
     # when M moves a point by an eighth of the separation, which six powers
     # can add up to more than the separation.
     aut, iso, emb = realized(BipartiteShape(3, 3), "(v1 w1 v2 w2 v3 w3)", "op")
-    emb.subdivision_edges.clear()
-    emb.subdivision_coordinates.clear()
+    emb = without_subdivision(emb)
     sep = separation(emb)
     tol = sep - 1e-13 if case == "tol near separation" else TOL
     if case == "step of sep/8":
-        p = emb.coordinates[vid("v1")] + np.array([0.0, 0.0, 0.0, sep / 8])
-        emb.coordinates[vid("v1")] = p / np.linalg.norm(p)
+        p = coordinates_of(emb)[vid("v1")] + np.array([0.0, 0.0, 0.0, sep / 8])
+        emb.points[row(emb, "v1")] = p / np.linalg.norm(p)
     seen = eel2_paths(monkeypatch)
     checks = assert_same_checks(aut, iso, emb, tol)
     assert seen == [case == "exact"]
@@ -339,7 +350,7 @@ def test_inversions_from_two_cycle_lengths_in_power_order():
     M[:2, :2] = -np.eye(2)
     M[2:, 2:] = [[np.cos(np.pi / 3), -np.sin(np.pi / 3)], [np.sin(np.pi / 3), np.cos(np.pi / 3)]]
     iso = Isometry4(M, 6, Orientation.OP)
-    emb = SpatialEmbedding(shape=shape, coordinates=coords)
+    emb = embedding_from_labels(shape, coords)
     checks = assert_same_checks(aut, iso, emb, TOL)
     assert checks["eel2"]["detail"] == "; ".join(
         f"M^{i} interchanges {a},{b}"
@@ -366,7 +377,7 @@ def tampered_realizations(draw):
     verdict = classify_aut(aut)
     orientations = [o for o, ok in (("op", verdict.op_realizable), ("or", verdict.or_realizable)) if ok]
     iso, emb = realize(aut, draw(st.sampled_from(orientations)), draw(st.integers(1, 1 << 16)))
-    points = [*emb.coordinates.values(), *emb.subdivision_coordinates.values()]
+    points = emb.points
     i, j = draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=2, unique=True))
     u = (points[i] - points[j]) / np.linalg.norm(points[i] - points[j])
     swap = np.eye(4) - 2 * np.outer(u, u)

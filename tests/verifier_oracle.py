@@ -29,6 +29,7 @@ from bipsym.verifier import (
     fixed_subspace,
     subspace_distance,
 )
+from labelled import coordinates_of, subdivision_coordinates_of, subdivision_edges_of
 from topology_checks import _KIND_BY_DIM, FixedSetKind
 
 
@@ -60,17 +61,19 @@ class _Verification:
     def __init__(self, aut, iso, emb, tol):
         self.aut = aut
         self.iso = iso
-        self.emb = emb
         self.tol = tol
+        self.coordinates = coordinates_of(emb)
+        self.subdivision_coordinates = subdivision_coordinates_of(emb)
+        self.subdivision_edges = subdivision_edges_of(emb)
         self.names: list = [v for v in aut.shape.vertices()]
-        self.zids = sorted(emb.subdivision_coordinates)
+        self.zids = sorted(self.subdivision_coordinates)
         self.names += self.zids
         self.index = {k: i for i, k in enumerate(self.names)}
         self.n_graph = aut.shape.size  # indices below this are graph vertices
         self.P = np.array(
             [
-                emb.coordinates[k] if isinstance(k, VertexId)
-                else emb.subdivision_coordinates[k]
+                self.coordinates[k] if isinstance(k, VertexId)
+                else self.subdivision_coordinates[k]
                 for k in self.names
             ]
         )
@@ -90,7 +93,7 @@ class _Verification:
 
     def _adjacency(self) -> list[tuple[int, int]]:
         """Edges of the subdivided graph as index pairs."""
-        records = sorted(self.emb.subdivision_edges.items())
+        records = sorted(self.subdivision_edges.items())
         edges = _subdivided_edges(
             self.aut.shape, [(_normalize_edge(*e), z) for z, e in records]
         )
@@ -103,9 +106,9 @@ class _Verification:
         key = self.names[k]
         if isinstance(key, VertexId):
             return self.index[self.aut(key)]
-        v, w = self.emb.subdivision_edges[key]
+        v, w = self.subdivision_edges[key]
         img = _normalize_edge(self.aut(v), self.aut(w))
-        for z, e in self.emb.subdivision_edges.items():
+        for z, e in self.subdivision_edges.items():
             if _normalize_edge(*e) == img:
                 return self.index[z]
         return None
@@ -126,10 +129,10 @@ def verify(
         raise ShapeMismatch(f"automorphism {aut.shape} vs embedding {emb.shape}")
     if iso.claimed_order < 1:
         raise PreconditionError(f"claimed order must be positive, got {iso.claimed_order}")
-    missing = [v for v in aut.shape.vertices() if v not in emb.coordinates]
+    missing = [v for v in aut.shape.vertices() if v not in coordinates_of(emb)]
     if missing:
         raise ShapeMismatch(f"embedding lacks coordinates for {missing[0].label}")
-    for e in emb.subdivision_edges.values():
+    for e in subdivision_edges_of(emb).values():
         if {e[0].part, e[1].part} != {Part.V, Part.W} or not all(
             aut.shape.contains(x) for x in e
         ):
