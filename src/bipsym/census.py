@@ -31,13 +31,14 @@ adds the product of the two class sizes (n! for the V -> W half of a part
 swap), doubled for a folded pair, to the tallies; ``unrealizable_op`` and
 ``unrealizable_or`` are the group order minus the realizable sizes.
 
-With ``realize_all`` the census builds the signature of each realizable
-class, realizes and verifies one representative per realizable (class,
-orientation) and counts the whole class when its certificate passes.  One
-representative speaks for its class because, if (M, x) realizes a, then
-(M, x o s^-1) realizes s a s^-1 for every automorphism s, a part-swapping s
-included, and every check of ``verify`` keeps its result when the vertices
-are relabeled.
+With ``realize_all`` the census builds one representative of each
+realizable class from its two cycle types, realizes it from the order and
+the case it decided the class with, once per realizable orientation,
+verifies it, and counts the whole class when its certificate passes; it
+builds no signature.  One representative speaks for its class because, if
+(M, x) realizes a, then (M, x o s^-1) realizes s a s^-1 for every
+automorphism s, a part-swapping s included, and every check of ``verify``
+keeps its result when the vertices are relabeled.
 
 The package re-exports the function ``census`` under this module's name,
 so ``bipsym.census`` and ``import bipsym.census as c`` give the function.
@@ -52,14 +53,8 @@ import math
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .classifier import Orientation, _decide, candidate_classes
-from .core import (
-    BipartiteAutomorphism,
-    BipartiteShape,
-    CycleSignature,
-    SideAction,
-    automorphism_count,
-)
+from .classifier import _decide, candidate_classes
+from .core import BipartiteAutomorphism, BipartiteShape, automorphism_count
 from .errors import OutOfTheoremScope, TooLarge
 
 # census() refuses parts larger than these before any work.  The plain census
@@ -115,33 +110,35 @@ class _PartitionRows(dict):
         return row
 
 
-def _representative(sig: CycleSignature) -> BipartiteAutomorphism:
-    """One automorphism with signature ``sig``.
+def _representative(
+    shape: BipartiteShape, lam: tuple[int, ...], mu: tuple[int, ...] | None
+) -> BipartiteAutomorphism:
+    """One automorphism of the class (lam, mu), or of the part-swapping
+    class (lam, None) whose mixed cycles are 2*lam.
 
-    Pure cycles run over consecutive indices of their part, from v1 and w1
-    on; the remaining vertices are fixed.  A mixed cycle of length 2k is
-    (v_a w_a v_{a+1} w_{a+1} ... v_{a+k-1} w_{a+k-1}), the next one starting
-    at v_{a+k}.
+    Cycles run shortest first.  Pure cycles run over consecutive indices of
+    their part, from v1 and w1 on; the remaining vertices are fixed.  A
+    mixed cycle of length 2k is (v_a w_a v_{a+1} w_{a+1} ... v_{a+k-1}
+    w_{a+k-1}), the next one starting at v_{a+k}.
     """
-    n = sig.shape.n
-    perm = list(range(sig.shape.size))
-    if sig.side_action is SideAction.SWAPPING:
+    n = shape.n
+    perm = list(range(shape.size))
+    if mu is None:
         a = 0
-        for length in sig.mixed_cycles:
-            k = length // 2
+        for k in sorted(lam):
             for i in range(a, a + k):
                 perm[i] = n + i
                 perm[n + i] = i + 1
             perm[n + a + k - 1] = a
             a += k
     else:
-        for start, lengths in ((0, sig.pure_v_cycles), (n, sig.pure_w_cycles)):
-            for length in lengths:
+        for start, parts in ((0, lam), (n, mu)):
+            for length in sorted(k for k in parts if k > 1):
                 last = start + length - 1
                 perm[start:last] = range(start + 1, last + 1)
                 perm[last] = start
                 start += length
-    return BipartiteAutomorphism(sig.shape, tuple(perm))
+    return BipartiteAutomorphism(shape, tuple(perm))
 
 
 def census(
@@ -214,34 +211,11 @@ def census(
         if verdict.or_realizable:
             realizable_or += count
         if realize_all:
-            if mu is None:
-                sig = CycleSignature(
-                    shape=shape,
-                    side_action=SideAction.SWAPPING,
-                    r=r,
-                    fixed_v=0,
-                    fixed_w=0,
-                    pure_v_cycles=(),
-                    pure_w_cycles=(),
-                    mixed_cycles=tuple(2 * k for k in lam),
-                )
-            else:
-                sig = CycleSignature(
-                    shape=shape,
-                    side_action=SideAction.PRESERVING,
-                    r=r,
-                    fixed_v=fixed_v,
-                    fixed_w=fixed_w,
-                    pure_v_cycles=lam[: len(lam) - fixed_v],
-                    pure_w_cycles=mu[: len(mu) - fixed_w],
-                    mixed_cycles=(),
-                )
-            rep = _representative(sig)
-            for orientation in Orientation:
-                if verdict.cases(orientation):
-                    iso, emb = _realize(rep, sig, verdict, orientation, seed)
-                    if verify(rep, iso, emb, tol=1e-9).overall:
-                        realized_verified += count
+            rep = _representative(shape, lam, mu)
+            for case in verdict.op_cases[:1] + verdict.or_cases[:1]:
+                iso, emb = _realize(rep, r, case, seed)
+                if verify(rep, iso, emb, tol=1e-9).overall:
+                    realized_verified += count
 
     return CensusReport(
         shape=shape,

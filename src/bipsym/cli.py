@@ -113,13 +113,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_realize(args) -> int:
     aut = parse_cycles(args.graph, args.perm)
-    orientation = Orientation(args.orientation)
     sig = signature(aut)
-    verdict = classify(sig)
-    case = dispatch_case(verdict, orientation)
+    case = dispatch_case(classify(sig), Orientation(args.orientation))
     from .geometry import _realize
 
-    iso, emb = _realize(aut, sig, verdict, orientation, args.seed)
+    iso, emb = _realize(aut, sig.r, case, args.seed)
     text = canonical_json(realization_to_obj(aut, iso, emb, case.label, args.seed))
     if args.output:
         write_text_atomic(args.output, text + "\n")
@@ -132,7 +130,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     aut, iso, emb = realization_from_obj(obj)

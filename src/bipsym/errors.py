@@ -35,7 +35,11 @@ class ShapeMismatch(BipsymError):
 
 
 class TooLarge(BipsymError):
-    """Enumeration would exceed the configured size cap."""
+    """An input is past one of the size bounds that keep work and memory in
+    check: the vertices ``parse_cycles`` reads (MAX_VERTICES), the n!*m!
+    cap of ``enumerate_automorphisms``, the parts ``census`` takes
+    (MAX_CENSUS_PART, MAX_REALIZE_ALL_PART), and the claimed order, edges,
+    edge comparisons and memory that ``verify`` allows."""
 
 
 class OutOfTheoremScope(BipsymError):

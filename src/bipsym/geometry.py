@@ -26,13 +26,7 @@ from itertools import product, zip_longest
 import numpy as np
 
 from .classifier import Orientation, classify, dispatch_case
-from .core import (
-    BipartiteAutomorphism,
-    BipartiteShape,
-    SideAction,
-    _index_cycles,
-    signature,
-)
+from .core import BipartiteAutomorphism, BipartiteShape, _index_cycles, signature
 from .errors import OrderMismatch, PlacementFailure
 
 ORTHOGONALITY_TOL = 1e-12
@@ -370,46 +364,45 @@ def _on_circle(point_at):
 #
 # A construction places nothing: it returns (isometry, plan, subdivision
 # edges, landmark names), the plan listing its special orbits in placement
-# order as steps (keys, seed[, avoid]) of ``_Placer.place``.  ``realize``
-# appends a generic-orbit step for every other cycle and places them all,
-# one orbit at a time.
+# order as steps (keys, seed[, avoid]) of ``_Placer.place``.  ``_realize``
+# groups the cycles once for the construction it picks, appends a
+# generic-orbit step for every other cycle and places them all, one orbit
+# at a time.
 
 
-def _grouped_cycles(cycles, n: int, interchanged: bool):
-    """Cycles grouped into (pure v-role, pure w-role, mixed), keyed by
-    length; the v-role part is W when the case matched interchanged."""
-    pure_v: dict[int, list] = {}
-    pure_w: dict[int, list] = {}
-    mixed: dict[int, list] = {}
-    for cyc in cycles:
-        if cyc[0] < n <= max(cyc):
-            group = mixed
-        elif (cyc[0] < n) != interchanged:
-            group = pure_v
-        else:
-            group = pure_w
-        group.setdefault(len(cyc), []).append(cyc)
-    return pure_v, pure_w, mixed
+def _grouped_cycles(perm: tuple[int, ...], n: int, interchanged: bool):
+    """The non-trivial cycles of ``perm`` in the order of their smallest
+    index, and every cycle, fixed vertices as 1-cycles, grouped into (pure
+    v-role, pure w-role, mixed), keyed by length; the v-role part is W when
+    the case matched interchanged."""
+    cycles = [tuple(cyc) for cyc in _index_cycles(perm)]
+    groups: tuple[dict[int, list], ...] = ({}, {}, {})
+    for cyc in [(g,) for g, p in enumerate(perm) if p == g] + cycles:
+        # cyc[0] is the smallest index of its cycle; role 0 is v-role, 1 w-role
+        role = 2 if cyc[0] < n <= perm[cyc[0]] else int((cyc[0] < n) == interchanged)
+        groups[role].setdefault(len(cyc), []).append(cyc)
+    return cycles, groups
 
 
-def _interleave_fixed(aut: BipartiteAutomorphism) -> list[int]:
-    """Fixed vertices ordered so the two parts alternate while both last."""
-    fixed = [g for g, p in enumerate(aut.perm) if p == g]
-    fv = [g for g in fixed if g < aut.shape.n]
-    fw = fixed[len(fv) :]
+def _interleave_fixed(groups, interchanged: bool) -> list[int]:
+    """Fixed vertices ordered so the two parts alternate while both last,
+    the part with more of them first, V on a tie."""
+    fv, fw = ([g for g, in group.get(1, ())] for group in groups[:2])
+    if interchanged:
+        fv, fw = fw, fv
     first, second = (fv, fw) if len(fv) >= len(fw) else (fw, fv)
     return [g for pair in zip_longest(first, second) for g in pair if g is not None]
 
 
-def _realize_rotation(aut, sig):
+def _realize_rotation(r, groups, case):
     """Cases 1 (part-preserving), 2, 3 and the identity: a single rotation.
 
     Fixed vertices go on X at equally spaced angles, parts alternating when
     both are present; every cycle is a generic r-orbit off X.
     """
-    fixed = _interleave_fixed(aut)
+    fixed = _interleave_fixed(groups, case.interchanged)
     plan = [((g,), point_on_x(2.0 * math.pi * t / len(fixed))) for t, g in enumerate(fixed)]
-    return rotation_isometry(sig.r), plan, {}, ("X",)
+    return rotation_isometry(r), plan, {}, ("X",)
 
 
 def _subdivide_half_turn(cycles, r: int):
@@ -439,14 +432,13 @@ def _subdivide_half_turn(cycles, r: int):
     return sub_edges, z_cycles
 
 
-def _realize_glide(aut, cycles, sig, case):
+def _realize_glide(r, groups, case):
     """Cases 1 (part-swapping) and 4-9: a glide rotation R(alpha) + R(beta).
 
     The angle table follows the construction proofs; exceptional cycles go
     on Y (or X), everything else in generic r-orbits off both circles.
     """
-    r = sig.r
-    pure_v, pure_w, mixed = _grouped_cycles(cycles, aut.shape.n, case.interchanged)
+    pure_v, pure_w, mixed = groups
     on_y, on_x = _on_circle(point_on_y), _on_circle(point_on_x)
     sub_edges: dict[str, tuple[int, int]] = {}
     plan: list[tuple] = []
@@ -485,23 +477,21 @@ def _realize_glide(aut, cycles, sig, case):
     return glide_isometry(alpha, beta, r), plan, sub_edges, ("X", "Y")
 
 
-def _realize_reflection(aut, case):
+def _realize_reflection(groups):
     """Case 11: a reflection through S.
 
-    All fixed vertices go on S (the full part on a circle of S, the at most
-    two fixed vertices of the other part at the poles of that circle within
-    S, giving the planar K_{2,n} pattern); 2-cycles become mirror pairs.
+    All fixed vertices go on S (the full v-role part on a circle of S, the
+    at most two fixed vertices of the other part at the poles of that circle
+    within S, giving the planar K_{2,n} pattern); 2-cycles become mirror
+    pairs.
     """
-    n = aut.shape.n
-    fixed = [g for g, p in enumerate(aut.perm) if p == g]
-    full = [g for g in fixed if (g < n) != case.interchanged]
-    rest = [g for g in fixed if (g < n) == case.interchanged]
-    plan = [((g,), point_on_y(2.0 * math.pi * t / len(full))) for t, g in enumerate(full)]
-    plan += [((g,), p) for g, p in zip(rest, F_POINTS)]
+    full, rest = (group.get(1, []) for group in groups[:2])
+    plan = [(g, point_on_y(2.0 * math.pi * t / len(full))) for t, g in enumerate(full)]
+    plan += list(zip(rest, F_POINTS))
     return reflection_isometry(), plan, {}, ("S",)
 
 
-def _realize_improper(aut, cycles, sig, case):
+def _realize_improper(r, groups, case):
     """Cases 10, 12, 13: an improper rotation R(theta) + diag(1, -1).
 
     Fixed vertices sit at the two points of F; 2-cycles lie on X - F
@@ -510,25 +500,23 @@ def _realize_improper(aut, cycles, sig, case):
     F); half-order cycles of cases 12c/12d lie on S - F; everything else is
     a generic r-orbit off S and X.
     """
-    r = sig.r
     theta = Fraction(2, r) if case.sub in ("c", "d") else Fraction(1, r)
     iso = improper_isometry(theta, r)
-    pure_v, pure_w, mixed = _grouped_cycles(cycles, aut.shape.n, case.interchanged)
+    pure_v, pure_w, mixed = groups
     # case 13 (4 | r) has at most two mixed 2-cycles; each edge gets a
     # subdivision vertex at a point of F
     two_cycles = mixed.get(2, []) if case.number == 13 else []
     sub_edges = {f"z{i}": cyc for i, cyc in enumerate(two_cycles, 1)}
-    plan = [((g,), p) for g, p in zip(_interleave_fixed(aut), F_POINTS)]
+    plan = [((g,), p) for g, p in zip(_interleave_fixed(groups, case.interchanged), F_POINTS)]
 
-    if r == 2:
-        # every non-fixed vertex is in a 2-cycle; embed them all off S and X
-        pass
-    elif case.number == 13:
+    # for r = 2 every non-fixed vertex is in a 2-cycle, embedded off S and X;
+    # case 13 has 4 | r
+    if case.number == 13:
         angles = [math.pi / 2] if len(two_cycles) == 1 else [math.pi / 3, 4 * math.pi / 3]
         for (z, cyc), t, f_point in zip(sub_edges.items(), angles, F_POINTS):
             # a mixed cycle starts at its V vertex, so cyc = (v, phi(v))
             plan += [(cyc, point_on_x(t)), ((z,), f_point)]
-    else:
+    elif r > 2:
         if case.sub in ("a", "d"):
             plan += [(cyc, point_on_x(math.pi / 2)) for cyc in pure_w.get(2, [])]
         if case.sub in ("b", "c"):
@@ -549,40 +537,41 @@ def realize(
 
     ``orientation`` selects the realization class (an ``Orientation``, or
     its value "op" preserving, "or" reversing); ``aut``'s signature is
-    classified, NotRealizable is raised when the classifier reports none, and
-    ``_realize`` builds the rest.  The construction is deterministic in
-    ``seed``.  The result satisfies verifier.verify at the default tolerance
-    wherever verify accepts its size: verify raises TooLarge for a claimed
-    order above MAX_CLAIMED_ORDER or more edges than MAX_VERIFY_EDGES, so,
-    for example, the OP6 realization of K_{997,1000} (order 997000) is built
-    but not certified.
-
-    The plan and then one generic orbit per remaining cycle (drawn with
-    ``SeededPoints.unit4`` off the landmark sets) go to ``_Placer.place``.
-    It places one orbit at a time and checks each of its points only
-    against the earlier points filed under the point's cell of a grid, so
-    its time and memory grow linearly with the points.
+    classified, NotRealizable is raised when the classifier reports none,
+    and ``_realize`` builds from the order and the case ``dispatch_case``
+    picks.  The construction is deterministic in ``seed``.  The result
+    satisfies verifier.verify at the default tolerance wherever verify
+    accepts its size: verify raises TooLarge for a claimed order above
+    MAX_CLAIMED_ORDER or more edges than MAX_VERIFY_EDGES, so, for example,
+    the OP6 realization of K_{997,1000} (order 997000) is built but not
+    certified.
     """
     sig = signature(aut)
-    return _realize(aut, sig, classify(sig), Orientation(orientation), seed)
+    case = dispatch_case(classify(sig), Orientation(orientation))
+    return _realize(aut, sig.r, case, seed)
 
 
-def _realize(aut, sig, verdict, orientation, seed):
-    """``realize``, for a caller that holds the signature ``sig`` of ``aut``
-    and the classifier's ``verdict`` on it already."""
-    case = dispatch_case(verdict, orientation)
-    cycles = [tuple(cyc) for cyc in _index_cycles(aut.perm)]
+def _realize(aut, r, case, seed):
+    """``realize`` of ``aut``, whose order is ``r``, by the construction of
+    ``case``, for a caller that has classified ``aut`` already.
 
-    if orientation is Orientation.OP:
-        preserving = sig.side_action is SideAction.PRESERVING
-        if case.number in (2, 3) or (case.number == 1 and preserving):
-            construction = _realize_rotation(aut, sig)
-        else:
-            construction = _realize_glide(aut, cycles, sig, case)
+    The cycles are grouped once by role and handed to the construction.
+    Its plan and then one generic orbit per remaining cycle, in the order
+    of their smallest index (drawn with ``SeededPoints.unit4`` off the
+    landmark sets), go to ``_Placer.place``.  It places one orbit at a time
+    and checks each of its points only against the earlier points filed
+    under the point's cell of a grid, so its time and memory grow linearly
+    with the points.
+    """
+    cycles, groups = _grouped_cycles(aut.perm, aut.shape.n, case.interchanged)
+    if case.number in (2, 3) or (case.number == 1 and not groups[2]):
+        construction = _realize_rotation(r, groups, case)
+    elif case.number < 10:
+        construction = _realize_glide(r, groups, case)
     elif case.number == 11:
-        construction = _realize_reflection(aut, case)
+        construction = _realize_reflection(groups)
     else:
-        construction = _realize_improper(aut, cycles, sig, case)
+        construction = _realize_improper(r, groups, case)
     iso, plan, sub_edges, landmark_names = construction
 
     planned = {k for keys, *_ in plan for k in keys}

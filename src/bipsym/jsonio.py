@@ -237,7 +237,9 @@ def realization_from_obj(
         raise ParseError("vertex coordinates do not cover the graph exactly")
     for e in sub_edges.values():
         if {e[0].part, e[1].part} != {Part.V, Part.W} or not all(map(shape.contains, e)):
-            raise ShapeMismatch(f"subdivision edge {e} is not an edge of the graph")
+            raise ShapeMismatch(
+                f"subdivision edge ({e[0].label}, {e[1].label}) is not an edge of the graph"
+            )
     zids = tuple(sorted(sub_coords))
     points = np.array([coords[v] for v in shape.vertices()] + [sub_coords[z] for z in zids])
     # V indices precede W indices, so a sorted pair is (V, W)

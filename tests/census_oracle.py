@@ -11,7 +11,10 @@ to give the same report.  ``realized_verified`` is the per-automorphism
 realize-all loop the census ran before it realized one representative per
 conjugacy class: it enumerates every automorphism, classifies it, and
 realizes and verifies it in each orientation the classifier marks
-realizable.  Nothing under ``src/`` calls them.
+realizable.  ``signature_representative`` is the representative the census
+built from a class's signature before it built one from the class's two
+partitions; ``representative`` reaches the census's builder from a
+signature, through ``class_of``.  Nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import math
 from collections import Counter
 from typing import Iterator
 
-from bipsym.census import CensusReport
+from bipsym.census import CensusReport, _representative
 from bipsym.classifier import classify
 from bipsym.core import (
     DEFAULT_ENUMERATION_CAP,
+    BipartiteAutomorphism,
     BipartiteShape,
     CycleSignature,
     SideAction,
@@ -110,6 +114,50 @@ def class_signature(
         pure_w_cycles=tuple(k for k in mu if k > 1),
         mixed_cycles=(),
     )
+
+
+def class_of(sig: CycleSignature) -> tuple:
+    """The key (lam, mu) of the class with signature ``sig``, or (lam, None)
+    for a part-swapping one: the inverse of ``class_signature``."""
+    if sig.side_action is SideAction.SWAPPING:
+        return tuple(sorted((k // 2 for k in sig.mixed_cycles), reverse=True)), None
+    lam = tuple(sorted(sig.pure_v_cycles, reverse=True)) + (1,) * sig.fixed_v
+    mu = tuple(sorted(sig.pure_w_cycles, reverse=True)) + (1,) * sig.fixed_w
+    return lam, mu
+
+
+def representative(sig: CycleSignature) -> BipartiteAutomorphism:
+    """The census's representative of the class with signature ``sig``."""
+    return _representative(sig.shape, *class_of(sig))
+
+
+def signature_representative(sig: CycleSignature) -> BipartiteAutomorphism:
+    """One automorphism with signature ``sig``, built from the signature.
+
+    Pure cycles run over consecutive indices of their part, from v1 and w1
+    on, in the signature's order, shortest first; the remaining vertices are
+    fixed.  A mixed cycle of length 2k is (v_a w_a v_{a+1} w_{a+1} ...
+    v_{a+k-1} w_{a+k-1}), the next one starting at v_{a+k}.
+    """
+    n = sig.shape.n
+    perm = list(range(sig.shape.size))
+    if sig.side_action is SideAction.SWAPPING:
+        a = 0
+        for length in sig.mixed_cycles:
+            k = length // 2
+            for i in range(a, a + k):
+                perm[i] = n + i
+                perm[n + i] = i + 1
+            perm[n + a + k - 1] = a
+            a += k
+    else:
+        for start, lengths in ((0, sig.pure_v_cycles), (n, sig.pure_w_cycles)):
+            for length in lengths:
+                last = start + length - 1
+                perm[start:last] = range(start + 1, last + 1)
+                perm[last] = start
+                start += length
+    return BipartiteAutomorphism(sig.shape, tuple(perm))
 
 
 def case_keys(sig: CycleSignature) -> tuple[list[tuple], list[tuple]]:

@@ -17,7 +17,14 @@ from bipsym.census import _representative
 from bipsym.classifier import classify
 from bipsym.jsonio import write_text_atomic
 
-from census_oracle import signature_tallies
+from census_oracle import (
+    class_of,
+    class_signature,
+    classes_of,
+    representative,
+    signature_representative,
+    signature_tallies,
+)
 
 # number of partitions p(k) of k = 1..12
 PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -49,7 +56,18 @@ def test_class_sizes_sum_to_group_order(n, m):
 )
 def test_representative_has_its_signature(n, m):
     for sig in signature_tallies(BipartiteShape(n, m)):
-        assert signature(_representative(sig)) == sig
+        assert signature(representative(sig)) == sig
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 8) for m in range(1, 8)])
+def test_representative_is_the_signature_builders(n, m):
+    # the census builds each representative from its class's two partitions;
+    # the builder it had, from the class's signature, made the same permutation
+    shape = BipartiteShape(n, m)
+    for lam, mu in classes_of(n, m):
+        sig = class_signature(shape, lam, mu)
+        assert class_of(sig) == (lam, mu)
+        assert _representative(shape, lam, mu) == signature_representative(sig), (lam, mu)
 
 
 def test_k66_report_pinned():

@@ -206,6 +206,14 @@ class TestCli:
     def test_verify_missing_file_exit_2(self, tmp_path, capsys):
         assert cli_main(["verify", str(tmp_path / "nope.json")]) == 2
 
+    def test_verify_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"n": "\u00e9"}'.encode("latin-1"))
+        assert cli_main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_verify_unusable_tol_exit_2(self, tmp_path, capsys, tol):
         out = tmp_path / "realization.json"

@@ -24,11 +24,10 @@ from bipsym import (
     realize,
     verify,
 )
-from bipsym.census import _representative
 from bipsym.classifier import classify, classify_aut, dispatch_case
 from bipsym.jsonio import canonical_json, certificate_to_obj, realization_to_obj
 
-from census_oracle import signature_tallies
+from census_oracle import representative, signature_tallies
 from test_geometry import REALIZE_CASES
 
 GOLDEN_SHA256 = "c93362f163c4a599b538de5e75f57583d89c6e5dae208092ff40fe796f9e040e"
@@ -70,7 +69,7 @@ def _golden_lines():
                 orientations = [o for o in Orientation if verdict.cases(o)]
                 if not orientations:
                     continue
-                rep = _representative(sig)
+                rep = representative(sig)
                 for aut in (rep, _relabelled(rep, rng)):
                     for orientation in orientations:
                         label = dispatch_case(verdict, orientation).label

@@ -136,14 +136,16 @@ def test_subdivision_edges_given_w_first_are_read_as_v_w(realization_obj):
 def test_subdivision_off_the_graph_is_a_shape_mismatch(realization_obj, edge, tmp_path, capsys):
     obj = json.loads(json.dumps(realization_obj))
     obj["subdivision"]["z1"]["edge"] = edge
-    with pytest.raises(ShapeMismatch, match="is not an edge of the graph"):
+    message = f"subdivision edge ({edge[0]}, {edge[1]}) is not an edge of the graph"
+    with pytest.raises(ShapeMismatch) as refused:
         realization_from_obj(obj)
+    assert str(refused.value) == message
     path = tmp_path / "realization.json"
     path.write_text(json.dumps(obj))
     assert cli_main(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: subdivision edge (")
+    assert captured.err == f"error: {message}\n"
 
 
 def _set(key, value):

@@ -22,12 +22,11 @@ from hypothesis import strategies as st
 
 from bipsym import BipartiteShape, Orientation, parse_cycles, realize
 from bipsym import geometry
-from bipsym.census import _representative
 from bipsym.classifier import classify
 from bipsym.errors import PlacementFailure, TooLarge
 from bipsym.geometry import _CELL_WIDTH, SEPARATION, SeededPoints, _distances, _Placer
 
-from census_oracle import signature_tallies
+from census_oracle import representative, signature_tallies
 from placement_oracle import SequentialPlacer, too_close, validate
 from test_geometry import REALIZE_CASES
 
@@ -269,4 +268,4 @@ def test_every_representative_passes_the_oracle(n):
             verdict = classify(sig)
             for orientation in (o for o in Orientation if verdict.cases(o)):
                 for seed in (1, 7):
-                    validate(realize(_representative(sig), orientation, seed)[1])
+                    validate(realize(representative(sig), orientation, seed)[1])

@@ -1,11 +1,13 @@
 """Realize-all builds from the classification the census already holds.
 
-``census(realize_all=True)`` has the signature of each realizable class,
-built for its representative, and the verdict it decided the class with.
-It hands both to ``geometry._realize``, the construction behind the public
-``realize``, which takes the signature and classifies it itself.  These
-tests check that the handed-over path builds the same bits as the public
-one for every realizable (class, orientation) of 3 <= n, m <= 7, and that a
+``census(realize_all=True)`` builds the representative of each realizable
+class from its two partitions and decides the class from their rows, so it
+holds the class's order r and the case ``dispatch_case`` picks in each
+orientation.  It hands (representative, r, case, seed) to
+``geometry._realize``, the construction behind the public ``realize``,
+which takes the signature, classifies it and hands over the same.  These
+tests check that the census's calls build the same bits as the public path
+for every realizable (class, orientation) of 3 <= n, m <= 7, and that a
 realize-all census takes no signature and classifies nothing.
 
 The census walks a set of candidates, and (lam, None) hashes by the address
@@ -24,7 +26,6 @@ import bipsym.core
 import bipsym.geometry
 import bipsym.verifier
 from bipsym import BipartiteShape, Orientation, census, classify, realize, signature, verify
-from bipsym.census import _representative
 from bipsym.classifier import candidate_classes, dispatch_case
 from bipsym.jsonio import canonical_json, certificate_to_obj, realization_to_obj
 
@@ -58,8 +59,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def lines(aut, iso, emb, cert, orientation, seed, verdict):
-    label = dispatch_case(verdict, orientation).label
+def lines(aut, iso, emb, cert, label, seed):
     return (
         canonical_json(realization_to_obj(aut, iso, emb, label, seed)),
         canonical_json(certificate_to_obj(cert)),
@@ -74,31 +74,34 @@ def test_handed_over_classification_builds_the_public_bits(monkeypatch, n, m, se
     assert len(certs) == len(calls) > 0
 
     got = Counter()
-    for ((rep, sig, verdict, orientation, call_seed), (iso, emb)), cert in zip(calls, certs):
+    for ((rep, r, case, call_seed), (iso, emb)), cert in zip(calls, certs):
+        sig = signature(rep)
         assert call_seed == seed
-        assert rep == _representative(sig)
-        assert sig == signature(rep)
-        assert verdict == classify(sig)
-        pub_iso, pub_emb = realize(rep, orientation, seed)
+        assert rep == census_oracle.representative(sig)
+        assert r == sig.r
+        assert case == dispatch_case(classify(sig), case.orientation)
+        pub_iso, pub_emb = realize(rep, case.orientation, seed)
         assert same_bits(iso.matrix, pub_iso.matrix)
         assert (iso.claimed_order, iso.orientation) == (pub_iso.claimed_order, pub_iso.orientation)
         assert same_bits(emb.points, pub_emb.points)
         assert emb.subdivision_ids == pub_emb.subdivision_ids
         assert emb.subdivision_pairs == pub_emb.subdivision_pairs
         assert emb.landmarks == pub_emb.landmarks
-        got[lines(rep, iso, emb, cert, orientation, seed, verdict)] += 1
+        got[lines(rep, iso, emb, cert, case.label, seed)] += 1
 
-    # the public path over the realizable candidates, in any order
+    # the public path over the realizable candidates, in any order, each
+    # represented as the signature builder represents it
     want = Counter()
     for lam, mu in candidate_classes(shape):
         sig = census_oracle.class_signature(shape, lam, mu)
         verdict = classify(sig)
-        rep = _representative(sig)
+        rep = census_oracle.signature_representative(sig)
         for orientation in Orientation:
             if verdict.cases(orientation):
                 iso, emb = realize(rep, orientation, seed)
                 cert = verify(rep, iso, emb, tol=1e-9)
-                want[lines(rep, iso, emb, cert, orientation, seed, verdict)] += 1
+                label = dispatch_case(verdict, orientation).label
+                want[lines(rep, iso, emb, cert, label, seed)] += 1
     assert got == want
 
     plain = census_oracle.census_report(shape)
@@ -143,9 +146,10 @@ def test_guard_catches_a_construction_that_classifies_again(monkeypatch):
     # and classifies it again, as the public realize does
     construct = bipsym.geometry._realize
 
-    def reclassifying(aut, sig, verdict, orientation, seed):
+    def reclassifying(aut, r, case, seed):
         sig = bipsym.geometry.signature(aut)
-        return construct(aut, sig, bipsym.geometry.classify(sig), orientation, seed)
+        verdict = bipsym.geometry.classify(sig)
+        return construct(aut, sig.r, dispatch_case(verdict, case.orientation), seed)
 
     monkeypatch.setattr(bipsym.geometry, "_realize", reclassifying)
     calls = count_classifications(monkeypatch)
