@@ -15,9 +15,9 @@ it once, as the member with lambda >= mu.  Its case labels are those of
 label does not say which one matched.
 
 Few classes are realizable, so the census does not build all p(n)*p(m)
-(+ p(n)) of them.  It reads the case table the other way round: one
-generator per case in ``classifier`` yields the classes whose signature
-can match that case, directly or with the parts interchanged, and the
+(+ p(n)) of them.  It reads the case table the other way round: the
+generator of each case in ``classifier.CASES`` yields the classes whose
+signature can match it, directly or with the parts interchanged, and the
 census decides each candidate once, with the decision ``classify``
 makes.  The candidates share far fewer cycle types than they have pairs,
 so the census works per cycle type: each one the candidates use gets one

@@ -18,6 +18,11 @@ and W exchanged; a part-swapping class's cases read only r and the tally
 of its mixed cycles, so it is decided once.  ``classify`` tallies a
 signature and calls ``_decide``; the census calls it with the tallies it
 keeps per cycle type, and builds no signature.
+
+``CASES`` maps each key (number, sub) of the paper's case table, OP1-OP9
+and OR10-OR13 with OR12 split into 12a-12d, to the generator of the classes
+that can match it.  It is the one list of the keys: ``CaseId`` accepts only
+them, and the verdicts and the census's candidates iterate it.
 """
 
 from __future__ import annotations
@@ -52,11 +57,9 @@ class CaseId:
     label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        valid = range(1, 10) if self.orientation is Orientation.OP else range(10, 14)
-        if self.number not in valid:
-            raise ValueError(f"case {self.number} invalid for {self.orientation}")
-        if self.sub is not None and self.number != 12:
-            raise ValueError("sub-case letters only exist for case 12")
+        preserving = self.orientation is Orientation.OP  # cases 1-9
+        if (self.number, self.sub) not in CASES or preserving != (self.number < 10):
+            raise ValueError(f"no case {self.number}{self.sub or ''} for {self.orientation}")
         label = f"{self.orientation.value.upper()}{self.number}{self.sub or ''}"
         object.__setattr__(self, "label", label)
 
@@ -177,9 +180,10 @@ def _preserving_cases(r, n, fv, fw, tv, tw, ev, ew) -> list[tuple]:
     return keys
 
 
-# The case table read the other way round.  For K_{n,m}, each case has a
-# generator of the conjugacy classes whose signature can match the case
-# directly: a part-preserving class as (lam, mu), the cycle types on V and W,
+# The case table read the other way round, as CASES below holds it.  For
+# K_{n,m}, each case has a generator of the conjugacy classes whose signature
+# can match the case directly (12a-12d share one, and case 10 shares case
+# 1's): a part-preserving class as (lam, mu), the cycle types on V and W,
 # and a part-swapping one (n = m) as (lam, None), the cycle type of its return
 # map V -> W -> V, whose mixed cycles are 2*lam.  Partitions are
 # non-increasing tuples.  A generator may yield a class its matcher rejects
@@ -363,27 +367,27 @@ def _gen_or13(n: int, m: int):
                     yield _runs((h, (n - e) // h), (1, e)), None
 
 
-CASE_GENERATORS = {
-    1: _gen_op1,
-    2: _gen_op2,
-    3: _gen_op3,
-    4: _gen_op4,
-    5: _gen_op5,
-    6: _gen_op6,
-    7: _gen_op7,
-    8: _gen_op8,
-    9: _gen_op9,
-    10: _gen_op1,  # case 10 (every cycle an r-cycle, r even) is part of case 1
-    11: _gen_or11,
-    12: _gen_or12,
-    13: _gen_or13,
+CASES = {
+    (1, None): _gen_op1,
+    (2, None): _gen_op2,
+    (3, None): _gen_op3,
+    (4, None): _gen_op4,
+    (5, None): _gen_op5,
+    (6, None): _gen_op6,
+    (7, None): _gen_op7,
+    (8, None): _gen_op8,
+    (9, None): _gen_op9,
+    (10, None): _gen_op1,  # case 10 (every cycle an r-cycle, r even) is part of case 1
+    (11, None): _gen_or11,
+    **{(12, sub): _gen_or12 for sub in "abcd"},
+    (13, None): _gen_or13,
 }
 
 
 def candidate_classes(shape: BipartiteShape) -> set[tuple]:
     """Every conjugacy class of Aut(K_{n,m}) whose signature some case can
     match, directly or with the parts interchanged, as (lam, mu) or
-    (lam, None); see CASE_GENERATORS.  Some candidates match no case.
+    (lam, None); see CASES.  Some candidates match no case.
 
     For n = m the part swap conjugates (lam, mu) into (mu, lam), and both
     classes match the same cases, so each generator runs once and each
@@ -392,7 +396,7 @@ def candidate_classes(shape: BipartiteShape) -> set[tuple]:
     n, m = shape.n, shape.m
     found: set[tuple] = set()
     parts: dict = {}  # each distinct partition once, for this call only
-    for generate in dict.fromkeys(CASE_GENERATORS.values()):  # 1 and 10 share one
+    for generate in dict.fromkeys(CASES.values()):  # each generator once
         if n == m:
             for lam, mu in generate(n, n):
                 lam, mu = parts.setdefault(lam, lam), parts.setdefault(mu, mu)
@@ -408,7 +412,7 @@ def candidate_classes(shape: BipartiteShape) -> set[tuple]:
 # The CaseId of each (number, sub) key, direct and interchanged.
 _CASE_IDS = {
     (key, swapped): CaseId(Orientation("op" if key[0] < 10 else "or"), *key, swapped)
-    for key in [(k, None) for k in range(1, 14) if k != 12] + [(12, s) for s in "abcd"]
+    for key in CASES
     for swapped in (False, True)
 }
 _IDENTITY = RealizabilityVerdict((_CASE_IDS[(2, None), False],), ())

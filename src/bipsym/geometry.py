@@ -435,45 +435,36 @@ def _subdivide_half_turn(cycles, r: int):
 def _realize_glide(r, groups, case):
     """Cases 1 (part-swapping) and 4-9: a glide rotation R(alpha) + R(beta).
 
-    The angle table follows the construction proofs; exceptional cycles go
-    on Y (or X), everything else in generic r-orbits off both circles.
+    Each case picks the exceptional cycles that go on Y and those that go on
+    X, following the construction proofs; the turns follow from them:
+    alpha = 1/j for the j-cycles on Y (1/4 when there are none) and beta =
+    1/k for the k-cycles on X (1/r when there are none).  Everything else
+    is a generic r-orbit off both circles.
     """
     pure_v, pure_w, mixed = groups
     on_y, on_x = _on_circle(point_on_y), _on_circle(point_on_x)
     sub_edges: dict[str, tuple[int, int]] = {}
-    plan: list[tuple] = []
+    y_plan, x_cycles = [], []  # the steps on Y, the cycles on X
 
     if case.number == 1:  # part-swapping; all cycles are mixed r-cycles
         if (r // 2) % 2 == 1:
-            alpha, beta = Fraction(2, r), Fraction(1, r)
             sub_edges, z_cycles = _subdivide_half_turn(mixed[r], r)
-            plan = [(z_cycle, on_y) for z_cycle in z_cycles]
-        else:
-            alpha, beta = Fraction(1, 4), Fraction(1, r)
-    elif case.number == 4:
-        j = next(L for L in pure_v if L != r)
-        alpha, beta = Fraction(1, j), Fraction(1, r)
-        plan = [(c, on_y) for c in pure_v[j]]
-    elif case.number in (5, 6):
-        if case.number == 5:
-            j, k = sorted(L for L in pure_v if L != r)
-            k_cycles = pure_v[k]
-        else:
-            j = next(L for L in pure_v if L != r)
-            k = next(L for L in pure_w if L != r)
-            k_cycles = pure_w[k]
-        alpha, beta = Fraction(1, j), Fraction(1, k)
-        plan = [(c, on_y) for c in pure_v[j]] + [(c, on_x) for c in k_cycles]
-    elif case.number in (7, 8):
-        alpha = Fraction(1, 2)
-        beta = Fraction(1, r) if case.number == 7 else Fraction(2, r)
-        plan = [(pure_v[2][0], point_on_y(0.0)), (pure_w[2][0], point_on_y(math.pi / 2))]
+            y_plan = [(z_cycle, on_y) for z_cycle in z_cycles]
+    elif case.number < 7:  # V's j-cycles on Y; case 5 V's, case 6 W's k-cycles on X
+        j, *k = sorted(L for L in pure_v if L != r)
+        y_plan = [(c, on_y) for c in pure_v[j]]
+        if case.number > 4:
+            x_cycles = pure_v[k[0]] if k else next(c for L, c in pure_w.items() if L != r)
+    elif case.number < 9:  # the 2-cycles pinned on Y; case 8 V's r/2-cycles on X
+        y_plan = [(pure_v[2][0], point_on_y(0.0)), (pure_w[2][0], point_on_y(math.pi / 2))]
         if case.number == 8:
-            plan += [(c, on_x) for c in pure_v[r // 2]]
-    else:  # case 9
-        alpha, beta = Fraction(1, 4), Fraction(1, r)
-        plan = [(mixed[4][0], on_y)]
+            x_cycles = pure_v[r // 2]
+    else:  # case 9: one mixed 4-cycle on Y
+        y_plan = [(mixed[4][0], on_y)]
 
+    alpha = Fraction(1, len(y_plan[0][0])) if y_plan else Fraction(1, 4)
+    beta = Fraction(1, len(x_cycles[0])) if x_cycles else Fraction(1, r)
+    plan = y_plan + [(c, on_x) for c in x_cycles]
     return glide_isometry(alpha, beta, r), plan, sub_edges, ("X", "Y")
 
 

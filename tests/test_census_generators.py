@@ -19,7 +19,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bipsym import BipartiteShape, census
-from bipsym.classifier import CASE_GENERATORS, candidate_classes, classify
+from bipsym.classifier import CASES, candidate_classes, classify
 from bipsym.jsonio import report_to_obj
 
 import census_oracle
@@ -56,11 +56,11 @@ def test_candidates_are_the_realizable_classes(n, m):
 def test_each_generator_covers_its_case(n, m):
     # direct matches only: candidate_classes adds the interchanged ones
     shape = BipartiteShape(n, m)
-    generated = {number: set(gen(n, m)) for number, gen in CASE_GENERATORS.items()}
+    generated = {key: set(gen(n, m)) for key, gen in CASES.items()}
     for lam, mu in classes_of(n, m):
         direct, _ = _case_keys(class_signature(shape, lam, mu))
-        for number, _sub in direct:
-            assert (lam, mu) in generated[number], (number, lam, mu)
+        for key in direct:
+            assert (lam, mu) in generated[key], (key, lam, mu)
 
 
 @st.composite

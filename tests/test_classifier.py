@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,19 @@ class TestCaseId:
             CaseId(Orientation.OR, 9)
         with pytest.raises(ValueError):
             CaseId(Orientation.OR, 13, "a")
+
+    def test_only_the_table_keys_construct(self):
+        # the paper's thirteen cases, 12 split into 12a-12d: OR12 is refused
+        # like OR14, and OP10 like OR9
+        want = {f"OP{k}" for k in range(1, 10)} | {"OR10", "OR11", "OR13"}
+        want |= {f"OR12{sub}" for sub in "abcd"}
+        built = set()
+        for orientation, number, sub in product(Orientation, range(15), (None, *"abcde")):
+            try:
+                built.add(CaseId(orientation, number, sub).label)
+            except ValueError:
+                pass
+        assert built == want
 
 
 class TestInclusiveMatching:

@@ -18,7 +18,7 @@ from bipsym import (
     reflection_isometry,
     rotation_isometry,
 )
-from bipsym.classifier import Orientation
+from bipsym.classifier import CASES, CaseId, Orientation
 from bipsym.geometry import (
     DET_TOL,
     F_POINTS,
@@ -268,7 +268,7 @@ REALIZE_CASES = [
     ((3, 3), "(v1 v2 v3)(w1 w2 w3)", "op", "OP1"),
     ((4, 3), "(w1 w2 w3)", "op", "OP2"),  # all of V fixed
     ((3, 3), "(v2 v3)(w2 w3)", "op", "OP3"),
-    ((3, 3), "(v1 w1)(v2 w2)(v3 w3)", "op", "OP1"),  # glide 1b (r = 2)
+    ((3, 3), "(v1 w1)(v2 w2)(v3 w3)", "op", "OP1"),  # glide 1a (r/2 = 1 odd: z1-z3)
     ((3, 3), "(v1 w1 v2 w2 v3 w3)", "op", "OP1"),  # glide 1a (r/2 odd)
     ((4, 4), "(v1 w1 v2 w2)(v3 w3 v4 w4)", "op", "OP1"),  # glide 1b (4 | r)
     ((4, 4), "(v1 v2)(v3 v4)(w1 w2 w3 w4)", "op", "OP4"),
@@ -286,6 +286,16 @@ REALIZE_CASES = [
     ((4, 4), "(v1 w1)(v2 w2)(v3 w3 v4 w4)", "or", "OR13"),
     ((4, 4), "(v1 w1 v2 w2)(v3 w3 v4 w4)", "or", "OR13"),
 ]
+
+
+def test_realize_cases_cover_the_case_table():
+    # with BRANCH_SHA256 pinning each construction, a key added to CASES
+    # without one fails here
+    labels = {
+        CaseId(Orientation.OP if k < 10 else Orientation.OR, k, sub).label for k, sub in CASES
+    }
+    assert len(labels) == 16
+    assert {expected for *_, expected in REALIZE_CASES} == labels
 
 
 @pytest.mark.parametrize("nm,text,orientation,expected", REALIZE_CASES)
