@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .classifier import _decide, candidate_classes
+from .classifier import _decide, _tally, candidate_classes
 from .core import BipartiteAutomorphism, BipartiteShape, automorphism_count
 from .errors import OutOfTheoremScope, TooLarge
 
@@ -92,18 +92,17 @@ class _PartitionRows(dict):
     and kept for one census.  size = (sum p)!/z_p is the size of its class
     in the symmetric group of its part, with z_p = prod k^{j_k} * j_k! the
     order of the centralizer of a permutation with j_k cycles of length k;
-    tally maps each length k > 1 of p to j_k.  ``factorials`` maps each part
-    size to its factorial."""
+    tally, from ``classifier._tally``, maps each length k > 1 of p to j_k.
+    ``factorials`` maps each part size to its factorial."""
 
     def __init__(self, factorials: dict[int, int]) -> None:
         super().__init__()
         self.factorials = factorials
 
     def __missing__(self, p: tuple[int, ...]) -> tuple:
-        tally = {}
-        z = 1
-        for k in set(p):
-            j = tally[k] = p.count(k)
+        tally = _tally(p[::-1])  # p is non-increasing, _tally reads ascending runs
+        z = 1  # a loop, not math.prod over a generator: rows are built per census
+        for k, j in tally.items():
             z *= k**j * math.factorial(j)
         fixed = tally.pop(1, 0)
         row = self[p] = (self.factorials[sum(p)] // z, math.lcm(*tally), fixed, tally)

@@ -9,8 +9,8 @@ trusted from the construction that produced the triple.
 The powers M^1..M^r of the matrix (r the claimed order) are made once, by
 repeated multiplication, in blocks of _POWER_BLOCK, and no stack of all of
 them is kept.  That one pass finds the first power within IDENTITY_GAP of I,
-keeps M^r for the order check and M^d for each proper divisor d of r, and
-runs eel2 on the powers of each block.  Time grows linearly with r, which
+keeps M^r for the order check, finds the proper divisors d of r among the
+powers of each block and keeps M^d for each, and runs eel2 on the powers of each block.  Time grows linearly with r, which
 MAX_CLAIMED_ORDER bounds; memory does not grow with r beyond one int per
 power (their gcds with r).
 
@@ -42,7 +42,6 @@ oracle in the tests measures with np.linalg.norm itself.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,8 +114,11 @@ def fixed_subspace(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis (4 x d) of the +1-eigenspace of an orthogonal A.
 
     Its dimension d = 0, 1, 2, 3, 4 makes the fixed set in S^3 empty, two
-    points, a circle, a sphere or all of S^3.
+    points, a circle, a sphere or all of S^3.  A matrix with an infinite
+    or NaN entry, an overflowed power, has the empty fixed set.
     """
+    if not np.isfinite(A).all():  # svd of an infinite entry may never return
+        return np.empty((4, 0))
     _, s, vh = np.linalg.svd(A - _I4)
     d = int(np.count_nonzero(s <= SUBSPACE_TOL))
     return vh[4 - d :].T  # 4 x 0 when d = 0
@@ -133,13 +135,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, as np.linalg.norm computes them
     for floats, without its argument handling."""
     return np.sqrt(np.add.reduce(x * x, axis=-1))
-
-
-def _proper_divisors(r: int) -> list[int]:
-    """Divisors d < r of r, ascending."""
-    small = [d for d in range(1, math.isqrt(r) + 1) if r % d == 0]
-    large = [r // d for d in reversed(small) if r // d != d]
-    return (small + large)[:-1]  # r // 1 = r comes last
 
 
 class _Verification:
@@ -237,19 +232,17 @@ class _Verification:
         only the pairs π can interchange need testing (module docstring).
         """
         M = self.iso.matrix
-        self.divisors = _proper_divisors(r)
         groups = self._swap_groups(pi_exact)
         # eel2 holds (block size) x (points, or a group's edges) 4-vectors
         # per array when a group has edges
         width = max([len(self.P)] + [len(edges) for _, edges in groups])
         size = min(_POWER_BLOCK, r, max(1, _PAIR_BUDGET // width))
         block = np.empty((size, 4, 4))
-        divisors = np.array(self.divisors, dtype=np.int64)
-        at_divisors = np.empty((len(divisors), 4, 4))
+        self.divisors = []
+        at_divisors = []
         self.early = None
         self.swaps = []
         A = _I4
-        j0 = 0
         for lo in range(1, r + 1, size):
             powers = block[: min(size, r + 1 - lo)]  # M^lo, M^(lo+1), ...
             for row in powers:
@@ -260,12 +253,14 @@ class _Verification:
                 near = devs[: r - lo] <= IDENTITY_GAP  # powers below r only
                 if near.any():
                     self.early = lo + int(near.argmax())
-            j1 = bisect.bisect_left(self.divisors, lo + len(powers))
-            at_divisors[j0:j1] = powers[divisors[j0:j1] - lo]
-            j0 = j1
+            # the proper divisors of r among this block's powers
+            rows = np.flatnonzero(r % np.arange(lo, min(lo + len(powers), r)) == 0)
+            self.divisors += (rows + lo).tolist()
+            at_divisors.append(powers[rows])
             if groups:
                 self.swaps += self._swaps(powers[: r - lo], lo, groups)
         self.order_dev = float(devs[-1])  # M^r ends the last block
+        at_divisors = np.concatenate(at_divisors)
         self.bases = [fixed_subspace(D) for D in at_divisors]
         # images[j, k] = M^divisors[j] applied to point k
         images = np.einsum("ikl,pl->ipk", at_divisors, self.P)

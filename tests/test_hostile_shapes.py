@@ -195,6 +195,42 @@ def test_cli_verify_refuses_unallocatable_separation_grid(tmp_path):
     )
 
 
+def _write_overflowing(path: Path) -> None:
+    """The OR13 realization of K_{4,4}, of order 4, with matrix[0][0] =
+    1e200: M^2, the power at the proper divisor 2, holds an infinity."""
+    aut = parse_cycles(BipartiteShape(4, 4), "(v1 w1)(v2 w2)(v3 w3 v4 w4)")
+    iso, emb = realize(aut, Orientation.OR, 3)
+    obj = json.loads(json.dumps(realization_to_obj(aut, iso, emb, "OR13", 3)))
+    obj["matrix"][0][0] = 1e200
+    path.write_text(json.dumps(obj))
+
+
+def test_cli_verify_of_overflowing_powers_exits_2(tmp_path):
+    # the certificate is computed, but its measured values are not finite
+    path = tmp_path / "overflow.json"
+    _write_overflowing(path)
+    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 20)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.endswith("\nerror: non-finite float in canonical JSON\n")
+
+
+def test_verify_of_overflowing_powers_fails(tmp_path):
+    path = tmp_path / "overflow.json"
+    _write_overflowing(path)
+    script = (
+        "import json, sys\n"
+        "from bipsym import verify\n"
+        "from bipsym.jsonio import realization_from_obj\n"
+        "with open(sys.argv[1]) as fh:\n"
+        "    cert = verify(*realization_from_obj(json.load(fh)))\n"
+        "print(cert.overall, cert.check('orthogonal').passed, cert.check('order').passed)\n"
+    )
+    out = _run_limited(["-W", "ignore", "-c", script, str(path)], 20)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False False False\n"
+
+
 def _cycles(n: int, length: int) -> str:
     """Both parts of K_{n,n} in consecutive pure cycles of ``length``."""
     return "".join(

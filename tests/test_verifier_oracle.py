@@ -277,6 +277,28 @@ def test_order_1_takes_no_subspace(monkeypatch):
     assert calls == []
 
 
+# 6144 = 6 * _POWER_BLOCK puts 1024, 2048 and 3072 on the last row of a block
+@pytest.mark.parametrize("r", [1, 7, 1024, 1025, 5040, 6144])
+def test_power_pass_finds_the_proper_divisors(monkeypatch, r):
+    assert bipsym.verifier._POWER_BLOCK == 1024
+    aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2)")
+    iso, emb = realize(aut, Orientation.OR, 1)
+    iso = dataclasses.replace(iso, claimed_order=r)
+    st = bipsym.verifier._Verification(aut, iso, emb, TOL)
+    calls = count_fixed_subspace(monkeypatch)
+    st.run_powers(r, True)
+    divisors = [d for d in range(1, r) if r % d == 0]
+    assert st.divisors == divisors
+    # the sequential products A = A @ M, bit for bit, at those powers
+    want = []
+    A = np.eye(4)
+    for i in range(1, r):
+        A = A @ iso.matrix
+        if r % i == 0:
+            want.append(A.tobytes())
+    assert [D.tobytes() for D in calls] == want
+
+
 # --- eel2: the pairs π can interchange, or every pair ------------------------
 
 # the checks that do not read the fixed sets of the divisor rows
