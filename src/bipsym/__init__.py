@@ -25,21 +25,14 @@ from .core import (
     SideAction,
     VertexId,
     automorphism_count,
-    compose,
     enumerate_automorphisms,
-    identity_automorphism,
-    interchange_parts,
-    inverse,
-    make_automorphism,
     parse_cycles,
-    power,
     signature,
 )
 from .errors import (
     BipsymError,
     DuplicateVertex,
     MixedParts,
-    NotBijective,
     NotRealizable,
     OrderMismatch,
     OutOfTheoremScope,
@@ -92,7 +85,6 @@ __all__ = [
     "DuplicateVertex",
     "Isometry4",
     "MixedParts",
-    "NotBijective",
     "NotRealizable",
     "OrderMismatch",
     "Orientation",
@@ -113,16 +105,10 @@ __all__ = [
     "census",
     "classify",
     "classify_aut",
-    "compose",
     "enumerate_automorphisms",
     "glide_isometry",
-    "identity_automorphism",
     "improper_isometry",
-    "interchange_parts",
-    "inverse",
-    "make_automorphism",
     "parse_cycles",
-    "power",
     "realize",
     "reflection_isometry",
     "rotation_isometry",

@@ -15,14 +15,12 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DuplicateVertex,
     MixedParts,
-    NotBijective,
     ParseError,
-    ShapeMismatch,
     SwapOnUnequalParts,
     TooLarge,
 )
@@ -139,10 +137,6 @@ class BipartiteAutomorphism:
         return self.cycle_string()
 
 
-def identity_automorphism(shape: BipartiteShape) -> BipartiteAutomorphism:
-    return BipartiteAutomorphism(shape, tuple(range(shape.size)))
-
-
 def _index_cycles(perm: tuple[int, ...]) -> list[list[int]]:
     """Non-trivial cycles of ``perm`` as index lists, each starting at its
     smallest index, sorted by that index."""
@@ -177,28 +171,6 @@ def _check_parts(shape: BipartiteShape, perm: list[int]) -> None:
             raise MixedParts("V maps to W but W does not map back to V")
     elif min(perm[n:]) < n:
         raise MixedParts("W maps to V but V does not map to W")
-
-
-def make_automorphism(
-    shape: BipartiteShape, image: Mapping[VertexId, VertexId]
-) -> BipartiteAutomorphism:
-    """Validate a vertex mapping and return the automorphism it defines.
-
-    Raises NotBijective, MixedParts, or SwapOnUnequalParts when the mapping
-    is not an automorphism of K_{n,m}.
-    """
-    perm = [-1] * shape.size
-    for v in shape.vertices():
-        img = image.get(v)
-        if img is None:
-            raise NotBijective(f"image not defined for vertex {v.label}")
-        if not shape.contains(img):
-            raise NotBijective(f"image {img.label} of {v.label} is out of range")
-        perm[shape.global_index(v)] = shape.global_index(img)
-    _check_parts(shape, perm)
-    if len(set(perm)) != shape.size:
-        raise NotBijective("mapping is not injective on the vertex set")
-    return BipartiteAutomorphism(shape, tuple(perm))
 
 
 def parse_cycles(shape: BipartiteShape, text: str) -> BipartiteAutomorphism:
@@ -263,36 +235,6 @@ def parse_cycles(shape: BipartiteShape, text: str) -> BipartiteAutomorphism:
     return BipartiteAutomorphism(shape, tuple(perm))
 
 
-def compose(
-    a: BipartiteAutomorphism, b: BipartiteAutomorphism
-) -> BipartiteAutomorphism:
-    """Composition a after b: (compose(a, b))(x) = a(b(x))."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"cannot compose shapes {a.shape} and {b.shape}")
-    return BipartiteAutomorphism(a.shape, tuple(a.perm[p] for p in b.perm))
-
-
-def inverse(a: BipartiteAutomorphism) -> BipartiteAutomorphism:
-    inv = [0] * len(a.perm)
-    for g, p in enumerate(a.perm):
-        inv[p] = g
-    return BipartiteAutomorphism(a.shape, tuple(inv))
-
-
-def power(a: BipartiteAutomorphism, k: int) -> BipartiteAutomorphism:
-    if k < 0:
-        return power(inverse(a), -k)
-    k %= a.order()
-    result = identity_automorphism(a.shape)
-    base = a
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        k >>= 1
-    return result
-
-
 @dataclass(frozen=True)
 class CycleSignature:
     """Cycle structure of an automorphism; the classifier's sole input.
@@ -355,20 +297,6 @@ def signature(aut: BipartiteAutomorphism) -> CycleSignature:
         pure_v_cycles=tuple(pure_v),
         pure_w_cycles=tuple(pure_w),
         mixed_cycles=tuple(mixed),
-    )
-
-
-def interchange_parts(sig: CycleSignature) -> CycleSignature:
-    """The same signature with the roles of V and W exchanged."""
-    return CycleSignature(
-        shape=BipartiteShape(sig.shape.m, sig.shape.n),
-        side_action=sig.side_action,
-        r=sig.r,
-        fixed_v=sig.fixed_w,
-        fixed_w=sig.fixed_v,
-        pure_v_cycles=sig.pure_w_cycles,
-        pure_w_cycles=sig.pure_v_cycles,
-        mixed_cycles=sig.mixed_cycles,
     )
 
 

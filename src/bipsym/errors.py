@@ -10,10 +10,6 @@ class BipsymError(Exception):
     """Base class for all bipsym errors."""
 
 
-class NotBijective(BipsymError):
-    """The vertex mapping is not a bijection on the vertex set."""
-
-
 class MixedParts(BipsymError):
     """The mapping sends one vertex part partly to itself and partly to the other."""
 

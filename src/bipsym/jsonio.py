@@ -250,7 +250,18 @@ def realization_from_obj(
 # --- certificates ------------------------------------------------------------
 
 
+def _measured(x: float | None) -> float | str | None:
+    """``x`` as it is, unless it is a float that JSON numbers cannot hold:
+    an overflow's inf, -inf or nan becomes the string "inf", "-inf" or
+    "nan"."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(float(x))
+    return x
+
+
 def certificate_to_obj(cert) -> dict:
+    """A certificate as a JSON object; a non-finite measured value is
+    written as a string (``_measured``), so a failed check prints."""
     return {
         "overall": cert.overall,
         "checks": [
@@ -258,7 +269,7 @@ def certificate_to_obj(cert) -> dict:
                 "name": c.name,
                 "pass": c.passed,
                 "detail": c.detail,
-                "measured": c.measured,
+                "measured": _measured(c.measured),
             }
             for c in cert.checks
         ],

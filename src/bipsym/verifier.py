@@ -314,6 +314,9 @@ class _Verification:
         return list(zip(p.tolist(), self.edge_a[e].tolist(), self.edge_b[e].tolist()))
 
 
+# an overflow or invalid value shows in the measured value of the check it
+# spoils, so numpy's RuntimeWarnings would only repeat it on stderr
+@np.errstate(all="ignore")
 def verify(
     aut: BipartiteAutomorphism,
     iso: Isometry4,

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 
 from bipsym.classifier import CaseId, Orientation, RealizabilityVerdict
-from bipsym.core import CycleSignature, SideAction, interchange_parts
+from bipsym.core import CycleSignature, SideAction
 from bipsym.errors import OutOfTheoremScope
+
+from automorphism_ops import interchange_parts
 
 
 def _extras(lengths: tuple[int, ...], r: int) -> list[int]:

@@ -5,8 +5,9 @@ These are the versions of ``parse_cycles``, ``make_automorphism`` and
 ``dict[VertexId, VertexId]`` and validates it through ``make_automorphism``,
 and ``signature`` reads the part of every vertex of every cycle.  The vertex
 token reader and the cycle walk they called are copied with them, so the
-oracle shares no code with the index-based versions in ``bipsym.core``.
-Nothing under ``src/`` calls it; tests require equal results, or the same
+oracle shares no code with the index-based versions in ``bipsym.core`` and
+``automorphism_ops``; it takes only the ``NotBijective`` exception from the
+latter.  Nothing under ``src/`` calls it; tests require equal results, or the same
 exception type and message.
 """
 
@@ -26,10 +27,11 @@ from bipsym.core import (
 from bipsym.errors import (
     DuplicateVertex,
     MixedParts,
-    NotBijective,
     ParseError,
     SwapOnUnequalParts,
 )
+
+from automorphism_ops import NotBijective
 
 
 def _from_label(label: str) -> VertexId:

@@ -19,13 +19,10 @@ from bipsym import (
     VertexId,
     census,
     classify_aut,
-    compose,
     enumerate_automorphisms,
     glide_isometry,
     improper_isometry,
-    inverse,
     parse_cycles,
-    power,
     realize,
     reflection_isometry,
     rotation_isometry,
@@ -34,6 +31,7 @@ from bipsym import (
 )
 from bipsym.jsonio import canonical_json, report_to_obj
 
+from automorphism_ops import compose, inverse, power
 from labelled import coordinates_of
 from topology_checks import smith_check, two_circle_check
 

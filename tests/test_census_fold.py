@@ -13,8 +13,9 @@ shape up to K_{16,16} in ``test_census_generators``.
 import pytest
 
 import bipsym.geometry
-from bipsym import BipartiteShape, census, classify, interchange_parts
+from bipsym import BipartiteShape, census, classify
 
+from automorphism_ops import interchange_parts
 from census_oracle import signature_tallies
 
 

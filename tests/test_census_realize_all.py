@@ -17,13 +17,12 @@ from bipsym import (
     SpatialEmbedding,
     census,
     classify,
-    compose,
-    inverse,
     realize,
     verify,
 )
 
 import census_oracle
+from automorphism_ops import compose, inverse
 from census_oracle import representative, signature_tallies
 from labelled import (
     coordinates_of,

@@ -10,17 +10,20 @@ from bipsym import (
     SideAction,
     classify,
     classify_aut,
-    compose,
     enumerate_automorphisms,
+    parse_cycles,
+    signature,
+)
+from bipsym.classifier import CaseId, Orientation
+
+from automorphism_ops import (
+    compose,
     identity_automorphism,
     interchange_parts,
     inverse,
     make_automorphism,
-    parse_cycles,
     power,
-    signature,
 )
-from bipsym.classifier import CaseId, Orientation
 
 S33 = BipartiteShape(3, 3)
 S34 = BipartiteShape(3, 4)

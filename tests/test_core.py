@@ -9,7 +9,6 @@ from bipsym import (
     CycleSignature,
     DuplicateVertex,
     MixedParts,
-    NotBijective,
     ParseError,
     Part,
     ShapeMismatch,
@@ -18,15 +17,19 @@ from bipsym import (
     TooLarge,
     VertexId,
     automorphism_count,
-    compose,
     enumerate_automorphisms,
+    parse_cycles,
+    signature,
+)
+
+from automorphism_ops import (
+    NotBijective,
+    compose,
     identity_automorphism,
     interchange_parts,
     inverse,
     make_automorphism,
-    parse_cycles,
     power,
-    signature,
 )
 
 S33 = BipartiteShape(3, 3)

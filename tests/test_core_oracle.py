@@ -18,12 +18,12 @@ from bipsym import (
     Part,
     VertexId,
     enumerate_automorphisms,
-    make_automorphism,
     parse_cycles,
     signature,
 )
 
 import core_oracle
+from automorphism_ops import make_automorphism
 
 sizes = st.integers(1, 8)
 

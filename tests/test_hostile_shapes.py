@@ -205,14 +205,19 @@ def _write_overflowing(path: Path) -> None:
     path.write_text(json.dumps(obj))
 
 
-def test_cli_verify_of_overflowing_powers_exits_2(tmp_path):
-    # the certificate is computed, but its measured values are not finite
+def test_cli_verify_of_overflowing_powers_exits_5(tmp_path):
+    # the failed certificate prints, its non-finite measured values as
+    # strings, and numpy's overflow warnings stay off stderr
     path = tmp_path / "overflow.json"
     _write_overflowing(path)
     out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 20)
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    assert out.stderr.endswith("\nerror: non-finite float in canonical JSON\n")
+    assert out.returncode == 5, out.stderr
+    assert out.stderr == ""
+    cert = json.loads(out.stdout)
+    assert cert["overall"] is False
+    failed = {c["name"]: c["measured"] for c in cert["checks"] if not c["pass"]}
+    assert set(failed) == {"orthogonal", "order", "orientation", "induces"}
+    assert (failed["orthogonal"], failed["order"], failed["induces"]) == ("inf", "nan", "inf")
 
 
 def test_verify_of_overflowing_powers_fails(tmp_path):

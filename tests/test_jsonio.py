@@ -258,3 +258,17 @@ class TestCertificateJson:
         obj = certificate_to_obj(cert)
         assert obj["overall"] is True
         assert {"name", "pass", "detail", "measured"} <= set(obj["checks"][0])
+
+    def test_non_finite_measured_values_are_strings(self):
+        from bipsym.verifier import CheckResult, RealizationCertificate
+
+        measured = [float("inf"), float("-inf"), float("nan"), np.float64("inf"), 0.5, 2, None]
+        cert = RealizationCertificate(
+            tuple(CheckResult(f"c{i}", False, "", x) for i, x in enumerate(measured))
+        )
+        text = canonical_json(certificate_to_obj(cert))
+        got = [c["measured"] for c in json.loads(text)["checks"]]
+        assert got == ["inf", "-inf", "nan", "inf", 0.5, 2, None]
+        # only the certificate's measured values are written as strings
+        with pytest.raises(ValueError, match="non-finite float"):
+            canonical_json({"measured": float("inf")})

@@ -27,7 +27,6 @@ from bipsym import (
     VertexId,
     classify_aut,
     enumerate_automorphisms,
-    identity_automorphism,
     improper_isometry,
     parse_cycles,
     realize,
@@ -37,6 +36,7 @@ from bipsym.geometry import SUBSPACE_TOL
 from bipsym.jsonio import canonical_json, certificate_to_obj
 
 import verifier_oracle
+from automorphism_ops import identity_automorphism
 from census_oracle import _partitions
 from labelled import coordinates_of, embedding_from_labels, subdivision_edges_of
 
