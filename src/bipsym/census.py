@@ -26,10 +26,14 @@ symmetric group, its lcm, its fixed points and the tally of its cycle
 lengths other than 1.  A candidate is decided from the tallies of its two
 rows, with r the lcm of their lcms, and no signature is built; a part swap
 (lambda, None) has r twice the lcm of lambda and its mixed cycles tally 2k
-for each k-cycle of lambda and 2 for each fixed point.  A realizable class
-adds the product of the two class sizes (n! for the V -> W half of a part
-swap), doubled for a folded pair, to the tallies; ``unrealizable_op`` and
-``unrealizable_or`` are the group order minus the realizable sizes.
+for each k-cycle of lambda and 2 for each fixed point.  The tallies are
+grouped sums: ``_decide`` gives all classes that match the same cases one
+verdict object, and the census keeps, per verdict and per V-side class size
+n!/z_lambda, the running sum of the realizable classes' W-side sizes
+(m!/z_mu, doubled for a folded pair, n! for the V -> W half of a part
+swap).  Each group then costs one product of big integers, each verdict's
+total is added once to its case labels, and ``unrealizable_op`` and
+``unrealizable_or`` are the group order minus the realizable totals.
 
 With ``realize_all`` the census builds one representative of each
 realizable class from its two cycle types, realizes it from the order and
@@ -60,10 +64,10 @@ from .errors import OutOfTheoremScope, TooLarge
 # census() refuses parts larger than these before any work.  The plain census
 # decides only the case generators' candidates, whose number depends on the
 # divisors of n and m: K_{360,360}, the slowest square shape within the
-# bound, takes about 0.6-0.9 s from the CLI on 2 CPUs, and the slowest
+# bound, takes about 0.65-0.8 s from the CLI on 2 CPUs, and the slowest
 # shapes, K_{360,396} and K_{360,408}, whose candidates do not fold, about
-# 1.2-1.7 s.  Past 419 they grow slower still (K_{360,420} 1.6-2.3 s,
-# K_{420,432} 1.5-2.2 s), and non-square shapes past it are not yet scanned,
+# 1.2-1.6 s.  Past 419 they grow slower still (K_{360,420} about 1.7 s,
+# K_{420,432} 1.6-1.8 s), and non-square shapes past it are not yet scanned,
 # so the bound stays below 420.  Realize-all also realizes and verifies one
 # representative per realizable (class, orientation), and the divisors of n
 # and m set its cost too.  From the CLI on 2 CPUs, every shape with a part of
@@ -152,14 +156,15 @@ def census(
     realizable class, with (lambda, mu) and (mu, lambda) one candidate when
     n = m.  Each cycle type's class size, lcm, fixed points and tally of
     cycle lengths are computed once per call, and each candidate is decided
-    from the tallies of its two cycle types; each class the classifier
-    finds realizable adds its size, one product of two class sizes, to its
-    cases, and ``unrealizable_op`` and ``unrealizable_or`` are the total
-    minus the realizable sizes.  With ``realize_all``, additionally realize
-    (with ``seed``) and verify one representative of every class in each
-    orientation the classifier marks realizable; ``realized_verified`` is
-    the summed size of the classes whose representative's certificate
-    passed, once per orientation.
+    from the tallies of its two cycle types.  The realizable classes are
+    summed in groups of one verdict and one V-side class size: each group
+    adds up its W-side class sizes and makes one product, and each
+    verdict's total goes once to its cases; ``unrealizable_op`` and
+    ``unrealizable_or`` are the total minus the realizable totals.  With
+    ``realize_all``, additionally realize (with ``seed``) and verify one
+    representative of every class in each orientation the classifier marks
+    realizable; ``realized_verified`` is the summed size of the classes
+    whose representative's certificate passed, once per orientation.
     Deterministic given (shape, seed).  Raises TooLarge, before any work,
     when n or m exceeds MAX_CENSUS_PART, or MAX_REALIZE_ALL_PART with
     ``realize_all``.
@@ -179,9 +184,9 @@ def census(
     factorials = {n: math.factorial(n), m: math.factorial(m)}
     rows = _PartitionRows(factorials)
     total = automorphism_count(shape)
-    per_case: dict[str, int] = {}
-    realizable_op = 0
-    realizable_or = 0
+    # id(verdict) -> (verdict, {size_v: summed size_w}) over the realizable
+    # classes; _decide gives each set of case keys one verdict object
+    groups: dict[int, tuple] = {}
     realized_verified = 0 if realize_all else None
     for lam, mu in candidate_classes(shape):
         size_v, lcm_v, fixed_v, tally_v = rows[lam]
@@ -198,23 +203,36 @@ def census(
             size_w, lcm_w, fixed_w, tally_w = rows[mu]
             r = math.lcm(lcm_v, lcm_w)
             verdict = _decide(r, None, n, m, fixed_v, fixed_w, tally_v, tally_w)
-        if not (verdict.op_realizable or verdict.or_realizable):
+            if n == m and mu != lam:
+                size_w *= 2  # the class of (mu, lam) as well
+        if not (verdict.op_cases or verdict.or_cases):
             continue
-        count = size_v * size_w
-        if n == m and mu not in (None, lam):
-            count *= 2  # the class of (mu, lam) as well
-        for case in verdict.op_cases + verdict.or_cases:
-            per_case[case.label] = per_case.get(case.label, 0) + count
-        if verdict.op_realizable:
-            realizable_op += count
-        if verdict.or_realizable:
-            realizable_or += count
+        group = groups.get(id(verdict))
+        if group is None:
+            group = groups[id(verdict)] = (verdict, {})
+        sums = group[1]
+        sums[size_v] = sums.get(size_v, 0) + size_w
         if realize_all:
+            count = size_v * size_w
             rep = _representative(shape, lam, mu)
             for case in verdict.op_cases[:1] + verdict.or_cases[:1]:
                 iso, emb = _realize(rep, r, case, seed)
                 if verify(rep, iso, emb, tol=1e-9).overall:
                     realized_verified += count
+
+    per_case: dict[str, int] = {}
+    realizable_op = 0
+    realizable_or = 0
+    for verdict, sums in groups.values():
+        count = 0
+        for size_v, size_w in sums.items():
+            count += size_v * size_w
+        for case in verdict.op_cases + verdict.or_cases:
+            per_case[case.label] = per_case.get(case.label, 0) + count
+        if verdict.op_cases:
+            realizable_op += count
+        if verdict.or_cases:
+            realizable_or += count
 
     return CensusReport(
         shape=shape,

@@ -15,9 +15,10 @@ part's size, fixed vertices and tally of pure cycle lengths, and apart from
 them the lengths other than r, the candidates for exceptional cycles.
 ``_decide`` decides all thirteen cases from the tallies, then again with V
 and W exchanged; a part-swapping class's cases read only r and the tally
-of its mixed cycles, so it is decided once.  ``classify`` tallies a
-signature and calls ``_decide``; the census calls it with the tallies it
-keeps per cycle type, and builds no signature.
+of its mixed cycles, so it is decided once.  Classes that match the same
+cases get one shared verdict object.  ``classify`` tallies a signature and
+calls ``_decide``; the census calls it with the tallies it keeps per cycle
+type, builds no signature, and groups its sums by verdict.
 
 ``CASES`` maps each key (number, sub) of the paper's case table, OP1-OP9
 and OR10-OR13 with OR12 split into 12a-12d, to the generator of the classes
@@ -199,9 +200,11 @@ def _divisors(k: int, least: int = 2) -> list[int]:
 
 
 def _runs(*runs: tuple[int, int]) -> tuple[int, ...]:
-    """The partition with c parts of length k for each run (k, c)."""
+    """The partition with c parts of length k for each run (k, c).  Every
+    generator passes its runs longest first, so the partition comes out
+    non-increasing without a sort."""
     parts: tuple[int, ...] = ()
-    for k, c in sorted(runs, reverse=True):
+    for k, c in runs:
         parts += (k,) * c
     return parts
 
@@ -415,8 +418,27 @@ _CASE_IDS = {
     for key in CASES
     for swapped in (False, True)
 }
-_IDENTITY = RealizabilityVerdict((_CASE_IDS[(2, None), False],), ())
-_UNREALIZABLE = RealizabilityVerdict((), ())
+# One verdict per (direct keys, interchanged keys) pair, built on first use;
+# few key sets occur (29 over the 36 088 candidates of K_{360,396}).
+# Verdicts are frozen, so every caller may share them, and the census groups
+# its classes by verdict.
+_VERDICTS: dict[tuple, RealizabilityVerdict] = {}
+
+
+def _verdict(key: tuple) -> RealizabilityVerdict:
+    """The verdict of the (number, sub) keys matched directly and with the
+    parts interchanged, key = (direct, interchanged), built once; a key
+    matching both ways is a direct match."""
+    direct, swapped = key
+    found = dict.fromkeys(swapped, True)
+    found.update(dict.fromkeys(direct, False))
+    cases = tuple(_CASE_IDS[item] for item in sorted(found.items()))
+    split = sum(c.number < 10 for c in cases)
+    verdict = _VERDICTS[key] = RealizabilityVerdict(cases[:split], cases[split:])
+    return verdict
+
+
+_IDENTITY = _verdict((((2, None),), ()))
 
 
 def _decide(r, mixed, n=0, m=0, fv=0, fw=0, tv=None, tw=None) -> RealizabilityVerdict:
@@ -425,7 +447,8 @@ def _decide(r, mixed, n=0, m=0, fv=0, fw=0, tv=None, tw=None) -> RealizabilityVe
     class gives the tally of its mixed cycles as ``mixed``; a part-preserving
     one gives ``mixed`` None, the part sizes n and m, the fixed vertices
     ``fv`` and ``fw`` of V and W, and the tallies ``tv`` and ``tw`` of their
-    pure cycle lengths."""
+    pure cycle lengths.  Classes matching the same keys get the same
+    verdict object."""
     if r == 1:
         # The identity is induced by the identity homeomorphism, which is
         # orientation-preserving; with every vertex fixed it is reported
@@ -433,19 +456,15 @@ def _decide(r, mixed, n=0, m=0, fv=0, fw=0, tv=None, tw=None) -> RealizabilityVe
         return _IDENTITY
     if mixed is not None:
         # r and the mixed cycles read the same with the parts interchanged
-        direct, swapped = _swapping_cases(r, mixed), []
+        key = tuple(_swapping_cases(r, mixed)), ()
     else:
         ev = {k: c for k, c in tv.items() if k != r}
         ew = {k: c for k, c in tw.items() if k != r}
-        direct = _preserving_cases(r, n, fv, fw, tv, tw, ev, ew)
-        swapped = _preserving_cases(r, m, fw, fv, tw, tv, ew, ev)
-    if not direct and not swapped:
-        return _UNREALIZABLE
-    found = dict.fromkeys(swapped, True)
-    found.update(dict.fromkeys(direct, False))
-    cases = tuple(_CASE_IDS[item] for item in sorted(found.items()))
-    split = sum(c.number < 10 for c in cases)
-    return RealizabilityVerdict(cases[:split], cases[split:])
+        key = (
+            tuple(_preserving_cases(r, n, fv, fw, tv, tw, ev, ew)),
+            tuple(_preserving_cases(r, m, fw, fv, tw, tv, ew, ev)),
+        )
+    return _VERDICTS.get(key) or _verdict(key)
 
 
 def classify(sig: CycleSignature) -> RealizabilityVerdict:

@@ -14,7 +14,10 @@ realizes and verifies it in each orientation the classifier marks
 realizable.  ``signature_representative`` is the representative the census
 built from a class's signature before it built one from the class's two
 partitions; ``representative`` reaches the census's builder from a
-signature, through ``class_of``.  Nothing under ``src/`` calls them.
+signature, through ``class_of``.  ``per_candidate_census`` is the census
+loop before it tallied by grouped sums: it decides the same candidates from
+the same rows, and adds one product of two class sizes per realizable
+candidate to each of its cases.  Nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import math
 from collections import Counter
 from typing import Iterator
 
-from bipsym.census import CensusReport, _representative
-from bipsym.classifier import classify
+from bipsym.census import CensusReport, _PartitionRows, _representative
+from bipsym.classifier import _decide, candidate_classes, classify
 from bipsym.core import (
     DEFAULT_ENUMERATION_CAP,
     BipartiteAutomorphism,
@@ -35,7 +38,7 @@ from bipsym.core import (
     enumerate_automorphisms,
     signature,
 )
-from bipsym.geometry import realize
+from bipsym.geometry import _realize, realize
 from bipsym.verifier import verify
 
 
@@ -214,4 +217,60 @@ def census_report(shape: BipartiteShape) -> CensusReport:
         per_case=dict(sorted(per_case.items())),
         unrealizable_op=unreal_op,
         unrealizable_or=unreal_or,
+    )
+
+
+def per_candidate_census(
+    shape: BipartiteShape, realize_all: bool = False, seed: int = 1
+) -> CensusReport:
+    """``census(shape, realize_all, seed)`` with its tallies counted one
+    candidate at a time: each realizable class adds its size, the product
+    of its two class sizes, doubled for a folded pair, to each of its
+    cases.  No bound is checked."""
+    n, m = shape.n, shape.m
+    factorials = {n: math.factorial(n), m: math.factorial(m)}
+    rows = _PartitionRows(factorials)
+    total = automorphism_count(shape)
+    per_case: dict[str, int] = {}
+    realizable_op = 0
+    realizable_or = 0
+    realized_verified = 0 if realize_all else None
+    for lam, mu in candidate_classes(shape):
+        size_v, lcm_v, fixed_v, tally_v = rows[lam]
+        if mu is None:
+            size_w = factorials[n]
+            r = 2 * lcm_v
+            mixed = {2 * k: j for k, j in tally_v.items()}
+            if fixed_v:
+                mixed[2] = fixed_v
+            verdict = _decide(r, mixed)
+        else:
+            size_w, lcm_w, fixed_w, tally_w = rows[mu]
+            r = math.lcm(lcm_v, lcm_w)
+            verdict = _decide(r, None, n, m, fixed_v, fixed_w, tally_v, tally_w)
+        if not (verdict.op_realizable or verdict.or_realizable):
+            continue
+        count = size_v * size_w
+        if n == m and mu not in (None, lam):
+            count *= 2  # the class of (mu, lam) as well
+        for case in verdict.op_cases + verdict.or_cases:
+            per_case[case.label] = per_case.get(case.label, 0) + count
+        if verdict.op_realizable:
+            realizable_op += count
+        if verdict.or_realizable:
+            realizable_or += count
+        if realize_all:
+            rep = _representative(shape, lam, mu)
+            for case in verdict.op_cases[:1] + verdict.or_cases[:1]:
+                iso, emb = _realize(rep, r, case, seed)
+                if verify(rep, iso, emb, tol=1e-9).overall:
+                    realized_verified += count
+    return CensusReport(
+        shape=shape,
+        total=total,
+        per_case=dict(sorted(per_case.items())),
+        unrealizable_op=total - realizable_op,
+        unrealizable_or=total - realizable_or,
+        realized_verified=realized_verified,
+        seed=seed,
     )

@@ -276,7 +276,9 @@ class TestCli:
 
 # sha256 of `bipsym census` stdout, pinned before the census counted per
 # partition: the plain census at its largest tested shapes, both parts'
-# orders, and the realize-all census of K_{6,6}
+# orders, and the realize-all census of K_{6,6}; K_{360,396} and
+# K_{360,408}, the slowest shapes within MAX_CENSUS_PART, pinned before the
+# census tallied by grouped sums
 CENSUS_STDOUT_SHA256 = {
     ("100", "100"): "62563dff9598963fff82c8e185d95d764d790ca742761ed55151a881b589280d",
     ("100", "100", "--format", "csv"): (
@@ -285,6 +287,14 @@ CENSUS_STDOUT_SHA256 = {
     ("360", "360"): "18f7b76c8fd7f7725ea2e44695ce0fef8d9497adc7608cdda8fb9890dc63a48a",
     ("360", "360", "--format", "csv"): (
         "d6903b23d07514ed8e28db5ff8c8c944f6c190d002b1f0f89399b749e5a45ab6"
+    ),
+    ("360", "396"): "08cec90a23e20e11e37f960bbdd980bbf9b876f63f4f97ac3d2e25f3b82f4ae6",
+    ("360", "396", "--format", "csv"): (
+        "c182bf88dfc3434cc9bb39a68dd18c917c1463c4a9ed88e9148152ea0c0d7751"
+    ),
+    ("360", "408"): "5ce17f40f815189d52264abe4460c5a973ac6224fb6ff50ab5cc75d6b9c0d25d",
+    ("360", "408", "--format", "csv"): (
+        "7cc59e0a5981f3a87be5ffb1f70091c5d356292a9eecd202c99a902c67c80e91"
     ),
     ("419", "419"): "d3378e75e935b44059a49dd28a0f39cf5801ba97e339c013dc9591773bca7012",
     ("419", "419", "--format", "csv"): (

@@ -11,15 +11,18 @@ each generator must yield every class that its own case matches
 directly.  Up to K_{200,200}, random classes with at most three
 distinct cycle lengths per part, the form of every realizable class,
 must be candidates, under their folded key, whenever ``classify``
-accepts them.
+accepts them.  Up to K_{40,40}, every generator must yield only
+non-increasing partitions, which the census's rows read as sorted.
 """
+
+import math
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bipsym import BipartiteShape, census
-from bipsym.classifier import CASES, candidate_classes, classify
+from bipsym.classifier import CASES, _divisors, _runs, candidate_classes, classify
 from bipsym.jsonio import report_to_obj
 
 import census_oracle
@@ -61,6 +64,37 @@ def test_each_generator_covers_its_case(n, m):
         direct, _ = _case_keys(class_signature(shape, lam, mu))
         for key in direct:
             assert (lam, mu) in generated[key], (key, lam, mu)
+
+
+def _unsorted_partitions(generate, largest: int = 40) -> list:
+    """The partitions ``generate`` yields for 3 <= n, m <= ``largest`` that
+    are not non-increasing, with their shapes."""
+    found = []
+    for n in range(3, largest + 1):
+        for m in range(3, largest + 1):
+            for lam, mu in generate(n, m):
+                for p in (lam, mu or ()):
+                    if any(a < b for a, b in zip(p, p[1:])):
+                        found.append((n, m, p))
+    return found
+
+
+@pytest.mark.parametrize(
+    "generate", dict.fromkeys(CASES.values()), ids=lambda g: g.__name__
+)
+def test_generators_yield_non_increasing_partitions(generate):
+    # _PartitionRows tallies p[::-1] by bisection, and _runs does not sort
+    assert _unsorted_partitions(generate) == []
+
+
+def test_unsorted_partition_check_catches_runs_shortest_first():
+    # a copy of _gen_op7 that passes its runs shortest first
+    def gen_op7_shortest_first(n, m):
+        for r in _divisors(math.gcd(n - 2, m - 2), 4):
+            if r % 2 == 0:
+                yield _runs((2, 1), (r, (n - 2) // r)), _runs((2, 1), (r, (m - 2) // r))
+
+    assert _unsorted_partitions(gen_op7_shortest_first)
 
 
 @st.composite
