@@ -9,19 +9,21 @@ trusted from the construction that produced the triple.
 The powers M^1..M^r of the matrix (r the claimed order) are made once, by
 repeated multiplication, in blocks of _POWER_BLOCK, and no stack of all of
 them is kept.  That one pass finds the first power within IDENTITY_GAP of I,
-keeps M^r for the order check, finds the proper divisors d of r among the
-powers of each block and keeps M^d for each, and runs eel2 on the powers of each block.  Time grows linearly with r, which
-MAX_CLAIMED_ORDER bounds; memory does not grow with r beyond one int per
-power (their gcds with r).
+keeps M^r for the order check, keeps M^d for each proper divisor d of r,
+and runs eel2 on the powers of each block.  Time grows linearly with r,
+which MAX_CLAIMED_ORDER bounds; memory grows with r only through r's
+divisors, found by trial division up to √r.
 
 Fixed sets are worked out once per proper divisor of r, not once per power:
 when M^r = I, the powers M^i and M^g with g = gcd(i, r) generate the same
 cyclic group (g is an integer combination of i and r, and i is a multiple of
 g), and a point is fixed by a power exactly when the group that power
 generates fixes it.  So M^i has the fixed subspace and the fixed points of
-M^g, and a finding about M^g is reported for every power i with
-gcd(i, r) = g.  When M^r is not the identity the order check fails, and the
-certificate with it.
+M^g.  A finding about M^d is reported once, with the number c_d = φ(r/d) of
+powers i < r with gcd(i, r) = d, as in "400 powers i with gcd(i, 1000) = 1:
+neither part lies in the fixed sphere", and counts c_d times in the check's
+measured value.  When M^r is not the identity the order check fails, and
+the certificate with it.
 
 eel2 tests geometrically only the (power, edge) pairs that can fail.  Let π
 be the point permutation the automorphism prescribes.  π^i interchanges the
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -131,6 +132,17 @@ def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
     return float(np.linalg.norm(p1 - p2, 2))
 
 
+def _gcd_counts(r: int) -> dict[int, int]:
+    """c_d = #{1 <= i < r : gcd(i, r) = d} = φ(r/d) for each proper divisor d
+    of r, in ascending d."""
+    small = [d for d in range(1, math.isqrt(r) + 1) if r % d == 0]
+    phi: dict[int, int] = {}
+    # k = Σ φ(e) over the divisors e of k, each smaller one already in phi
+    for k in small + [r // d for d in reversed(small) if d * d != r]:
+        phi[k] = k - sum(phi[e] for e in phi if k % e == 0)
+    return {d: phi[r // d] for d in phi if d < r}
+
+
 def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, as np.linalg.norm computes them
     for floats, without its argument handling."""
@@ -146,8 +158,10 @@ class _Verification:
     of the automorphism's image of point k, extended over subdivision
     vertices, and -1 where the subdivision set is not closed under the
     automorphism.  The induces check sets ``min_sep`` and ``step``;
-    ``run_powers`` sets the rest.  Rows of ``point_fixed``, ``edge_fixed``
-    and ``bases`` belong to the proper divisors of the claimed order.
+    ``run_powers`` sets the rest: ``counts`` maps each proper divisor d of
+    the claimed order r to the number of powers i < r with gcd(i, r) = d,
+    and rows of ``point_fixed``, ``edge_fixed`` and ``bases`` belong to its
+    keys, ``divisors``, in ascending order.
     """
 
     def __init__(self, aut, iso, emb, tol):
@@ -208,20 +222,6 @@ class _Verification:
             return self.aut.shape.vertex_at(k).label
         return self.zids[k - self.n_graph]
 
-    @cached_property
-    def gcd(self) -> np.ndarray:
-        """gcd[i] = gcd(i, r) for the powers i < r of the claimed order r."""
-        r = self.iso.claimed_order
-        return np.gcd(np.arange(r), r)
-
-    def by_power(self, findings: dict[int, list[str]]) -> list[str]:
-        """Findings keyed by divisor d, repeated in order for every power
-        i < r with gcd(i, r) = d."""
-        if not findings:
-            return []
-        powers = np.flatnonzero(np.isin(self.gcd, list(findings)))
-        return [f"power {i}: {text}" for i in powers for text in findings[self.gcd[i]]]
-
     def run_powers(self, r: int, pi_exact: bool) -> None:
         """Make M^1..M^r once, in blocks, and take from them what the checks need.
 
@@ -238,7 +238,9 @@ class _Verification:
         width = max([len(self.P)] + [len(edges) for _, edges in groups])
         size = min(_POWER_BLOCK, r, max(1, _PAIR_BUDGET // width))
         block = np.empty((size, 4, 4))
-        self.divisors = []
+        self.counts = _gcd_counts(r)
+        self.divisors = list(self.counts)
+        divisors = np.array(self.divisors, dtype=np.int64)
         at_divisors = []
         self.early = None
         self.swaps = []
@@ -253,10 +255,8 @@ class _Verification:
                 near = devs[: r - lo] <= IDENTITY_GAP  # powers below r only
                 if near.any():
                     self.early = lo + int(near.argmax())
-            # the proper divisors of r among this block's powers
-            rows = np.flatnonzero(r % np.arange(lo, min(lo + len(powers), r)) == 0)
-            self.divisors += (rows + lo).tolist()
-            at_divisors.append(powers[rows])
+            a, b = np.searchsorted(divisors, (lo, lo + len(powers)))
+            at_divisors.append(powers[divisors[a:b] - lo])  # M^d for d in the block
             if groups:
                 self.swaps += self._swaps(powers[: r - lo], lo, groups)
         self.order_dev = float(devs[-1])  # M^r ends the last block
@@ -328,16 +328,17 @@ def verify(
     The certificate always contains the checks: unit_norm, orthogonal,
     order, orientation, induces, eel1, eel2, eel3, eel4.  ``tol`` must be
     finite and positive.  One pass makes the powers M^1..M^r of the claimed
-    order r, so time grows linearly with r while memory does not depend on
-    it beyond one int per power; eel2 tests only the (power, edge) pairs a
-    power of the point permutation π can invert, unless π is not
-    established (module docstring).  Raises TooLarge, before any work, when
-    r exceeds MAX_CLAIMED_ORDER or the edges plus the subdivision vertices
-    exceed MAX_VERIFY_EDGES; before the power pass when eel2 would test
-    every pair and there are more than MAX_SWAP_TESTS; and when the checks'
-    arrays do not fit in memory.  Raises ShapeMismatch unless ``emb.points``
-    is (n + m + S) x 4 for S subdivision ids, each with its own edge of the
-    graph as a (V index, W index) pair.
+    order r, so time grows linearly with r and memory only with the number
+    of r's divisors.  eel3 and eel4 report a finding once per proper divisor
+    d of r, with the count of powers i < r with gcd(i, r) = d; eel2 tests
+    only the (power, edge) pairs a power of the point permutation π can
+    invert, unless π is not established (module docstring).  Raises
+    TooLarge, before any work, when r exceeds MAX_CLAIMED_ORDER or the edges
+    plus the subdivision vertices exceed MAX_VERIFY_EDGES; before the power
+    pass when eel2 would test every pair and there are more than
+    MAX_SWAP_TESTS; and when the checks' arrays do not fit in memory.  Raises
+    ShapeMismatch unless ``emb.points`` is (n + m + S) x 4 for S subdivision
+    ids, each with its own edge of the graph as a (V index, W index) pair.
     """
     shape = aut.shape
     if shape != emb.shape:
@@ -481,7 +482,6 @@ def _check_eel1(st) -> CheckResult:
     # and counts for all of its powers; the powers sharing the first
     # divisor's gcd agree with it.
     multi = np.flatnonzero(st.edge_fixed.sum(axis=0) >= 2)
-    powers_with_gcd = np.bincount(st.gcd[1:]) if multi.size else None
     distances: dict[tuple[int, int], float | None] = {}  # None: dimensions differ
     worst = 0.0
     bad = 0
@@ -497,7 +497,7 @@ def _check_eel1(st) -> CheckResult:
             if d is not None:
                 worst = max(worst, d)
             if d is None or d > SUBSPACE_TOL:
-                bad += int(powers_with_gcd[st.divisors[j]])
+                bad += st.counts[st.divisors[j]]
     ok = not bad
     detail = (
         f"{bad} co-fixed adjacent pairs with different fixed sets"
@@ -559,19 +559,23 @@ def _arc_findings(st, j: int) -> list[str]:
     return []
 
 
+def _by_divisor(st, name: str, findings: dict[int, list[str]], ok_detail: str) -> CheckResult:
+    """The check ``name`` failing on ``findings``, keyed by proper divisor d
+    of r in ascending order: each is reported once, with the number of powers
+    i < r with gcd(i, r) = d, and counts once for each of them."""
+    r = st.iso.claimed_order
+    problems = [
+        f"{st.counts[d]} powers i with gcd(i, {r}) = {d}: {text}"
+        for d, texts in findings.items() for text in texts
+    ]
+    count = sum(st.counts[d] * len(texts) for d, texts in findings.items())
+    return CheckResult(name, not problems, "; ".join(problems) or ok_detail, float(count))
+
+
 def _check_eel3(st) -> CheckResult:
-    findings = {}
-    for j in np.flatnonzero(st.edge_fixed.any(axis=1)):
-        found = _arc_findings(st, j)
-        if found:
-            findings[st.divisors[j]] = found
-    problems = st.by_power(findings)
-    return CheckResult(
-        "eel3",
-        not problems,
-        "; ".join(problems) if problems else "arc conditions satisfied on all fixed sets",
-        float(len(problems)),
-    )
+    rows = np.flatnonzero(st.edge_fixed.any(axis=1))
+    findings = {st.divisors[j]: _arc_findings(st, j) for j in rows}
+    return _by_divisor(st, "eel3", findings, "arc conditions satisfied on all fixed sets")
 
 
 def _check_eel4(st) -> CheckResult:
@@ -582,10 +586,4 @@ def _check_eel4(st) -> CheckResult:
         if st.bases[j].shape[1] == 3
         and not (st.point_fixed[j, :n].all() or st.point_fixed[j, n : st.n_graph].all())
     }
-    problems = st.by_power(findings)
-    return CheckResult(
-        "eel4",
-        not problems,
-        "; ".join(problems) if problems else "every fixed sphere contains a full part",
-        float(len(problems)),
-    )
+    return _by_divisor(st, "eel4", findings, "every fixed sphere contains a full part")

@@ -13,8 +13,10 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bipsym
@@ -30,7 +32,7 @@ from bipsym import (
 )
 from bipsym.census import MAX_CENSUS_PART, MAX_REALIZE_ALL_PART
 from bipsym.core import MAX_VERTICES
-from bipsym.jsonio import realization_to_obj
+from bipsym.jsonio import realization_from_obj, realization_to_obj
 from bipsym.verifier import MAX_CLAIMED_ORDER, MAX_VERIFY_EDGES
 
 SRC = str(Path(bipsym.__file__).resolve().parents[1])
@@ -234,6 +236,52 @@ def test_verify_of_overflowing_powers_fails(tmp_path):
     out = _run_limited(["-W", "ignore", "-c", script, str(path)], 20)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False False False\n"
+
+
+def _write_tampered(path: Path, order: int) -> None:
+    """The OR11 realization of (w1 w2)(w3 w4) in K_{3,4}, with v1 moved off
+    the mirror sphere and the claimed ``order``: every odd power of M is the
+    reflection, whose fixed sphere holds no full part."""
+    aut = parse_cycles(BipartiteShape(3, 4), "(w1 w2)(w3 w4)")
+    iso, emb = realize(aut, Orientation.OR, 1)
+    iso = dataclasses.replace(iso, claimed_order=order)
+    p = emb.points[0] + [0.0, 0.0, 0.0, 0.4]
+    emb.points[0] = p / np.linalg.norm(p)
+    path.write_text(json.dumps(realization_to_obj(aut, iso, emb, "OR11", 1)))
+
+
+def test_cli_verify_reports_each_divisor_once(tmp_path):
+    # the 250 000 odd powers below 500 000 fail eel4; the certificate names
+    # each odd proper divisor once, with the count of its powers
+    path = tmp_path / "tampered.json"
+    _write_tampered(path, 500_000)
+    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 20)
+    assert out.returncode == 5, out.stderr
+    assert out.stderr == ""
+    assert len(out.stdout.encode()) < 4096
+    eel4 = next(c for c in json.loads(out.stdout)["checks"] if c["name"] == "eel4")
+    assert eel4["measured"] == 250_000.0
+    divisors = re.findall(r"powers i with gcd\(i, 500000\) = (\d+): ", eel4["detail"])
+    assert divisors == [str(5**k) for k in range(7)]
+
+
+def _verify_peak(path: Path) -> int:
+    """Peak bytes traced while verify checks the realization file ``path``."""
+    triple = realization_from_obj(json.loads(path.read_text()))
+    tracemalloc.start()
+    try:
+        verify(*triple)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_does_not_grow_with_the_order(tmp_path):
+    low, high = tmp_path / "low.json", tmp_path / "high.json"
+    _write_tampered(low, 1000)
+    _write_tampered(high, 500_000)
+    _verify_peak(low)  # first use of numpy's linalg and the like
+    assert _verify_peak(high) - _verify_peak(low) < 1 << 20
 
 
 def _cycles(n: int, length: int) -> str:

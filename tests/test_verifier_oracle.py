@@ -3,15 +3,19 @@
 ``verifier_oracle.verify`` builds every power and one fixed subspace per
 power; ``bipsym.verify`` makes the powers in one blocked pass and works per
 divisor of the order.  Their certificates must serialize to the same bytes,
-passing or failing.  On tampered matrices whose claimed order is not theirs,
-or with a tolerance comparable to the distances between points, a power and
-the power of its gcd with the order need not fix the same points; there the
-fixed-set checks eel1, eel3 and eel4 may differ and every other check must
-still agree byte for byte.
+passing or failing, once the oracle's per-power eel3 and eel4 findings are
+folded into one entry per divisor (``fold_by_divisor``).  On tampered
+matrices whose claimed order is not theirs, or with a tolerance comparable
+to the distances between points, a power and the power of its gcd with the
+order need not fix the same points; there the fixed-set checks eel1, eel3
+and eel4 may differ and every other check must still agree byte for byte.
 """
 
 import dataclasses
+import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +38,7 @@ from bipsym import (
 )
 from bipsym.geometry import SUBSPACE_TOL
 from bipsym.jsonio import canonical_json, certificate_to_obj
+from bipsym.verifier import _gcd_counts
 
 import verifier_oracle
 from automorphism_ops import identity_automorphism
@@ -59,9 +64,47 @@ def without_subdivision(emb):
     )
 
 
+def fold_by_divisor(obj: dict, r: int) -> dict:
+    """The oracle's certificate object ``obj`` of claimed order ``r``, with
+    each failing eel3 and eel4 detail folded into the form ``bipsym.verify``
+    reports.
+
+    The oracle lists ``power i: text`` for every finding of every power i.
+    The powers with one gcd d = gcd(i, r) share their findings, so the fold
+    lists each finding once per d, in ascending d, as ``c powers i with
+    gcd(i, r) = d: text``, c the number of powers i < r with that gcd.  The
+    measured value already counts every power and is kept.  Raises
+    ValueError when a power's findings differ from those of d, its gcd
+    with r, one of them having none.
+    """
+    counts = Counter(math.gcd(i, r) for i in range(1, r))
+    for check in obj["checks"]:
+        if check["name"] not in ("eel3", "eel4") or check["pass"]:
+            continue
+        parts = re.split(r"(?:^|; )power (\d+): ", check["detail"])[1:]
+        found: dict[int, list[str]] = {}  # power i: its findings in order
+        for i, text in zip(parts[::2], parts[1::2]):
+            found.setdefault(int(i), []).append(text)
+        for i in range(1, r):
+            d = math.gcd(i, r)
+            if found.get(i, []) != found.get(d, []):
+                raise ValueError(
+                    f"{check['name']}: powers {d} and {i} have gcd {d} with {r} "
+                    "but different findings"
+                )
+        check["detail"] = "; ".join(
+            f"{c} powers i with gcd(i, {r}) = {d}: {text}"
+            for d, c in sorted(counts.items())
+            for text in found.get(d, [])
+        )
+    return obj
+
+
 def assert_same_certificate(aut, iso, emb, tol=TOL):
     cert = verify(aut, iso, emb, tol=tol)
-    want = certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol))
+    want = fold_by_divisor(
+        certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol)), iso.claimed_order
+    )
     assert canonical_json(certificate_to_obj(cert)) == canonical_json(want)
     return cert
 
@@ -157,7 +200,8 @@ def claiming(iso, times):
     return Isometry4(iso.matrix, times * iso.claimed_order, iso.orientation)
 
 
-# a claimed order 3x the true one repeats a finding at powers 1, 3 and 5
+# a claimed order 3x the true one repeats a finding at powers 1, 3 and 5 of
+# r = 6, which fold into d = 1 (powers 1 and 5) and d = 3 (power 3)
 @pytest.mark.parametrize("times", [1, 3])
 def test_point_off_the_sphere(times):
     aut, iso, emb = realized(BipartiteShape(3, 4), "(w3 w4)", "or")
@@ -297,6 +341,54 @@ def test_power_pass_finds_the_proper_divisors(monkeypatch, r):
         if r % i == 0:
             want.append(A.tobytes())
     assert [D.tobytes() for D in calls] == want
+
+
+def oracle_detail(name, powers):
+    return {"name": name, "pass": False, "measured": float(len(powers)),
+            "detail": "; ".join(f"power {i}: {text}" for i, text in powers)}
+
+
+def test_fold_by_divisor_counts_each_divisor_once():
+    obj = {"checks": [
+        oracle_detail("eel3", [(1, "a"), (1, "b"), (3, "c"), (5, "a"), (5, "b")]),
+        oracle_detail("eel4", [(2, "x"), (4, "x")]),
+    ]}
+    fold_by_divisor(obj, 6)
+    assert [c["detail"] for c in obj["checks"]] == [
+        "2 powers i with gcd(i, 6) = 1: a; 2 powers i with gcd(i, 6) = 1: b; "
+        "1 powers i with gcd(i, 6) = 3: c",
+        "2 powers i with gcd(i, 6) = 2: x",
+    ]
+    assert [c["measured"] for c in obj["checks"]] == [5.0, 2.0]
+
+
+@pytest.mark.parametrize("powers", [[(1, "a"), (5, "b")], [(1, "a")], [(5, "a")]])
+def test_fold_by_divisor_refuses_disagreeing_powers(powers):
+    with pytest.raises(ValueError, match="powers 1 and 5 have gcd 1 with 6"):
+        fold_by_divisor({"checks": [oracle_detail("eel4", powers)]}, 6)
+
+
+# --- the powers below r counted by their gcd with r --------------------------
+
+
+def assert_gcd_counts(r):
+    counts = _gcd_counts(r)
+    assert counts == Counter(math.gcd(i, r) for i in range(1, r))
+    assert list(counts) == sorted(counts)
+    assert sum(counts.values()) == r - 1
+
+
+def test_gcd_counts_up_to_3000():
+    assert _gcd_counts(1) == {}
+    for r in range(1, 3001):
+        assert_gcd_counts(r)
+
+
+@pytest.mark.parametrize("r,proper", [(498_960, 199), (500_000, 41), (499_979, 1)])
+def test_gcd_counts_at_large_orders(r, proper):
+    # 498 960 = 2^4 3^4 5 7 11 has 200 divisors; 499 979 is prime
+    assert len(_gcd_counts(r)) == proper
+    assert_gcd_counts(r)
 
 
 # --- eel2: the pairs π can interchange, or every pair ------------------------
