@@ -532,10 +532,9 @@ def realize(
     and ``_realize`` builds from the order and the case ``dispatch_case``
     picks.  The construction is deterministic in ``seed``.  The result
     satisfies verifier.verify at the default tolerance wherever verify
-    accepts its size: verify raises TooLarge for a claimed order above
-    MAX_CLAIMED_ORDER or more edges than MAX_VERIFY_EDGES, so, for example,
-    the OP6 realization of K_{997,1000} (order 997000) is built but not
-    certified.
+    accepts its size: the OP6 realization of K_{997,1000} (order 997000)
+    is certified, and K_{1499,1500} is built but not certified, its
+    2 248 500 edges being more than verifier.MAX_VERIFY_EDGES.
     """
     sig = signature(aut)
     case = dispatch_case(classify(sig), Orientation(orientation))

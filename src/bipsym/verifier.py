@@ -6,13 +6,10 @@ the fixed-point sets of the powers of the matrix, and the hypotheses of the
 edge-embedding conditions (named eel1-eel4 in the certificate).  Nothing is
 trusted from the construction that produced the triple.
 
-The powers M^1..M^r of the matrix (r the claimed order) are made once, by
-repeated multiplication, in blocks of _POWER_BLOCK, and no stack of all of
-them is kept.  That one pass finds the first power within IDENTITY_GAP of I,
-keeps M^r for the order check, keeps M^d for each proper divisor d of r,
-and runs eel2 on the powers of each block.  Time grows linearly with r,
-which MAX_CLAIMED_ORDER bounds; memory grows with r only through r's
-divisors, found by trial division up to √r.
+The checks read M^r, for the order check, and M^d for each proper divisor d
+of the claimed order r, found by trial division up to √r; each is made by
+repeated squaring, so time grows with log r and with the number of r's
+divisors, not with r.  MAX_CLAIMED_ORDER bounds the trial division.
 
 Fixed sets are worked out once per proper divisor of r, not once per power:
 when M^r = I, the powers M^i and M^g with g = gcd(i, r) generate the same
@@ -33,8 +30,10 @@ point nearest M x_k for every point k, within a step δ, and M and the points
 pass the orthogonality and unit-norm checks, then M^i x_k lies within about
 i·δ of x_{π^i(k)}; while tol plus that drift for i = r stays
 below the minimum separation, M^i brings an edge's ends within tol of each
-other's places only where π^i interchanges them.  Otherwise every (power,
-edge) pair is tested, in the same blocks, up to MAX_SWAP_TESTS pairs.
+other's places only where π^i interchanges them.  So each such L steps from
+M^(L/2) by M^L through the powers L/2, L/2 + L, ... below r, and no other
+power is made.  Otherwise every (power, edge) pair is tested, the powers
+made by repeated multiplication by M, up to MAX_SWAP_TESTS pairs.
 
 The induces check measures every distance between points, and from each
 image M x_k to every point, with geometry's one pairwise-distance kernel,
@@ -63,24 +62,23 @@ from .geometry import (
     _distances,
 )
 
-# The power pass takes about 2 µs per power on 2 CPUs (x86-64, OpenBLAS), so
-# a K_{3,3} file claiming this order gets its certificate in about a second;
-# a larger claim raises TooLarge before any product.
-MAX_CLAIMED_ORDER = 500_000
+# r's proper divisors come from trial division up to √r: below this bound
+# r has at most 1344 divisors, and _gcd_counts takes under 0.1 s on 2 CPUs
+# (x86-64); a larger claim raises TooLarge before any product.
+MAX_CLAIMED_ORDER = 10**9
 # n*m edges plus the subdivision vertices: the edge arrays grow with them,
 # and on balanced shapes the induces check's distance block of the points
 # too.  At this bound, K_{1000,1000} in pure 10-cycles verifies in about
 # 0.5 s at 170 MB peak RSS on 2 CPUs; larger graphs raise TooLarge before
 # any array is built.
 MAX_VERIFY_EDGES = 1_000_000
-# When π is not established, eel2 tests every (power, edge) pair, about five
-# million a second on 2 CPUs.  This bound keeps that to a few seconds and
-# admits a K_{300,300} file with a moved point at its order 300 (2.7 * 10^7
-# pairs, 5 s); more raise TooLarge before the power pass.
+# eel2 tests about seven million (power, edge) pairs a second on 2 CPUs.
+# This bound keeps that to a few seconds and admits a K_{300,300} file with
+# a moved point at its order 300 (2.7 * 10^7 pairs, 4 s), where every pair
+# is tested; more raise TooLarge before any power is made.
 MAX_SWAP_TESTS = 30_000_000
 
-_POWER_BLOCK = 1024  # powers per block of the power pass, bounding its memory
-_PAIR_BUDGET = 1 << 18  # 4-vectors per eel2 array of one block
+_PAIR_BUDGET = 1 << 13  # (power, edge) pairs per eel2 block
 # Drift of a computed image M^i x per power beyond the step δ of M: the
 # rounding of one 4 x 4 product and of the image, with a wide margin
 _ROUNDING = 1e-12
@@ -141,6 +139,14 @@ def _gcd_counts(r: int) -> dict[int, int]:
     for k in small + [r // d for d in reversed(small) if d * d != r]:
         phi[k] = k - sum(phi[e] for e in phi if k % e == 0)
     return {d: phi[r // d] for d in phi if d < r}
+
+
+def _power(M: np.ndarray, k: int) -> np.ndarray:
+    """M^k for k >= 1 by repeated squaring, in at most 2 log2(k) products."""
+    if k == 1:
+        return M
+    half = _power(M @ M, k // 2)
+    return half @ M if k & 1 else half
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -222,45 +228,21 @@ class _Verification:
             return self.aut.shape.vertex_at(k).label
         return self.zids[k - self.n_graph]
 
-    def run_powers(self, r: int, pi_exact: bool) -> None:
-        """Make M^1..M^r once, in blocks, and take from them what the checks need.
+    def run_powers(self, r: int, groups: list[tuple[int, np.ndarray]]) -> None:
+        """Make M^r and M^d for each proper divisor d of r, by repeated
+        squaring, and take from them what the checks need.
 
-        Sets ``order_dev`` (max |M^r - I|), ``early`` (the first power below
-        r within IDENTITY_GAP of I, or None), the per-divisor rows and
-        ``swaps``: (power, a, b) for every edge (a, b) whose ends a power
-        below r interchanges, in (power, edge) order.  ``pi_exact`` says that
-        only the pairs π can interchange need testing (module docstring).
+        Sets ``order_dev`` (max |M^r - I|), the per-divisor rows, ``early``
+        (the smallest proper divisor d with M^d within IDENTITY_GAP of I, or
+        None) and ``swaps``, from the eel2 ``groups`` of ``_swap_groups``.
         """
         M = self.iso.matrix
-        groups = self._swap_groups(pi_exact)
-        # eel2 holds (block size) x (points, or a group's edges) 4-vectors
-        # per array when a group has edges
-        width = max([len(self.P)] + [len(edges) for _, edges in groups])
-        size = min(_POWER_BLOCK, r, max(1, _PAIR_BUDGET // width))
-        block = np.empty((size, 4, 4))
+        self.order_dev = float(np.abs(_power(M, r) - _I4).max())
         self.counts = _gcd_counts(r)
         self.divisors = list(self.counts)
-        divisors = np.array(self.divisors, dtype=np.int64)
-        at_divisors = []
-        self.early = None
-        self.swaps = []
-        A = _I4
-        for lo in range(1, r + 1, size):
-            powers = block[: min(size, r + 1 - lo)]  # M^lo, M^(lo+1), ...
-            for row in powers:
-                np.matmul(A, M, out=row)
-                A = row
-            devs = np.abs(powers - _I4).max(axis=(1, 2))
-            if self.early is None:
-                near = devs[: r - lo] <= IDENTITY_GAP  # powers below r only
-                if near.any():
-                    self.early = lo + int(near.argmax())
-            a, b = np.searchsorted(divisors, (lo, lo + len(powers)))
-            at_divisors.append(powers[divisors[a:b] - lo])  # M^d for d in the block
-            if groups:
-                self.swaps += self._swaps(powers[: r - lo], lo, groups)
-        self.order_dev = float(devs[-1])  # M^r ends the last block
-        at_divisors = np.concatenate(at_divisors)
+        at_divisors = np.array([_power(M, d) for d in self.divisors]).reshape(-1, 4, 4)
+        near = np.abs(at_divisors - _I4).max(axis=(1, 2)) <= IDENTITY_GAP
+        self.early = self.divisors[near.argmax()] if near.any() else None
         self.bases = [fixed_subspace(D) for D in at_divisors]
         # images[j, k] = M^divisors[j] applied to point k
         images = np.einsum("ikl,pl->ipk", at_divisors, self.P)
@@ -269,6 +251,7 @@ class _Verification:
         self.edge_fixed = (
             self.point_fixed[:, self.edge_a] & self.point_fixed[:, self.edge_b]
         )
+        self.swaps = self._swaps(r, groups)
 
     def _swap_groups(self, pi_exact: bool) -> list[tuple[int, np.ndarray]]:
         """(L, edges) groups: a power i can interchange the ends of those
@@ -293,25 +276,36 @@ class _Verification:
         # sorted(set()), not np.unique, which imports numpy.ma on first use
         return [(L, edges[lengths == L]) for L in sorted(set(lengths.tolist()))]
 
-    def _swaps(self, powers, lo, groups) -> list[tuple[int, int, int]]:
-        """(i, a, b) for each group edge (a, b) whose ends M^i, the row
-        i - lo of ``powers``, interchanges, in (power, edge) order."""
-        # images[i, k] = M^(lo + i) applied to point k
-        images = np.einsum("ikl,pl->ipk", powers, self.P)
-        found = []
+    def _swaps(self, r, groups) -> list[tuple[int, int, int]]:
+        """(i, a, b) for each group edge (a, b) whose ends M^i interchanges,
+        for each candidate power i < r of its group, in (power, edge) order.
+
+        A group (L, edges) steps from M^(L // 2), or from M when L = 1, by
+        M^L, in blocks of at most _PAIR_BUDGET (power, edge) pairs.
+        """
+        M = self.iso.matrix
+        found = []  # (power, edge index) hits
         for L, edges in groups:
-            rows = np.arange((L // 2 - lo) % L, len(powers), L)
             a, b = self.edge_a[edges], self.edge_b[edges]
-            Q = images[rows]
-            hit = (_norms(Q[:, a] - self.P[b]) <= self.tol) & (
-                _norms(Q[:, b] - self.P[a]) <= self.tol
-            )
-            i, j = np.nonzero(hit)
-            found.append((rows[i] + lo, edges[j]))
-        p, e = (np.concatenate(x) for x in zip(*found))
-        order = np.lexsort((e, p))
-        p, e = p[order], e[order]
-        return list(zip(p.tolist(), self.edge_a[e].tolist(), self.edge_b[e].tolist()))
+            ends = self.P[np.concatenate((a, b))].T  # 4 x 2E: a's ends, then b's
+            first, step = L // 2 or 1, _power(M, L)
+            stride = max(1, _PAIR_BUDGET // len(edges)) * L
+            A = _power(M, first)
+            for lo in range(first, r, stride):
+                rows = np.arange(lo, min(r, lo + stride), L)
+                block = np.empty((len(rows), 4, 4))  # M^rows[i]
+                block[0] = A
+                for j in range(1, len(rows)):
+                    np.matmul(block[j - 1], step, out=block[j])
+                A = block[-1] @ step
+                # Q[i, e] = M^rows[i] applied to end e, by one matrix product
+                Q = (block.reshape(-1, 4) @ ends).reshape(len(rows), 4, -1).transpose(0, 2, 1)
+                i, j = np.nonzero(
+                    (_norms(Q[:, : len(a)] - self.P[b]) <= self.tol)
+                    & (_norms(Q[:, len(a) :] - self.P[a]) <= self.tol)
+                )
+                found += zip(rows[i].tolist(), edges[j].tolist())
+        return [(p, int(self.edge_a[e]), int(self.edge_b[e])) for p, e in sorted(found)]
 
 
 # an overflow or invalid value shows in the measured value of the check it
@@ -327,18 +321,19 @@ def verify(
 
     The certificate always contains the checks: unit_norm, orthogonal,
     order, orientation, induces, eel1, eel2, eel3, eel4.  ``tol`` must be
-    finite and positive.  One pass makes the powers M^1..M^r of the claimed
-    order r, so time grows linearly with r and memory only with the number
-    of r's divisors.  eel3 and eel4 report a finding once per proper divisor
-    d of r, with the count of powers i < r with gcd(i, r) = d; eel2 tests
-    only the (power, edge) pairs a power of the point permutation π can
-    invert, unless π is not established (module docstring).  Raises
-    TooLarge, before any work, when r exceeds MAX_CLAIMED_ORDER or the edges
-    plus the subdivision vertices exceed MAX_VERIFY_EDGES; before the power
-    pass when eel2 would test every pair and there are more than
-    MAX_SWAP_TESTS; and when the checks' arrays do not fit in memory.  Raises
-    ShapeMismatch unless ``emb.points`` is (n + m + S) x 4 for S subdivision
-    ids, each with its own edge of the graph as a (V index, W index) pair.
+    finite and positive.  M^r and M^d for each proper divisor d of the
+    claimed order r are made by repeated squaring, so time and memory grow
+    with log r and the number of r's divisors.  eel3 and eel4 report a
+    finding once per proper divisor d of r, with the count of powers i < r
+    with gcd(i, r) = d; eel2 tests only the (power, edge) pairs a power of
+    the point permutation π can invert, unless π is not established, and
+    makes only those powers (module docstring).  Raises TooLarge, before
+    any work, when r exceeds MAX_CLAIMED_ORDER or the edges plus the
+    subdivision vertices exceed MAX_VERIFY_EDGES; before any power when
+    eel2 has more than MAX_SWAP_TESTS pairs to test; and when the checks'
+    arrays do not fit in memory.  Raises ShapeMismatch unless
+    ``emb.points`` is (n + m + S) x 4 for S subdivision ids, each with its
+    own edge of the graph as a (V index, W index) pair.
     """
     shape = aut.shape
     if shape != emb.shape:
@@ -372,13 +367,14 @@ def verify(
         # within i * (2 * step + rounding) of x_{π^i(k)}.
         drift = tol + r * (2 * st.step + _ROUNDING)
         pi_exact = unit_norm.passed and orthogonal.passed and drift < st.min_sep
-        tests = (r - 1) * len(st.edge_a)
-        if not pi_exact and tests > MAX_SWAP_TESTS:
+        groups = st._swap_groups(pi_exact)
+        tests = sum(len(range(L // 2 or 1, r, L)) * len(edges) for L, edges in groups)
+        if tests > MAX_SWAP_TESTS:
             raise TooLarge(
                 f"claimed order {r} needs {tests} edge comparisons, "
                 f"more than {MAX_SWAP_TESTS}"
             )
-        st.run_powers(r, pi_exact)
+        st.run_powers(r, groups)
     except MemoryError as exc:  # the induces distance block is quadratic in the points
         raise TooLarge(
             f"verifying K_{{{shape.n},{shape.m}}} needs more memory than is available"

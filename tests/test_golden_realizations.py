@@ -4,9 +4,10 @@
 ``certificate_to_obj`` for every realizable (class, orientation) of
 K_{n,m}, 3 <= n <= m <= 7: the census representative of the class and one
 seeded part-preserving relabelling of it, each realized at seeds 1 and 7.
-A change to the placement order, the random draws, the isometries or the
-verifier's messages changes the digest.  The floats come from numpy, so a
-numpy or BLAS build that rounds differently changes it as well.
+A change to the placement order, the random draws, the isometries, the
+verifier's messages or the products by which it makes the powers of M
+changes the digest.  The floats come from numpy, so a numpy or BLAS build
+that rounds differently changes it as well.
 
 K_{3,3}..K_{7,7} never dispatch OP8, so ``BRANCH_SHA256`` pins every
 construction branch on its own: the same two lines for each entry of
@@ -30,8 +31,8 @@ from bipsym.jsonio import canonical_json, certificate_to_obj, realization_to_obj
 from census_oracle import representative, signature_tallies
 from test_geometry import REALIZE_CASES
 
-GOLDEN_SHA256 = "c93362f163c4a599b538de5e75f57583d89c6e5dae208092ff40fe796f9e040e"
-BRANCH_SHA256 = "0d9e13e57ac0059654c0eca20dbe0da627fc53a7de019fe7abf1a9a009127a51"
+GOLDEN_SHA256 = "aa2c75a3081ea913a51cf1f05bf6b94ebebe1a0ea1256370880ae11ea490931d"
+BRANCH_SHA256 = "7c21b0fcbde87b8ee3efc54ef709d80501c190de26a0af92570e9c6a7b83e890"
 SEEDS = (1, 7)
 # OP8 with the parts interchanged: the W 2-cycle and 3-cycle take the v-role
 OP8_INTERCHANGED = ((8, 5), "(w1 w2)(w3 w4 w5)(v1 v2)(v3 v4 v5 v6 v7 v8)", "op", "OP8")

@@ -33,7 +33,7 @@ from bipsym import (
 from bipsym.census import MAX_CENSUS_PART, MAX_REALIZE_ALL_PART
 from bipsym.core import MAX_VERTICES
 from bipsym.jsonio import realization_from_obj, realization_to_obj
-from bipsym.verifier import MAX_CLAIMED_ORDER, MAX_VERIFY_EDGES
+from bipsym.verifier import MAX_CLAIMED_ORDER, MAX_SWAP_TESTS, MAX_VERIFY_EDGES
 
 SRC = str(Path(bipsym.__file__).resolve().parents[1])
 ADDRESS_SPACE = 1 << 30
@@ -69,8 +69,7 @@ def test_cli_rejects_huge_shape(argv):
     assert "Traceback" not in out.stderr
 
 
-# 10^13 + 1 stacked 4 x 4 float matrices take 1.3 PB, which no machine can
-# allocate, so this claimed order fails the same way everywhere
+# far above MAX_CLAIMED_ORDER, and 1.3 PB as a stack of 4 x 4 float powers
 HUGE_ORDER = 10**13
 
 
@@ -134,7 +133,8 @@ def test_cli_verify_refuses_order_above_bound(tmp_path):
 
 def test_cli_verify_at_order_bound_is_small_and_fails(tmp_path):
     # M has order 2, so the even order at the bound passes |M^r - I| but
-    # M^2 is already the identity; the pass over the powers keeps no stack
+    # M^2, a proper divisor, is already the identity; M^r and the M^d come
+    # by repeated squaring
     assert MAX_CLAIMED_ORDER % 2 == 0
     path = tmp_path / "at_bound.json"
     _write_claiming(path, MAX_CLAIMED_ORDER)
@@ -263,6 +263,57 @@ def test_cli_verify_reports_each_divisor_once(tmp_path):
     assert eel4["measured"] == 250_000.0
     divisors = re.findall(r"powers i with gcd\(i, 500000\) = (\d+): ", eel4["detail"])
     assert divisors == [str(5**k) for k in range(7)]
+
+
+def _write_without_subdivision(path: Path, shape, text, orientation, label, order) -> None:
+    """The realization of ``text`` at seed 3 with its subdivision vertices
+    dropped, claiming ``order``: the edges π inverts are no longer split."""
+    aut = parse_cycles(BipartiteShape(*shape), text)
+    iso, emb = realize(aut, orientation, 3)
+    iso = dataclasses.replace(iso, claimed_order=order)
+    emb = dataclasses.replace(
+        emb, points=emb.points[: emb.shape.size], subdivision_ids=(), subdivision_pairs=()
+    )
+    path.write_text(json.dumps(realization_to_obj(aut, iso, emb, label, 3)))
+
+
+# the 2-cycles (v_i w_i) invert their edges at every odd power
+OR13 = ((4, 4), "(v1 w1)(v2 w2)(v3 w3 v4 w4)", "or", "OR13")
+MIXED_TWO_CYCLES = ((100, 100), "".join(f"(v{i} w{i})" for i in range(1, 101)), "op", "OP1")
+
+
+@pytest.mark.parametrize(
+    "case, order, tests",
+    [
+        (OR13, 10**8, 100_000_000),  # 2 edges at 5 * 10^7 odd powers
+        (MIXED_TWO_CYCLES, 10**6, 50_000_000),  # 100 edges at 500 000
+    ],
+)
+def test_verify_refuses_too_many_candidate_swaps(tmp_path, case, order, tests):
+    # π is established, and eel2 would test each inverted edge at each odd
+    # power below the order, more than MAX_SWAP_TESTS (power, edge) pairs
+    path = tmp_path / "inverted.json"
+    _write_without_subdivision(path, *case, order)
+    triple = realization_from_obj(json.loads(path.read_text()))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as refused:
+        verify(*triple)
+    assert time.perf_counter() - start < 1.0
+    assert str(refused.value) == (
+        f"claimed order {order} needs {tests} edge comparisons, more than {MAX_SWAP_TESTS}"
+    )
+
+
+def test_cli_verify_refuses_too_many_candidate_swaps(tmp_path):
+    path = tmp_path / "or13.json"
+    _write_without_subdivision(path, *OR13, 10**8)
+    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == (
+        f"error: claimed order 100000000 needs 100000000 edge comparisons, "
+        f"more than {MAX_SWAP_TESTS}\n"
+    )
 
 
 def _verify_peak(path: Path) -> int:

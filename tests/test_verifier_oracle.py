@@ -1,14 +1,18 @@
 """The array verifier against the per-power loop verifier it replaced.
 
-``verifier_oracle.verify`` builds every power and one fixed subspace per
-power; ``bipsym.verify`` makes the powers in one blocked pass and works per
-divisor of the order.  Their certificates must serialize to the same bytes,
-passing or failing, once the oracle's per-power eel3 and eel4 findings are
-folded into one entry per divisor (``fold_by_divisor``).  On tampered
-matrices whose claimed order is not theirs, or with a tolerance comparable
-to the distances between points, a power and the power of its gcd with the
-order need not fix the same points; there the fixed-set checks eel1, eel3
-and eel4 may differ and every other check must still agree byte for byte.
+``verifier_oracle.verify`` builds every power by repeated multiplication and
+one fixed subspace per power; ``bipsym.verify`` makes M^r and M^d for each
+proper divisor d of the order by repeated squaring and works per divisor.
+Their certificates must serialize to the same bytes, passing or failing,
+once the oracle's per-power eel3 and eel4 findings are folded into one entry
+per divisor and its early identity kept only at a divisor of the order
+(``fold_by_divisor``), except that the measured values of ``order`` and
+``eel1``, which come from the powers, may differ by rounding
+(``assert_same_numbers``).  On tampered matrices whose claimed order is not
+theirs, or with a tolerance comparable to the distances between points, a
+power and the power of its gcd with the order need not fix the same
+points; there the fixed-set checks eel1, eel3 and eel4 may differ and every
+other check must still agree.
 """
 
 import dataclasses
@@ -38,7 +42,7 @@ from bipsym import (
 )
 from bipsym.geometry import SUBSPACE_TOL
 from bipsym.jsonio import canonical_json, certificate_to_obj
-from bipsym.verifier import _gcd_counts
+from bipsym.verifier import RealizationCertificate, _gcd_counts
 
 import verifier_oracle
 from automorphism_ops import identity_automorphism
@@ -64,10 +68,28 @@ def without_subdivision(emb):
     )
 
 
+EARLY = re.compile(r"; M\^(\d+) is already the identity$")
+
+
+def fold_order(check: dict, r: int) -> dict:
+    """The oracle's order ``check`` of claimed order ``r`` without its early
+    identity M^e when e does not divide r.
+
+    The oracle names the first power e < r within IDENTITY_GAP of I,
+    ``bipsym.verify`` the first such power at a proper divisor of r.  They
+    differ only when e does not divide r; then M^r = M^(r mod e) is not the
+    identity either and the check fails all the same.
+    """
+    early = EARLY.search(check["detail"])
+    if early and r % int(early[1]):
+        check["detail"] = check["detail"][: early.start()]
+    return check
+
+
 def fold_by_divisor(obj: dict, r: int) -> dict:
     """The oracle's certificate object ``obj`` of claimed order ``r``, with
-    each failing eel3 and eel4 detail folded into the form ``bipsym.verify``
-    reports.
+    its order check folded by ``fold_order`` and each failing eel3 and eel4
+    detail folded into the form ``bipsym.verify`` reports.
 
     The oracle lists ``power i: text`` for every finding of every power i.
     The powers with one gcd d = gcd(i, r) share their findings, so the fold
@@ -79,6 +101,8 @@ def fold_by_divisor(obj: dict, r: int) -> dict:
     """
     counts = Counter(math.gcd(i, r) for i in range(1, r))
     for check in obj["checks"]:
+        if check["name"] == "order":
+            fold_order(check, r)
         if check["name"] not in ("eel3", "eel4") or check["pass"]:
             continue
         parts = re.split(r"(?:^|; )power (\d+): ", check["detail"])[1:]
@@ -100,12 +124,44 @@ def fold_by_divisor(obj: dict, r: int) -> dict:
     return obj
 
 
+# the checks whose measured values are read off computed powers of M:
+# |M^r - I|, and the largest distance between fixed subspaces
+POWER_NUMBERS = ("order", "eel1")
+POWER_ROUNDING = 1e-13
+
+
+def masked(detail: str) -> str:
+    """``detail`` with each measured number, after "= " or "within ", as #."""
+    return re.sub(r"(= |within )[^;]*", r"\1#", detail)
+
+
+def assert_same_numbers(got: dict, want: dict) -> None:
+    """Two serialized checks that agree but for the rounding of the powers:
+    the same name, pass and detail once numbers are masked, and measured
+    values within POWER_ROUNDING (non-finite ones equal)."""
+    assert (got["name"], got["pass"], masked(got["detail"])) == (
+        want["name"], want["pass"], masked(want["detail"])
+    )
+    g, w = got["measured"], want["measured"]
+    if isinstance(g, str) or isinstance(w, str):
+        assert g == w
+    else:
+        assert abs(g - w) <= POWER_ROUNDING, (got, want)
+
+
 def assert_same_certificate(aut, iso, emb, tol=TOL):
     cert = verify(aut, iso, emb, tol=tol)
+    got = certificate_to_obj(cert)
     want = fold_by_divisor(
         certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol)), iso.claimed_order
     )
-    assert canonical_json(certificate_to_obj(cert)) == canonical_json(want)
+    assert got["overall"] is want["overall"]
+    assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        if g["name"] in POWER_NUMBERS:
+            assert_same_numbers(g, w)
+        else:
+            assert canonical_json(g) == canonical_json(w)
     return cert
 
 
@@ -243,12 +299,17 @@ def test_claimed_order_a_multiple_changes_only_subspace_noise():
     aut, iso, emb = realized(BipartiteShape(3, 3), "(v1 v2 v3)(w1 w2 w3)", "op")
     tripled = claiming(iso, 3)
     got = certificate_to_obj(verify(aut, tripled, emb, tol=TOL))
-    want = certificate_to_obj(verifier_oracle.verify(aut, tripled, emb, tol=TOL))
+    want = fold_by_divisor(
+        certificate_to_obj(verifier_oracle.verify(aut, tripled, emb, tol=TOL)), 9
+    )
     assert got["overall"] is want["overall"] is False
     for g, w in zip(got["checks"], want["checks"]):
         if g["name"] == "eel1":
             assert g["pass"] and w["pass"]
             assert g["measured"] <= w["measured"] <= SUBSPACE_TOL
+        elif g["name"] == "order":
+            assert_same_numbers(g, w)
+            assert g["detail"].endswith("; M^3 is already the identity")
         else:
             assert g == w
 
@@ -321,26 +382,59 @@ def test_order_1_takes_no_subspace(monkeypatch):
     assert calls == []
 
 
-# 6144 = 6 * _POWER_BLOCK puts 1024, 2048 and 3072 on the last row of a block
+def count_powers(monkeypatch, M):
+    """The exponents k of every ``_power(M, k)`` call on ``M`` itself."""
+    calls = []
+    real = bipsym.verifier._power
+
+    def counting(A, k):
+        if A is M:  # not the squarings the recursion passes on
+            calls.append(k)
+        return real(A, k)
+
+    monkeypatch.setattr(bipsym.verifier, "_power", counting)
+    return calls
+
+
+# run_powers makes exactly M^r and M^d for the proper divisors d of r
 @pytest.mark.parametrize("r", [1, 7, 1024, 1025, 5040, 6144])
 def test_power_pass_finds_the_proper_divisors(monkeypatch, r):
-    assert bipsym.verifier._POWER_BLOCK == 1024
     aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2)")
     iso, emb = realize(aut, Orientation.OR, 1)
     iso = dataclasses.replace(iso, claimed_order=r)
     st = bipsym.verifier._Verification(aut, iso, emb, TOL)
-    calls = count_fixed_subspace(monkeypatch)
-    st.run_powers(r, True)
+    calls = count_powers(monkeypatch, iso.matrix)
+    subspaces = count_fixed_subspace(monkeypatch)
+    st.run_powers(r, st._swap_groups(True))  # part-preserving: no eel2 powers
     divisors = [d for d in range(1, r) if r % d == 0]
     assert st.divisors == divisors
-    # the sequential products A = A @ M, bit for bit, at those powers
-    want = []
-    A = np.eye(4)
-    for i in range(1, r):
-        A = A @ iso.matrix
-        if r % i == 0:
-            want.append(A.tobytes())
-    assert [D.tobytes() for D in calls] == want
+    assert calls == [r, *divisors]
+    # M^d by repeated squaring is the fixed subspace's matrix, bit for bit
+    assert [D.tobytes() for D in subspaces] == [
+        bipsym.verifier._power(iso.matrix, d).tobytes() for d in divisors
+    ]
+
+
+class CountedMatrix(np.ndarray):
+    """An array that counts the matrix products made from it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountedMatrix.products += 1
+        return np.ndarray.__matmul__(self, other).view(CountedMatrix)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 255, 256, 1000])
+def test_power_by_squaring_is_exact_on_an_integer_matrix(monkeypatch, k):
+    # the entries of U^k, U = I plus the superdiagonal, are the binomials
+    # C(k, j), j <= 3, so every product of the squaring is exact in floats;
+    # there are at most 2 log2(k) of them
+    monkeypatch.setattr(CountedMatrix, "products", 0)
+    U = (np.eye(4) + np.eye(4, k=1)).view(CountedMatrix)
+    want = [[math.comb(k, j - i) if j >= i else 0 for j in range(4)] for i in range(4)]
+    assert np.array_equal(bipsym.verifier._power(U, k), np.array(want, dtype=float))
+    assert CountedMatrix.products <= 2 * math.log2(k)
 
 
 def oracle_detail(name, powers):
@@ -402,7 +496,9 @@ def assert_same_checks(aut, iso, emb, tol):
     want = certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol))["checks"]
     assert [c["name"] for c in got] == [c["name"] for c in want]
     for g, w in zip(got, want):
-        if g["name"] in NOT_FIXED_SET:
+        if g["name"] == "order":
+            assert_same_numbers(g, fold_order(w, iso.claimed_order))
+        elif g["name"] in NOT_FIXED_SET:
             assert canonical_json(g) == canonical_json(w)
     return {c["name"]: c for c in got}
 
@@ -506,3 +602,81 @@ def tampered_realizations(draw):
 def test_tampered_realizations_agree_with_the_oracle(case):
     aut, iso, emb, tol = case
     assert_same_checks(aut, iso, emb, tol)
+
+
+def test_early_identity_off_the_divisors_is_folded():
+    # the reflection of (w3 w4) claiming order 9: the oracle finds M^2 = I,
+    # verify looks only at the proper divisors 1 and 3, both reflections
+    aut, iso, emb = realized(BipartiteShape(3, 4), "(w3 w4)", "or")
+    iso = Isometry4(iso.matrix, 9, iso.orientation)
+    dense = certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=TOL))["checks"][2]
+    assert dense["detail"].endswith("; M^2 is already the identity")
+    checks = assert_same_checks(aut, iso, emb, TOL)
+    assert not checks["order"]["pass"]
+    assert "already" not in checks["order"]["detail"]
+
+
+# --- repeated squaring against the dense powers on rational normal forms -----
+
+
+def rotation(t: Fraction) -> np.ndarray:
+    c, s = math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)
+    return np.array([[c, -s], [s, c]])
+
+
+TURNS = st.builds(
+    lambda den, num: Fraction(num % den, den), st.integers(1, 60), st.integers(0, 59)
+)
+
+
+@st.composite
+def normal_forms(draw):
+    """Q (R(2πa) ⊕ B) Qᵀ with B = R(2πb) or diag(1, -1), the turns a and b
+    of denominator at most 60, Q a random orthogonal matrix, and a claimed
+    order up to 360: a multiple of the true order or any order."""
+    a = draw(TURNS)
+    reflect = draw(st.booleans())
+    M = np.zeros((4, 4))
+    M[:2, :2] = rotation(a)
+    if reflect:
+        M[2:, 2:] = np.diag([1.0, -1.0])
+        true = math.lcm(a.denominator, 2)
+    else:
+        b = draw(TURNS)
+        M[2:, 2:] = rotation(b)
+        true = math.lcm(a.denominator, b.denominator)
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 32)))
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    multiples = list(range(true, 361, true))
+    if multiples and draw(st.booleans()):
+        r = draw(st.sampled_from(multiples))
+    else:
+        r = draw(st.integers(1, 360))
+    orientation = Orientation.OR if reflect else Orientation.OP
+    return Isometry4(Q @ M @ Q.T, r, orientation), true
+
+
+IDENTITY_33 = identity_automorphism(BipartiteShape(3, 3))
+IDENTITY_33_EMBEDDING = realize(IDENTITY_33, "op", seed=1)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=normal_forms())
+def test_squaring_agrees_with_the_dense_powers(case):
+    iso, true = case
+    r = iso.claimed_order
+    aut, emb = IDENTITY_33, IDENTITY_33_EMBEDDING
+    dense = verifier_oracle._Verification(aut, iso, emb, TOL)
+    want = certificate_to_obj(
+        RealizationCertificate((verifier_oracle._check_order(dense, r),))
+    )["checks"][0]
+    got = certificate_to_obj(verify(aut, iso, emb, tol=TOL))["checks"][2]
+    # order pass/fail and the early identity, under the fold: a proper
+    # divisor of r is the identity unless r is the true order
+    assert got["pass"] is want["pass"] is (r == true)
+    assert masked(got["detail"]) == masked(fold_order(want, r)["detail"])
+    # the fixed-set dimension at every proper divisor
+    ours = bipsym.verifier._Verification(aut, iso, emb, TOL)
+    ours.run_powers(r, [])
+    assert ours.divisors == [d for d in range(1, r) if r % d == 0]
+    assert [B.shape[1] for B in ours.bases] == [dense.bases[d].shape[1] for d in ours.divisors]

@@ -6,10 +6,11 @@ any size) and handed to the CLI.  Whatever the file holds, ``cli_main`` must
 return 0, 2 or 5 and let no exception escape.
 
 Other integers written into the file are at most 64.  The claimed ``order``
-may take any value, up to 10^13 and beyond: ``verify`` makes one pass over
-the powers with no stack of them, refuses an order above MAX_CLAIMED_ORDER
-before any product, and refuses too many eel2 comparisons before it starts
-them, so every order ends in a certificate or exit 2 within seconds.
+may take any value, up to 10^13 and beyond: ``verify`` refuses an order
+above MAX_CLAIMED_ORDER before any product, makes M^r and M^d for each
+proper divisor d of the order by repeated squaring, and refuses too many
+eel2 comparisons before it makes any power, so every order ends in a
+certificate or exit 2 within seconds.
 """
 
 import contextlib
