@@ -32,7 +32,7 @@ from .errors import OrderMismatch, PlacementFailure
 ORTHOGONALITY_TOL = 1e-12
 DET_TOL = 1e-9  # |det M - (+-1)| allowed for the claimed orientation
 SUBSPACE_TOL = 1e-9
-IDENTITY_GAP = 1e-6  # a proper power must differ from I by more than this
+IDENTITY_GAP = 1e-6  # verify: bounds |M^r - I|, and a power this near I is the identity
 SEPARATION = 1e-6  # minimum distance between embedded vertices / landmarks
 MAX_PLACEMENT_ATTEMPTS = 1000
 

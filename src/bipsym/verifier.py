@@ -11,6 +11,15 @@ of the claimed order r, found by trial division up to √r; each is made by
 repeated squaring, so time grows with log r and with the number of r's
 divisors, not with r.  MAX_CLAIMED_ORDER bounds the trial division.
 
+The order check asks |M^r - I| to be within tol and within IDENTITY_GAP.
+Then M = NE with N^r = I, its angles multiples of 2π/r, and E a small
+rotation commuting with N, E^k - I ≈ (k/r)(M^r - I): where N^d = I for a
+proper divisor d, M^d lies within IDENTITY_GAP / 2 of I, so the check passes
+only when N has order r.  A looser bound would not: a rotation of order 13
+claiming 14 at tol 0.5 has |M^14 - I| = |M - I| ≈ 0.46, and M^13 = I.  Where
+2π/r is not well above IDENTITY_GAP, a proper power of an M of order r may
+lie within IDENTITY_GAP of I, and the check fails.
+
 Fixed sets are worked out once per proper divisor of r, not once per power:
 when M^r = I, the powers M^i and M^g with g = gcd(i, r) generate the same
 cyclic group (g is an integer combination of i and r, and i is a multiple of
@@ -19,8 +28,7 @@ generates fixes it.  So M^i has the fixed subspace and the fixed points of
 M^g.  A finding about M^d is reported once, with the number c_d = φ(r/d) of
 powers i < r with gcd(i, r) = d, as in "400 powers i with gcd(i, 1000) = 1:
 neither part lies in the fixed sphere", and counts c_d times in the check's
-measured value.  When M^r is not the identity the order check fails, and
-the certificate with it.
+measured value.
 
 eel2 tests geometrically only the (power, edge) pairs that can fail.  Let π
 be the point permutation the automorphism prescribes.  π^i interchanges the
@@ -28,9 +36,9 @@ ends of an edge only when both lie in one π-cycle of even length L, L/2
 apart, and i ≡ L/2 (mod L).  When the induces check finds that π(k) is the
 point nearest M x_k for every point k, within a step δ, and M and the points
 pass the orthogonality and unit-norm checks, then M^i x_k lies within about
-i·δ of x_{π^i(k)}; while tol plus that drift for i = r stays
-below the minimum separation, M^i brings an edge's ends within tol of each
-other's places only where π^i interchanges them.  So each such L steps from
+i·δ of x_{π^i(k)}; while tol plus that drift for i = r stays below the
+minimum separation, M^i brings an edge's ends within tol of each other's
+places only where π^i interchanges them.  So each such L steps from
 M^(L/2) by M^L through the powers L/2, L/2 + L, ... below r, and no other
 power is made.  Otherwise every (power, edge) pair is tested, the powers
 made by repeated multiplication by M, up to MAX_SWAP_TESTS pairs.
@@ -72,6 +80,10 @@ MAX_CLAIMED_ORDER = 10**9
 # 0.5 s at 170 MB peak RSS on 2 CPUs; larger graphs raise TooLarge before
 # any array is built.
 MAX_VERIFY_EDGES = 1_000_000
+# run_powers holds about 3 bytes per (proper divisor of r, edge) pair: this
+# bound keeps that near 150 MB and admits K_{997,1000} OP6 (31 proper
+# divisors, 3.1 * 10^7 pairs); more raise TooLarge before any array is built.
+MAX_DIVISOR_EDGES = 50_000_000
 # eel2 tests about seven million (power, edge) pairs a second on 2 CPUs.
 # This bound keeps that to a few seconds and admits a K_{300,300} file with
 # a moved point at its order 300 (2.7 * 10^7 pairs, 4 s), where every pair
@@ -139,14 +151,6 @@ def _gcd_counts(r: int) -> dict[int, int]:
     for k in small + [r // d for d in reversed(small) if d * d != r]:
         phi[k] = k - sum(phi[e] for e in phi if k % e == 0)
     return {d: phi[r // d] for d in phi if d < r}
-
-
-def _power(M: np.ndarray, k: int) -> np.ndarray:
-    """M^k for k >= 1 by repeated squaring, in at most 2 log2(k) products."""
-    if k == 1:
-        return M
-    half = _power(M @ M, k // 2)
-    return half @ M if k & 1 else half
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -228,19 +232,20 @@ class _Verification:
             return self.aut.shape.vertex_at(k).label
         return self.zids[k - self.n_graph]
 
-    def run_powers(self, r: int, groups: list[tuple[int, np.ndarray]]) -> None:
-        """Make M^r and M^d for each proper divisor d of r, by repeated
-        squaring, and take from them what the checks need.
+    def run_powers(self, r: int, counts: dict[int, int], groups) -> None:
+        """Make M^r and M^d for each proper divisor d of r, the keys of
+        ``counts = _gcd_counts(r)``, by repeated squaring, and take from them
+        what the checks need.
 
         Sets ``order_dev`` (max |M^r - I|), the per-divisor rows, ``early``
         (the smallest proper divisor d with M^d within IDENTITY_GAP of I, or
         None) and ``swaps``, from the eel2 ``groups`` of ``_swap_groups``.
         """
         M = self.iso.matrix
-        self.order_dev = float(np.abs(_power(M, r) - _I4).max())
-        self.counts = _gcd_counts(r)
-        self.divisors = list(self.counts)
-        at_divisors = np.array([_power(M, d) for d in self.divisors]).reshape(-1, 4, 4)
+        self.order_dev = float(np.abs(np.linalg.matrix_power(M, r) - _I4).max())
+        self.counts = counts
+        self.divisors = list(counts)
+        at_divisors = np.array([np.linalg.matrix_power(M, d) for d in counts]).reshape(-1, 4, 4)
         near = np.abs(at_divisors - _I4).max(axis=(1, 2)) <= IDENTITY_GAP
         self.early = self.divisors[near.argmax()] if near.any() else None
         self.bases = [fixed_subspace(D) for D in at_divisors]
@@ -288,9 +293,9 @@ class _Verification:
         for L, edges in groups:
             a, b = self.edge_a[edges], self.edge_b[edges]
             ends = self.P[np.concatenate((a, b))].T  # 4 x 2E: a's ends, then b's
-            first, step = L // 2 or 1, _power(M, L)
+            first, step = L // 2 or 1, np.linalg.matrix_power(M, L)
             stride = max(1, _PAIR_BUDGET // len(edges)) * L
-            A = _power(M, first)
+            A = np.linalg.matrix_power(M, first)
             for lo in range(first, r, stride):
                 rows = np.arange(lo, min(r, lo + stride), L)
                 block = np.empty((len(rows), 4, 4))  # M^rows[i]
@@ -321,19 +326,17 @@ def verify(
 
     The certificate always contains the checks: unit_norm, orthogonal,
     order, orientation, induces, eel1, eel2, eel3, eel4.  ``tol`` must be
-    finite and positive.  M^r and M^d for each proper divisor d of the
-    claimed order r are made by repeated squaring, so time and memory grow
-    with log r and the number of r's divisors.  eel3 and eel4 report a
-    finding once per proper divisor d of r, with the count of powers i < r
-    with gcd(i, r) = d; eel2 tests only the (power, edge) pairs a power of
-    the point permutation π can invert, unless π is not established, and
-    makes only those powers (module docstring).  Raises TooLarge, before
-    any work, when r exceeds MAX_CLAIMED_ORDER or the edges plus the
-    subdivision vertices exceed MAX_VERIFY_EDGES; before any power when
-    eel2 has more than MAX_SWAP_TESTS pairs to test; and when the checks'
-    arrays do not fit in memory.  Raises ShapeMismatch unless
-    ``emb.points`` is (n + m + S) x 4 for S subdivision ids, each with its
-    own edge of the graph as a (V index, W index) pair.
+    finite and positive; order also asks |M^r - I| <= IDENTITY_GAP.  Only
+    M^r, the M^d of the proper divisors d of the claimed order r, and eel2's
+    candidate powers are made (module docstring).  eel3 and eel4 report a
+    finding once per d, with the count of powers i < r with gcd(i, r) = d.
+    Raises TooLarge, before any array is built, when r exceeds
+    MAX_CLAIMED_ORDER, the edges plus the subdivision vertices exceed
+    MAX_VERIFY_EDGES, or those times r's proper divisors MAX_DIVISOR_EDGES;
+    before any power when eel2 has more than MAX_SWAP_TESTS pairs to test;
+    and when the checks' arrays do not fit in memory.  Raises ShapeMismatch
+    unless ``emb.points`` is (n + m + S) x 4 for S subdivision ids, each
+    with its own edge of the graph as a (V index, W index) pair.
     """
     shape = aut.shape
     if shape != emb.shape:
@@ -351,6 +354,13 @@ def verify(
         raise TooLarge(
             f"K_{{{shape.n},{shape.m}}} has {edges} edges and {subdivisions} "
             f"subdivision vertices, more than {MAX_VERIFY_EDGES} together"
+        )
+    counts = _gcd_counts(r)
+    pairs = len(counts) * (edges + subdivisions)
+    if pairs > MAX_DIVISOR_EDGES:
+        raise TooLarge(
+            f"claimed order {r} has {len(counts)} proper divisors, {pairs} "
+            f"(divisor, edge) pairs, more than {MAX_DIVISOR_EDGES}"
         )
     try:
         st = _Verification(aut, iso, emb, tol)
@@ -374,7 +384,7 @@ def verify(
                 f"claimed order {r} needs {tests} edge comparisons, "
                 f"more than {MAX_SWAP_TESTS}"
             )
-        st.run_powers(r, groups)
+        st.run_powers(r, counts, groups)
     except MemoryError as exc:  # the induces distance block is quadratic in the points
         raise TooLarge(
             f"verifying K_{{{shape.n},{shape.m}}} needs more memory than is available"
@@ -411,11 +421,14 @@ def _check_orthogonal(M: np.ndarray) -> CheckResult:
 
 
 def _check_order(st, r: int) -> CheckResult:
-    ok = st.order_dev <= st.tol
+    # within IDENTITY_GAP too, so that r's divisors see every early identity
+    ok = st.order_dev <= min(st.tol, IDENTITY_GAP)
     detail = f"|M^{r} - I| = {st.order_dev:.3g}"
     if st.early is not None:
         ok = False
         detail += f"; M^{st.early} is already the identity"
+    if IDENTITY_GAP < st.order_dev <= st.tol:
+        detail += f"; more than the identity gap {IDENTITY_GAP:g}"
     return CheckResult("order", ok, detail, st.order_dev)
 
 
@@ -473,34 +486,26 @@ def _check_induces(st) -> CheckResult:
 
 def _check_eel1(st) -> CheckResult:
     # An adjacent pair fixed by several powers compares the fixed subspace of
-    # the first of them, a divisor, with that of each later one.  A power i
-    # has the subspace of gcd(i, r), so each later divisor is compared once
-    # and counts for all of its powers; the powers sharing the first
-    # divisor's gcd agree with it.
-    multi = np.flatnonzero(st.edge_fixed.sum(axis=0) >= 2)
-    distances: dict[tuple[int, int], float | None] = {}  # None: dimensions differ
-    worst = 0.0
-    bad = 0
-    for e in multi:
-        first, *later = np.flatnonzero(st.edge_fixed[:, e])
-        for j in later:
-            if (first, j) not in distances:
-                b0, bj = st.bases[first], st.bases[j]
-                distances[first, j] = (
-                    subspace_distance(b0, bj) if b0.shape[1] == bj.shape[1] else None
-                )
-            d = distances[first, j]
-            if d is not None:
+    # the first of them with that of each later one.  A power i has the
+    # subspace of gcd(i, r), so each (first divisor row, later row j) pair is
+    # compared once, for the tally of its edges and each power of j.
+    first = st.edge_fixed.argmax(axis=0) if len(st.divisors) > 1 else None
+    worst, bad = 0.0, 0
+    for j in range(1, len(st.divisors)):
+        tally = np.bincount(first[st.edge_fixed[j]], minlength=j)[:j]
+        for i in np.flatnonzero(tally):
+            bi, bj = st.bases[i], st.bases[j]
+            if bi.shape[1] == bj.shape[1]:
+                d = subspace_distance(bi, bj)
                 worst = max(worst, d)
-            if d is None or d > SUBSPACE_TOL:
-                bad += st.counts[st.divisors[j]]
-    ok = not bad
+            if bi.shape[1] != bj.shape[1] or d > SUBSPACE_TOL:
+                bad += int(tally[i]) * st.counts[st.divisors[j]]
     detail = (
         f"{bad} co-fixed adjacent pairs with different fixed sets"
         if bad
         else f"fixed-set agreement within {worst:.3g}"
     )
-    return CheckResult("eel1", ok, detail, worst)
+    return CheckResult("eel1", not bad, detail, worst)
 
 
 def _check_eel2(st) -> CheckResult:

@@ -31,7 +31,7 @@ from bipsym.jsonio import canonical_json, certificate_to_obj, realization_to_obj
 from census_oracle import representative, signature_tallies
 from test_geometry import REALIZE_CASES
 
-GOLDEN_SHA256 = "aa2c75a3081ea913a51cf1f05bf6b94ebebe1a0ea1256370880ae11ea490931d"
+GOLDEN_SHA256 = "0053a7f4d7adb14aa3b323d3cddc1806c96913bf50acfd04ba81d4121055510d"
 BRANCH_SHA256 = "7c21b0fcbde87b8ee3efc54ef709d80501c190de26a0af92570e9c6a7b83e890"
 SEEDS = (1, 7)
 # OP8 with the parts interchanged: the W 2-cycle and 3-cycle take the v-role

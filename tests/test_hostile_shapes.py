@@ -33,7 +33,12 @@ from bipsym import (
 from bipsym.census import MAX_CENSUS_PART, MAX_REALIZE_ALL_PART
 from bipsym.core import MAX_VERTICES
 from bipsym.jsonio import realization_from_obj, realization_to_obj
-from bipsym.verifier import MAX_CLAIMED_ORDER, MAX_SWAP_TESTS, MAX_VERIFY_EDGES
+from bipsym.verifier import (
+    MAX_CLAIMED_ORDER,
+    MAX_DIVISOR_EDGES,
+    MAX_SWAP_TESTS,
+    MAX_VERIFY_EDGES,
+)
 
 SRC = str(Path(bipsym.__file__).resolve().parents[1])
 ADDRESS_SPACE = 1 << 30
@@ -155,11 +160,12 @@ def test_cli_verify_at_order_bound_is_small_and_fails(tmp_path):
     assert peak_kb < 200 * 1024
 
 
-def _write_unit_points(path: Path, n: int, m: int) -> None:
-    """A realization file of the identity of K_{n,m}, every vertex at one point."""
+def _write_unit_points(path: Path, n: int, m: int, order: int = 1) -> None:
+    """A realization file of the identity of K_{n,m} claiming ``order``,
+    every vertex at one point."""
     labels = [f"v{i}" for i in range(1, n + 1)] + [f"w{j}" for j in range(1, m + 1)]
     obj = {
-        "n": n, "m": m, "perm": "()", "case": "OP1", "seed": 1, "order": 1,
+        "n": n, "m": m, "perm": "()", "case": "OP1", "seed": 1, "order": order,
         "orientation": "op",
         "matrix": [[float(i == j) for j in range(4)] for i in range(4)],
         "vertices": {label: [1.0, 0.0, 0.0, 0.0] for label in labels},
@@ -195,6 +201,36 @@ def test_cli_verify_refuses_unallocatable_separation_grid(tmp_path):
     assert out.stderr == (
         f"error: verifying K_{{{n},{m}}} needs more memory than is available\n"
     )
+
+
+# 2^6 3^3 5^2 7 11 13 17, below MAX_CLAIMED_ORDER, has 1344 divisors: one
+# row of the 10^6 edges of K_{1000,1000} per proper divisor would take
+# gigabytes
+MANY_DIVISORS = 735_134_400
+DIVISOR_ROWS_REFUSED = (
+    f"claimed order {MANY_DIVISORS} has 1343 proper divisors, 1343000000 "
+    f"(divisor, edge) pairs, more than {MAX_DIVISOR_EDGES}"
+)
+
+
+def test_verify_refuses_too_many_divisor_rows(tmp_path):
+    path = tmp_path / "divisors.json"
+    _write_unit_points(path, 1000, 1000, MANY_DIVISORS)
+    triple = realization_from_obj(json.loads(path.read_text()))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as refused:
+        verify(*triple)
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == DIVISOR_ROWS_REFUSED
+
+
+def test_cli_verify_refuses_too_many_divisor_rows(tmp_path):
+    path = tmp_path / "divisors.json"
+    _write_unit_points(path, 1000, 1000, MANY_DIVISORS)
+    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == f"error: {DIVISOR_ROWS_REFUSED}\n"
 
 
 def _write_overflowing(path: Path) -> None:

@@ -40,7 +40,7 @@ from bipsym import (
     realize,
     verify,
 )
-from bipsym.geometry import SUBSPACE_TOL
+from bipsym.geometry import IDENTITY_GAP, SUBSPACE_TOL
 from bipsym.jsonio import canonical_json, certificate_to_obj
 from bipsym.verifier import RealizationCertificate, _gcd_counts
 
@@ -69,27 +69,34 @@ def without_subdivision(emb):
 
 
 EARLY = re.compile(r"; M\^(\d+) is already the identity$")
+GAP = f"; more than the identity gap {IDENTITY_GAP:g}"
 
 
-def fold_order(check: dict, r: int) -> dict:
-    """The oracle's order ``check`` of claimed order ``r`` without its early
-    identity M^e when e does not divide r.
+def fold_order(check: dict, r: int, tol: float) -> dict:
+    """The oracle's order ``check`` of claimed order ``r`` at ``tol``,
+    without its early identity M^e when e does not divide r, and failing
+    with GAP when |M^r - I| lies between IDENTITY_GAP and ``tol``.
 
     The oracle names the first power e < r within IDENTITY_GAP of I,
     ``bipsym.verify`` the first such power at a proper divisor of r.  They
-    differ only when e does not divide r; then M^r = M^(r mod e) is not the
-    identity either and the check fails all the same.
+    differ only when e does not divide r; then |M^r - I| is more than
+    IDENTITY_GAP (bipsym.verifier's module docstring), which the oracle
+    passes up to ``tol`` and ``bipsym.verify`` fails.
     """
     early = EARLY.search(check["detail"])
     if early and r % int(early[1]):
         check["detail"] = check["detail"][: early.start()]
+    measured = check["measured"]
+    if not isinstance(measured, str) and IDENTITY_GAP < measured <= tol:
+        check["pass"] = False
+        check["detail"] += GAP
     return check
 
 
-def fold_by_divisor(obj: dict, r: int) -> dict:
-    """The oracle's certificate object ``obj`` of claimed order ``r``, with
-    its order check folded by ``fold_order`` and each failing eel3 and eel4
-    detail folded into the form ``bipsym.verify`` reports.
+def fold_by_divisor(obj: dict, r: int, tol: float = TOL) -> dict:
+    """The oracle's certificate object ``obj`` of claimed order ``r`` at
+    ``tol``, with its order check folded by ``fold_order`` and each failing
+    eel3 and eel4 detail folded into the form ``bipsym.verify`` reports.
 
     The oracle lists ``power i: text`` for every finding of every power i.
     The powers with one gcd d = gcd(i, r) share their findings, so the fold
@@ -102,7 +109,7 @@ def fold_by_divisor(obj: dict, r: int) -> dict:
     counts = Counter(math.gcd(i, r) for i in range(1, r))
     for check in obj["checks"]:
         if check["name"] == "order":
-            fold_order(check, r)
+            fold_order(check, r, tol)
         if check["name"] not in ("eel3", "eel4") or check["pass"]:
             continue
         parts = re.split(r"(?:^|; )power (\d+): ", check["detail"])[1:]
@@ -153,7 +160,7 @@ def assert_same_certificate(aut, iso, emb, tol=TOL):
     cert = verify(aut, iso, emb, tol=tol)
     got = certificate_to_obj(cert)
     want = fold_by_divisor(
-        certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol)), iso.claimed_order
+        certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol)), iso.claimed_order, tol
     )
     assert got["overall"] is want["overall"]
     assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
@@ -383,16 +390,16 @@ def test_order_1_takes_no_subspace(monkeypatch):
 
 
 def count_powers(monkeypatch, M):
-    """The exponents k of every ``_power(M, k)`` call on ``M`` itself."""
+    """The exponents k of every ``matrix_power(M, k)`` call on ``M``."""
     calls = []
-    real = bipsym.verifier._power
+    real = np.linalg.matrix_power
 
     def counting(A, k):
-        if A is M:  # not the squarings the recursion passes on
+        if A is M:
             calls.append(k)
         return real(A, k)
 
-    monkeypatch.setattr(bipsym.verifier, "_power", counting)
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
     return calls
 
 
@@ -405,36 +412,14 @@ def test_power_pass_finds_the_proper_divisors(monkeypatch, r):
     st = bipsym.verifier._Verification(aut, iso, emb, TOL)
     calls = count_powers(monkeypatch, iso.matrix)
     subspaces = count_fixed_subspace(monkeypatch)
-    st.run_powers(r, st._swap_groups(True))  # part-preserving: no eel2 powers
+    st.run_powers(r, _gcd_counts(r), st._swap_groups(True))  # part-preserving: no eel2 powers
     divisors = [d for d in range(1, r) if r % d == 0]
     assert st.divisors == divisors
     assert calls == [r, *divisors]
     # M^d by repeated squaring is the fixed subspace's matrix, bit for bit
     assert [D.tobytes() for D in subspaces] == [
-        bipsym.verifier._power(iso.matrix, d).tobytes() for d in divisors
+        np.linalg.matrix_power(iso.matrix, d).tobytes() for d in divisors
     ]
-
-
-class CountedMatrix(np.ndarray):
-    """An array that counts the matrix products made from it."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        CountedMatrix.products += 1
-        return np.ndarray.__matmul__(self, other).view(CountedMatrix)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 255, 256, 1000])
-def test_power_by_squaring_is_exact_on_an_integer_matrix(monkeypatch, k):
-    # the entries of U^k, U = I plus the superdiagonal, are the binomials
-    # C(k, j), j <= 3, so every product of the squaring is exact in floats;
-    # there are at most 2 log2(k) of them
-    monkeypatch.setattr(CountedMatrix, "products", 0)
-    U = (np.eye(4) + np.eye(4, k=1)).view(CountedMatrix)
-    want = [[math.comb(k, j - i) if j >= i else 0 for j in range(4)] for i in range(4)]
-    assert np.array_equal(bipsym.verifier._power(U, k), np.array(want, dtype=float))
-    assert CountedMatrix.products <= 2 * math.log2(k)
 
 
 def oracle_detail(name, powers):
@@ -497,7 +482,7 @@ def assert_same_checks(aut, iso, emb, tol):
     assert [c["name"] for c in got] == [c["name"] for c in want]
     for g, w in zip(got, want):
         if g["name"] == "order":
-            assert_same_numbers(g, fold_order(w, iso.claimed_order))
+            assert_same_numbers(g, fold_order(w, iso.claimed_order, tol))
         elif g["name"] in NOT_FIXED_SET:
             assert canonical_json(g) == canonical_json(w)
     return {c["name"]: c for c in got}
@@ -653,7 +638,8 @@ def normal_forms(draw):
     else:
         r = draw(st.integers(1, 360))
     orientation = Orientation.OR if reflect else Orientation.OP
-    return Isometry4(Q @ M @ Q.T, r, orientation), true
+    tol = draw(st.sampled_from([TOL, 1e-3, 0.5]))
+    return Isometry4(Q @ M @ Q.T, r, orientation), true, tol
 
 
 IDENTITY_33 = identity_automorphism(BipartiteShape(3, 3))
@@ -663,20 +649,55 @@ IDENTITY_33_EMBEDDING = realize(IDENTITY_33, "op", seed=1)[1]
 @settings(max_examples=150, deadline=None)
 @given(case=normal_forms())
 def test_squaring_agrees_with_the_dense_powers(case):
-    iso, true = case
+    iso, true, tol = case
     r = iso.claimed_order
     aut, emb = IDENTITY_33, IDENTITY_33_EMBEDDING
-    dense = verifier_oracle._Verification(aut, iso, emb, TOL)
-    want = certificate_to_obj(
+    dense = verifier_oracle._Verification(aut, iso, emb, tol)
+    want = fold_order(certificate_to_obj(
         RealizationCertificate((verifier_oracle._check_order(dense, r),))
-    )["checks"][0]
-    got = certificate_to_obj(verify(aut, iso, emb, tol=TOL))["checks"][2]
-    # order pass/fail and the early identity, under the fold: a proper
-    # divisor of r is the identity unless r is the true order
+    )["checks"][0], r, tol)
+    got = certificate_to_obj(verify(aut, iso, emb, tol=tol))["checks"][2]
+    # order pass/fail and the early identity, under the fold, at any tol: a
+    # proper divisor of r is the identity unless r is the true order
     assert got["pass"] is want["pass"] is (r == true)
-    assert masked(got["detail"]) == masked(fold_order(want, r)["detail"])
+    assert masked(got["detail"]) == masked(want["detail"])
     # the fixed-set dimension at every proper divisor
     ours = bipsym.verifier._Verification(aut, iso, emb, TOL)
-    ours.run_powers(r, [])
+    ours.run_powers(r, _gcd_counts(r), [])
     assert ours.divisors == [d for d in range(1, r) if r % d == 0]
     assert [B.shape[1] for B in ours.bases] == [dense.bases[d].shape[1] for d in ours.divisors]
+
+
+# --- a loose tolerance does not pass a wrong order -------------------------
+
+def test_loose_tolerance_fails_an_order_one_more_than_true():
+    # M^14 = M lies within 0.5 of I, and M^13 = I although 13 does not
+    # divide 14: the order check asks |M^14 - I| <= IDENTITY_GAP as well
+    aut, iso, emb = realized(BipartiteShape(13, 3), "(v1 v2 v3 v4 v5 v6 v7 v8 v9 v10 v11 v12 v13)", "op")
+    assert iso.claimed_order == 13
+    iso = Isometry4(iso.matrix, 14, iso.orientation)
+    dense = certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=0.5))["checks"][2]
+    assert dense["detail"].endswith("; M^13 is already the identity")
+    order = assert_same_checks(aut, iso, emb, 0.5)["order"]
+    assert not order["pass"]
+    assert 0.4 < order["measured"] < 0.5
+    assert order["detail"].endswith(GAP)
+    assert "already" not in order["detail"]
+
+
+def test_loose_tolerance_fails_a_long_rotation_one_more_than_true():
+    # |M^7001 - I| = |M - I| is about 2π/7000 = 9e-4, within tol = 1e-3
+    M = np.eye(4)
+    M[:2, :2] = rotation(Fraction(1, 7000))
+    iso = Isometry4(M, 7001, Orientation.OP)
+    order = certificate_to_obj(verify(IDENTITY_33, iso, IDENTITY_33_EMBEDDING, tol=1e-3))["checks"][2]
+    assert not order["pass"]
+    assert IDENTITY_GAP < order["measured"] <= 1e-3
+    assert order["detail"].endswith(GAP)
+    dense = verifier_oracle._Verification(IDENTITY_33, iso, IDENTITY_33_EMBEDDING, 1e-3)
+    want = certificate_to_obj(
+        RealizationCertificate((verifier_oracle._check_order(dense, 7001),))
+    )["checks"][0]
+    assert want["detail"].endswith("; M^7000 is already the identity")
+    assert_same_numbers(order, fold_order(want, 7001, 1e-3))
+
