@@ -35,7 +35,7 @@ class TooLarge(BipsymError):
     check: the vertices ``parse_cycles`` reads (MAX_VERTICES), the n!*m!
     cap of ``enumerate_automorphisms``, the parts ``census`` takes
     (MAX_CENSUS_PART, MAX_REALIZE_ALL_PART), and the claimed order, edges,
-    edge comparisons and memory that ``verify`` allows."""
+    (divisor, edge) pairs and memory that ``verify`` allows."""
 
 
 class OutOfTheoremScope(BipsymError):

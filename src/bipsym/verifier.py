@@ -30,18 +30,22 @@ powers i < r with gcd(i, r) = d, as in "400 powers i with gcd(i, 1000) = 1:
 neither part lies in the fixed sphere", and counts c_d times in the check's
 measured value.
 
-eel2 tests geometrically only the (power, edge) pairs that can fail.  Let π
-be the point permutation the automorphism prescribes.  π^i interchanges the
-ends of an edge only when both lie in one π-cycle of even length L, L/2
-apart, and i ≡ L/2 (mod L).  When the induces check finds that π(k) is the
-point nearest M x_k for every point k, within a step δ, and M and the points
-pass the orthogonality and unit-norm checks, then M^i x_k lies within about
-i·δ of x_{π^i(k)}; while tol plus that drift for i = r stays below the
-minimum separation, M^i brings an edge's ends within tol of each other's
-places only where π^i interchanges them.  So each such L steps from
-M^(L/2) by M^L through the powers L/2, L/2 + L, ... below r, and no other
-power is made.  Otherwise every (power, edge) pair is tested, the powers
-made by repeated multiplication by M, up to MAX_SWAP_TESTS pairs.
+eel2's hits fold too.  When M^r = I and g = gcd(i, r), M^i = (M^g)^s and
+M^g = (M^i)^u with s and u coprime to r/g.  If either map interchanges two
+points, r/g is even, as the map's (r/g)-th power is I while its odd powers
+interchange them; so s and u are odd, and an odd power of an interchange is
+that interchange.  So eel2 also tests M^d only, and reports once per d.  Let
+π be the point permutation the automorphism prescribes.  π^i interchanges
+an edge's ends only when both lie in one π-cycle of even length L, L/2
+apart, and i ≡ L/2 (mod L); then gcd(i, r) ≡ L/2 (mod L) when L divides r,
+and otherwise π^r is not the identity and the order check fails.  When the
+induces check finds that π(k) is the point nearest M x_k for every point k,
+within a step δ, and M and the points pass the orthogonality and unit-norm
+checks, M^i x_k lies within about i·δ of x_{π^i(k)}; while tol plus that
+drift for i = r stays below the minimum separation, M^d brings an edge's
+ends within tol of each other's places only where π^d interchanges them, so
+such an edge is tested only at the d ≡ L/2 (mod L).  Otherwise every edge is
+tested at every d.
 
 The induces check measures every distance between points, and from each
 image M x_k to every point, with geometry's one pairwise-distance kernel,
@@ -80,17 +84,14 @@ MAX_CLAIMED_ORDER = 10**9
 # 0.5 s at 170 MB peak RSS on 2 CPUs; larger graphs raise TooLarge before
 # any array is built.
 MAX_VERIFY_EDGES = 1_000_000
-# run_powers holds about 3 bytes per (proper divisor of r, edge) pair: this
-# bound keeps that near 150 MB and admits K_{997,1000} OP6 (31 proper
-# divisors, 3.1 * 10^7 pairs); more raise TooLarge before any array is built.
+# run_powers holds about 3 bytes per (proper divisor of r, edge) pair, and
+# eel2 makes at most one test per pair: this bound keeps that near 150 MB and
+# admits K_{997,1000} OP6 (31 proper divisors, 3.1 * 10^7 pairs, none of
+# them eel2 candidates) and K_{1000,1000} with a moved point claiming 2520
+# (47 proper divisors, every pair tested, 3 s at 230 MB on 2 CPUs); more
+# raise TooLarge before any array is built.
 MAX_DIVISOR_EDGES = 50_000_000
-# eel2 tests about seven million (power, edge) pairs a second on 2 CPUs.
-# This bound keeps that to a few seconds and admits a K_{300,300} file with
-# a moved point at its order 300 (2.7 * 10^7 pairs, 4 s), where every pair
-# is tested; more raise TooLarge before any power is made.
-MAX_SWAP_TESTS = 30_000_000
 
-_PAIR_BUDGET = 1 << 13  # (power, edge) pairs per eel2 block
 # Drift of a computed image M^i x per power beyond the step δ of M: the
 # rounding of one 4 x 4 product and of the image, with a wide margin
 _ROUNDING = 1e-12
@@ -153,10 +154,10 @@ def _gcd_counts(r: int) -> dict[int, int]:
     return {d: phi[r // d] for d in phi if d < r}
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, as np.linalg.norm computes them
-    for floats, without its argument handling."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+def _norms(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Euclidean norms along ``axis``, as np.linalg.norm computes them for
+    floats, without its argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
 class _Verification:
@@ -256,7 +257,20 @@ class _Verification:
         self.edge_fixed = (
             self.point_fixed[:, self.edge_a] & self.point_fixed[:, self.edge_b]
         )
-        self.swaps = self._swaps(r, groups)
+        # swaps[d][e]: M^d interchanges the ends of edge e, for the d with
+        # any; a group (L, edges) is tested at the divisors d ≡ L // 2 (mod L)
+        self.swaps = {}
+        for L, edges in groups:
+            ends_a = self.P[self.edge_a[edges]].T.copy()  # 4 x E
+            ends_b = self.P[self.edge_b[edges]].T.copy()
+            for j in np.flatnonzero(np.array(self.divisors) % L == L // 2):
+                gap = at_divisors[j] @ ends_a - ends_b  # one matrix product
+                close = np.flatnonzero(_norms(gap, axis=0) <= self.tol)
+                back = at_divisors[j] @ ends_b[:, close] - ends_a[:, close]
+                hit = edges[close[_norms(back, axis=0) <= self.tol]]
+                if len(hit):
+                    d = self.divisors[j]
+                    self.swaps.setdefault(d, np.zeros(len(self.edge_a), bool))[hit] = True
 
     def _swap_groups(self, pi_exact: bool) -> list[tuple[int, np.ndarray]]:
         """(L, edges) groups: a power i can interchange the ends of those
@@ -281,37 +295,6 @@ class _Verification:
         # sorted(set()), not np.unique, which imports numpy.ma on first use
         return [(L, edges[lengths == L]) for L in sorted(set(lengths.tolist()))]
 
-    def _swaps(self, r, groups) -> list[tuple[int, int, int]]:
-        """(i, a, b) for each group edge (a, b) whose ends M^i interchanges,
-        for each candidate power i < r of its group, in (power, edge) order.
-
-        A group (L, edges) steps from M^(L // 2), or from M when L = 1, by
-        M^L, in blocks of at most _PAIR_BUDGET (power, edge) pairs.
-        """
-        M = self.iso.matrix
-        found = []  # (power, edge index) hits
-        for L, edges in groups:
-            a, b = self.edge_a[edges], self.edge_b[edges]
-            ends = self.P[np.concatenate((a, b))].T  # 4 x 2E: a's ends, then b's
-            first, step = L // 2 or 1, np.linalg.matrix_power(M, L)
-            stride = max(1, _PAIR_BUDGET // len(edges)) * L
-            A = np.linalg.matrix_power(M, first)
-            for lo in range(first, r, stride):
-                rows = np.arange(lo, min(r, lo + stride), L)
-                block = np.empty((len(rows), 4, 4))  # M^rows[i]
-                block[0] = A
-                for j in range(1, len(rows)):
-                    np.matmul(block[j - 1], step, out=block[j])
-                A = block[-1] @ step
-                # Q[i, e] = M^rows[i] applied to end e, by one matrix product
-                Q = (block.reshape(-1, 4) @ ends).reshape(len(rows), 4, -1).transpose(0, 2, 1)
-                i, j = np.nonzero(
-                    (_norms(Q[:, : len(a)] - self.P[b]) <= self.tol)
-                    & (_norms(Q[:, len(a) :] - self.P[a]) <= self.tol)
-                )
-                found += zip(rows[i].tolist(), edges[j].tolist())
-        return [(p, int(self.edge_a[e]), int(self.edge_b[e])) for p, e in sorted(found)]
-
 
 # an overflow or invalid value shows in the measured value of the check it
 # spoils, so numpy's RuntimeWarnings would only repeat it on stderr
@@ -327,16 +310,15 @@ def verify(
     The certificate always contains the checks: unit_norm, orthogonal,
     order, orientation, induces, eel1, eel2, eel3, eel4.  ``tol`` must be
     finite and positive; order also asks |M^r - I| <= IDENTITY_GAP.  Only
-    M^r, the M^d of the proper divisors d of the claimed order r, and eel2's
-    candidate powers are made (module docstring).  eel3 and eel4 report a
-    finding once per d, with the count of powers i < r with gcd(i, r) = d.
-    Raises TooLarge, before any array is built, when r exceeds
-    MAX_CLAIMED_ORDER, the edges plus the subdivision vertices exceed
-    MAX_VERIFY_EDGES, or those times r's proper divisors MAX_DIVISOR_EDGES;
-    before any power when eel2 has more than MAX_SWAP_TESTS pairs to test;
-    and when the checks' arrays do not fit in memory.  Raises ShapeMismatch
-    unless ``emb.points`` is (n + m + S) x 4 for S subdivision ids, each
-    with its own edge of the graph as a (V index, W index) pair.
+    M^r and the M^d of the proper divisors d of the claimed order r are made
+    (module docstring).  eel2, eel3 and eel4 report a finding once per d,
+    with the count of powers i < r with gcd(i, r) = d.  Raises TooLarge,
+    before any array is built, when r exceeds MAX_CLAIMED_ORDER, the edges
+    plus the subdivision vertices exceed MAX_VERIFY_EDGES, or those times
+    r's proper divisors MAX_DIVISOR_EDGES; and when the checks' arrays do
+    not fit in memory.  Raises ShapeMismatch unless ``emb.points`` is
+    (n + m + S) x 4 for S subdivision ids, each with its own edge of the
+    graph as a (V index, W index) pair.
     """
     shape = aut.shape
     if shape != emb.shape:
@@ -378,12 +360,6 @@ def verify(
         drift = tol + r * (2 * st.step + _ROUNDING)
         pi_exact = unit_norm.passed and orthogonal.passed and drift < st.min_sep
         groups = st._swap_groups(pi_exact)
-        tests = sum(len(range(L // 2 or 1, r, L)) * len(edges) for L, edges in groups)
-        if tests > MAX_SWAP_TESTS:
-            raise TooLarge(
-                f"claimed order {r} needs {tests} edge comparisons, "
-                f"more than {MAX_SWAP_TESTS}"
-            )
         st.run_powers(r, counts, groups)
     except MemoryError as exc:  # the induces distance block is quadratic in the points
         raise TooLarge(
@@ -509,16 +485,11 @@ def _check_eel1(st) -> CheckResult:
 
 
 def _check_eel2(st) -> CheckResult:
-    bad = st.swaps
-    detail = (
-        "; ".join(
-            f"M^{i} interchanges {st.name(a)},{st.name(b)}"
-            for i, a, b in bad
-        )
-        if bad
-        else "no adjacent pair interchanged by any power"
-    )
-    return CheckResult("eel2", not bad, detail, float(len(bad)))
+    findings = {}
+    for d in sorted(st.swaps):
+        a, b = st.edge_a[st.swaps[d]].tolist(), st.edge_b[st.swaps[d]].tolist()
+        findings[d] = [f"interchanges {st.name(x)},{st.name(y)}" for x, y in zip(a, b)]
+    return _by_divisor(st, "eel2", findings, "no adjacent pair interchanged by any power")
 
 
 def _part_counts(st, members: np.ndarray) -> tuple[int, int, int]:

@@ -1,4 +1,5 @@
-"""Huge shapes fail fast with exit 2 instead of exhausting memory or time.
+"""Huge shapes and hostile files fail fast, with exit 2 or a failed
+certificate, instead of exhausting memory or time.
 
 Each command runs in a fresh interpreter limited to 1 GB of address space
 and 10 s, so a command that allocates per vertex or computes n! in full
@@ -36,8 +37,8 @@ from bipsym.jsonio import realization_from_obj, realization_to_obj
 from bipsym.verifier import (
     MAX_CLAIMED_ORDER,
     MAX_DIVISOR_EDGES,
-    MAX_SWAP_TESTS,
     MAX_VERIFY_EDGES,
+    _gcd_counts,
 )
 
 SRC = str(Path(bipsym.__file__).resolve().parents[1])
@@ -319,37 +320,59 @@ MIXED_TWO_CYCLES = ((100, 100), "".join(f"(v{i} w{i})" for i in range(1, 101)), 
 
 
 @pytest.mark.parametrize(
-    "case, order, tests",
+    "case, order, measured",
     [
-        (OR13, 10**8, 100_000_000),  # 2 edges at 5 * 10^7 odd powers
-        (MIXED_TWO_CYCLES, 10**6, 50_000_000),  # 100 edges at 500 000
+        pytest.param(OR13, 10**8, 100_000_000, id="OR13"),  # 2 edges at 5 * 10^7 odd powers
+        pytest.param(MIXED_TWO_CYCLES, 10**6, 50_000_000, id="mixed-2-cycles"),  # 100 at 500 000
     ],
 )
-def test_verify_refuses_too_many_candidate_swaps(tmp_path, case, order, tests):
-    # π is established, and eel2 would test each inverted edge at each odd
-    # power below the order, more than MAX_SWAP_TESTS (power, edge) pairs
+def test_verify_counts_candidate_swaps_by_divisor(tmp_path, case, order, measured):
+    # π is established, and each inverted edge is tested only at the odd
+    # proper divisors of the order, its hits counted for every odd power
     path = tmp_path / "inverted.json"
     _write_without_subdivision(path, *case, order)
     triple = realization_from_obj(json.loads(path.read_text()))
     start = time.perf_counter()
-    with pytest.raises(TooLarge) as refused:
-        verify(*triple)
+    eel2 = verify(*triple).check("eel2")
     assert time.perf_counter() - start < 1.0
-    assert str(refused.value) == (
-        f"claimed order {order} needs {tests} edge comparisons, more than {MAX_SWAP_TESTS}"
-    )
+    assert not eel2.passed
+    assert eel2.measured == measured
 
 
-def test_cli_verify_refuses_too_many_candidate_swaps(tmp_path):
+@pytest.mark.parametrize("order", [40_000, 10**8])
+def test_cli_verify_of_candidate_swaps_is_small(tmp_path, order):
+    # each of (v1, w1) and (v2, w2) is reported once per odd proper divisor
     path = tmp_path / "or13.json"
-    _write_without_subdivision(path, *OR13, 10**8)
+    _write_without_subdivision(path, *OR13, order)
     out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    assert out.stderr == (
-        f"error: claimed order 100000000 needs 100000000 edge comparisons, "
-        f"more than {MAX_SWAP_TESTS}\n"
-    )
+    assert out.returncode == 5, out.stderr
+    assert out.stderr == ""
+    assert len(out.stdout.encode()) < 4096
+    eel2 = next(c for c in json.loads(out.stdout)["checks"] if c["name"] == "eel2")
+    assert eel2["measured"] == order
+    divisors = re.findall(rf"powers i with gcd\(i, {order}\) = (\d+): ", eel2["detail"])
+    odd = [d for d in _gcd_counts(order) if d % 2]
+    assert divisors == [str(d) for d in odd for _ in range(2)]
+
+
+def test_cli_verify_tests_every_pair_at_47_divisors(tmp_path):
+    # K_{1000,1000} in 10-cycles with v1 moved off its place: π is not
+    # established, so eel2 tests each of the 10^6 edges at each of the 47
+    # proper divisors of 2520, within MAX_DIVISOR_EDGES
+    assert len(_gcd_counts(2520)) * 10**6 == 47_000_000 <= MAX_DIVISOR_EDGES
+    aut = parse_cycles(BipartiteShape(1000, 1000), _cycles(1000, 10))
+    iso, emb = realize(aut, Orientation.OP, 1)
+    iso = dataclasses.replace(iso, claimed_order=2520)
+    p = emb.points[0] + [0.0, 0.0, 0.0, 0.01]
+    emb.points[0] = p / np.linalg.norm(p)
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(realization_to_obj(aut, iso, emb, "OP1", 1)))
+    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 20)
+    assert out.returncode == 5, out.stderr
+    assert out.stderr == ""
+    checks = {c["name"]: c for c in json.loads(out.stdout)["checks"]}
+    assert not checks["induces"]["pass"]
+    assert checks["eel2"]["pass"]
 
 
 def _verify_peak(path: Path) -> int:

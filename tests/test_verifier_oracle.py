@@ -4,15 +4,17 @@
 one fixed subspace per power; ``bipsym.verify`` makes M^r and M^d for each
 proper divisor d of the order by repeated squaring and works per divisor.
 Their certificates must serialize to the same bytes, passing or failing,
-once the oracle's per-power eel3 and eel4 findings are folded into one entry
-per divisor and its early identity kept only at a divisor of the order
+once the oracle's per-power eel2, eel3 and eel4 findings are folded into one
+entry per divisor and its early identity kept only at a divisor of the order
 (``fold_by_divisor``), except that the measured values of ``order`` and
 ``eel1``, which come from the powers, may differ by rounding
 (``assert_same_numbers``).  On tampered matrices whose claimed order is not
 theirs, or with a tolerance comparable to the distances between points, a
-power and the power of its gcd with the order need not fix the same
-points; there the fixed-set checks eel1, eel3 and eel4 may differ and every
-other check must still agree.
+power and the power of its gcd with the order need not fix or interchange
+the same points.  There the fixed-set checks eel1, eel3 and eel4 may
+differ; eel2 must still agree at each proper divisor d of the order, and
+where its hits do not fold, both certificates must fail
+(``assert_same_eel2``); every other check must agree.
 """
 
 import dataclasses
@@ -93,42 +95,91 @@ def fold_order(check: dict, r: int, tol: float) -> dict:
     return check
 
 
+# a finding of the oracle's eel2, eel3 or eel4 detail and its power i
+FINDING = {
+    "eel2": re.compile(r"(?:^|; )M\^(\d+) (?=interchanges )"),
+    "eel3": re.compile(r"(?:^|; )power (\d+): "),
+    "eel4": re.compile(r"(?:^|; )power (\d+): "),
+}
+
+
+def oracle_findings(check: dict) -> dict[int, list[str]]:
+    """The findings of the oracle's failing eel2, eel3 or eel4 ``check``,
+    each power i to its findings in order: "interchanges a,b" for eel2."""
+    parts = FINDING[check["name"]].split(check["detail"])[1:]
+    found: dict[int, list[str]] = {}
+    for i, text in zip(parts[::2], parts[1::2]):
+        found.setdefault(int(i), []).append(text)
+    return found
+
+
+def fold_check(check: dict, r: int) -> dict:
+    """The oracle's failing eel2, eel3 or eel4 ``check`` of claimed order
+    ``r`` with each finding listed once per d = gcd(i, r) of its powers i,
+    in ascending d, as ``c powers i with gcd(i, r) = d: text``, c the number
+    of powers i < r with that gcd.  The measured value already counts every
+    power and is kept.  Raises ValueError when a power's findings differ
+    from those of d, its gcd with r, one of them having none.
+    """
+    found = oracle_findings(check)
+    for i in range(1, r):
+        d = math.gcd(i, r)
+        if found.get(i, []) != found.get(d, []):
+            raise ValueError(
+                f"{check['name']}: powers {d} and {i} have gcd {d} with {r} "
+                "but different findings"
+            )
+    counts = Counter(math.gcd(i, r) for i in range(1, r))
+    check["detail"] = "; ".join(
+        f"{c} powers i with gcd(i, {r}) = {d}: {text}"
+        for d, c in sorted(counts.items())
+        for text in found.get(d, [])
+    )
+    return check
+
+
 def fold_by_divisor(obj: dict, r: int, tol: float = TOL) -> dict:
     """The oracle's certificate object ``obj`` of claimed order ``r`` at
     ``tol``, with its order check folded by ``fold_order`` and each failing
-    eel3 and eel4 detail folded into the form ``bipsym.verify`` reports.
-
-    The oracle lists ``power i: text`` for every finding of every power i.
-    The powers with one gcd d = gcd(i, r) share their findings, so the fold
-    lists each finding once per d, in ascending d, as ``c powers i with
-    gcd(i, r) = d: text``, c the number of powers i < r with that gcd.  The
-    measured value already counts every power and is kept.  Raises
-    ValueError when a power's findings differ from those of d, its gcd
-    with r, one of them having none.
+    eel2, eel3 and eel4 detail by ``fold_check`` into the form
+    ``bipsym.verify`` reports: the powers with one gcd d = gcd(i, r) share
+    their findings (bipsym.verifier's module docstring).  Raises ValueError
+    where they do not.
     """
-    counts = Counter(math.gcd(i, r) for i in range(1, r))
     for check in obj["checks"]:
         if check["name"] == "order":
             fold_order(check, r, tol)
-        if check["name"] not in ("eel3", "eel4") or check["pass"]:
-            continue
-        parts = re.split(r"(?:^|; )power (\d+): ", check["detail"])[1:]
-        found: dict[int, list[str]] = {}  # power i: its findings in order
-        for i, text in zip(parts[::2], parts[1::2]):
-            found.setdefault(int(i), []).append(text)
-        for i in range(1, r):
-            d = math.gcd(i, r)
-            if found.get(i, []) != found.get(d, []):
-                raise ValueError(
-                    f"{check['name']}: powers {d} and {i} have gcd {d} with {r} "
-                    "but different findings"
-                )
-        check["detail"] = "; ".join(
-            f"{c} powers i with gcd(i, {r}) = {d}: {text}"
-            for d, c in sorted(counts.items())
-            for text in found.get(d, [])
-        )
+        if check["name"] in FINDING and not check["pass"]:
+            fold_check(check, r)
     return obj
+
+
+def verify_findings(check: dict, r: int) -> dict[int, list[str]]:
+    """The findings of ``bipsym.verify``'s failing ``check`` of claimed
+    order ``r``, each proper divisor d of r to its findings in order."""
+    found: dict[int, list[str]] = {}
+    for entry in filter(None, check["detail"].split("; ")):
+        d, text = re.fullmatch(rf"\d+ powers i with gcd\(i, {r}\) = (\d+): (.*)", entry).groups()
+        found.setdefault(int(d), []).append(text)
+    return found
+
+
+def assert_same_eel2(got: dict, want: dict, r: int) -> None:
+    """The eel2 checks of ``bipsym.verify``'s certificate object ``got`` and
+    the oracle's ``want``, of claimed order ``r``: at each proper divisor d
+    of r, verify's hits are the oracle's hits at power d.  Where the
+    oracle's hits fold by gcd, the two checks are the same bytes, measured
+    value included; where they do not, both certificates fail."""
+    g, w = (next(c for c in obj["checks"] if c["name"] == "eel2") for obj in (got, want))
+    theirs = {} if w["pass"] else oracle_findings(w)
+    ours = {} if g["pass"] else verify_findings(g, r)
+    assert ours == {d: theirs[d] for d in _gcd_counts(r) if d in theirs}
+    try:
+        folded = w if w["pass"] else fold_check(dict(w), r)
+    except ValueError:
+        assert got["overall"] is want["overall"] is False
+    else:
+        assert canonical_json(g) == canonical_json(folded)
 
 
 # the checks whose measured values are read off computed powers of M:
@@ -157,14 +208,20 @@ def assert_same_numbers(got: dict, want: dict) -> None:
 
 
 def assert_same_certificate(aut, iso, emb, tol=TOL):
+    r = iso.claimed_order
     cert = verify(aut, iso, emb, tol=tol)
     got = certificate_to_obj(cert)
-    want = fold_by_divisor(
-        certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol)), iso.claimed_order, tol
-    )
+    want = certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol))
     assert got["overall"] is want["overall"]
     assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+    assert_same_eel2(got, want, r)
     for g, w in zip(got["checks"], want["checks"]):
+        if g["name"] == "eel2":
+            continue
+        if g["name"] == "order":
+            fold_order(w, r, tol)
+        elif g["name"] in FINDING and not w["pass"]:
+            fold_check(w, r)
         if g["name"] in POWER_NUMBERS:
             assert_same_numbers(g, w)
         else:
@@ -447,6 +504,28 @@ def test_fold_by_divisor_refuses_disagreeing_powers(powers):
         fold_by_divisor({"checks": [oracle_detail("eel4", powers)]}, 6)
 
 
+def oracle_eel2(hits):
+    return {"name": "eel2", "pass": False, "measured": float(len(hits)),
+            "detail": "; ".join(f"M^{i} interchanges {edge}" for i, edge in hits)}
+
+
+def test_fold_by_divisor_folds_eel2():
+    obj = {"checks": [oracle_eel2([(1, "v1,w1"), (3, "v1,w1"), (3, "v2,w3"), (5, "v1,w1")])]}
+    fold_by_divisor(obj, 6)
+    assert obj["checks"][0]["detail"] == (
+        "2 powers i with gcd(i, 6) = 1: interchanges v1,w1; "
+        "1 powers i with gcd(i, 6) = 3: interchanges v1,w1; "
+        "1 powers i with gcd(i, 6) = 3: interchanges v2,w3"
+    )
+    assert obj["checks"][0]["measured"] == 4.0
+
+
+@pytest.mark.parametrize("hits", [[(1, "v1,w1"), (5, "v2,w2")], [(5, "v1,w1")]])
+def test_fold_by_divisor_refuses_disagreeing_eel2_powers(hits):
+    with pytest.raises(ValueError, match="eel2: powers 1 and 5 have gcd 1 with 6"):
+        fold_by_divisor({"checks": [oracle_eel2(hits)]}, 6)
+
+
 # --- the powers below r counted by their gcd with r --------------------------
 
 
@@ -472,20 +551,21 @@ def test_gcd_counts_at_large_orders(r, proper):
 
 # --- eel2: the pairs π can interchange, or every pair ------------------------
 
-# the checks that do not read the fixed sets of the divisor rows
-NOT_FIXED_SET = ("unit_norm", "orthogonal", "order", "orientation", "induces", "eel2")
+# the checks that do not read the fixed sets of the divisor rows, eel2 aside
+NOT_FIXED_SET = ("unit_norm", "orthogonal", "order", "orientation", "induces")
 
 
 def assert_same_checks(aut, iso, emb, tol):
-    got = certificate_to_obj(verify(aut, iso, emb, tol=tol))["checks"]
-    want = certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol))["checks"]
-    assert [c["name"] for c in got] == [c["name"] for c in want]
-    for g, w in zip(got, want):
+    got = certificate_to_obj(verify(aut, iso, emb, tol=tol))
+    want = certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol))
+    assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+    assert_same_eel2(got, want, iso.claimed_order)
+    for g, w in zip(got["checks"], want["checks"]):
         if g["name"] == "order":
             assert_same_numbers(g, fold_order(w, iso.claimed_order, tol))
         elif g["name"] in NOT_FIXED_SET:
             assert canonical_json(g) == canonical_json(w)
-    return {c["name"]: c for c in got}
+    return {c["name"]: c for c in got["checks"]}
 
 
 def eel2_paths(monkeypatch):
@@ -525,16 +605,18 @@ def test_inverted_edges_on_both_eel2_paths(monkeypatch, case):
     seen = eel2_paths(monkeypatch)
     checks = assert_same_checks(aut, iso, emb, tol)
     assert seen == [case == "exact"]
-    inverted = ["M^3 interchanges v2,w3", "M^3 interchanges v3,w1"]
-    if case != "step of sep/8":
-        inverted.insert(0, "M^3 interchanges v1,w2")
-    assert checks["eel2"]["detail"] == "; ".join(inverted)
+    inverted = ["v2,w3", "v3,w1"] if case == "step of sep/8" else ["v1,w2", "v2,w3", "v3,w1"]
+    assert checks["eel2"]["detail"] == "; ".join(
+        f"1 powers i with gcd(i, 6) = 3: interchanges {edge}" for edge in inverted
+    )
+    assert checks["eel2"]["measured"] == len(inverted)
 
 
 def test_inversions_from_two_cycle_lengths_in_power_order():
     # π = (v1 w1)(v2 w2 v3 w3 v4 w4), realized exactly by R(1/2) + R(1/6) on
     # points of the two coordinate planes: the 2-cycle inverts (v1, w1) at
-    # powers 1, 3 and 5, the 6-cycle three edges at power 3
+    # powers 1, 3 and 5, the 6-cycle three edges at power 3; powers 1 and 5
+    # fold into d = 1, and the six hits count in the measured value
     shape = BipartiteShape(4, 4)
     aut = parse_cycles(shape, "(v1 w1)(v2 w2 v3 w3 v4 w4)")
     coords = {vid("v1"): np.array([1.0, 0.0, 0.0, 0.0]), vid("w1"): np.array([-1.0, 0.0, 0.0, 0.0])}
@@ -548,10 +630,41 @@ def test_inversions_from_two_cycle_lengths_in_power_order():
     emb = embedding_from_labels(shape, coords)
     checks = assert_same_checks(aut, iso, emb, TOL)
     assert checks["eel2"]["detail"] == "; ".join(
-        f"M^{i} interchanges {a},{b}"
-        for i, a, b in [(1, "v1", "w1"), (3, "v1", "w1"), (3, "v2", "w3"), (3, "v3", "w4"),
-                        (3, "v4", "w2"), (5, "v1", "w1")]
+        f"{c} powers i with gcd(i, 6) = {d}: interchanges {a},{b}"
+        for c, d, a, b in [(2, 1, "v1", "w1"), (1, 3, "v1", "w1"), (1, 3, "v2", "w3"),
+                           (1, 3, "v3", "w4"), (1, 3, "v4", "w2")]
     )
+    assert checks["eel2"]["measured"] == 6
+
+
+def check_obj(check) -> dict:
+    """One serialized check, as it appears in a certificate object."""
+    return certificate_to_obj(RealizationCertificate((check,)))["checks"][0]
+
+
+def test_eel2_folds_on_every_class_without_subdivision():
+    # every realizable class of K_{n,n}, 3 <= n <= 6, realized exactly with
+    # its subdivision vertices dropped, so that powers of π may invert
+    # edges, and claiming 1-3 times its order: verify's eel2 is the oracle's
+    # folded by divisor, byte for byte, and no oracle finding fails to fold
+    rng = random.Random(30)
+    cases = failing = 0
+    for n in range(3, 7):
+        for aut in class_conjugates(n, n, rng):
+            for _, iso, emb in realizations(aut, rng.randrange(1, 1 << 16)):
+                emb = without_subdivision(emb)
+                for times in (1, 2, 3):
+                    claimed = claiming(iso, times)
+                    r = claimed.claimed_order
+                    got = check_obj(verify(aut, claimed, emb, tol=TOL).check("eel2"))
+                    dense = verifier_oracle._Verification(aut, claimed, emb, TOL)
+                    want = check_obj(verifier_oracle._check_eel2(dense, r))
+                    if not want["pass"]:
+                        fold_check(want, r)
+                    assert canonical_json(got) == canonical_json(want)
+                    cases += 1
+                    failing += not got["pass"]
+    assert (cases, failing) == (339, 39)
 
 
 TAMPER_CASES = [

@@ -7,10 +7,9 @@ return 0, 2 or 5 and let no exception escape.
 
 Other integers written into the file are at most 64.  The claimed ``order``
 may take any value, up to 10^13 and beyond: ``verify`` refuses an order
-above MAX_CLAIMED_ORDER before any product, makes M^r and M^d for each
-proper divisor d of the order by repeated squaring, and refuses too many
-eel2 comparisons before it makes any power, so every order ends in a
-certificate or exit 2 within seconds.
+above MAX_CLAIMED_ORDER before any product and makes only M^r and M^d for
+each proper divisor d of the order, by repeated squaring, so every order
+ends in a certificate or exit 2 within seconds.
 """
 
 import contextlib
