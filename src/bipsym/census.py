@@ -18,25 +18,29 @@ Few classes are realizable, so the census does not build all p(n)*p(m)
 (+ p(n)) of them.  It reads the case table the other way round: the
 generator of each case in ``classifier.CASES`` yields the classes whose
 signature can match it, directly or with the parts interchanged, and the
-census decides each candidate once, with the decision ``classify``
-makes.  The candidates share far fewer cycle types than they have pairs,
-so the census works per cycle type: each one the candidates use gets one
-row, for this census only, with its class size n!/z_lambda in its own
-symmetric group, its lcm, its fixed points and the tally of its cycle
-lengths other than 1.  A candidate is decided from the tallies of its two
-rows, with r the lcm of their lcms, and no signature is built; a part swap
-(lambda, None) has r twice the lcm of lambda and its mixed cycles tally 2k
-for each k-cycle of lambda and 2 for each fixed point.  The tallies are
-grouped sums: ``_decide`` gives all classes that match the same cases one
-verdict object, and the census keeps, per verdict and per V-side class size
-n!/z_lambda, the running sum of the realizable classes' W-side sizes
-(m!/z_mu, doubled for a folded pair, n! for the V -> W half of a part
-swap).  Each group then costs one product of big integers, each verdict's
-total is added once to its case labels, and ``unrealizable_op`` and
-``unrealizable_or`` are the group order minus the realizable totals.
+census decides each candidate once, with the decision ``classify`` makes.
+A candidate's cycle types are run tuples ((k, j_k), ...), lengths strictly
+decreasing, so no partition is spelled out part by part, and the
+generators read divisors from one table that ``candidate_classes`` sieves
+for the call.  The candidates share far fewer cycle types than they have
+pairs, so the census works per cycle type: each one the candidates use
+gets one row, for this census only, read straight from its runs, with its
+class size n!/z_lambda in its own symmetric group, its lcm, its fixed
+points and the tally of its cycle lengths other than 1.  A candidate is
+decided from the tallies of its two rows, with r the lcm of their lcms,
+and no signature is built; a part swap (lambda, None) has r twice the lcm
+of lambda and its mixed cycles tally 2k for each k-cycle of lambda and 2
+for each fixed point.  The tallies are grouped sums: ``_decide`` gives all
+classes that match the same cases one verdict object, and the census
+keeps, per verdict and per V-side class size n!/z_lambda, the running sum
+of the realizable classes' W-side sizes (m!/z_mu, doubled for a folded
+pair, n! for the V -> W half of a part swap).  Each group then costs one
+product of big integers, each verdict's total is added once to its case
+labels, and ``unrealizable_op`` and ``unrealizable_or`` are the group
+order minus the realizable totals.
 
 With ``realize_all`` the census builds one representative of each
-realizable class from its two cycle types, realizes it from the order and
+realizable class from its two run tuples, realizes it from the order and
 the case it decided the class with, once per realizable orientation,
 verifies it, and counts the whole class when its certificate passes; it
 builds no signature.  One representative speaks for its class because, if
@@ -57,18 +61,18 @@ import math
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .classifier import _decide, _tally, candidate_classes
+from .classifier import _decide, candidate_classes
 from .core import BipartiteAutomorphism, BipartiteShape, automorphism_count
 from .errors import OutOfTheoremScope, TooLarge
 
 # census() refuses parts larger than these before any work.  The plain census
 # decides only the case generators' candidates, whose number depends on the
 # divisors of n and m: K_{360,360}, the slowest square shape within the
-# bound, takes about 0.65-0.8 s from the CLI on 2 CPUs, and the slowest
+# bound, takes about 0.35-0.5 s from the CLI on 2 CPUs, and the slowest
 # shapes, K_{360,396} and K_{360,408}, whose candidates do not fold, about
-# 1.2-1.6 s.  Past 419 they grow slower still (K_{360,420} about 1.7 s,
-# K_{420,432} 1.6-1.8 s), and non-square shapes past it are not yet scanned,
-# so the bound stays below 420.  Realize-all also realizes and verifies one
+# 0.55-0.9 s.  Past 419, K_{360,420} and K_{420,432} take about as long
+# (0.6-0.7 s), but non-square shapes past it are not yet scanned, so the
+# bound stays below 420.  Realize-all also realizes and verifies one
 # representative per realizable (class, orientation), and the divisors of n
 # and m set its cost too.  From the CLI on 2 CPUs, every shape with a part of
 # 46 or 47 (the slowest, K_{36,46}, 0.6-0.75 s) is faster than K_{36,42} and
@@ -92,32 +96,37 @@ class CensusReport:
 
 
 class _PartitionRows(dict):
-    """Cycle type p -> (size, lcm(p), p.count(1), tally), built on first use
-    and kept for one census.  size = (sum p)!/z_p is the size of its class
-    in the symmetric group of its part, with z_p = prod k^{j_k} * j_k! the
-    order of the centralizer of a permutation with j_k cycles of length k;
-    tally, from ``classifier._tally``, maps each length k > 1 of p to j_k.
+    """Cycle type p -> (size, lcm(p), fixed, tally), built on first use and
+    kept for one census, read straight from p's run tuple ((k, j_k), ...),
+    lengths strictly decreasing.  size = (sum p)!/z_p is the size of its
+    class in the symmetric group of its part, with z_p = prod k^{j_k} * j_k!
+    the order of the centralizer of a permutation with j_k cycles of length
+    k; fixed = j_1, and tally maps each length k > 1 of p to j_k.
     ``factorials`` maps each part size to its factorial."""
 
     def __init__(self, factorials: dict[int, int]) -> None:
         super().__init__()
         self.factorials = factorials
 
-    def __missing__(self, p: tuple[int, ...]) -> tuple:
-        tally = _tally(p[::-1])  # p is non-increasing, _tally reads ascending runs
+    def __missing__(self, p: tuple[tuple[int, int], ...]) -> tuple:
         z = 1  # a loop, not math.prod over a generator: rows are built per census
-        for k, j in tally.items():
+        size = 0
+        for k, j in p:
             z *= k**j * math.factorial(j)
+            size += k * j
+        tally = dict(p)
         fixed = tally.pop(1, 0)
-        row = self[p] = (self.factorials[sum(p)] // z, math.lcm(*tally), fixed, tally)
+        row = self[p] = (self.factorials[size] // z, math.lcm(*tally), fixed, tally)
         return row
 
 
 def _representative(
-    shape: BipartiteShape, lam: tuple[int, ...], mu: tuple[int, ...] | None
+    shape: BipartiteShape,
+    lam: tuple[tuple[int, int], ...],
+    mu: tuple[tuple[int, int], ...] | None,
 ) -> BipartiteAutomorphism:
-    """One automorphism of the class (lam, mu), or of the part-swapping
-    class (lam, None) whose mixed cycles are 2*lam.
+    """One automorphism of the class (lam, mu) of run tuples, or of the
+    part-swapping class (lam, None) whose mixed cycles are 2*lam.
 
     Cycles run shortest first.  Pure cycles run over consecutive indices of
     their part, from v1 and w1 on; the remaining vertices are fixed.  A
@@ -128,15 +137,15 @@ def _representative(
     perm = list(range(shape.size))
     if mu is None:
         a = 0
-        for k in sorted(lam):
+        for k in [k for k, j in reversed(lam) for _ in range(j)]:
             for i in range(a, a + k):
                 perm[i] = n + i
                 perm[n + i] = i + 1
             perm[n + a + k - 1] = a
             a += k
     else:
-        for start, parts in ((0, lam), (n, mu)):
-            for length in sorted(k for k in parts if k > 1):
+        for start, runs in ((0, lam), (n, mu)):
+            for length in [k for k, j in reversed(runs) if k > 1 for _ in range(j)]:
                 last = start + length - 1
                 perm[start:last] = range(start + 1, last + 1)
                 perm[last] = start

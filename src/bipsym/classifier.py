@@ -186,89 +186,102 @@ def _preserving_cases(r, n, fv, fw, tv, tw, ev, ew) -> list[tuple]:
 # can match the case directly (12a-12d share one, and case 10 shares case
 # 1's): a part-preserving class as (lam, mu), the cycle types on V and W,
 # and a part-swapping one (n = m) as (lam, None), the cycle type of its return
-# map V -> W -> V, whose mixed cycles are 2*lam.  Partitions are
-# non-increasing tuples.  A generator may yield a class its matcher rejects
-# (classify decides) but must not miss one it accepts; candidate_classes adds
-# the classes matching with the parts interchanged.  In a generator, r is the
-# order the case asks for, which is the lcm of all cycle lengths, so every
-# length divides it; the census recomputes r from the class it classifies.
+# map V -> W -> V, whose mixed cycles are 2*lam.  A cycle type is a run tuple
+# ((k, c), ...): c >= 1 cycles of length k for each run, lengths strictly
+# decreasing, so each cycle type has one run tuple.  A generator may yield a
+# class its matcher rejects (classify decides) but must not miss one it
+# accepts; candidate_classes adds the classes matching with the parts
+# interchanged.  In a generator, r is the order the case asks for, which is
+# the lcm of all cycle lengths, so every length divides it; the census
+# recomputes r from the class it classifies.  ``divisors[k]`` lists the
+# divisors of k in ascending order, from the table candidate_classes builds
+# for the call; every k a generator reads lies in 1..max(n, m).
 
 
-def _divisors(k: int, least: int = 2) -> list[int]:
-    """Divisors d >= least of k (none when k <= 0)."""
-    return [d for d in range(least, k + 1) if k % d == 0]
+def _divisor_table(largest: int) -> list[list[int]]:
+    """The divisors of each k <= ``largest``, ascending, at index k (none at
+    0), from one sieve."""
+    divisors: list[list[int]] = [[] for _ in range(largest + 1)]
+    for d in range(1, largest + 1):
+        for k in range(d, largest + 1, d):
+            divisors[k].append(d)
+    return divisors
 
 
-def _runs(*runs: tuple[int, int]) -> tuple[int, ...]:
-    """The partition with c parts of length k for each run (k, c).  Every
-    generator passes its runs longest first, so the partition comes out
-    non-increasing without a sort."""
-    parts: tuple[int, ...] = ()
+def _runs(*runs: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """The run tuple of the cycle type with c cycles of length k for each
+    run (k, c), given longest first: runs with c = 0 are dropped and
+    neighbouring runs of one length merged (only _gen_or12's b branch at
+    r = 2 passes two), without a sort."""
+    found: list[tuple[int, int]] = []
     for k, c in runs:
-        parts += (k,) * c
-    return parts
+        if c:
+            if found and found[-1][0] == k:
+                c += found.pop()[1]
+            found.append((k, c))
+    return tuple(found)
 
 
-def _gen_op1(n: int, m: int):
+def _gen_op1(n: int, m: int, divisors):
     # every cycle an r-cycle; part-swapping: all mixed cycles of one length
-    for r in _divisors(math.gcd(n, m)):
-        yield _runs((r, n // r)), _runs((r, m // r))
+    for r in divisors[math.gcd(n, m)][1:]:
+        yield ((r, n // r),), ((r, m // r),)
     if n == m:
-        for h in _divisors(n, 1):
-            yield _runs((h, n // h)), None
+        for h in divisors[n]:
+            yield ((h, n // h),), None
 
 
-def _gen_op2(n: int, m: int):
+def _gen_op2(n: int, m: int, divisors):
     # classify reports the identity (r = 1) under case 2
-    yield _runs((1, n)), _runs((1, m))
+    yield ((1, n),), ((1, m),)
     # W in r-cycles; V in r-cycles and at least one fixed vertex
-    for r in _divisors(m):
+    for r in divisors[m][1:]:
+        mu = ((r, m // r),)
         for a in range((n - 1) // r + 1):
-            yield _runs((r, a), (1, n - a * r)), _runs((r, m // r))
+            yield _runs((r, a), (1, n - a * r)), mu
 
 
-def _gen_op3(n: int, m: int):
+def _gen_op3(n: int, m: int, divisors):
     # r-cycles and at most two fixed vertices per part, at least one in all
     for fv in range(3):
         for fw in range(3):
             if fv + fw:
-                for r in _divisors(math.gcd(n - fv, m - fw)):
+                for r in divisors[math.gcd(n - fv, m - fw)][1:]:
                     yield (
                         _runs((r, (n - fv) // r), (1, fv)),
                         _runs((r, (m - fw) // r), (1, fw)),
                     )
 
 
-def _gen_op4(n: int, m: int):
+def _gen_op4(n: int, m: int, divisors):
     # W in r-cycles; V in r-cycles and c >= 1 j-cycles, 2 <= j < r, j | r
-    for r in _divisors(m):
-        for j in _divisors(r)[:-1]:
+    for r in divisors[m][1:]:
+        mu = ((r, m // r),)
+        for j in divisors[r][1:-1]:
             for c in range(1, n // j + 1):
                 if (n - c * j) % r == 0:
-                    yield _runs((r, (n - c * j) // r), (j, c)), _runs((r, m // r))
+                    yield _runs((r, (n - c * j) // r), (j, c)), mu
 
 
-def _gen_op5(n: int, m: int):
+def _gen_op5(n: int, m: int, divisors):
     # W in r-cycles; V in r-cycles, d >= 1 k-cycles and c >= 1 j-cycles,
     # j < k < r and lcm(j, k) = r
-    for r in _divisors(m):
-        for j, k in combinations(_divisors(r)[:-1], 2):
+    for r in divisors[m][1:]:
+        mu = ((r, m // r),)
+        for j, k in combinations(divisors[r][1:-1], 2):
             if math.lcm(j, k) == r:
                 for d in range(1, (n - j) // k + 1):
                     for c in range(1, (n - d * k) // j + 1):
                         rest = n - d * k - c * j
                         if rest % r == 0:
-                            yield (
-                                _runs((r, rest // r), (k, d), (j, c)),
-                                _runs((r, m // r)),
-                            )
+                            yield _runs((r, rest // r), (k, d), (j, c)), mu
 
 
-def _gen_op6(n: int, m: int):
+def _gen_op6(n: int, m: int, divisors):
     # V: r-cycles and c >= 1 j-cycles; W: r-cycles and d >= 1 k-cycles;
     # r = lcm(j, k) > j, k.  Since j | r, j | n; likewise k | m.
-    for j in _divisors(n):
-        for k in _divisors(m):
+    for j in divisors[n][1:]:
+        for k in divisors[m][1:]:
             r = math.lcm(j, k)
             if j < r and k < r:
                 lams = [
@@ -283,89 +296,84 @@ def _gen_op6(n: int, m: int):
                             yield lam, mu
 
 
-def _gen_op7(n: int, m: int):
+def _gen_op7(n: int, m: int, divisors):
     # r-cycles and exactly one 2-cycle per part, r even and > 2
-    for r in _divisors(math.gcd(n - 2, m - 2), 4):
-        if r % 2 == 0:
+    for r in divisors[math.gcd(n - 2, m - 2)]:
+        if r > 2 and r % 2 == 0:
             yield _runs((r, (n - 2) // r), (2, 1)), _runs((r, (m - 2) // r), (2, 1))
 
 
-def _gen_op8(n: int, m: int):
+def _gen_op8(n: int, m: int, divisors):
     # r = 2h, h odd >= 3; W: r-cycles and one 2-cycle; V: r-cycles, one
     # 2-cycle and c >= 1 h-cycles
-    for r in _divisors(m - 2, 6):
-        if r % 4 == 2:
+    for r in divisors[m - 2]:
+        if r > 2 and r % 4 == 2:
             h = r // 2
+            mu = _runs((r, (m - 2) // r), (2, 1))
             for c in range(1, (n - 2) // h + 1):
                 rest = n - 2 - c * h
                 if rest % r == 0:
-                    yield (
-                        _runs((r, rest // r), (h, c), (2, 1)),
-                        _runs((r, (m - 2) // r), (2, 1)),
-                    )
+                    yield _runs((r, rest // r), (h, c), (2, 1)), mu
 
 
-def _gen_op9(n: int, m: int):
+def _gen_op9(n: int, m: int, divisors):
     # part-swapping with one mixed 4-cycle and mixed r-cycles, 4 | r
     if n == m:
         if n % 2 == 0:
-            yield _runs((2, n // 2)), None  # r = 4: every mixed cycle a 4-cycle
-        for h in _divisors(n - 2, 4):
-            if h % 2 == 0:
+            yield ((2, n // 2),), None  # r = 4: every mixed cycle a 4-cycle
+        for h in divisors[n - 2]:
+            if h > 2 and h % 2 == 0:
                 yield _runs((h, (n - 2) // h), (2, 1)), None
 
 
-def _gen_or11(n: int, m: int):
+def _gen_or11(n: int, m: int, divisors):
     # r = 2: V fixed; W in 2-cycles and at most two fixed vertices
     for fw in range(3):
         if m > fw and (m - fw) % 2 == 0:
-            yield _runs((1, n)), _runs((2, (m - fw) // 2), (1, fw))
+            yield ((1, n),), _runs((2, (m - fw) // 2), (1, fw))
 
 
-def _gen_or12(n: int, m: int):
+def _gen_or12(n: int, m: int, divisors):
     # r even; at most two fixed vertices, all in V
     for fv in range(3):
         # a: V in r-cycles; W in r-cycles and one 2-cycle
-        for r in _divisors(m - 2, 4):
-            if r % 2 == 0 and (n - fv) % r == 0:
+        for r in divisors[m - 2]:
+            if r > 2 and r % 2 == 0 and (n - fv) % r == 0:
                 yield (
                     _runs((r, (n - fv) // r), (1, fv)),
                     _runs((r, (m - 2) // r), (2, 1)),
                 )
         # b: V in r-cycles and c >= 1 2-cycles; W in r-cycles
-        for r in _divisors(m):
+        for r in divisors[m]:
             if r % 2 == 0:
+                mu = ((r, m // r),)
                 for c in range(1, (n - fv) // 2 + 1):
                     rest = n - fv - 2 * c
                     if rest % r == 0:
-                        yield _runs((r, rest // r), (2, c), (1, fv)), _runs((r, m // r))
+                        yield _runs((r, rest // r), (2, c), (1, fv)), mu
         # c: r = 2h, h odd >= 3; V in r-cycles and 2-cycles; W in h-cycles
-        for h in _divisors(m, 3):
-            if h % 2:
+        for h in divisors[m]:
+            if h > 2 and h % 2:
+                mu = ((h, m // h),)
                 for c in range((n - fv) // 2 + 1):
                     rest = n - fv - 2 * c
                     if rest % (2 * h) == 0:
-                        yield (
-                            _runs((2 * h, rest // (2 * h)), (2, c), (1, fv)),
-                            _runs((h, m // h)),
-                        )
+                        yield _runs((2 * h, rest // (2 * h)), (2, c), (1, fv)), mu
         # d: r = 2h, h odd >= 3; V in h-cycles; W in r-cycles and at most
         # one 2-cycle
-        for h in _divisors(n - fv, 3):
-            if h % 2:
+        for h in divisors[n - fv]:
+            if h > 2 and h % 2:
+                lam = _runs((h, (n - fv) // h), (1, fv))
                 for e in range(2):
                     if (m - 2 * e) % (2 * h) == 0:
-                        yield (
-                            _runs((h, (n - fv) // h), (1, fv)),
-                            _runs((2 * h, (m - 2 * e) // (2 * h)), (2, e)),
-                        )
+                        yield lam, _runs((2 * h, (m - 2 * e) // (2 * h)), (2, e))
 
 
-def _gen_or13(n: int, m: int):
+def _gen_or13(n: int, m: int, divisors):
     # part-swapping with mixed r-cycles, 4 | r, and at most two mixed 2-cycles
     if n == m:
         for e in range(3):
-            for h in _divisors(n - e):
+            for h in divisors[n - e]:
                 if h % 2 == 0:
                     yield _runs((h, (n - e) // h), (1, e)), None
 
@@ -390,24 +398,29 @@ CASES = {
 def candidate_classes(shape: BipartiteShape) -> set[tuple]:
     """Every conjugacy class of Aut(K_{n,m}) whose signature some case can
     match, directly or with the parts interchanged, as (lam, mu) or
-    (lam, None); see CASES.  Some candidates match no case.
+    (lam, None) of run tuples; see CASES.  Some candidates match no case.
 
     For n = m the part swap conjugates (lam, mu) into (mu, lam), and both
     classes match the same cases, so each generator runs once and each
-    such pair is one candidate, the one with lam >= mu.  The generators
-    build each partition afresh; equal partitions are kept as one tuple."""
+    such pair is one candidate, the one with lam >= mu.  Run tuples of two
+    partitions of one n compare as the partitions do, the first differing
+    run deciding by its length or, at one length, by its count, so this is
+    the member with the larger partition.  The divisors of every k <=
+    max(n, m) come from one sieve, and equal run tuples are kept as one
+    tuple, both for this call only."""
     n, m = shape.n, shape.m
+    divisors = _divisor_table(max(n, m))
     found: set[tuple] = set()
-    parts: dict = {}  # each distinct partition once, for this call only
+    parts: dict = {}  # each distinct run tuple once
     for generate in dict.fromkeys(CASES.values()):  # each generator once
         if n == m:
-            for lam, mu in generate(n, n):
+            for lam, mu in generate(n, n, divisors):
                 lam, mu = parts.setdefault(lam, lam), parts.setdefault(mu, mu)
                 found.add((mu, lam) if mu is not None and lam < mu else (lam, mu))
             continue
-        for lam, mu in generate(n, m):
+        for lam, mu in generate(n, m, divisors):
             found.add((parts.setdefault(lam, lam), parts.setdefault(mu, mu)))
-        for lam, mu in generate(m, n):
+        for lam, mu in generate(m, n, divisors):
             found.add((parts.setdefault(mu, mu), parts.setdefault(lam, lam)))
     return found
 

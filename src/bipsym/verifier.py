@@ -91,6 +91,12 @@ MAX_VERIFY_EDGES = 1_000_000
 # (47 proper divisors, every pair tested, 3 s at 230 MB on 2 CPUs); more
 # raise TooLarge before any array is built.
 MAX_DIVISOR_EDGES = 50_000_000
+# The induces check measures the K points and their images against the
+# points in one distance block, two 2K x K float64 arrays, 32 K^2 bytes: 128
+# MB at K_{1000,1000}.  A skinny shape within MAX_VERIFY_EDGES can still have
+# many points (K_{3,10000}: 3.2 GB), so a block past this budget (K > 2896)
+# raises TooLarge before any array is built.
+MAX_INDUCES_BYTES = 2**28
 
 # Drift of a computed image M^i x per power beyond the step δ of M: the
 # rounding of one 4 x 4 product and of the image, with a wide margin
@@ -314,11 +320,12 @@ def verify(
     (module docstring).  eel2, eel3 and eel4 report a finding once per d,
     with the count of powers i < r with gcd(i, r) = d.  Raises TooLarge,
     before any array is built, when r exceeds MAX_CLAIMED_ORDER, the edges
-    plus the subdivision vertices exceed MAX_VERIFY_EDGES, or those times
-    r's proper divisors MAX_DIVISOR_EDGES; and when the checks' arrays do
-    not fit in memory.  Raises ShapeMismatch unless ``emb.points`` is
-    (n + m + S) x 4 for S subdivision ids, each with its own edge of the
-    graph as a (V index, W index) pair.
+    plus the subdivision vertices exceed MAX_VERIFY_EDGES, the induces
+    check's distance block of the points MAX_INDUCES_BYTES, or the edges and
+    subdivision vertices times r's proper divisors MAX_DIVISOR_EDGES; and
+    when the checks' arrays do not fit in memory.  Raises ShapeMismatch
+    unless ``emb.points`` is (n + m + S) x 4 for S subdivision ids, each with
+    its own edge of the graph as a (V index, W index) pair.
     """
     shape = aut.shape
     if shape != emb.shape:
@@ -336,6 +343,12 @@ def verify(
         raise TooLarge(
             f"K_{{{shape.n},{shape.m}}} has {edges} edges and {subdivisions} "
             f"subdivision vertices, more than {MAX_VERIFY_EDGES} together"
+        )
+    points = shape.n + shape.m + subdivisions
+    if 32 * points**2 > MAX_INDUCES_BYTES:
+        raise TooLarge(
+            f"K_{{{shape.n},{shape.m}}} has {points} points, whose induces distance "
+            f"block takes {32 * points**2} bytes, more than {MAX_INDUCES_BYTES}"
         )
     counts = _gcd_counts(r)
     pairs = len(counts) * (edges + subdivisions)
@@ -361,7 +374,7 @@ def verify(
         pi_exact = unit_norm.passed and orthogonal.passed and drift < st.min_sep
         groups = st._swap_groups(pi_exact)
         st.run_powers(r, counts, groups)
-    except MemoryError as exc:  # the induces distance block is quadratic in the points
+    except MemoryError as exc:  # a memory limit below the budgets above
         raise TooLarge(
             f"verifying K_{{{shape.n},{shape.m}}} needs more memory than is available"
         ) from exc

@@ -18,6 +18,12 @@ signature, through ``class_of``.  ``per_candidate_census`` is the census
 loop before it tallied by grouped sums: it decides the same candidates from
 the same rows, and adds one product of two class sizes per realizable
 candidate to each of its cases.  Nothing under ``src/`` calls them.
+
+The oracles key a class by expanded partitions, non-increasing tuples of
+cycle lengths; the census keys it by run tuples ((k, c), ...).  Tests that
+hold the census's candidates, rows or representatives against the oracles
+convert between the two only through ``as_runs`` and its inverse
+``as_partitions``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from collections import Counter
 from typing import Iterator
 
 from bipsym.census import CensusReport, _PartitionRows, _representative
-from bipsym.classifier import _decide, candidate_classes, classify
+from bipsym.classifier import _decide, _runs, candidate_classes, classify
 from bipsym.core import (
     DEFAULT_ENUMERATION_CAP,
     BipartiteAutomorphism,
@@ -129,9 +135,24 @@ def class_of(sig: CycleSignature) -> tuple:
     return lam, mu
 
 
+def as_runs(lam: tuple[int, ...], mu: tuple[int, ...] | None) -> tuple:
+    """The class (lam, mu) of expanded partitions, or (lam, None), keyed as
+    the census keys it: each partition as its run tuple, by
+    ``classifier._runs`` of one run per part."""
+    return tuple(None if p is None else _runs(*((k, 1) for k in p)) for p in (lam, mu))
+
+
+def as_partitions(lam: tuple, mu: tuple | None) -> tuple:
+    """The inverse of ``as_runs``: each run tuple expanded into its
+    non-increasing partition."""
+    return tuple(
+        None if p is None else tuple(k for k, c in p for _ in range(c)) for p in (lam, mu)
+    )
+
+
 def representative(sig: CycleSignature) -> BipartiteAutomorphism:
     """The census's representative of the class with signature ``sig``."""
-    return _representative(sig.shape, *class_of(sig))
+    return _representative(sig.shape, *as_runs(*class_of(sig)))
 
 
 def signature_representative(sig: CycleSignature) -> BipartiteAutomorphism:

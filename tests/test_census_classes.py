@@ -18,6 +18,7 @@ from bipsym.classifier import classify
 from bipsym.jsonio import write_text_atomic
 
 from census_oracle import (
+    as_runs,
     class_of,
     class_signature,
     classes_of,
@@ -61,13 +62,15 @@ def test_representative_has_its_signature(n, m):
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 8) for m in range(1, 8)])
 def test_representative_is_the_signature_builders(n, m):
-    # the census builds each representative from its class's two partitions;
-    # the builder it had, from the class's signature, made the same permutation
+    # the census builds each representative from its class's two run
+    # tuples; the builder it had, from the class's signature, made the same
+    # permutation
     shape = BipartiteShape(n, m)
     for lam, mu in classes_of(n, m):
         sig = class_signature(shape, lam, mu)
         assert class_of(sig) == (lam, mu)
-        assert _representative(shape, lam, mu) == signature_representative(sig), (lam, mu)
+        rep = _representative(shape, *as_runs(lam, mu))
+        assert rep == signature_representative(sig), (lam, mu)
 
 
 def test_k66_report_pinned():

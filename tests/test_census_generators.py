@@ -12,7 +12,12 @@ directly.  Up to K_{200,200}, random classes with at most three
 distinct cycle lengths per part, the form of every realizable class,
 must be candidates, under their folded key, whenever ``classify``
 accepts them.  Up to K_{40,40}, every generator must yield only
-non-increasing partitions, which the census's rows read as sorted.
+canonical run tuples (lengths strictly decreasing, counts positive, summing
+to the part), the one form of a cycle type that the census hashes, folds
+and reads its rows from; and the run tuples of two partitions of one n
+must order, and be equal, exactly as the partitions do, which the fold of
+K_{n,n} relies on.  The candidates are compared with the oracle's classes
+through ``census_oracle.as_runs`` and ``as_partitions``.
 """
 
 import math
@@ -22,12 +27,12 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bipsym import BipartiteShape, census
-from bipsym.classifier import CASES, _divisors, _runs, candidate_classes, classify
+from bipsym.classifier import CASES, _divisor_table, _runs, candidate_classes, classify
 from bipsym.jsonio import report_to_obj
 
 import census_oracle
 from census_oracle import case_keys as _case_keys
-from census_oracle import class_signature, classes_of, fold
+from census_oracle import as_partitions, as_runs, class_signature, classes_of, fold
 
 SHAPES = [(n, m) for n in range(3, 17) for m in range(3, 17)]
 LARGEST_PART = 200
@@ -42,8 +47,11 @@ def _realizable(sig) -> bool:
 def test_candidates_are_the_realizable_classes(n, m):
     shape = BipartiteShape(n, m)
     classes = {fold(n, m, lam, mu) for lam, mu in classes_of(n, m)}
-    keys = candidate_classes(shape)
-    # keyed as the folded oracle classes, so no class is counted twice
+    found = candidate_classes(shape)
+    keys = {as_partitions(*key) for key in found}
+    # keyed as the folded oracle classes, one run key per class, so no
+    # class is counted twice
+    assert len(keys) == len(found)
     assert keys <= classes
     candidates = [class_signature(shape, lam, mu) for lam, mu in keys]
     assert {sig for sig in candidates if _realizable(sig)} == {
@@ -59,22 +67,35 @@ def test_candidates_are_the_realizable_classes(n, m):
 def test_each_generator_covers_its_case(n, m):
     # direct matches only: candidate_classes adds the interchanged ones
     shape = BipartiteShape(n, m)
-    generated = {key: set(gen(n, m)) for key, gen in CASES.items()}
+    divisors = _divisor_table(max(n, m))
+    generated = {key: set(gen(n, m, divisors)) for key, gen in CASES.items()}
     for lam, mu in classes_of(n, m):
         direct, _ = _case_keys(class_signature(shape, lam, mu))
         for key in direct:
-            assert (lam, mu) in generated[key], (key, lam, mu)
+            assert as_runs(lam, mu) in generated[key], (key, lam, mu)
 
 
-def _unsorted_partitions(generate, largest: int = 40) -> list:
-    """The partitions ``generate`` yields for 3 <= n, m <= ``largest`` that
-    are not non-increasing, with their shapes."""
+def _canonical(runs, size: int) -> bool:
+    """Whether ``runs`` is the run tuple of a partition of ``size``: lengths
+    strictly decreasing, every count positive."""
+    lengths = [k for k, _ in runs]
+    return (
+        all(k >= 1 and c >= 1 for k, c in runs)
+        and all(a > b for a, b in zip(lengths, lengths[1:]))
+        and sum(k * c for k, c in runs) == size
+    )
+
+
+def _noncanonical_runs(generate, largest: int = 40) -> list:
+    """The cycle types ``generate`` yields for 3 <= n, m <= ``largest`` that
+    are not canonical run tuples, with their shapes."""
     found = []
     for n in range(3, largest + 1):
         for m in range(3, largest + 1):
-            for lam, mu in generate(n, m):
-                for p in (lam, mu or ()):
-                    if any(a < b for a, b in zip(p, p[1:])):
+            divisors = _divisor_table(max(n, m))
+            for lam, mu in generate(n, m, divisors):
+                for p, size in ((lam, n), (mu, m)):
+                    if p is not None and not _canonical(p, size):
                         found.append((n, m, p))
     return found
 
@@ -83,18 +104,57 @@ def _unsorted_partitions(generate, largest: int = 40) -> list:
     "generate", dict.fromkeys(CASES.values()), ids=lambda g: g.__name__
 )
 def test_generators_yield_non_increasing_partitions(generate):
-    # _PartitionRows tallies p[::-1] by bisection, and _runs does not sort
-    assert _unsorted_partitions(generate) == []
+    # every generator yields canonical run tuples: the census hashes them,
+    # folds K_{n,n} by comparing them and reads its rows from them
+    assert _noncanonical_runs(generate) == []
 
 
 def test_unsorted_partition_check_catches_runs_shortest_first():
     # a copy of _gen_op7 that passes its runs shortest first
-    def gen_op7_shortest_first(n, m):
-        for r in _divisors(math.gcd(n - 2, m - 2), 4):
-            if r % 2 == 0:
+    def gen_op7_shortest_first(n, m, divisors):
+        for r in divisors[math.gcd(n - 2, m - 2)]:
+            if r > 2 and r % 2 == 0:
                 yield _runs((2, 1), (r, (n - 2) // r)), _runs((2, 1), (r, (m - 2) // r))
 
-    assert _unsorted_partitions(gen_op7_shortest_first)
+    assert _noncanonical_runs(gen_op7_shortest_first)
+
+
+def test_divisor_table_lists_each_divisor_once_ascending():
+    table = _divisor_table(60)
+    assert table[0] == []
+    for k in range(1, 61):
+        assert table[k] == [d for d in range(1, k + 1) if k % d == 0]
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of one n, as non-increasing tuples; small parts are
+    drawn often, so that runs repeat and prefixes are shared."""
+    n = draw(st.integers(1, 30))
+
+    def partition():
+        parts, left = [], n
+        while left:
+            k = draw(st.one_of(st.integers(1, min(left, 3)), st.integers(1, left)))
+            parts.append(k)
+            left -= k
+        return tuple(sorted(parts, reverse=True))
+
+    lam = partition()
+    return lam, lam if draw(st.integers(0, 4)) == 0 else partition()
+
+
+@given(partition_pairs())
+@settings(max_examples=500, deadline=None)
+def test_run_tuples_order_as_partitions_do(pair):
+    lam, mu = pair
+    runs_lam, runs_mu = as_runs(lam, mu)
+    if lam == mu:
+        event("equal")
+    assert (runs_lam == runs_mu) == (lam == mu)
+    assert (runs_lam < runs_mu) == (lam < mu)
+    assert (runs_lam > runs_mu) == (lam > mu)
+    assert as_partitions(runs_lam, runs_mu) == (lam, mu)
 
 
 @st.composite
@@ -131,4 +191,4 @@ def test_every_realizable_class_is_a_candidate(cls):
     shape, lam, mu = cls
     if _realizable(class_signature(shape, lam, mu)):
         event("realizable")
-        assert fold(shape.n, shape.m, lam, mu) in candidate_classes(shape)
+        assert as_runs(*fold(shape.n, shape.m, lam, mu)) in candidate_classes(shape)

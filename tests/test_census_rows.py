@@ -7,7 +7,9 @@ verdict the census reaches for a class against ``classify`` of the class's
 signature, over every class up to K_{12,12}, the candidates of three larger
 shapes and random cycle types; and they count the signatures the census
 builds, which is none, with or without ``realize_all``.  The candidates
-hold each distinct partition as one tuple.
+hold each distinct run tuple as one tuple.  Classes pass between the
+oracle's expanded partitions and the census's run tuples through
+``census_oracle.as_runs`` and ``as_partitions``.
 """
 
 import importlib
@@ -22,7 +24,7 @@ from bipsym import BipartiteShape, CycleSignature
 from bipsym.classifier import candidate_classes, classify
 from bipsym.errors import TooLarge
 
-from census_oracle import class_signature, classes_of
+from census_oracle import as_partitions, as_runs, class_signature, classes_of
 
 # the documented way to reach the module, whose name the function shadows
 census_module = importlib.import_module("bipsym.census")
@@ -30,7 +32,8 @@ census_module = importlib.import_module("bipsym.census")
 
 def row_verdicts(shape, classes):
     """The verdict ``census(shape)`` reaches from its rows for each class,
-    with ``classes`` in place of its candidates."""
+    with ``classes``, expanded partitions, in place of its candidates."""
+    keys = [as_runs(lam, mu) for lam, mu in classes]
     verdicts = []
     decide = census_module._decide
 
@@ -39,7 +42,7 @@ def row_verdicts(shape, classes):
         return verdicts[-1]
 
     with (
-        mock.patch.object(census_module, "candidate_classes", lambda _: classes),
+        mock.patch.object(census_module, "candidate_classes", lambda _: keys),
         mock.patch.object(census_module, "_decide", recorded),
     ):
         census_module.census(shape)
@@ -61,7 +64,7 @@ def test_rows_decide_every_class_as_classify_does(n):
 @pytest.mark.parametrize("n, m", [(36, 40), (60, 84), (120, 126)])
 def test_rows_decide_every_candidate_as_classify_does(n, m):
     shape = BipartiteShape(n, m)
-    classes = sorted(candidate_classes(shape))
+    classes = sorted(as_partitions(*key) for key in candidate_classes(shape))
     assert row_verdicts(shape, classes) == signature_verdicts(shape, classes)
 
 
@@ -116,7 +119,7 @@ def test_census_builds_no_signature():
         run = lambda: census_module.census(BipartiteShape(*shape), realize_all=realize_all)
         assert _signatures_built(run) == [], (shape, realize_all)
     # the count sees a signature built on the way, as public realize builds one
-    aut = census_module._representative(BipartiteShape(6, 6), (3, 3), (3, 3))
+    aut = census_module._representative(BipartiteShape(6, 6), *as_runs((3, 3), (3, 3)))
     assert len(_signatures_built(lambda: bipsym.realize(aut, "op"))) == 1
 
 

@@ -37,6 +37,7 @@ from bipsym.jsonio import realization_from_obj, realization_to_obj
 from bipsym.verifier import (
     MAX_CLAIMED_ORDER,
     MAX_DIVISOR_EDGES,
+    MAX_INDUCES_BYTES,
     MAX_VERIFY_EDGES,
     _gcd_counts,
 )
@@ -189,9 +190,17 @@ def test_cli_verify_refuses_too_many_edges(tmp_path):
     )
 
 
+def _induces_refused(n: int, m: int) -> str:
+    points = n + m
+    return (
+        f"K_{{{n},{m}}} has {points} points, whose induces distance block "
+        f"takes {32 * points**2} bytes, more than {MAX_INDUCES_BYTES}"
+    )
+
+
 def test_cli_verify_refuses_unallocatable_separation_grid(tmp_path):
-    # K_{3,99997} has few enough edges, but the separation grid of its
-    # 100 000 points does not fit in 1 GB
+    # K_{3,99997} has few enough edges, but the induces distance block of
+    # its 100 000 points would take 320 GB: refused before it is built
     n, m = 3, MAX_VERTICES - 3
     assert n * m <= MAX_VERIFY_EDGES
     path = tmp_path / "skinny.json"
@@ -199,9 +208,33 @@ def test_cli_verify_refuses_unallocatable_separation_grid(tmp_path):
     out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
     assert out.returncode == 2, out.stderr
     assert out.stdout == ""
-    assert out.stderr == (
-        f"error: verifying K_{{{n},{m}}} needs more memory than is available\n"
-    )
+    assert out.stderr == f"error: {_induces_refused(n, m)}\n"
+
+
+def test_verify_refuses_an_induces_block_past_its_budget(tmp_path):
+    # K_{3,10000}: 30 000 edges, within MAX_VERIFY_EDGES, but two 20 006 x
+    # 10 003 float arrays, 3.2 GB, for the induces check
+    assert 3 * 10_000 <= MAX_VERIFY_EDGES
+    path = tmp_path / "skinny.json"
+    _write_unit_points(path, 3, 10_000)
+    triple = realization_from_obj(json.loads(path.read_text()))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as refused:
+        verify(*triple)
+    assert time.perf_counter() - start < 1.0
+    assert str(refused.value) == _induces_refused(3, 10_000)
+
+
+def test_verify_turns_a_memory_error_into_too_large(monkeypatch):
+    # below the budgets, a process memory limit can still stop the arrays
+    def unallocatable(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(bipsym.verifier, "_distances", unallocatable)
+    aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2)")
+    iso, emb = realize(aut, Orientation.OR, 1)
+    with pytest.raises(TooLarge, match=r"^verifying K_\{3,3\} needs more memory than is available$"):
+        verify(aut, iso, emb)
 
 
 # 2^6 3^3 5^2 7 11 13 17, below MAX_CLAIMED_ORDER, has 1344 divisors: one

@@ -1,7 +1,7 @@
 """Realize-all builds from the classification the census already holds.
 
 ``census(realize_all=True)`` builds the representative of each realizable
-class from its two partitions and decides the class from their rows, so it
+class from its two run tuples and decides the class from their rows, so it
 holds the class's order r and the case ``dispatch_case`` picks in each
 orientation.  It hands (representative, r, case, seed) to
 ``geometry._realize``, the construction behind the public ``realize``,
@@ -92,8 +92,8 @@ def test_handed_over_classification_builds_the_public_bits(monkeypatch, n, m, se
     # the public path over the realizable candidates, in any order, each
     # represented as the signature builder represents it
     want = Counter()
-    for lam, mu in candidate_classes(shape):
-        sig = census_oracle.class_signature(shape, lam, mu)
+    for key in candidate_classes(shape):
+        sig = census_oracle.class_signature(shape, *census_oracle.as_partitions(*key))
         verdict = classify(sig)
         rep = census_oracle.signature_representative(sig)
         for orientation in Orientation:
