@@ -2,14 +2,15 @@
 
 verify() re-derives everything from the raw matrix and coordinates: matrix
 invariants, the induced vertex permutation via nearest-neighbour matching,
-the fixed-point sets of the powers of the matrix, and the hypotheses of the
+the fixed subspaces of the powers of the matrix, and the hypotheses of the
 edge-embedding conditions (named eel1-eel4 in the certificate).  Nothing is
 trusted from the construction that produced the triple.
 
 The checks read M^r, for the order check, and M^d for each proper divisor d
-of the claimed order r, found by trial division up to √r; each is made by
-repeated squaring, so time grows with log r and with the number of r's
-divisors, not with r.  MAX_CLAIMED_ORDER bounds the trial division.
+of the claimed order r, found by trial division up to √r, in ascending d
+up to the first within IDENTITY_GAP of I; each is made by repeated
+squaring, so time grows with log r and with the number of r's divisors,
+not with r.  MAX_CLAIMED_ORDER bounds the trial division.
 
 The order check asks |M^r - I| to be within tol and within IDENTITY_GAP.
 Then M = NE with N^r = I, its angles multiples of 2π/r, and E a small
@@ -20,32 +21,45 @@ claiming 14 at tol 0.5 has |M^14 - I| = |M - I| ≈ 0.46, and M^13 = I.  Where
 2π/r is not well above IDENTITY_GAP, a proper power of an M of order r may
 lie within IDENTITY_GAP of I, and the check fails.
 
-Fixed sets are worked out once per proper divisor of r, not once per power:
-when M^r = I, the powers M^i and M^g with g = gcd(i, r) generate the same
-cyclic group (g is an integer combination of i and r, and i is a multiple of
-g), and a point is fixed by a power exactly when the group that power
-generates fixes it.  So M^i has the fixed subspace and the fixed points of
-M^g.  A finding about M^d is reported once, with the number c_d = φ(r/d) of
-powers i < r with gcd(i, r) = d, as in "400 powers i with gcd(i, 1000) = 1:
-neither part lies in the fixed sphere", and counts c_d times in the check's
-measured value.
+Let π be the point permutation the automorphism prescribes, extended over
+the subdivision vertices.  π is established when unit_norm, orthogonal,
+order and induces pass, every π-cycle length divides r, and tol + drift < s,
+the minimum separation of the points, with drift (below) a bound on
+|M^i x_k - x_{π^i(k)}| for every point k and power i <= r.  Then M^i takes
+each x_k within the drift of x_{π^i(k)}, so farther than s - drift > tol
+from every other point: up to the drift, M^i fixes and interchanges points
+exactly where π^i does.  So eel1-eel4 read their facts from π's cycle
+lengths: M^d fixes a point when its length divides d, an edge when the lcm
+of its ends' lengths does, a part when the lcm of the part's lengths does,
+and interchanges an edge's ends when both lie in one π-cycle of even length
+L, L/2 apart, and d ≡ L/2 (mod L).  The geometry is read only for the fixed
+subspaces of the M^d.  When π is not established, eel1-eel4 read nothing,
+and each fails with one detail naming why: the checks among unit_norm,
+orthogonal, order and induces that failed, a cycle whose length does not
+divide r, or tol + drift against s.
 
-eel2's hits fold too.  When M^r = I and g = gcd(i, r), M^i = (M^g)^s and
-M^g = (M^i)^u with s and u coprime to r/g.  If either map interchanges two
-points, r/g is even, as the map's (r/g)-th power is I while its odd powers
-interchange them; so s and u are odd, and an odd power of an interchange is
-that interchange.  So eel2 also tests M^d only, and reports once per d.  Let
-π be the point permutation the automorphism prescribes.  π^i interchanges
-an edge's ends only when both lie in one π-cycle of even length L, L/2
-apart, and i ≡ L/2 (mod L); then gcd(i, r) ≡ L/2 (mod L) when L divides r,
-and otherwise π^r is not the identity and the order check fails.  When the
-induces check finds that π(k) is the point nearest M x_k for every point k,
-within a step δ, and M and the points pass the orthogonality and unit-norm
-checks, M^i x_k lies within about i·δ of x_{π^i(k)}; while tol plus that
-drift for i = r stays below the minimum separation, M^d brings an edge's
-ends within tol of each other's places only where π^d interchanges them, so
-such an edge is tested only at the d ≡ L/2 (mod L).  Otherwise every edge is
-tested at every d.
+Drift.  induces measures the step δ' = max_k |M x_k - x_{π(k)}| in floating
+point, with u = 2^-53: each coordinate of the computed M x_k is off by at
+most 4u |M| |x_k|, the image by 8u, and the distance by a few u of itself,
+so the exact step δ <= (1 + 5u) δ' + 8u.  orthogonal bounds |M^T M - I| by
+ORTHOGONALITY_TOL entrywise, so |M| <= 1 + 2 ORTHOGONALITY_TOL, and
+stepping |M^i x_k - x_{π^i(k)}| <= |M| |M^(i-1) x_k - x_{π^(i-1)(k)}| + δ
+gives at most i (1 + 2 ORTHOGONALITY_TOL)^i δ < 1.003 i δ for i <= r <=
+MAX_CLAIMED_ORDER.  So drift = r (2 δ' + _ROUNDING) bounds it: the 2 leaves
+room for |M|^i and the relative rounding, and _ROUNDING = 2^-48 = 32u for
+the 8u.  (M = NE bounds |M^i| near 1 as well; the cruder bound suffices.)
+No computed M^i x_k enters, so no rounding accumulates per power.
+
+Fixed sets are worked out once per proper divisor of r, not once per power:
+when π^r and M^r are the identity, the powers i and g = gcd(i, r) generate
+the same cyclic group (g is an integer combination of i and r, and divides
+i), so M^i has the fixed subspace and the fixed points of M^g.  And π^i =
+(π^g)^(i/g) with i/g coprime to r/g, which is even wherever π^g
+interchanges two points, so π^i interchanges them too, and the other way
+round.  A finding about M^d is reported once, with the number c_d = φ(r/d)
+of powers i < r with gcd(i, r) = d, as in "400 powers i with gcd(i, 1000) =
+1: neither part lies in the fixed sphere", and counts c_d times in the
+check's measured value.
 
 The induces check measures every distance between points, and from each
 image M x_k to every point, with geometry's one pairwise-distance kernel,
@@ -56,12 +70,13 @@ oracle in the tests measures with np.linalg.norm itself.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import Orientation
-from .core import BipartiteAutomorphism, SideAction, _index_cycles
+from .core import BipartiteAutomorphism, _index_cycles
 from .errors import PreconditionError, ShapeMismatch, TooLarge
 from .geometry import (
     DET_TOL,
@@ -78,19 +93,12 @@ from .geometry import (
 # r has at most 1344 divisors, and _gcd_counts takes under 0.1 s on 2 CPUs
 # (x86-64); a larger claim raises TooLarge before any product.
 MAX_CLAIMED_ORDER = 10**9
-# n*m edges plus the subdivision vertices: the edge arrays grow with them,
-# and on balanced shapes the induces check's distance block of the points
-# too.  At this bound, K_{1000,1000} in pure 10-cycles verifies in about
-# 0.5 s at 170 MB peak RSS on 2 CPUs; larger graphs raise TooLarge before
-# any array is built.
+# n*m edges plus the subdivision vertices.  verify keeps no array over the
+# edges, so on balanced shapes this bounds only the induces check's distance
+# block of the points: at this bound, K_{1000,1000} in pure 10-cycles
+# verifies in about 0.5 s at 155 MB peak RSS on 2 CPUs; larger graphs raise
+# TooLarge before any array is built.
 MAX_VERIFY_EDGES = 1_000_000
-# run_powers holds about 3 bytes per (proper divisor of r, edge) pair, and
-# eel2 makes at most one test per pair: this bound keeps that near 150 MB and
-# admits K_{997,1000} OP6 (31 proper divisors, 3.1 * 10^7 pairs, none of
-# them eel2 candidates) and K_{1000,1000} with a moved point claiming 2520
-# (47 proper divisors, every pair tested, 3 s at 230 MB on 2 CPUs); more
-# raise TooLarge before any array is built.
-MAX_DIVISOR_EDGES = 50_000_000
 # The induces check measures the K points and their images against the
 # points in one distance block, two 2K x K float64 arrays, 32 K^2 bytes: 128
 # MB at K_{1000,1000}.  A skinny shape within MAX_VERIFY_EDGES can still have
@@ -98,9 +106,9 @@ MAX_DIVISOR_EDGES = 50_000_000
 # raises TooLarge before any array is built.
 MAX_INDUCES_BYTES = 2**28
 
-# Drift of a computed image M^i x per power beyond the step δ of M: the
-# rounding of one 4 x 4 product and of the image, with a wide margin
-_ROUNDING = 1e-12
+# The drift's allowance per power for rounding in the measured step: 32u,
+# four times the 8u the module docstring derives
+_ROUNDING = 2.0**-48
 _I4 = np.eye(4)
 _I4.setflags(write=False)
 
@@ -153,17 +161,16 @@ def _gcd_counts(r: int) -> dict[int, int]:
     """c_d = #{1 <= i < r : gcd(i, r) = d} = φ(r/d) for each proper divisor d
     of r, in ascending d."""
     small = [d for d in range(1, math.isqrt(r) + 1) if r % d == 0]
-    phi: dict[int, int] = {}
-    # k = Σ φ(e) over the divisors e of k, each smaller one already in phi
-    for k in small + [r // d for d in reversed(small) if d * d != r]:
-        phi[k] = k - sum(phi[e] for e in phi if k % e == 0)
-    return {d: phi[r // d] for d in phi if d < r}
-
-
-def _norms(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Euclidean norms along ``axis``, as np.linalg.norm computes them for
-    floats, without its argument handling."""
-    return np.sqrt(np.add.reduce(x * x, axis=axis))
+    divisors = small + [r // d for d in reversed(small) if d * d != r]
+    primes: list[int] = []  # the divisors above 1 that no smaller prime divides
+    for p in divisors[1:]:
+        if all(p % q for q in primes):
+            primes.append(p)
+    counts = {}
+    for d in divisors[:-1]:  # φ(k) = k Π (1 - 1/p) over the primes p of k = r/d
+        ps = [p for p in primes if r // d % p == 0]
+        counts[d] = r // d // math.prod(ps) * math.prod(p - 1 for p in ps)
+    return counts
 
 
 class _Verification:
@@ -175,10 +182,11 @@ class _Verification:
     of the automorphism's image of point k, extended over subdivision
     vertices, and -1 where the subdivision set is not closed under the
     automorphism.  The induces check sets ``min_sep`` and ``step``;
-    ``run_powers`` sets the rest: ``counts`` maps each proper divisor d of
-    the claimed order r to the number of powers i < r with gcd(i, r) = d,
-    and rows of ``point_fixed``, ``edge_fixed`` and ``bases`` belong to its
-    keys, ``divisors``, in ascending order.
+    ``run_powers`` sets ``order_dev``, ``early`` and ``counts``, which maps
+    each proper divisor d of the claimed order r to the number of powers i
+    < r with gcd(i, r) = d, and the entries of ``at_divisors`` and ``bases``
+    belong to its keys, ``divisors``, in ascending order; ``establish`` sets
+    the rest once π is established.
     """
 
     def __init__(self, aut, iso, emb, tol):
@@ -193,18 +201,17 @@ class _Verification:
         K = self.n_graph + len(self.zids)
         if self.P.shape != (K, 4) or np.shape(iso.matrix) != (4, 4):
             raise ValueError(f"the points must be {K} x 4 and the matrix 4 x 4")
-        self.edge_a, self.edge_b = self._adjacency(emb.subdivision_pairs)
+        self._read_pairs(emb.subdivision_pairs)
         self.image = self._point_image()
 
-    def _adjacency(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Edges of the subdivided graph as two index arrays: (v, w) for v in
-        V and w in W in index order, a subdivided edge as (v, z), (z, w).
+    def _read_pairs(self, pairs) -> None:
+        """Set ``z_edges``, the (V, W) edge of each subdivision vertex, and
+        ``z_at``, the subdivision vertex of each subdivided edge.
 
         Raises ShapeMismatch when a pair is not (V index, W index) or an edge
         carries two subdivision vertices.
         """
         n, m = self.aut.shape.n, self.aut.shape.m
-        # z_edges[i]: the (V, W) edge of subdivision vertex zids[i]
         self.z_edges = [tuple(edge) for edge in pairs]
         self.z_at = {}
         for k, edge in enumerate(self.z_edges, self.n_graph):
@@ -214,15 +221,6 @@ class _Verification:
                 a, b = map(self.name, edge)
                 raise ShapeMismatch(f"edge ({a}, {b}) subdivided twice")
             self.z_at[edge] = k
-        a, b = np.divmod(np.arange(n * m), m)
-        b += n
-        if self.z_edges:
-            za, zb = np.array(self.z_edges).T
-            at = za * m + zb - n  # position of each subdivided edge
-            z = np.arange(self.n_graph, self.n_graph + len(self.zids))
-            b[at] = z  # (v, z) in the edge's place, (z, w) right after it
-            a, b = np.insert(a, at + 1, z), np.insert(b, at + 1, zb)
-        return a, b
 
     def _point_image(self) -> np.ndarray:
         perm = self.aut.perm
@@ -239,67 +237,82 @@ class _Verification:
             return self.aut.shape.vertex_at(k).label
         return self.zids[k - self.n_graph]
 
-    def run_powers(self, r: int, counts: dict[int, int], groups) -> None:
-        """Make M^r and M^d for each proper divisor d of r, the keys of
-        ``counts = _gcd_counts(r)``, by repeated squaring, and take from them
-        what the checks need.
+    def edge_key(self, a: int, b: int) -> tuple[int, int, int] | None:
+        """The place (v, w, half) of the edge (a, b) of the subdivided graph
+        in edge order, or None when (a, b) is no edge with a as its first
+        end: (v, w) for v in V and w in W in index order, a subdivided edge
+        as (v, z), (z, w) in its place."""
+        n, g = self.aut.shape.n, self.n_graph
+        if a < n <= b < g:
+            return None if (a, b) in self.z_at else (a, b, 0)
+        if a < n and b >= g and self.z_edges[b - g][0] == a:
+            return (*self.z_edges[b - g], 0)
+        if a >= g and self.z_edges[a - g][1] == b:
+            return (*self.z_edges[a - g], 1)
+        return None
 
-        Sets ``order_dev`` (max |M^r - I|), the per-divisor rows, ``early``
-        (the smallest proper divisor d with M^d within IDENTITY_GAP of I, or
-        None) and ``swaps``, from the eel2 ``groups`` of ``_swap_groups``.
-        """
+    def edges_among(self, on: list[int]) -> list[tuple[int, int]]:
+        """The edges of the subdivided graph with both ends among the points
+        ``on``, in edge order."""
+        keyed = sorted((key, a, b) for a in on for b in on if (key := self.edge_key(a, b)))
+        return [(a, b) for _, a, b in keyed]
+
+    def run_powers(self, r: int, counts: dict[int, int]) -> None:
+        """Make M^r, and M^d for each proper divisor d of r, the keys of
+        ``counts = _gcd_counts(r)``, in ascending d up to ``early``, the first
+        within IDENTITY_GAP of I, if any, which fails the order check; each
+        by repeated squaring.  Sets ``order_dev`` (max |M^r - I|),
+        ``at_divisors`` (the M^d made) and ``early`` (or None)."""
         M = self.iso.matrix
         self.order_dev = float(np.abs(np.linalg.matrix_power(M, r) - _I4).max())
         self.counts = counts
         self.divisors = list(counts)
-        at_divisors = np.array([np.linalg.matrix_power(M, d) for d in counts]).reshape(-1, 4, 4)
-        near = np.abs(at_divisors - _I4).max(axis=(1, 2)) <= IDENTITY_GAP
-        self.early = self.divisors[near.argmax()] if near.any() else None
-        self.bases = [fixed_subspace(D) for D in at_divisors]
-        # images[j, k] = M^divisors[j] applied to point k
-        images = np.einsum("ikl,pl->ipk", at_divisors, self.P)
-        # point_fixed[j, k]: the power divisors[j] fixes point k within tol
-        self.point_fixed = _norms(images - self.P) <= self.tol
-        self.edge_fixed = (
-            self.point_fixed[:, self.edge_a] & self.point_fixed[:, self.edge_b]
-        )
-        # swaps[d][e]: M^d interchanges the ends of edge e, for the d with
-        # any; a group (L, edges) is tested at the divisors d ≡ L // 2 (mod L)
-        self.swaps = {}
-        for L, edges in groups:
-            ends_a = self.P[self.edge_a[edges]].T.copy()  # 4 x E
-            ends_b = self.P[self.edge_b[edges]].T.copy()
-            for j in np.flatnonzero(np.array(self.divisors) % L == L // 2):
-                gap = at_divisors[j] @ ends_a - ends_b  # one matrix product
-                close = np.flatnonzero(_norms(gap, axis=0) <= self.tol)
-                back = at_divisors[j] @ ends_b[:, close] - ends_a[:, close]
-                hit = edges[close[_norms(back, axis=0) <= self.tol]]
-                if len(hit):
-                    d = self.divisors[j]
-                    self.swaps.setdefault(d, np.zeros(len(self.edge_a), bool))[hit] = True
+        self.at_divisors, self.early = [], None
+        for d in counts:
+            self.at_divisors.append(np.linalg.matrix_power(M, d))
+            if np.abs(self.at_divisors[-1] - _I4).max() <= IDENTITY_GAP:
+                self.early = d
+                break
 
-    def _swap_groups(self, pi_exact: bool) -> list[tuple[int, np.ndarray]]:
-        """(L, edges) groups: a power i can interchange the ends of those
-        edges only when i ≡ L // 2 (mod L).  Every edge, with L = 1, unless
-        ``pi_exact``; then the edges whose ends lie L/2 apart in a π-cycle
-        of even length L."""
-        if not pi_exact:
-            return [(1, np.arange(len(self.edge_a)))]
-        if self.aut.side_action is SideAction.PRESERVING:
-            # π keeps V, W and the subdivision vertices, and no edge lies
-            # within one of them
-            return []
-        partner = np.full(len(self.P), -1)  # partner[k] = π^(L/2)(k)
-        period = np.zeros(len(self.P), dtype=np.int64)
+    def establish(self, r: int, prior: list[CheckResult]) -> str | None:
+        """Why π is not established (module docstring), given the checks
+        ``prior`` it rests on, or None when it is; then sets ``bases`` and
+        what eel1-eel4 read of π's cycles."""
+        failed = [c.name for c in prior if not c.passed]
+        if failed:
+            return f"{', '.join(failed)} failed"
+        # length[k]: the length of point k's π-cycle; inverted: (edge key, L,
+        # a, b) for each edge (a, b) whose ends lie L/2 apart in a π-cycle of
+        # even length L, in edge order once sorted
+        self.length = np.ones(len(self.P), dtype=np.int64)
+        self.inverted = []
         for cycle in _index_cycles(self.image.tolist()):
-            half = len(cycle) // 2
-            if 2 * half == len(cycle):
-                partner[cycle] = cycle[half:] + cycle[:half]
-                period[cycle] = len(cycle)
-        edges = np.flatnonzero(partner[self.edge_a] == self.edge_b)
-        lengths = period[self.edge_a[edges]]
-        # sorted(set()), not np.unique, which imports numpy.ma on first use
-        return [(L, edges[lengths == L]) for L in sorted(set(lengths.tolist()))]
+            L, half = len(cycle), len(cycle) // 2
+            self.length[cycle] = L
+            if r % L:
+                return f"pi^{r} moves {self.name(cycle[0])}, in a cycle of length {L}"
+            if 2 * half == L:
+                for a, b in zip(cycle, cycle[half:] + cycle[:half]):
+                    if key := self.edge_key(a, b):
+                        self.inverted.append((key, L, a, b))
+        drift = self.tol + r * (2 * self.step + _ROUNDING)
+        if not drift < self.min_sep:
+            return f"tol + drift {drift:.3g} >= min separation {self.min_sep:.3g}"
+        self.inverted.sort()
+        # parts: the points of each cycle length in V, W and the subdivisions
+        n, g = self.aut.shape.n, self.n_graph
+        self.parts = [Counter(self.length[s].tolist()) for s in (slice(n), slice(n, g), slice(g, None))]
+        # edge_lcms: the edges of each lcm of their ends' lengths, V x W, and
+        # one more per subdivision vertex z of (v, w): a power fixes z and v,
+        # or z and w, exactly when it fixes v and w
+        self.edge_lcms = Counter()
+        for a, ca in self.parts[0].items():
+            for b, cb in self.parts[1].items():
+                self.edge_lcms[math.lcm(a, b)] += ca * cb
+        for v, w in self.z_edges:
+            self.edge_lcms[math.lcm(self.length[v], self.length[w])] += 1
+        self.bases = [fixed_subspace(D) for D in self.at_divisors]
+        return None
 
 
 # an overflow or invalid value shows in the measured value of the check it
@@ -317,15 +330,18 @@ def verify(
     order, orientation, induces, eel1, eel2, eel3, eel4.  ``tol`` must be
     finite and positive; order also asks |M^r - I| <= IDENTITY_GAP.  Only
     M^r and the M^d of the proper divisors d of the claimed order r are made
-    (module docstring).  eel2, eel3 and eel4 report a finding once per d,
-    with the count of powers i < r with gcd(i, r) = d.  Raises TooLarge,
-    before any array is built, when r exceeds MAX_CLAIMED_ORDER, the edges
-    plus the subdivision vertices exceed MAX_VERIFY_EDGES, the induces
-    check's distance block of the points MAX_INDUCES_BYTES, or the edges and
-    subdivision vertices times r's proper divisors MAX_DIVISOR_EDGES; and
-    when the checks' arrays do not fit in memory.  Raises ShapeMismatch
-    unless ``emb.points`` is (n + m + S) x 4 for S subdivision ids, each with
-    its own edge of the graph as a (V index, W index) pair.
+    (module docstring).  eel1-eel4 read the fixed points and interchanges of
+    each M^d from the lengths of the cycles of π, the point permutation the
+    automorphism prescribes, once unit_norm, orthogonal, order and induces
+    have established it; otherwise each fails, naming the reason.  eel2,
+    eel3 and eel4 report a finding once per d, with the count of powers i <
+    r with gcd(i, r) = d.  Raises TooLarge, before any array is built, when
+    r exceeds MAX_CLAIMED_ORDER, the edges plus the subdivision vertices
+    exceed MAX_VERIFY_EDGES, or the induces check's distance block of the
+    points MAX_INDUCES_BYTES; and when the checks' arrays do not fit in
+    memory.  Raises ShapeMismatch unless ``emb.points`` is (n + m + S) x 4
+    for S subdivision ids, each with its own edge of the graph as a (V
+    index, W index) pair.
     """
     shape = aut.shape
     if shape != emb.shape:
@@ -350,13 +366,6 @@ def verify(
             f"K_{{{shape.n},{shape.m}}} has {points} points, whose induces distance "
             f"block takes {32 * points**2} bytes, more than {MAX_INDUCES_BYTES}"
         )
-    counts = _gcd_counts(r)
-    pairs = len(counts) * (edges + subdivisions)
-    if pairs > MAX_DIVISOR_EDGES:
-        raise TooLarge(
-            f"claimed order {r} has {len(counts)} proper divisors, {pairs} "
-            f"(divisor, edge) pairs, more than {MAX_DIVISOR_EDGES}"
-        )
     try:
         st = _Verification(aut, iso, emb, tol)
     except ValueError as exc:  # ragged or mis-shaped points, or pairs without ids
@@ -366,34 +375,31 @@ def verify(
         unit_norm = _check_unit_norm(st)
         orthogonal = _check_orthogonal(M)
         induces = _check_induces(st)
-        # step is finite only when π(k) is the point nearest M x_k for every
-        # k, so π is then a permutation.  With |M| within 1 + 2 *
-        # ORTHOGONALITY_TOL of 1 and unit points, the computed M^i x_k lies
-        # within i * (2 * step + rounding) of x_{π^i(k)}.
-        drift = tol + r * (2 * st.step + _ROUNDING)
-        pi_exact = unit_norm.passed and orthogonal.passed and drift < st.min_sep
-        groups = st._swap_groups(pi_exact)
-        st.run_powers(r, counts, groups)
+        st.run_powers(r, _gcd_counts(r))
+        order = _check_order(st, r)
+        why = st.establish(r, [unit_norm, orthogonal, order, induces])
     except MemoryError as exc:  # a memory limit below the budgets above
         raise TooLarge(
             f"verifying K_{{{shape.n},{shape.m}}} needs more memory than is available"
         ) from exc
+    eels = (_check_eel1, _check_eel2, _check_eel3, _check_eel4)
     checks = [
         unit_norm,
         orthogonal,
-        _check_order(st, r),
+        order,
         _check_orientation(M, iso.orientation),
         induces,
-        _check_eel1(st),
-        _check_eel2(st),
-        _check_eel3(st),
-        _check_eel4(st),
+        *(
+            CheckResult(f"eel{i}", False, f"pi not established: {why}")
+            if why else check(st) for i, check in enumerate(eels, 1)
+        ),
     ]
     return RealizationCertificate(tuple(checks))
 
 
 def _check_unit_norm(st) -> CheckResult:
-    dev = float(np.abs(_norms(st.P) - 1.0).max())
+    # the norms as np.linalg.norm computes them, without its argument handling
+    dev = float(np.abs(np.sqrt(np.add.reduce(st.P * st.P, axis=-1)) - 1.0).max())
     return CheckResult(
         "unit_norm",
         dev <= ORTHOGONALITY_TOL,
@@ -474,21 +480,23 @@ def _check_induces(st) -> CheckResult:
 
 
 def _check_eel1(st) -> CheckResult:
-    # An adjacent pair fixed by several powers compares the fixed subspace of
-    # the first of them with that of each later one.  A power i has the
-    # subspace of gcd(i, r), so each (first divisor row, later row j) pair is
-    # compared once, for the tally of its edges and each power of j.
-    first = st.edge_fixed.argmax(axis=0) if len(st.divisors) > 1 else None
+    # The edges whose ends' π-cycle lengths have lcm l are fixed by the
+    # powers d that l divides, first by l itself.  A power i has the subspace
+    # of gcd(i, r), so the subspace of l is compared with that of each later
+    # multiple d once, for the tally of those edges and each power of d.
     worst, bad = 0.0, 0
-    for j in range(1, len(st.divisors)):
-        tally = np.bincount(first[st.edge_fixed[j]], minlength=j)[:j]
-        for i in np.flatnonzero(tally):
-            bi, bj = st.bases[i], st.bases[j]
+    for l, tally in st.edge_lcms.items():
+        if l not in st.counts:  # l = r: no proper power fixes them
+            continue
+        bi = st.bases[st.divisors.index(l)]
+        for d, bj in zip(st.divisors, st.bases):
+            if d <= l or d % l:
+                continue
             if bi.shape[1] == bj.shape[1]:
-                d = subspace_distance(bi, bj)
-                worst = max(worst, d)
-            if bi.shape[1] != bj.shape[1] or d > SUBSPACE_TOL:
-                bad += int(tally[i]) * st.counts[st.divisors[j]]
+                dist = subspace_distance(bi, bj)
+                worst = max(worst, dist)
+            if bi.shape[1] != bj.shape[1] or dist > SUBSPACE_TOL:
+                bad += tally * st.counts[d]
     detail = (
         f"{bad} co-fixed adjacent pairs with different fixed sets"
         if bad
@@ -498,45 +506,32 @@ def _check_eel1(st) -> CheckResult:
 
 
 def _check_eel2(st) -> CheckResult:
-    findings = {}
-    for d in sorted(st.swaps):
-        a, b = st.edge_a[st.swaps[d]].tolist(), st.edge_b[st.swaps[d]].tolist()
-        findings[d] = [f"interchanges {st.name(x)},{st.name(y)}" for x, y in zip(a, b)]
+    findings = {
+        d: [f"interchanges {st.name(a)},{st.name(b)}" for _, L, a, b in st.inverted if d % L == L // 2]
+        for d in st.divisors
+    }
     return _by_divisor(st, "eel2", findings, "no adjacent pair interchanged by any power")
 
 
-def _part_counts(st, members: np.ndarray) -> tuple[int, int, int]:
-    nv = int(np.count_nonzero(members < st.aut.shape.n))
-    nw = int(np.count_nonzero(members < st.n_graph)) - nv
-    return nv, nw, len(members) - nv - nw
-
-
-def _arc_findings(st, j: int) -> list[str]:
-    """Arc conditions on the fixed set of the power st.divisors[j], which
-    fixes some edge."""
-    pairs = np.flatnonzero(st.edge_fixed[j])
-    basis = st.bases[j]
+def _arc_findings(st, d: int, basis: np.ndarray, nv: int, nw: int, nz: int) -> list[str]:
+    """Arc conditions on the fixed set of M^d, of fixed subspace ``basis``,
+    with nv V, nw W and nz subdivision vertices on it and some edge."""
     dim = basis.shape[1]
-    on = np.flatnonzero(st.point_fixed[j])
     if dim <= 1:  # empty or two points: no arc between distinct points
         return ["adjacent pair fixed by a power whose fixed set contains no arcs"]
     if dim == 2:  # a circle
-        nv, nw, _ = _part_counts(st, on)
         if nv > 2 or nw > 2:
             return [f"{nv}+{nw} vertices of a part on circle"]
+        on = np.flatnonzero(d % st.length == 0)
         xy = st.P[on] @ basis
-        ring = on[np.argsort(np.arctan2(xy[:, 1], xy[:, 0]), kind="stable")]
-        pos = np.empty(len(st.P), dtype=int)
-        pos[ring] = np.arange(len(ring))
-        a, b = st.edge_a[pairs], st.edge_b[pairs]
-        gap = (pos[a] - pos[b]) % len(ring)
-        apart = (gap != 1) & (gap != len(ring) - 1)
+        ring = on[np.argsort(np.arctan2(xy[:, 1], xy[:, 0]), kind="stable")].tolist()
+        pos = {k: t for t, k in enumerate(ring)}
         return [
-            f"no free arc between {st.name(x)} and {st.name(y)}"
-            for x, y in zip(a[apart], b[apart])
+            f"no free arc between {st.name(a)} and {st.name(b)}"
+            for a, b in st.edges_among(ring)
+            if (pos[a] - pos[b]) % len(ring) not in (1, len(ring) - 1)
         ]
     if dim == 3:  # a sphere; all of S^3 (dim 4) leaves nothing to check
-        nv, nw, nz = _part_counts(st, on)
         if nz:
             return ["subdivision vertices on a fixed sphere, arc pattern indeterminate"]
         if min(nv, nw) > 2:
@@ -558,17 +553,21 @@ def _by_divisor(st, name: str, findings: dict[int, list[str]], ok_detail: str) -
 
 
 def _check_eel3(st) -> CheckResult:
-    rows = np.flatnonzero(st.edge_fixed.any(axis=1))
-    findings = {st.divisors[j]: _arc_findings(st, j) for j in rows}
+    findings = {}
+    for d, basis in zip(st.divisors, st.bases):
+        nv, nw, nz = (sum(c for L, c in part.items() if d % L == 0) for part in st.parts)
+        # M^d fixes an edge exactly when it fixes a vertex of each part: it
+        # then fixes the edge between them, or both halves of it
+        if nv and nw:
+            findings[d] = _arc_findings(st, d, basis, nv, nw, nz)
     return _by_divisor(st, "eel3", findings, "arc conditions satisfied on all fixed sets")
 
 
 def _check_eel4(st) -> CheckResult:
-    n = st.aut.shape.n
+    v, w = (math.lcm(*part) for part in st.parts[:2])
     findings = {
         d: ["neither part lies in the fixed sphere"]
-        for j, d in enumerate(st.divisors)
-        if st.bases[j].shape[1] == 3
-        and not (st.point_fixed[j, :n].all() or st.point_fixed[j, n : st.n_graph].all())
+        for d, basis in zip(st.divisors, st.bases)
+        if basis.shape[1] == 3 and d % v and d % w
     }
     return _by_divisor(st, "eel4", findings, "every fixed sphere contains a full part")

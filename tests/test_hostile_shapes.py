@@ -36,7 +36,6 @@ from bipsym.core import MAX_VERTICES
 from bipsym.jsonio import realization_from_obj, realization_to_obj
 from bipsym.verifier import (
     MAX_CLAIMED_ORDER,
-    MAX_DIVISOR_EDGES,
     MAX_INDUCES_BYTES,
     MAX_VERIFY_EDGES,
     _gcd_counts,
@@ -237,34 +236,37 @@ def test_verify_turns_a_memory_error_into_too_large(monkeypatch):
         verify(aut, iso, emb)
 
 
-# 2^6 3^3 5^2 7 11 13 17, below MAX_CLAIMED_ORDER, has 1344 divisors: one
-# row of the 10^6 edges of K_{1000,1000} per proper divisor would take
-# gigabytes
+# 2^6 3^3 5^2 7 11 13 17, below MAX_CLAIMED_ORDER, has 1344 divisors.  The
+# identity of K_{1000,1000} claiming it, every vertex at one point, gets a
+# verdict: verify makes M^d for each of the 1343 proper divisors and holds
+# no row of edges for any of them; M = I fails order and the separation 0
+# fails induces, so π is not established
 MANY_DIVISORS = 735_134_400
-DIVISOR_ROWS_REFUSED = (
-    f"claimed order {MANY_DIVISORS} has 1343 proper divisors, 1343000000 "
-    f"(divisor, edge) pairs, more than {MAX_DIVISOR_EDGES}"
-)
+NOT_ESTABLISHED = "pi not established: order, induces failed"
 
 
-def test_verify_refuses_too_many_divisor_rows(tmp_path):
+def test_verify_answers_the_identity_with_many_divisors(tmp_path):
     path = tmp_path / "divisors.json"
     _write_unit_points(path, 1000, 1000, MANY_DIVISORS)
     triple = realization_from_obj(json.loads(path.read_text()))
     start = time.perf_counter()
-    with pytest.raises(TooLarge) as refused:
-        verify(*triple)
+    cert = verify(*triple)
     assert time.perf_counter() - start < 0.5
-    assert str(refused.value) == DIVISOR_ROWS_REFUSED
+    assert not cert.overall
+    assert cert.check("induces").detail.startswith("min separation 0 < 1e-6; ")
+    assert cert.check("order").detail == f"|M^{MANY_DIVISORS} - I| = 0; M^1 is already the identity"
+    assert {cert.check(f"eel{i}").detail for i in range(1, 5)} == {NOT_ESTABLISHED}
 
 
-def test_cli_verify_refuses_too_many_divisor_rows(tmp_path):
+def test_cli_verify_answers_the_identity_with_many_divisors(tmp_path):
     path = tmp_path / "divisors.json"
     _write_unit_points(path, 1000, 1000, MANY_DIVISORS)
     out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    assert out.stderr == f"error: {DIVISOR_ROWS_REFUSED}\n"
+    assert out.returncode == 5, out.stderr
+    assert out.stderr == ""
+    checks = {c["name"]: c for c in json.loads(out.stdout)["checks"]}
+    assert checks["induces"]["detail"].startswith("min separation 0 < 1e-6; ")
+    assert checks["eel2"]["detail"] == NOT_ESTABLISHED
 
 
 def _write_overflowing(path: Path) -> None:
@@ -287,9 +289,13 @@ def test_cli_verify_of_overflowing_powers_exits_5(tmp_path):
     assert out.stderr == ""
     cert = json.loads(out.stdout)
     assert cert["overall"] is False
-    failed = {c["name"]: c["measured"] for c in cert["checks"] if not c["pass"]}
-    assert set(failed) == {"orthogonal", "order", "orientation", "induces"}
-    assert (failed["orthogonal"], failed["order"], failed["induces"]) == ("inf", "nan", "inf")
+    failed = {c["name"]: c for c in cert["checks"] if not c["pass"]}
+    assert set(failed) == {"orthogonal", "order", "orientation", "induces", "eel1", "eel2", "eel3", "eel4"}
+    measured = [failed[name]["measured"] for name in ("orthogonal", "order", "induces")]
+    assert measured == ["inf", "nan", "inf"]
+    assert {failed[f"eel{i}"]["detail"] for i in range(1, 5)} == {
+        "pi not established: orthogonal, order, induces failed"
+    }
 
 
 def test_verify_of_overflowing_powers_fails(tmp_path):
@@ -308,6 +314,24 @@ def test_verify_of_overflowing_powers_fails(tmp_path):
     assert out.stdout == "False False False\n"
 
 
+def _write_fixed_circle(path: Path, order: int) -> None:
+    """The identity of K_{3,3} on the circle x1 = x2 = 0, evenly spaced,
+    under R(2π/order) on the plane x3 = x4 = 0: an exact realization of
+    ``order``, whose every proper power fixes that circle and all six
+    vertices on it."""
+    angles = 2 * np.pi * np.arange(6) / 6
+    points = [[0.0, 0.0, float(np.cos(a)), float(np.sin(a))] for a in angles]
+    c, s = np.cos(2 * np.pi / order), np.sin(2 * np.pi / order)
+    matrix = [[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    labels = ["v1", "v2", "v3", "w1", "w2", "w3"]
+    obj = {
+        "n": 3, "m": 3, "perm": "()", "case": "OP6", "seed": 1, "order": order,
+        "orientation": "op", "matrix": [[float(x) for x in row] for row in matrix],
+        "vertices": dict(zip(labels, points)), "subdivision": {}, "landmarks": {},
+    }
+    path.write_text(json.dumps(obj))
+
+
 def _write_tampered(path: Path, order: int) -> None:
     """The OR11 realization of (w1 w2)(w3 w4) in K_{3,4}, with v1 moved off
     the mirror sphere and the claimed ``order``: every odd power of M is the
@@ -321,18 +345,22 @@ def _write_tampered(path: Path, order: int) -> None:
 
 
 def test_cli_verify_reports_each_divisor_once(tmp_path):
-    # the 250 000 odd powers below 500 000 fail eel4; the certificate names
-    # each odd proper divisor once, with the count of its powers
-    path = tmp_path / "tampered.json"
-    _write_tampered(path, 500_000)
+    # π is established, and each of the 499 999 powers below 500 000 fixes
+    # the circle with all 3 + 3 vertices on it, which fails eel3; the
+    # certificate names each of the 41 proper divisors once, with the count
+    # of its powers
+    path = tmp_path / "circle.json"
+    _write_fixed_circle(path, 500_000)
     out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 20)
     assert out.returncode == 5, out.stderr
     assert out.stderr == ""
     assert len(out.stdout.encode()) < 4096
-    eel4 = next(c for c in json.loads(out.stdout)["checks"] if c["name"] == "eel4")
-    assert eel4["measured"] == 250_000.0
-    divisors = re.findall(r"powers i with gcd\(i, 500000\) = (\d+): ", eel4["detail"])
-    assert divisors == [str(5**k) for k in range(7)]
+    checks = {c["name"]: c for c in json.loads(out.stdout)["checks"]}
+    assert [name for name, c in checks.items() if not c["pass"]] == ["eel3"]
+    assert checks["eel3"]["measured"] == 499_999.0
+    found = re.findall(r"(\d+) powers i with gcd\(i, 500000\) = (\d+): 3\+3 vertices of a part on circle",
+                       checks["eel3"]["detail"])
+    assert [(int(c), int(d)) for c, d in found] == [(c, d) for d, c in _gcd_counts(500_000).items()]
 
 
 def _write_without_subdivision(path: Path, shape, text, orientation, label, order) -> None:
@@ -347,52 +375,84 @@ def _write_without_subdivision(path: Path, shape, text, orientation, label, orde
     path.write_text(json.dumps(realization_to_obj(aut, iso, emb, label, 3)))
 
 
+def _write_antipodal_pairs(path: Path, pairs: int, order: int) -> None:
+    """(v1 w1)…(vp wp) of K_{p,p}, p = ``pairs``, the ends of each edge (v_i,
+    w_i) antipodal on the circle x3 = x4 = 0, under -I on that plane and
+    R(2π/order) on the other: an exact realization of the even ``order``,
+    whose odd powers interchange the ends of each edge (v_i, w_i)."""
+    vertices = {}
+    for i in range(1, pairs + 1):
+        a = np.pi * i / pairs
+        vertices[f"v{i}"] = [float(np.cos(a)), float(np.sin(a)), 0.0, 0.0]
+        vertices[f"w{i}"] = [-float(np.cos(a)), -float(np.sin(a)), 0.0, 0.0]
+    c, s = float(np.cos(2 * np.pi / order)), float(np.sin(2 * np.pi / order))
+    obj = {
+        "n": pairs, "m": pairs, "perm": "".join(f"(v{i} w{i})" for i in range(1, pairs + 1)),
+        "case": "OP1", "seed": 1, "order": order, "orientation": "op",
+        "matrix": [[-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, c, -s], [0.0, 0.0, s, c]],
+        "vertices": vertices, "subdivision": {}, "landmarks": {},
+    }
+    path.write_text(json.dumps(obj))
+
+
 # the 2-cycles (v_i w_i) invert their edges at every odd power
 OR13 = ((4, 4), "(v1 w1)(v2 w2)(v3 w3 v4 w4)", "or", "OR13")
-MIXED_TWO_CYCLES = ((100, 100), "".join(f"(v{i} w{i})" for i in range(1, 101)), "op", "OP1")
 
 
 @pytest.mark.parametrize(
-    "case, order, measured",
+    "write, measured",
     [
-        pytest.param(OR13, 10**8, 100_000_000, id="OR13"),  # 2 edges at 5 * 10^7 odd powers
-        pytest.param(MIXED_TWO_CYCLES, 10**6, 50_000_000, id="mixed-2-cycles"),  # 100 at 500 000
+        # OR13 without its subdivision vertices, claiming 10^8 for its matrix
+        # of order 4: M^4 = I fails order, so π is not established and eel2
+        # fails naming it, without reading any power of π
+        pytest.param(lambda path: _write_without_subdivision(path, *OR13, 10**8), None, id="OR13"),
+        # exact: each of the 100 inverted edges is reported at the odd proper
+        # divisors of 10^6, its hits counted for each of the 500 000 odd powers
+        pytest.param(lambda path: _write_antipodal_pairs(path, 100, 10**6), 50_000_000,
+                     id="mixed-2-cycles"),
     ],
 )
-def test_verify_counts_candidate_swaps_by_divisor(tmp_path, case, order, measured):
-    # π is established, and each inverted edge is tested only at the odd
-    # proper divisors of the order, its hits counted for every odd power
+def test_verify_counts_candidate_swaps_by_divisor(tmp_path, write, measured):
     path = tmp_path / "inverted.json"
-    _write_without_subdivision(path, *case, order)
+    write(path)
     triple = realization_from_obj(json.loads(path.read_text()))
     start = time.perf_counter()
     eel2 = verify(*triple).check("eel2")
     assert time.perf_counter() - start < 1.0
     assert not eel2.passed
     assert eel2.measured == measured
+    if measured is None:
+        assert eel2.detail == "pi not established: order failed"
 
 
 @pytest.mark.parametrize("order", [40_000, 10**8])
 def test_cli_verify_of_candidate_swaps_is_small(tmp_path, order):
-    # each of (v1, w1) and (v2, w2) is reported once per odd proper divisor
-    path = tmp_path / "or13.json"
-    _write_without_subdivision(path, *OR13, order)
+    # (v1 w1) of K_{1,1}, antipodal under -I.  At 40 000, π is established
+    # and the edge is reported once per odd proper divisor, counted for each
+    # of the 20 000 odd powers.  At 10^8, M^2 = -I * -I + R(4π/10^8) lies
+    # within IDENTITY_GAP of I, so order fails and eel2 names it
+    path = tmp_path / "pair.json"
+    _write_antipodal_pairs(path, 1, order)
     out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
     assert out.returncode == 5, out.stderr
     assert out.stderr == ""
     assert len(out.stdout.encode()) < 4096
-    eel2 = next(c for c in json.loads(out.stdout)["checks"] if c["name"] == "eel2")
-    assert eel2["measured"] == order
-    divisors = re.findall(rf"powers i with gcd\(i, {order}\) = (\d+): ", eel2["detail"])
-    odd = [d for d in _gcd_counts(order) if d % 2]
-    assert divisors == [str(d) for d in odd for _ in range(2)]
+    checks = {c["name"]: c for c in json.loads(out.stdout)["checks"]}
+    if order > 10**6:
+        assert checks["order"]["detail"].endswith("; M^2 is already the identity")
+        assert checks["eel2"]["detail"] == "pi not established: order failed"
+        return
+    assert [name for name, c in checks.items() if not c["pass"]] == ["eel2"]
+    assert checks["eel2"]["measured"] == order // 2
+    divisors = re.findall(rf"powers i with gcd\(i, {order}\) = (\d+): interchanges v1,w1",
+                          checks["eel2"]["detail"])
+    assert divisors == [str(d) for d in _gcd_counts(order) if d % 2]
 
 
-def test_cli_verify_tests_every_pair_at_47_divisors(tmp_path):
-    # K_{1000,1000} in 10-cycles with v1 moved off its place: π is not
-    # established, so eel2 tests each of the 10^6 edges at each of the 47
-    # proper divisors of 2520, within MAX_DIVISOR_EDGES
-    assert len(_gcd_counts(2520)) * 10**6 == 47_000_000 <= MAX_DIVISOR_EDGES
+def test_cli_verify_of_a_moved_point_is_not_established(tmp_path):
+    # K_{1000,1000} in 10-cycles with v1 moved off its place, claiming 2520:
+    # M^10 = I fails order and v1 fails induces, so π is not established,
+    # and eel1-eel4 fail naming both without testing any edge
     aut = parse_cycles(BipartiteShape(1000, 1000), _cycles(1000, 10))
     iso, emb = realize(aut, Orientation.OP, 1)
     iso = dataclasses.replace(iso, claimed_order=2520)
@@ -400,12 +460,12 @@ def test_cli_verify_tests_every_pair_at_47_divisors(tmp_path):
     emb.points[0] = p / np.linalg.norm(p)
     path = tmp_path / "moved.json"
     path.write_text(json.dumps(realization_to_obj(aut, iso, emb, "OP1", 1)))
-    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 20)
+    out = _run_limited(["-m", "bipsym.cli", "verify", str(path)], 10)
     assert out.returncode == 5, out.stderr
     assert out.stderr == ""
     checks = {c["name"]: c for c in json.loads(out.stdout)["checks"]}
     assert not checks["induces"]["pass"]
-    assert checks["eel2"]["pass"]
+    assert {checks[f"eel{i}"]["detail"] for i in range(1, 5)} == {NOT_ESTABLISHED}
 
 
 def _verify_peak(path: Path) -> int:

@@ -22,10 +22,11 @@ from bipsym import (
 from bipsym.classifier import Orientation
 from bipsym.cli import cli_main
 from bipsym.geometry import Isometry4
-from bipsym.verifier import _Verification
+from bipsym.verifier import CheckResult, _Verification
 
 from labelled import coordinates_of, embedding_from_labels, subdivision_edges_of
 from topology_checks import smith_check, two_circle_check
+import verifier_oracle
 
 S33 = BipartiteShape(3, 3)
 S34 = BipartiteShape(3, 4)
@@ -33,6 +34,15 @@ S34 = BipartiteShape(3, 4)
 
 def vid(label):
     return VertexId.from_label(label)
+
+
+def verify_against_oracle(aut, iso, emb, tol=1e-9):
+    """verify's certificate; where it finds π not established, the per-power
+    oracle's certificate fails too."""
+    cert = verify(aut, iso, emb, tol=tol)
+    if cert.check("eel1").detail.startswith("pi not established: "):
+        assert not verifier_oracle.verify(aut, iso, emb, tol=tol).overall
+    return cert
 
 
 def realize_and_verify(shape, text, orientation, seed=1, tol=1e-9):
@@ -77,7 +87,7 @@ class TestNegativeControls:
         assert cert.overall
         a, b = S33.global_index(vid("v1")), S33.global_index(vid("v2"))
         emb.points[[a, b]] = emb.points[[b, a]]
-        tampered = verify(aut, iso, emb, tol=1e-9)
+        tampered = verify_against_oracle(aut, iso, emb, tol=1e-9)
         assert not tampered.check("induces").passed
         assert not tampered.overall
 
@@ -87,9 +97,25 @@ class TestNegativeControls:
         # push a V vertex off the fixed sphere; W is already partly off it
         p = coordinates_of(emb)[vid("v1")] + np.array([0.0, 0.0, 0.0, 0.4])
         emb.points[S34.global_index(vid("v1"))] = p / np.linalg.norm(p)
-        tampered = verify(aut, iso, emb, tol=1e-9)
+        tampered = verify_against_oracle(aut, iso, emb, tol=1e-9)
         assert not tampered.check("eel4").passed
         assert not tampered.overall
+
+    def test_parts_off_an_established_mirror_fail_eel4(self):
+        # the reflection swaps v1, v2 and w1, w2 across its mirror sphere and
+        # fixes v3 and w3 on it: π is established, and M, the one proper
+        # power, fixes a sphere that holds neither part
+        aut = parse_cycles(S33, "(v1 v2)(w1 w2)")
+        iso = reflection_isometry()
+        coords = {vid("v3"): np.array([0.0, 0.6, 0.8, 0.0]), vid("w3"): np.array([0.0, -0.6, 0.8, 0.0])}
+        for a, b, p in (("v1", "v2", [0.6, 0.0, 0.0, 0.8]), ("w1", "w2", [-0.6, 0.0, 0.48, 0.64])):
+            coords[vid(a)] = np.array(p)
+            coords[vid(b)] = iso.matrix @ coords[vid(a)]
+        cert = verify(aut, iso, embedding_from_labels(S33, coords), tol=1e-9)
+        assert [c.name for c in cert.checks if not c.passed] == ["eel4"]
+        eel4 = cert.check("eel4")
+        assert eel4.detail == "1 powers i with gcd(i, 2) = 1: neither part lies in the fixed sphere"
+        assert eel4.measured == 1.0
 
     def test_coordinate_perturbation_fails(self):
         aut, iso, emb, cert = realize_and_verify(S33, "(v1 v2 v3)(w1 w2 w3)", "op")
@@ -98,14 +124,14 @@ class TestNegativeControls:
         p = coordinates_of(emb)[vid("v1")].copy()
         p[0] += 10 * tol
         emb.points[S33.global_index(vid("v1"))] = p
-        tampered = verify(aut, iso, emb, tol=tol)
+        tampered = verify_against_oracle(aut, iso, emb, tol=tol)
         assert not tampered.check("induces").passed
         assert not tampered.overall
 
     def test_radial_perturbation_fails_unit_norm(self):
         aut, iso, emb, cert = realize_and_verify(S33, "(v1 v2 v3)(w1 w2 w3)", "op")
         emb.points[S33.global_index(vid("w1"))] = coordinates_of(emb)[vid("w1")] * (1 + 1e-8)
-        tampered = verify(aut, iso, emb, tol=1e-9)
+        tampered = verify_against_oracle(aut, iso, emb, tol=1e-9)
         assert not tampered.check("unit_norm").passed
 
     @pytest.mark.parametrize("claimed", [3, 5])
@@ -122,7 +148,7 @@ class TestNegativeControls:
                 coords[vid(f"{part}{i}")] = p
                 p = M @ p
         iso = Isometry4(M, claimed, Orientation.OP)
-        cert = verify(aut, iso, embedding_from_labels(S33, coords), tol=1e-9)
+        cert = verify_against_oracle(aut, iso, embedding_from_labels(S33, coords), tol=1e-9)
         assert cert.check("unit_norm").passed
         assert not cert.check("induces").passed
         assert cert.check("order").passed == (claimed == 5)
@@ -131,7 +157,7 @@ class TestNegativeControls:
     def test_near_coincident_vertices_fail_separation(self):
         aut, iso, emb, cert = realize_and_verify(S33, "(v1 v2 v3)(w1 w2 w3)", "op")
         emb.points[S33.global_index(vid("w1"))] = coordinates_of(emb)[vid("v1")] + 1e-8
-        tampered = verify(aut, iso, emb, tol=1e-9)
+        tampered = verify_against_oracle(aut, iso, emb, tol=1e-9)
         assert not tampered.check("induces").passed
 
     def test_adjacent_pair_on_two_point_fixed_set_fails_eel3(self):
@@ -157,7 +183,7 @@ class TestNegativeControls:
             partner = {"v2": "v3", "w2": "w3"}[label]
             coords[vid(partner)] = iso.matrix @ seed
         emb = embedding_from_labels(S33, coords)
-        cert = verify(aut, iso, emb, tol=1e-9)
+        cert = verify_against_oracle(aut, iso, emb, tol=1e-9)
         assert cert.check("induces").passed
         assert not cert.check("eel3").passed
         assert "no arcs" in cert.check("eel3").detail
@@ -254,10 +280,10 @@ class TestSubdividedTwice:
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_subdivided_edge_list_matches_plain_lists(data):
-    """The edge arrays of the subdivided graph equal a plain-list walk over
-    the edges in position order, each subdivided (v, w) becoming (v, z),
-    (z, w) in its place, with ids whose sorted order is not position order
-    and edges given either way round."""
+    """The edges of the subdivided graph among all its points, in edge
+    order, equal a plain-list walk over the edges in position order, each
+    subdivided (v, w) becoming (v, z), (z, w) in its place, with ids whose
+    sorted order is not position order and edges given either way round."""
     n = data.draw(st.integers(1, 9), label="n")
     m = data.draw(st.integers(1, 9), label="m")
     shape = BipartiteShape(n, m)
@@ -295,8 +321,18 @@ def test_subdivided_edge_list_matches_plain_lists(data):
             else:
                 want_a += [v, point[z]]
                 want_b += [point[z], w]
-    assert state.edge_a.tolist() == want_a
-    assert state.edge_b.tolist() == want_b
+    assert state.edges_among(list(range(len(point) + shape.size))) == list(zip(want_a, want_b))
+
+
+def test_a_cycle_that_does_not_divide_the_order_is_not_established():
+    # the facts read per divisor hold for every power only when π^r is the
+    # identity: with the checks π rests on taken as passed, a 2-cycle under a
+    # claimed order 3 is named
+    aut = parse_cycles(S33, "(v1 v2)")
+    iso, emb = realize(aut, "or", seed=1)
+    st = _Verification(aut, Isometry4(iso.matrix, 3, iso.orientation), emb, 1e-9)
+    prior = [CheckResult(name, True, "") for name in ("unit_norm", "orthogonal", "order", "induces")]
+    assert st.establish(3, prior) == "pi^3 moves v1, in a cycle of length 2"
 
 
 class TestSmith:

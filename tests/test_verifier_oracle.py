@@ -1,20 +1,21 @@
-"""The array verifier against the per-power loop verifier it replaced.
+"""The verifier against the per-power loop verifier it replaced.
 
 ``verifier_oracle.verify`` builds every power by repeated multiplication and
-one fixed subspace per power; ``bipsym.verify`` makes M^r and M^d for each
-proper divisor d of the order by repeated squaring and works per divisor.
-Their certificates must serialize to the same bytes, passing or failing,
-once the oracle's per-power eel2, eel3 and eel4 findings are folded into one
-entry per divisor and its early identity kept only at a divisor of the order
-(``fold_by_divisor``), except that the measured values of ``order`` and
-``eel1``, which come from the powers, may differ by rounding
-(``assert_same_numbers``).  On tampered matrices whose claimed order is not
-theirs, or with a tolerance comparable to the distances between points, a
-power and the power of its gcd with the order need not fix or interchange
-the same points.  There the fixed-set checks eel1, eel3 and eel4 may
-differ; eel2 must still agree at each proper divisor d of the order, and
-where its hits do not fold, both certificates must fail
-(``assert_same_eel2``); every other check must agree.
+one fixed subspace per power, and tests every point and edge numerically;
+``bipsym.verify`` makes M^r and M^d for each proper divisor d of the order
+by repeated squaring, and reads which points and edges each M^d fixes or
+interchanges from the cycle lengths of π, the point permutation, once
+unit_norm, orthogonal, order and induces have established it.  Where π is
+established, their certificates must serialize to the same bytes, passing
+or failing, once the oracle's per-power eel2, eel3 and eel4 findings are
+folded into one entry per divisor and its early identity kept only at a
+divisor of the order (``fold_by_divisor``), except that the measured values
+of ``order`` and ``eel1``, which come from the powers, may differ by
+rounding (``assert_same_numbers``).  Where it is not, as on tampered
+matrices whose claimed order is not theirs or with a tolerance comparable
+to the distances between points, eel1-eel4 fail on one detail naming the
+reason (``assert_not_established``), the oracle's certificate fails too,
+and every other check must agree.
 """
 
 import dataclasses
@@ -44,7 +45,7 @@ from bipsym import (
 )
 from bipsym.geometry import IDENTITY_GAP, SUBSPACE_TOL
 from bipsym.jsonio import canonical_json, certificate_to_obj
-from bipsym.verifier import RealizationCertificate, _gcd_counts
+from bipsym.verifier import RealizationCertificate, _gcd_counts, fixed_subspace
 
 import verifier_oracle
 from automorphism_ops import identity_automorphism
@@ -154,32 +155,51 @@ def fold_by_divisor(obj: dict, r: int, tol: float = TOL) -> dict:
     return obj
 
 
-def verify_findings(check: dict, r: int) -> dict[int, list[str]]:
-    """The findings of ``bipsym.verify``'s failing ``check`` of claimed
-    order ``r``, each proper divisor d of r to its findings in order."""
-    found: dict[int, list[str]] = {}
-    for entry in filter(None, check["detail"].split("; ")):
-        d, text = re.fullmatch(rf"\d+ powers i with gcd\(i, {r}\) = (\d+): (.*)", entry).groups()
-        found.setdefault(int(d), []).append(text)
-    return found
+# the checks π rests on, and those that read π once it is established
+PRIOR = ("unit_norm", "orthogonal", "order", "induces")
+EELS = ("eel1", "eel2", "eel3", "eel4")
+NOT_ESTABLISHED = "pi not established: "
+
+
+def established(got: dict) -> bool:
+    """Whether ``bipsym.verify``'s certificate object ``got`` has π
+    established; where it does not, ``assert_not_established`` holds."""
+    eel1 = next(c for c in got["checks"] if c["name"] == "eel1")
+    if not eel1["detail"].startswith(NOT_ESTABLISHED):
+        return True
+    assert_not_established(got)
+    return False
+
+
+def assert_not_established(got: dict) -> None:
+    """eel1-eel4 of ``got`` fail on one detail with no measured value,
+    naming the checks of PRIOR that failed, or, where all passed, a
+    π-cycle whose length does not divide the order or the drift."""
+    eels = [c for c in got["checks"] if c["name"] in EELS]
+    assert [(c["pass"], c["measured"]) for c in eels] == [(False, None)] * 4
+    assert len({c["detail"] for c in eels}) == 1
+    failed = [c["name"] for c in got["checks"] if c["name"] in PRIOR and not c["pass"]]
+    reason = eels[0]["detail"].removeprefix(NOT_ESTABLISHED)
+    if failed:
+        assert reason == f"{', '.join(failed)} failed"
+    else:
+        assert re.fullmatch(
+            r"pi\^\d+ moves \w+, in a cycle of length \d+"
+            r"|tol \+ drift \S+ >= min separation \S+",
+            reason,
+        ), reason
 
 
 def assert_same_eel2(got: dict, want: dict, r: int) -> None:
     """The eel2 checks of ``bipsym.verify``'s certificate object ``got`` and
-    the oracle's ``want``, of claimed order ``r``: at each proper divisor d
-    of r, verify's hits are the oracle's hits at power d.  Where the
-    oracle's hits fold by gcd, the two checks are the same bytes, measured
-    value included; where they do not, both certificates fail."""
+    the oracle's ``want``, of claimed order ``r``, where π is established:
+    the oracle's hits fold by gcd, and the two checks are the same bytes,
+    measured value included."""
+    if not established(got):
+        return
     g, w = (next(c for c in obj["checks"] if c["name"] == "eel2") for obj in (got, want))
-    theirs = {} if w["pass"] else oracle_findings(w)
-    ours = {} if g["pass"] else verify_findings(g, r)
-    assert ours == {d: theirs[d] for d in _gcd_counts(r) if d in theirs}
-    try:
-        folded = w if w["pass"] else fold_check(dict(w), r)
-    except ValueError:
-        assert got["overall"] is want["overall"] is False
-    else:
-        assert canonical_json(g) == canonical_json(folded)
+    folded = w if w["pass"] else fold_check(dict(w), r)
+    assert canonical_json(g) == canonical_json(folded)
 
 
 # the checks whose measured values are read off computed powers of M:
@@ -216,7 +236,7 @@ def assert_same_certificate(aut, iso, emb, tol=TOL):
     assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
     assert_same_eel2(got, want, r)
     for g, w in zip(got["checks"], want["checks"]):
-        if g["name"] == "eel2":
+        if g["name"] == "eel2" or g["name"] in EELS and not established(got):
             continue
         if g["name"] == "order":
             fold_order(w, r, tol)
@@ -320,8 +340,9 @@ def claiming(iso, times):
     return Isometry4(iso.matrix, times * iso.claimed_order, iso.orientation)
 
 
-# a claimed order 3x the true one repeats a finding at powers 1, 3 and 5 of
-# r = 6, which fold into d = 1 (powers 1 and 5) and d = 3 (power 3)
+# a claimed order 3x the true one fails order, so eel4 fails as π is not
+# established, and the oracle, which finds the reflection at powers 1, 3 and
+# 5 of r = 6, fails too
 @pytest.mark.parametrize("times", [1, 3])
 def test_point_off_the_sphere(times):
     aut, iso, emb = realized(BipartiteShape(3, 4), "(w3 w4)", "or")
@@ -359,7 +380,8 @@ def test_inverted_edges_without_subdivision():
 
 def test_claimed_order_a_multiple_changes_only_subspace_noise():
     # M^3 and M^6 both equal I up to rounding; the loop version compares
-    # their two noisy SVD bases, the array version gives M^6 the basis of M^3
+    # their two noisy SVD bases in eel1.  The order check fails at M^3, so
+    # π is not established and eel1-eel4 compare no subspaces at all
     aut, iso, emb = realized(BipartiteShape(3, 3), "(v1 v2 v3)(w1 w2 w3)", "op")
     tripled = claiming(iso, 3)
     got = certificate_to_obj(verify(aut, tripled, emb, tol=TOL))
@@ -367,15 +389,17 @@ def test_claimed_order_a_multiple_changes_only_subspace_noise():
         certificate_to_obj(verifier_oracle.verify(aut, tripled, emb, tol=TOL)), 9
     )
     assert got["overall"] is want["overall"] is False
+    assert not established(got)
     for g, w in zip(got["checks"], want["checks"]):
-        if g["name"] == "eel1":
-            assert g["pass"] and w["pass"]
-            assert g["measured"] <= w["measured"] <= SUBSPACE_TOL
+        if g["name"] in EELS:
+            assert g["detail"] == "pi not established: order failed"
         elif g["name"] == "order":
             assert_same_numbers(g, w)
             assert g["detail"].endswith("; M^3 is already the identity")
         else:
             assert g == w
+    eel1 = next(w for w in want["checks"] if w["name"] == "eel1")
+    assert eel1["pass"] and eel1["measured"] <= SUBSPACE_TOL
 
 
 def test_subdivision_set_not_closed():
@@ -411,6 +435,49 @@ def test_adjacent_pair_on_two_point_fixed_set(times):
         coords[vid(partner)] = iso.matrix @ p
     emb = embedding_from_labels(shape, coords)
     failing(aut, iso, emb, "eel3")
+
+
+def test_fixed_set_that_grows_fails_eel1():
+    # [1] + [-1] + R(2π/3), order 6: M fixes ±e1, where v1 and w1 sit, M^2 the
+    # circle of the first plane and M^3 a sphere.  The edge (v1, w1) is
+    # fixed by every power, first by M, whose two points differ from the
+    # fixed sets of M^2 and M^4 (gcd 2) and of M^3: three powers.  The
+    # 2-cycles (v2 v3) and (w2 w3) lie on that circle, three of a part
+    shape = BipartiteShape(3, 3)
+    aut = parse_cycles(shape, "(v2 v3)(w2 w3)")
+    M = np.zeros((4, 4))
+    M[0, 0], M[1, 1] = 1.0, -1.0
+    M[2:, 2:] = rotation(Fraction(1, 3))
+    iso = Isometry4(M, 6, Orientation.OR)
+    coords = {vid("v1"): np.array([1.0, 0.0, 0.0, 0.0]), vid("w1"): np.array([-1.0, 0.0, 0.0, 0.0])}
+    for a, b, p in (("v2", "v3", [0.6, 0.8, 0.0, 0.0]), ("w2", "w3", [-0.8, 0.6, 0.0, 0.0])):
+        coords[vid(a)] = np.array(p)
+        coords[vid(b)] = M @ coords[vid(a)]
+    cert = assert_same_certificate(aut, iso, embedding_from_labels(shape, coords))
+    assert established(certificate_to_obj(cert))
+    eel1 = cert.check("eel1")
+    assert (eel1.passed, eel1.detail) == (False, "3 co-fixed adjacent pairs with different fixed sets")
+    assert cert.check("eel3").detail == (
+        "2 powers i with gcd(i, 6) = 1: adjacent pair fixed by a power whose fixed set contains no "
+        "arcs; 2 powers i with gcd(i, 6) = 2: 3+3 vertices of a part on circle"
+    )
+
+
+def test_three_vertices_of_one_part_on_a_fixed_circle_fail_eel3():
+    # -I on the first plane and I on the second: the circle x1 = x2 = 0 holds
+    # all of V and w1, w2, and M swaps w3, w4 across the other circle
+    shape = BipartiteShape(3, 4)
+    aut = parse_cycles(shape, "(w3 w4)")
+    M = np.diag([-1.0, -1.0, 1.0, 1.0])
+    coords = {
+        vid(label): np.array([0.0, 0.0, math.cos(a), math.sin(a)])
+        for label, a in zip(["v1", "v2", "v3", "w1", "w2"], np.arange(5) * 2 * np.pi / 5)
+    }
+    coords[vid("w3")] = np.array([1.0, 0.0, 0.0, 0.0])
+    coords[vid("w4")] = np.array([-1.0, 0.0, 0.0, 0.0])
+    cert = assert_same_certificate(aut, Isometry4(M, 2, Orientation.OP), embedding_from_labels(shape, coords))
+    assert [c.name for c in cert.checks if not c.passed] == ["eel3"]
+    assert cert.check("eel3").detail == "1 powers i with gcd(i, 2) = 1: 3+2 vertices of a part on circle"
 
 
 # --- one fixed subspace per proper divisor of the order ----------------------
@@ -460,18 +527,33 @@ def count_powers(monkeypatch, M):
     return calls
 
 
-# run_powers makes exactly M^r and M^d for the proper divisors d of r
+def on_the_fixed_circle(shape):
+    """Every vertex of ``shape`` on the circle x1 = x2 = 0, evenly spaced."""
+    angles = 2 * np.pi * np.arange(shape.size) / shape.size
+    points = np.zeros((shape.size, 4))
+    points[:, 2], points[:, 3] = np.cos(angles), np.sin(angles)
+    return embedding_from_labels(shape, dict(zip(shape.vertices(), points)))
+
+
+def turning_the_first_plane(r: int) -> Isometry4:
+    """R(2π/r) on the plane x3 = x4 = 0, the identity on the other: order r,
+    fixing the circle x1 = x2 = 0 pointwise."""
+    M = np.eye(4)
+    M[:2, :2] = rotation(Fraction(1, r))
+    return Isometry4(M, r, Orientation.OP)
+
+
+# verify makes exactly M^r and M^d for the proper divisors d of r: the
+# identity of K_{3,3} on the circle that a rotation of order r fixes
+# establishes π at every r
 @pytest.mark.parametrize("r", [1, 7, 1024, 1025, 5040, 6144])
 def test_power_pass_finds_the_proper_divisors(monkeypatch, r):
-    aut = parse_cycles(BipartiteShape(3, 3), "(v1 v2)")
-    iso, emb = realize(aut, Orientation.OR, 1)
-    iso = dataclasses.replace(iso, claimed_order=r)
-    st = bipsym.verifier._Verification(aut, iso, emb, TOL)
+    iso = turning_the_first_plane(r)
     calls = count_powers(monkeypatch, iso.matrix)
     subspaces = count_fixed_subspace(monkeypatch)
-    st.run_powers(r, _gcd_counts(r), st._swap_groups(True))  # part-preserving: no eel2 powers
+    cert = certificate_to_obj(verify(IDENTITY_33, iso, on_the_fixed_circle(IDENTITY_33.shape)))
+    assert established(cert)
     divisors = [d for d in range(1, r) if r % d == 0]
-    assert st.divisors == divisors
     assert calls == [r, *divisors]
     # M^d by repeated squaring is the fixed subspace's matrix, bit for bit
     assert [D.tobytes() for D in subspaces] == [
@@ -549,9 +631,9 @@ def test_gcd_counts_at_large_orders(r, proper):
     assert_gcd_counts(r)
 
 
-# --- eel2: the pairs π can interchange, or every pair ------------------------
+# --- eel2: the pairs π interchanges, once π is established ------------------
 
-# the checks that do not read the fixed sets of the divisor rows, eel2 aside
+# the checks that π rests on, with orientation: none reads a fixed set
 NOT_FIXED_SET = ("unit_norm", "orthogonal", "order", "orientation", "induces")
 
 
@@ -559,6 +641,8 @@ def assert_same_checks(aut, iso, emb, tol):
     got = certificate_to_obj(verify(aut, iso, emb, tol=tol))
     want = certificate_to_obj(verifier_oracle.verify(aut, iso, emb, tol=tol))
     assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+    if not established(got):
+        assert want["overall"] is False
     assert_same_eel2(got, want, iso.claimed_order)
     for g, w in zip(got["checks"], want["checks"]):
         if g["name"] == "order":
@@ -568,19 +652,6 @@ def assert_same_checks(aut, iso, emb, tol):
     return {c["name"]: c for c in got["checks"]}
 
 
-def eel2_paths(monkeypatch):
-    """The ``pi_exact`` argument of every eel2 candidate choice."""
-    seen = []
-    real = bipsym.verifier._Verification._swap_groups
-
-    def spy(self, pi_exact):
-        seen.append(pi_exact)
-        return real(self, pi_exact)
-
-    monkeypatch.setattr(bipsym.verifier._Verification, "_swap_groups", spy)
-    return seen
-
-
 def separation(emb) -> float:
     points = emb.points
     dists = np.linalg.norm(points[:, None] - points[None], axis=2)
@@ -588,28 +659,33 @@ def separation(emb) -> float:
 
 
 @pytest.mark.parametrize("case", ["exact", "tol near separation", "step of sep/8"])
-def test_inverted_edges_on_both_eel2_paths(monkeypatch, case):
+def test_inverted_edges_on_both_eel2_paths(case):
     # without subdivision, M^3 of the 6-cycle (v1 w1 v2 w2 v3 w3) inverts
-    # the edges (v1, w2), (v2, w3) and (v3, w1).  A tolerance just below the
-    # separation matches the same pairs, but tol plus the drift of the powers
-    # no longer stays below the separation, so every pair is tested; so too
-    # when M moves a point by an eighth of the separation, which six powers
-    # can add up to more than the separation.
+    # the edges (v1, w2), (v2, w3) and (v3, w1), which π establishes.  A
+    # tolerance a few ulps below the separation matches the same pairs, but
+    # tol plus the drift no longer stays below the separation; and M moving
+    # a point by an eighth of the separation fails induces.  Either way π is
+    # not established, eel2 fails naming why, and the oracle fails too.
     aut, iso, emb = realized(BipartiteShape(3, 3), "(v1 w1 v2 w2 v3 w3)", "op")
     emb = without_subdivision(emb)
     sep = separation(emb)
-    tol = sep - 1e-13 if case == "tol near separation" else TOL
+    tol = sep - 1e-15 if case == "tol near separation" else TOL
     if case == "step of sep/8":
         p = coordinates_of(emb)[vid("v1")] + np.array([0.0, 0.0, 0.0, sep / 8])
         emb.points[row(emb, "v1")] = p / np.linalg.norm(p)
-    seen = eel2_paths(monkeypatch)
     checks = assert_same_checks(aut, iso, emb, tol)
-    assert seen == [case == "exact"]
-    inverted = ["v2,w3", "v3,w1"] if case == "step of sep/8" else ["v1,w2", "v2,w3", "v3,w1"]
-    assert checks["eel2"]["detail"] == "; ".join(
-        f"1 powers i with gcd(i, 6) = 3: interchanges {edge}" for edge in inverted
-    )
-    assert checks["eel2"]["measured"] == len(inverted)
+    eel2 = checks["eel2"]
+    if case == "exact":
+        assert eel2["detail"] == "; ".join(
+            f"1 powers i with gcd(i, 6) = 3: interchanges {edge}"
+            for edge in ["v1,w2", "v2,w3", "v3,w1"]
+        )
+        assert eel2["measured"] == 3
+    elif case == "tol near separation":
+        assert re.fullmatch(rf"pi not established: tol \+ drift \S+ >= min separation {sep:.3g}",
+                            eel2["detail"])
+    else:
+        assert eel2["detail"] == "pi not established: induces failed"
 
 
 def test_inversions_from_two_cycle_lengths_in_power_order():
@@ -645,10 +721,12 @@ def check_obj(check) -> dict:
 def test_eel2_folds_on_every_class_without_subdivision():
     # every realizable class of K_{n,n}, 3 <= n <= 6, realized exactly with
     # its subdivision vertices dropped, so that powers of π may invert
-    # edges, and claiming 1-3 times its order: verify's eel2 is the oracle's
-    # folded by divisor, byte for byte, and no oracle finding fails to fold
+    # edges: at its own order, verify's eel2 is the oracle's folded by
+    # divisor, byte for byte, and no oracle finding fails to fold; claiming
+    # 2 or 3 times its order fails order, so eel2 fails as π is not
+    # established
     rng = random.Random(30)
-    cases = failing = 0
+    cases = failing = unestablished = 0
     for n in range(3, 7):
         for aut in class_conjugates(n, n, rng):
             for _, iso, emb in realizations(aut, rng.randrange(1, 1 << 16)):
@@ -657,6 +735,10 @@ def test_eel2_folds_on_every_class_without_subdivision():
                     claimed = claiming(iso, times)
                     r = claimed.claimed_order
                     got = check_obj(verify(aut, claimed, emb, tol=TOL).check("eel2"))
+                    if times > 1:
+                        assert got["detail"] == "pi not established: order failed"
+                        unestablished += 1
+                        continue
                     dense = verifier_oracle._Verification(aut, claimed, emb, TOL)
                     want = check_obj(verifier_oracle._check_eel2(dense, r))
                     if not want["pass"]:
@@ -664,7 +746,7 @@ def test_eel2_folds_on_every_class_without_subdivision():
                     assert canonical_json(got) == canonical_json(want)
                     cases += 1
                     failing += not got["pass"]
-    assert (cases, failing) == (339, 39)
+    assert (cases, failing, unestablished) == (113, 13, 226)
 
 
 TAMPER_CASES = [
@@ -700,6 +782,16 @@ def tampered_realizations(draw):
 def test_tampered_realizations_agree_with_the_oracle(case):
     aut, iso, emb, tol = case
     assert_same_checks(aut, iso, emb, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tampered_realizations())
+def test_not_established_fails_the_oracle_too(case):
+    # wherever verify finds π not established, and so reads no fixed set,
+    # the per-power oracle, which tests every power, fails the triple too
+    aut, iso, emb, tol = case
+    if not established(certificate_to_obj(verify(aut, iso, emb, tol=tol))):
+        assert not verifier_oracle.verify(aut, iso, emb, tol=tol).overall
 
 
 def test_early_identity_off_the_divisors_is_folded():
@@ -776,9 +868,14 @@ def test_squaring_agrees_with_the_dense_powers(case):
     assert masked(got["detail"]) == masked(want["detail"])
     # the fixed-set dimension at every proper divisor
     ours = bipsym.verifier._Verification(aut, iso, emb, TOL)
-    ours.run_powers(r, _gcd_counts(r), [])
+    ours.run_powers(r, _gcd_counts(r))
     assert ours.divisors == [d for d in range(1, r) if r % d == 0]
-    assert [B.shape[1] for B in ours.bases] == [dense.bases[d].shape[1] for d in ours.divisors]
+    # M^d is made up to the early identity
+    end = ours.divisors.index(ours.early) + 1 if ours.early else len(ours.divisors)
+    assert len(ours.at_divisors) == end
+    assert [fixed_subspace(D).shape[1] for D in ours.at_divisors] == [
+        dense.bases[d].shape[1] for d in ours.divisors[:end]
+    ]
 
 
 # --- a loose tolerance does not pass a wrong order -------------------------
@@ -814,3 +911,32 @@ def test_loose_tolerance_fails_a_long_rotation_one_more_than_true():
     assert want["detail"].endswith("; M^7000 is already the identity")
     assert_same_numbers(order, fold_order(want, 7001, 1e-3))
 
+
+# --- the drift allows for the rounding of the measured step alone -----------
+
+
+def test_drift_allows_only_the_rounding_of_the_step():
+    # -I on the first plane and R(2π/q) on the second, q = 5 000 011 prime,
+    # have order r = 2q; (v1 v2)(w1 w2) of K_{2,2} sits on the first plane's
+    # circle, w1 2e-6 from v1, and M maps every point exactly (step 0).  At
+    # 10^-12 per power, tol + drift came to about 10^-5, past the separation;
+    # at _ROUNDING = 2^-48 it is below 5 * 10^-8, and π is established
+    q = 5_000_011
+    M = np.zeros((4, 4))
+    M[:2, :2] = -np.eye(2)
+    M[2:, 2:] = rotation(Fraction(1, q))
+    iso = Isometry4(M, 2 * q, Orientation.OP)
+    shape = BipartiteShape(2, 2)
+    aut = parse_cycles(shape, "(v1 v2)(w1 w2)")
+    w1 = np.array([math.cos(2e-6), math.sin(2e-6), 0.0, 0.0])
+    emb = embedding_from_labels(shape, {
+        vid("v1"): np.array([1.0, 0.0, 0.0, 0.0]), vid("v2"): np.array([-1.0, 0.0, 0.0, 0.0]),
+        vid("w1"): w1, vid("w2"): -w1,
+    })
+    tol = 1e-8  # |M^r - I| is about 5e-10, r times the rounding of a product
+    cert = verify(aut, iso, emb, tol=tol)
+    assert cert.overall and established(certificate_to_obj(cert))
+    step, sep = cert.check("induces").measured, separation(emb)
+    assert step == 0.0 and sep < 1e-3
+    assert tol + 2 * q * (2 * step + bipsym.verifier._ROUNDING) < 5e-8 < sep
+    assert tol + 2 * q * (2 * step + 1e-12) >= sep
