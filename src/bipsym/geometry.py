@@ -249,6 +249,15 @@ def _distances(new: np.ndarray, placed: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
+def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_k - b_k| for each row k of two equal-length arrays of points, with
+    the bits of ``_distances(a, b)[k, k]``: the same squares summed in the
+    same order, with no block."""
+    diff = a - b
+    diff *= diff
+    return np.sqrt(((diff[:, 0] + diff[:, 1]) + diff[:, 2]) + diff[:, 3])
+
+
 class _Placer:
     """Owns the points of an embedding while its orbits are placed.
 

@@ -7,10 +7,11 @@ edge-embedding conditions (named eel1-eel4 in the certificate).  Nothing is
 trusted from the construction that produced the triple.
 
 The checks read M^r, for the order check, and M^d for each proper divisor d
-of the claimed order r, found by trial division up to √r, in ascending d
-up to the first within IDENTITY_GAP of I; each is made by repeated
-squaring, so time grows with log r and with the number of r's divisors,
-not with r.  MAX_CLAIMED_ORDER bounds the trial division.
+of the claimed order r, from r's primes found by trial division, in
+ascending d up to the first within IDENTITY_GAP of I.  All are made from
+one chain of squarings M^(2^k), each multiplied in np.linalg.matrix_power's
+order and so with its bits, so time grows with log r and with the number
+of r's divisors, not with r.  MAX_CLAIMED_ORDER bounds the trial division.
 
 The order check asks |M^r - I| to be within tol and within IDENTITY_GAP.
 Then M = NE with N^r = I, its angles multiples of 2π/r, and E a small
@@ -61,10 +62,30 @@ of powers i < r with gcd(i, r) = d, as in "400 powers i with gcd(i, 1000) =
 1: neither part lies in the fixed sphere", and counts c_d times in the
 check's measured value.
 
-The induces check measures every distance between points, and from each
-image M x_k to every point, with geometry's one pairwise-distance kernel,
-_distances; a test pins its bits to np.linalg.norm's, and the verifier
-oracle in the tests measures with np.linalg.norm itself.
+Induces.  The check measures every distance between points with
+geometry's one pairwise-distance kernel, _distances, and each deviation
+|M x_k - x_{π(k)}| from the computed image q_k with _row_distances, which
+has the kernel's bits; a test pins those bits to np.linalg.norm's, and the
+verifier oracle in the tests measures with np.linalg.norm itself.  Whether
+x_{π(k)} is the point nearest q_k needs the distances from every image to
+every point, the image block, only where the shortcut below does not
+apply; there the check builds the block and reads each nearest point with
+argmin.
+
+Shortcut.  Let s' be the measured minimum separation and D' the largest
+measured deviation.  When unit_norm and orthogonal pass, every π(k) exists,
+D' <= tol and s' > 2 D' + _ROUNDING, then for every k each point x_j, j !=
+π(k), measures strictly farther from q_k than x_{π(k)}, so argmin would
+find π(k), and the check passes as the block would pass it.  unit_norm and
+orthogonal bound the norm of every point and image by 1 + 10^-11, so
+every distance d measured is below 2.001.  _distances rounds each
+difference, square, sum and the root once: a relative error of at most
+4.01u, so the measured d' lies within 8.03u of d, plus at most 2^-536
+where squares underflow, within 9u in all.  So the exact separation s >=
+s' - 9u and each exact deviation δ_k <= D' + 9u, the triangle inequality
+gives |q_k - x_j| >= s - δ_k >= s' - D' - 18u, measured as at least s' -
+D' - 27u, and that exceeds D' whenever s' > 2 D' + 27u.  _ROUNDING = 32u
+covers the 27u.  A NaN fails one of the comparisons, and takes the block.
 """
 
 from __future__ import annotations
@@ -87,27 +108,31 @@ from .geometry import (
     Isometry4,
     SpatialEmbedding,
     _distances,
+    _row_distances,
 )
 
-# r's proper divisors come from trial division up to √r: below this bound
-# r has at most 1344 divisors, and _gcd_counts takes under 0.1 s on 2 CPUs
-# (x86-64); a larger claim raises TooLarge before any product.
+# r's primes come from trial division up to √r: below this bound r has at
+# most 1344 divisors, and _gcd_counts takes under 5 ms on 2 CPUs (x86-64); a
+# larger claim raises TooLarge before any product.
 MAX_CLAIMED_ORDER = 10**9
 # n*m edges plus the subdivision vertices.  verify keeps no array over the
 # edges, so on balanced shapes this bounds only the induces check's distance
-# block of the points: at this bound, K_{1000,1000} in pure 10-cycles
-# verifies in about 0.5 s at 155 MB peak RSS on 2 CPUs; larger graphs raise
+# blocks of the points: at this bound, K_{1000,1000} in pure 10-cycles
+# verifies in 0.3-0.45 s at 93 MB peak RSS on 2 CPUs; larger graphs raise
 # TooLarge before any array is built.
 MAX_VERIFY_EDGES = 1_000_000
-# The induces check measures the K points and their images against the
-# points in one distance block, two 2K x K float64 arrays, 32 K^2 bytes: 128
-# MB at K_{1000,1000}.  A skinny shape within MAX_VERIFY_EDGES can still have
-# many points (K_{3,10000}: 3.2 GB), so a block past this budget (K > 2896)
-# raises TooLarge before any array is built.
+# The induces check measures the K points against each other in one K x K
+# float64 block and its scratch array, 16 K^2 bytes, 64 MB at K_{1000,1000};
+# where its shortcut does not apply it frees them and measures the images
+# against the points in a second pair as large.  The budget counts both
+# pairs, 32 K^2 bytes.  A skinny shape within MAX_VERIFY_EDGES can still have
+# many points (K_{3,10000}: 3.2 GB), so blocks past this budget (K > 2896)
+# raise TooLarge before any array is built.
 MAX_INDUCES_BYTES = 2**28
 
-# The drift's allowance per power for rounding in the measured step: 32u,
-# four times the 8u the module docstring derives
+# 32u: the drift's allowance per power for rounding in the measured step,
+# four times the 8u the module docstring derives, and the induces shortcut's
+# margin for the rounding of its distances, above the 27u derived there
 _ROUNDING = 2.0**-48
 _I4 = np.eye(4)
 _I4.setflags(write=False)
@@ -160,17 +185,42 @@ def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
 def _gcd_counts(r: int) -> dict[int, int]:
     """c_d = #{1 <= i < r : gcd(i, r) = d} = φ(r/d) for each proper divisor d
     of r, in ascending d."""
-    small = [d for d in range(1, math.isqrt(r) + 1) if r % d == 0]
-    divisors = small + [r // d for d in reversed(small) if d * d != r]
-    primes: list[int] = []  # the divisors above 1 that no smaller prime divides
-    for p in divisors[1:]:
-        if all(p % q for q in primes):
-            primes.append(p)
-    counts = {}
-    for d in divisors[:-1]:  # φ(k) = k Π (1 - 1/p) over the primes p of k = r/d
-        ps = [p for p in primes if r // d % p == 0]
-        counts[d] = r // d // math.prod(ps) * math.prod(p - 1 for p in ps)
-    return counts
+    factors = []  # (p, e) for each prime power p^e of r, by trial division
+    rest, p = r, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        factors.append((rest, 1))
+    # (d, φ(r/d)) for each divisor d = Π p^k: r/d = Π p^(e - k), and φ(p^j)
+    # = p^(j - 1) (p - 1) for j >= 1
+    table = [(1, 1)]
+    for p, e in factors:
+        table = [
+            (d * p**k, phi * (p ** (e - k - 1) * (p - 1) if k < e else 1))
+            for d, phi in table
+            for k in range(e + 1)
+        ]
+    return dict(sorted(table)[:-1])  # the last is d = r
+
+
+def _power(chain: list[np.ndarray], n: int) -> np.ndarray:
+    """M^n for n >= 1 from ``chain``, the squarings M^(2^k) for k below
+    n.bit_length() at least, multiplied in np.linalg.matrix_power's order,
+    so with its bits: its shortcut (M M) M for n = 3, else the squarings of
+    n's bits from the lowest, each product on the right."""
+    if n == 3:
+        return chain[1] @ chain[0]
+    result = None
+    for k, z in enumerate(chain[: n.bit_length()]):
+        if n >> k & 1:
+            result = z if result is None else result @ z
+    return result
 
 
 class _Verification:
@@ -184,9 +234,11 @@ class _Verification:
     automorphism.  The induces check sets ``min_sep`` and ``step``;
     ``run_powers`` sets ``order_dev``, ``early`` and ``counts``, which maps
     each proper divisor d of the claimed order r to the number of powers i
-    < r with gcd(i, r) = d, and the entries of ``at_divisors`` and ``bases``
-    belong to its keys, ``divisors``, in ascending order; ``establish`` sets
-    the rest once π is established.
+    < r with gcd(i, r) = d, and the entries of ``at_divisors`` (the M^d
+    made) and ``bases`` belong to its keys, ``divisors``, in ascending
+    order; ``establish`` sets the rest once π is established, all of it
+    Python lists and counters of ints but ``length``, each point's π-cycle
+    length, one int array for eel3's circles.
     """
 
     def __init__(self, aut, iso, emb, tol):
@@ -260,16 +312,20 @@ class _Verification:
     def run_powers(self, r: int, counts: dict[int, int]) -> None:
         """Make M^r, and M^d for each proper divisor d of r, the keys of
         ``counts = _gcd_counts(r)``, in ascending d up to ``early``, the first
-        within IDENTITY_GAP of I, if any, which fails the order check; each
-        by repeated squaring.  Sets ``order_dev`` (max |M^r - I|),
-        ``at_divisors`` (the M^d made) and ``early`` (or None)."""
-        M = self.iso.matrix
-        self.order_dev = float(np.abs(np.linalg.matrix_power(M, r) - _I4).max())
+        within IDENTITY_GAP of I, if any, which fails the order check.  All
+        come from one chain of squarings M^(2^k), each power multiplied as
+        np.linalg.matrix_power multiplies it, so with its bits (``_power``).
+        Sets ``order_dev`` (max |M^r - I|), ``at_divisors`` (the M^d made)
+        and ``early`` (or None)."""
+        chain = [self.iso.matrix]  # M^(2^k) for each bit of r, shared by every power
+        for _ in range(r.bit_length() - 1):
+            chain.append(chain[-1] @ chain[-1])
+        self.order_dev = float(np.abs(_power(chain, r) - _I4).max())
         self.counts = counts
         self.divisors = list(counts)
         self.at_divisors, self.early = [], None
         for d in counts:
-            self.at_divisors.append(np.linalg.matrix_power(M, d))
+            self.at_divisors.append(_power(chain, d))
             if np.abs(self.at_divisors[-1] - _I4).max() <= IDENTITY_GAP:
                 self.early = d
                 break
@@ -284,11 +340,12 @@ class _Verification:
         # length[k]: the length of point k's π-cycle; inverted: (edge key, L,
         # a, b) for each edge (a, b) whose ends lie L/2 apart in a π-cycle of
         # even length L, in edge order once sorted
-        self.length = np.ones(len(self.P), dtype=np.int64)
+        length = [1] * len(self.P)
         self.inverted = []
         for cycle in _index_cycles(self.image.tolist()):
             L, half = len(cycle), len(cycle) // 2
-            self.length[cycle] = L
+            for k in cycle:
+                length[k] = L
             if r % L:
                 return f"pi^{r} moves {self.name(cycle[0])}, in a cycle of length {L}"
             if 2 * half == L:
@@ -301,7 +358,7 @@ class _Verification:
         self.inverted.sort()
         # parts: the points of each cycle length in V, W and the subdivisions
         n, g = self.aut.shape.n, self.n_graph
-        self.parts = [Counter(self.length[s].tolist()) for s in (slice(n), slice(n, g), slice(g, None))]
+        self.parts = [Counter(length[:n]), Counter(length[n:g]), Counter(length[g:])]
         # edge_lcms: the edges of each lcm of their ends' lengths, V x W, and
         # one more per subdivision vertex z of (v, w): a power fixes z and v,
         # or z and w, exactly when it fixes v and w
@@ -310,7 +367,8 @@ class _Verification:
             for b, cb in self.parts[1].items():
                 self.edge_lcms[math.lcm(a, b)] += ca * cb
         for v, w in self.z_edges:
-            self.edge_lcms[math.lcm(self.length[v], self.length[w])] += 1
+            self.edge_lcms[math.lcm(length[v], length[w])] += 1
+        self.length = np.array(length)  # eel3 orders a circle's points by it
         self.bases = [fixed_subspace(D) for D in self.at_divisors]
         return None
 
@@ -337,8 +395,8 @@ def verify(
     eel3 and eel4 report a finding once per d, with the count of powers i <
     r with gcd(i, r) = d.  Raises TooLarge, before any array is built, when
     r exceeds MAX_CLAIMED_ORDER, the edges plus the subdivision vertices
-    exceed MAX_VERIFY_EDGES, or the induces check's distance block of the
-    points MAX_INDUCES_BYTES; and when the checks' arrays do not fit in
+    exceed MAX_VERIFY_EDGES, or the induces check's two distance blocks
+    MAX_INDUCES_BYTES; and when the checks' arrays do not fit in
     memory.  Raises ShapeMismatch unless ``emb.points`` is (n + m + S) x 4
     for S subdivision ids, each with its own edge of the graph as a (V
     index, W index) pair.
@@ -374,7 +432,7 @@ def verify(
     try:
         unit_norm = _check_unit_norm(st)
         orthogonal = _check_orthogonal(M)
-        induces = _check_induces(st)
+        induces = _check_induces(st, unit_norm.passed and orthogonal.passed)
         st.run_powers(r, _gcd_counts(r))
         order = _check_order(st, r)
         why = st.establish(r, [unit_norm, orthogonal, order, induces])
@@ -436,27 +494,33 @@ def _check_orientation(M: np.ndarray, orientation: Orientation) -> CheckResult:
     )
 
 
-def _check_induces(st) -> CheckResult:
+def _check_induces(st, bounded: bool) -> CheckResult:
+    """The induces check; ``bounded``: unit_norm and orthogonal passed, which
+    bound the points and their images for the shortcut (module docstring)."""
     P = st.P
     K = len(P)
-    # rows below K: distances between points; from K on: from M x_k to each
-    # point.  The block is the largest array of verify.
-    block = _distances(np.concatenate((P, P @ st.iso.matrix.T)), P)
-    dists, move = block[:K], block[K:]
+    # the distances between points, the largest array of a passing verify
+    dists = _distances(P, P)
     dists.flat[:: K + 1] = np.inf
-    min_sep = float(dists.min())
-    nearest = move.argmin(axis=1)
+    st.min_sep = min_sep = float(dists.min())
+    del dists
+    Q = P @ st.iso.matrix.T
     target = st.image
-    matched = nearest == target  # never where target is -1
-    dev = move[np.arange(K), target]  # d(M x_k, x_target); unused where not closed
-    st.min_sep = min_sep
-    st.step = float(dev.max()) if matched.all() else math.inf
-    if st.step <= st.tol:  # every point matched within tol, no NaN
-        worst, bad = st.step, ()
-    else:
-        # as Python's max over the points in order: a NaN deviation never wins
-        worst = float(np.max(dev, where=(target >= 0) & (dev > 0), initial=0.0))
-        bad = np.flatnonzero(~matched | (dev > st.tol))
+    dev = _row_distances(Q, P[target])  # d(M x_k, x_target); unused where not closed
+    step = float(dev.max())
+    if bounded and target.min() >= 0 and step <= st.tol and min_sep > 2 * step + _ROUNDING:
+        st.step = step  # each x_π(k) is the point nearest M x_k
+        worst, bad = step, ()
+    else:  # the nearest point to each image, from the image block
+        nearest = _distances(Q, P).argmin(axis=1)
+        matched = nearest == target  # never where target is -1
+        st.step = step if matched.all() else math.inf
+        if st.step <= st.tol:  # every point matched within tol, no NaN
+            worst, bad = st.step, ()
+        else:
+            # as Python's max over the points in order: a NaN deviation never wins
+            worst = float(np.max(dev, where=(target >= 0) & (dev > 0), initial=0.0))
+            bad = np.flatnonzero(~matched | (dev > st.tol))
     ok = min_sep >= SEPARATION
     detail = []
     if not ok:

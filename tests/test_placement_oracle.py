@@ -24,7 +24,14 @@ from bipsym import BipartiteShape, Orientation, parse_cycles, realize
 from bipsym import geometry
 from bipsym.classifier import classify
 from bipsym.errors import PlacementFailure, TooLarge
-from bipsym.geometry import _CELL_WIDTH, SEPARATION, SeededPoints, _distances, _Placer
+from bipsym.geometry import (
+    _CELL_WIDTH,
+    SEPARATION,
+    SeededPoints,
+    _distances,
+    _Placer,
+    _row_distances,
+)
 
 from census_oracle import representative, signature_tallies
 from placement_oracle import SequentialPlacer, too_close, validate
@@ -146,6 +153,22 @@ def test_distances_have_the_bits_of_norm(k, placed, seed):
     new = pts[placed:]
     expected = np.linalg.norm(new[:, None, :] - pts[None, :, :], axis=2)
     assert _distances(new, pts).tobytes() == expected.tobytes()
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_row_distances_read_the_image_block_at_the_targets(k, seed):
+    # verify's induces check reads each deviation |M x_j - x_pi(j)| row by
+    # row and builds the image block only when its shortcut does not apply:
+    # a matrix within 1e-12 to 1 of I, points at scales from 1e-8 to 1, and
+    # a permutation that is the identity or any
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(k, 4)) * 10.0 ** rng.uniform(-8, 0, size=(k, 1))
+    M = np.eye(4) + rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-12, 0)
+    target = np.arange(k) if rng.integers(2) else rng.permutation(k)
+    Q = P @ M.T
+    expected = _distances(Q, P)[np.arange(k), target]
+    assert _row_distances(Q, P[target]).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("factor, kept", [(1 - 1e-9, False), (1 + 1e-9, True)])

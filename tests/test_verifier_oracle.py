@@ -513,20 +513,6 @@ def test_order_1_takes_no_subspace(monkeypatch):
     assert calls == []
 
 
-def count_powers(monkeypatch, M):
-    """The exponents k of every ``matrix_power(M, k)`` call on ``M``."""
-    calls = []
-    real = np.linalg.matrix_power
-
-    def counting(A, k):
-        if A is M:
-            calls.append(k)
-        return real(A, k)
-
-    monkeypatch.setattr(np.linalg, "matrix_power", counting)
-    return calls
-
-
 def on_the_fixed_circle(shape):
     """Every vertex of ``shape`` on the circle x1 = x2 = 0, evenly spaced."""
     angles = 2 * np.pi * np.arange(shape.size) / shape.size
@@ -543,22 +529,28 @@ def turning_the_first_plane(r: int) -> Isometry4:
     return Isometry4(M, r, Orientation.OP)
 
 
-# verify makes exactly M^r and M^d for the proper divisors d of r: the
-# identity of K_{3,3} on the circle that a rotation of order r fixes
-# establishes π at every r
-@pytest.mark.parametrize("r", [1, 7, 1024, 1025, 5040, 6144])
+# verify makes M^r and M^d for the proper divisors d of r from one chain of
+# squarings, each with the bits of np.linalg.matrix_power, its shortcuts at
+# 2 and 3 included: the identity of K_{3,3} on the circle that a rotation of
+# order r fixes establishes π at every r
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 7, 1024, 1025, 5040, 6144, 997_000])
 def test_power_pass_finds_the_proper_divisors(monkeypatch, r):
     iso = turning_the_first_plane(r)
-    calls = count_powers(monkeypatch, iso.matrix)
+    emb = on_the_fixed_circle(IDENTITY_33.shape)
     subspaces = count_fixed_subspace(monkeypatch)
-    cert = certificate_to_obj(verify(IDENTITY_33, iso, on_the_fixed_circle(IDENTITY_33.shape)))
+    cert = certificate_to_obj(verify(IDENTITY_33, iso, emb))
     assert established(cert)
+    made = bipsym.verifier._Verification(IDENTITY_33, iso, emb, TOL)
+    made.run_powers(r, _gcd_counts(r))
     divisors = [d for d in range(1, r) if r % d == 0]
-    assert calls == [r, *divisors]
-    # M^d by repeated squaring is the fixed subspace's matrix, bit for bit
-    assert [D.tobytes() for D in subspaces] == [
-        np.linalg.matrix_power(iso.matrix, d).tobytes() for d in divisors
-    ]
+    assert made.divisors == divisors and made.early is None
+    want = [np.linalg.matrix_power(iso.matrix, d).tobytes() for d in divisors]
+    assert [D.tobytes() for D in made.at_divisors] == want
+    # M^d is the fixed subspace's matrix, bit for bit
+    assert [D.tobytes() for D in subspaces] == want
+    order_dev = float(np.abs(np.linalg.matrix_power(iso.matrix, r) - np.eye(4)).max())
+    assert repr(made.order_dev) == repr(order_dev)
+    assert next(c for c in cert["checks"] if c["name"] == "order")["measured"] == order_dev
 
 
 def oracle_detail(name, powers):
@@ -629,6 +621,17 @@ def test_gcd_counts_at_large_orders(r, proper):
     # 498 960 = 2^4 3^4 5 7 11 has 200 divisors; 499 979 is prime
     assert len(_gcd_counts(r)) == proper
     assert_gcd_counts(r)
+
+
+@pytest.mark.parametrize("r,proper", [(735_134_400, 1343), (999_999_937, 1), (2**29, 29)])
+def test_gcd_counts_factor_orders_up_to_the_bound(r, proper):
+    # 735 134 400 = 2^6 3^3 5^2 7 11 13 17 has 1344 divisors, the most below
+    # MAX_CLAIMED_ORDER; 999 999 937 is the largest prime below it.  The
+    # φ(r/d) of the divisors d > 1 of r sum to r - 1, the powers below r
+    counts = _gcd_counts(r)
+    assert len(counts) == proper
+    assert list(counts) == sorted(counts) and all(r % d == 0 for d in counts)
+    assert sum(counts.values()) == r - 1
 
 
 # --- eel2: the pairs π interchanges, once π is established ------------------
