@@ -46,7 +46,14 @@ verifies it, and counts the whole class when its certificate passes; it
 builds no signature.  One representative speaks for its class because, if
 (M, x) realizes a, then (M, x o s^-1) realizes s a s^-1 for every
 automorphism s, a part-swapping s included, and every check of ``verify``
-keeps its result when the vertices are relabeled.
+keeps its result when the vertices are relabeled.  Many classes get the
+same isometry (every case-2/3 class of order r gets the same rotation), and
+verify's checks of the isometry alone (orthogonal, order, orientation, the
+powers M^d and their fixed subspaces) read only its matrix, claimed order
+and orientation, and tol.  So the census verifies through one table per
+call keyed by those (``verifier._IsometryTable``), makes each entry on first
+use, and runs only the point checks per (class, orientation): every
+certificate keeps its bits, and the table is freed when the census returns.
 
 The package re-exports the function ``census`` under this module's name,
 so ``bipsym.census`` and ``import bipsym.census as c`` give the function.
@@ -74,11 +81,13 @@ from .errors import OutOfTheoremScope, TooLarge
 # (0.6-0.7 s), but non-square shapes past it are not yet scanned, so the
 # bound stays below 420.  Realize-all also realizes and verifies one
 # representative per realizable (class, orientation), and the divisors of n
-# and m set its cost too.  From the CLI on 2 CPUs, every shape with a part of
-# 46 or 47 (the slowest, K_{36,46}, 0.6-0.75 s) is faster than K_{36,42} and
-# K_{40,42} were at a bound of 45 (0.9-1.1 s; 0.75-0.95 s since realize takes
-# the census's classification); K_{36,48}, K_{42,48} and K_{48,42} take
-# 1.1-1.5 s.  K_{47,47} takes 0.2 s.
+# and m set its cost too.  From the CLI on 2 CPUs, with each isometry's
+# checks shared per call, the slowest shapes are K_{36,42} (0.58-0.72 s) and
+# K_{40,42} (0.57-0.63 s), where they were 0.9-1.1 s at a bound of 45; the
+# slowest with a part of 46 or 47, K_{36,46}, takes 0.45-0.75 s, and K_{47,47}
+# 0.2 s.  Past the bound, K_{36,48}, K_{42,48} and K_{48,42} take 0.75-0.9 s,
+# slower than any shape within it, so the bound stays at 47 until a scan of
+# every shape past it.
 MAX_CENSUS_PART = 419
 MAX_REALIZE_ALL_PART = 47
 
@@ -173,7 +182,10 @@ def census(
     ``realize_all``, additionally realize (with ``seed``) and verify one
     representative of every class in each orientation the classifier marks
     realizable; ``realized_verified`` is the summed size of the classes
-    whose representative's certificate passed, once per orientation.
+    whose representative's certificate passed, once per orientation.  The
+    checks of each distinct isometry (matrix bytes, claimed order,
+    orientation) are made once per call and shared by the certificates
+    that use it, which keep the bits of a fresh ``verify``.
     Deterministic given (shape, seed).  Raises TooLarge, before any work,
     when n or m exceeds MAX_CENSUS_PART, or MAX_REALIZE_ALL_PART with
     ``realize_all``.
@@ -188,7 +200,9 @@ def census(
         )
     if realize_all:
         from .geometry import _realize
-        from .verifier import verify
+        from .verifier import _certify, _IsometryTable
+
+        isometries = _IsometryTable()
 
     factorials = {n: math.factorial(n), m: math.factorial(m)}
     rows = _PartitionRows(factorials)
@@ -226,7 +240,7 @@ def census(
             rep = _representative(shape, lam, mu)
             for case in verdict.op_cases[:1] + verdict.or_cases[:1]:
                 iso, emb = _realize(rep, r, case, seed)
-                if verify(rep, iso, emb, tol=1e-9).overall:
+                if _certify(rep, iso, emb, 1e-9, isometries).overall:
                     realized_verified += count
 
     per_case: dict[str, int] = {}

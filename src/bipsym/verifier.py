@@ -86,6 +86,19 @@ s' - 9u and each exact deviation δ_k <= D' + 9u, the triangle inequality
 gives |q_k - x_j| >= s - δ_k >= s' - D' - 18u, measured as at least s' -
 D' - 27u, and that exceeds D' whenever s' > 2 D' + 27u.  _ROUNDING = 32u
 covers the 27u.  A NaN fails one of the comparisons, and takes the block.
+
+Shared checks.  orthogonal, order and orientation, M^r and the M^d with
+their count table and early identity, and the fixed subspaces of the M^d
+read only the matrix M, the claimed order r, the orientation and tol:
+_check_isometry makes them, and the first certificate that establishes π
+adds the subspaces, which only eel1, eel3 and eel4 read.  The point checks
+(unit_norm, induces, establishing π, eel1-eel4) read those results and
+change none of them.  So every check's result, and the certificate's bits,
+are a pure function of (M's bytes, r, orientation, tol) and the points,
+and triples that agree on the first four may share one _check_isometry.
+verify makes a fresh one per call; census(realize_all=True) keeps one per
+key for the call in an _IsometryTable, since many of its classes share an
+isometry (every case-2/3 class of order r gets the same rotation).
 """
 
 from __future__ import annotations
@@ -113,7 +126,12 @@ from .geometry import (
 
 # r's primes come from trial division up to √r: below this bound r has at
 # most 1344 divisors, and _gcd_counts takes under 5 ms on 2 CPUs (x86-64); a
-# larger claim raises TooLarge before any product.
+# larger claim raises TooLarge before any product.  realize writes such
+# orders: the OP6 glide of (v1 ... vn)(w1 ... wm) has order lcm(n, m), above
+# this bound from K_{31623,31624} (order 1 000 045 752) on.  Those files are
+# refused for their order, but with about 10^9 edges they are a thousand
+# times past MAX_VERIFY_EDGES too, so raising this bound alone would not
+# verify them.
 MAX_CLAIMED_ORDER = 10**9
 # n*m edges plus the subdivision vertices.  verify keeps no array over the
 # edges, so on balanced shapes this bounds only the induces check's distance
@@ -224,7 +242,7 @@ def _power(chain: list[np.ndarray], n: int) -> np.ndarray:
 
 
 class _Verification:
-    """Working state shared by the individual checks of verify().
+    """Working state of the point checks of verify().
 
     Points are the rows of the embedding's array: graph vertices by global
     index, then from ``n_graph`` on the subdivision vertices, whose ids are
@@ -232,13 +250,10 @@ class _Verification:
     of the automorphism's image of point k, extended over subdivision
     vertices, and -1 where the subdivision set is not closed under the
     automorphism.  The induces check sets ``min_sep`` and ``step``;
-    ``run_powers`` sets ``order_dev``, ``early`` and ``counts``, which maps
-    each proper divisor d of the claimed order r to the number of powers i
-    < r with gcd(i, r) = d, and the entries of ``at_divisors`` (the M^d
-    made) and ``bases`` belong to its keys, ``divisors``, in ascending
-    order; ``establish`` sets the rest once π is established, all of it
-    Python lists and counters of ints but ``length``, each point's π-cycle
-    length, one int array for eel3's circles.
+    ``establish`` sets the rest once π is established, all of it Python
+    lists and counters of ints but ``length``, each point's π-cycle length,
+    one int array for eel3's circles.  What the checks read of the matrix
+    alone is an _IsometryChecks.
     """
 
     def __init__(self, aut, iso, emb, tol):
@@ -309,31 +324,10 @@ class _Verification:
         keyed = sorted((key, a, b) for a in on for b in on if (key := self.edge_key(a, b)))
         return [(a, b) for _, a, b in keyed]
 
-    def run_powers(self, r: int, counts: dict[int, int]) -> None:
-        """Make M^r, and M^d for each proper divisor d of r, the keys of
-        ``counts = _gcd_counts(r)``, in ascending d up to ``early``, the first
-        within IDENTITY_GAP of I, if any, which fails the order check.  All
-        come from one chain of squarings M^(2^k), each power multiplied as
-        np.linalg.matrix_power multiplies it, so with its bits (``_power``).
-        Sets ``order_dev`` (max |M^r - I|), ``at_divisors`` (the M^d made)
-        and ``early`` (or None)."""
-        chain = [self.iso.matrix]  # M^(2^k) for each bit of r, shared by every power
-        for _ in range(r.bit_length() - 1):
-            chain.append(chain[-1] @ chain[-1])
-        self.order_dev = float(np.abs(_power(chain, r) - _I4).max())
-        self.counts = counts
-        self.divisors = list(counts)
-        self.at_divisors, self.early = [], None
-        for d in counts:
-            self.at_divisors.append(_power(chain, d))
-            if np.abs(self.at_divisors[-1] - _I4).max() <= IDENTITY_GAP:
-                self.early = d
-                break
-
     def establish(self, r: int, prior: list[CheckResult]) -> str | None:
         """Why π is not established (module docstring), given the checks
-        ``prior`` it rests on, or None when it is; then sets ``bases`` and
-        what eel1-eel4 read of π's cycles."""
+        ``prior`` it rests on, or None when it is; then sets what eel1-eel4
+        read of π's cycles."""
         failed = [c.name for c in prior if not c.passed]
         if failed:
             return f"{', '.join(failed)} failed"
@@ -369,13 +363,79 @@ class _Verification:
         for v, w in self.z_edges:
             self.edge_lcms[math.lcm(length[v], length[w])] += 1
         self.length = np.array(length)  # eel3 orders a circle's points by it
-        self.bases = [fixed_subspace(D) for D in self.at_divisors]
         return None
 
 
-# an overflow or invalid value shows in the measured value of the check it
-# spoils, so numpy's RuntimeWarnings would only repeat it on stderr
-@np.errstate(all="ignore")
+@dataclass
+class _IsometryChecks:
+    """The checks of verify() that read only the isometry and tol, and what
+    establish and eel1-eel4 read of its powers (_check_isometry).
+
+    ``counts`` maps each proper divisor d of the claimed order r to the
+    number of powers i < r with gcd(i, r) = d; ``at_divisors`` holds the M^d
+    made and ``bases`` their fixed subspaces, both in the ascending order of
+    ``divisors``, the keys of ``counts``, up to ``early``, the first within
+    IDENTITY_GAP of I, if any; ``order_dev`` is max |M^r - I|.  ``bases``
+    is None until the first certificate that establishes π needs it.
+    """
+
+    orthogonal: CheckResult
+    order: CheckResult
+    orientation: CheckResult
+    counts: dict[int, int]
+    divisors: list[int]
+    at_divisors: list[np.ndarray]
+    early: int | None
+    order_dev: float
+    bases: list[np.ndarray] | None = None
+
+
+def _check_isometry(iso: Isometry4, tol: float) -> _IsometryChecks:
+    """orthogonal, order and orientation of ``iso`` at ``tol``, with M^r and
+    M^d for each proper divisor d of r = iso.claimed_order, in ascending d
+    up to the first within IDENTITY_GAP of I, if any, which fails the order
+    check.  All powers come from one chain of squarings M^(2^k), each
+    multiplied as np.linalg.matrix_power multiplies it, so with its bits
+    (``_power``).  Reads nothing else (module docstring, Shared checks)."""
+    M, r = iso.matrix, iso.claimed_order
+    counts = _gcd_counts(r)
+    chain = [M]  # M^(2^k) for each bit of r, shared by every power
+    for _ in range(r.bit_length() - 1):
+        chain.append(chain[-1] @ chain[-1])
+    order_dev = float(np.abs(_power(chain, r) - _I4).max())
+    at_divisors, early = [], None
+    for d in counts:
+        at_divisors.append(_power(chain, d))
+        if np.abs(at_divisors[-1] - _I4).max() <= IDENTITY_GAP:
+            early = d
+            break
+    return _IsometryChecks(
+        _check_orthogonal(M),
+        _check_order(r, tol, order_dev, early),
+        _check_orientation(M, iso.orientation),
+        counts,
+        list(counts),
+        at_divisors,
+        early,
+        order_dev,
+    )
+
+
+class _IsometryTable(dict):
+    """(matrix bytes, claimed order, orientation, tol) -> _check_isometry of
+    that isometry, made on first use and kept for one census: every result
+    is a pure function of the key (module docstring, Shared checks).  The
+    bytes name the matrix for float64 4 x 4 matrices, which realize makes.
+    Called as _check_isometry is."""
+
+    def __call__(self, iso: Isometry4, tol: float) -> _IsometryChecks:
+        key = (iso.matrix.tobytes(), iso.claimed_order, iso.orientation, tol)
+        checks = self.get(key)
+        if checks is None:
+            checks = self[key] = _check_isometry(iso, tol)
+        return checks
+
+
 def verify(
     aut: BipartiteAutomorphism,
     iso: Isometry4,
@@ -401,6 +461,16 @@ def verify(
     for S subdivision ids, each with its own edge of the graph as a (V
     index, W index) pair.
     """
+    return _certify(aut, iso, emb, tol, _check_isometry)
+
+
+# an overflow or invalid value shows in the measured value of the check it
+# spoils, so numpy's RuntimeWarnings would only repeat it on stderr
+@np.errstate(all="ignore")
+def _certify(aut, iso, emb, tol, isometry) -> RealizationCertificate:
+    """verify(aut, iso, emb, tol), taking the checks of the isometry from
+    ``isometry(iso, tol)``, _check_isometry or an _IsometryTable, once the
+    preconditions hold."""
     shape = aut.shape
     if shape != emb.shape:
         raise ShapeMismatch(f"automorphism {shape} vs embedding {emb.shape}")
@@ -428,14 +498,13 @@ def verify(
         st = _Verification(aut, iso, emb, tol)
     except ValueError as exc:  # ragged or mis-shaped points, or pairs without ids
         raise ShapeMismatch(str(exc)) from exc
-    M = iso.matrix
     try:
         unit_norm = _check_unit_norm(st)
-        orthogonal = _check_orthogonal(M)
-        induces = _check_induces(st, unit_norm.passed and orthogonal.passed)
-        st.run_powers(r, _gcd_counts(r))
-        order = _check_order(st, r)
-        why = st.establish(r, [unit_norm, orthogonal, order, induces])
+        m = isometry(iso, tol)
+        induces = _check_induces(st, unit_norm.passed and m.orthogonal.passed)
+        why = st.establish(r, [unit_norm, m.orthogonal, m.order, induces])
+        if why is None and m.bases is None:  # eel1, eel3 and eel4 read them
+            m.bases = [fixed_subspace(D) for D in m.at_divisors]
     except MemoryError as exc:  # a memory limit below the budgets above
         raise TooLarge(
             f"verifying K_{{{shape.n},{shape.m}}} needs more memory than is available"
@@ -443,13 +512,13 @@ def verify(
     eels = (_check_eel1, _check_eel2, _check_eel3, _check_eel4)
     checks = [
         unit_norm,
-        orthogonal,
-        order,
-        _check_orientation(M, iso.orientation),
+        m.orthogonal,
+        m.order,
+        m.orientation,
         induces,
         *(
             CheckResult(f"eel{i}", False, f"pi not established: {why}")
-            if why else check(st) for i, check in enumerate(eels, 1)
+            if why else check(st, m) for i, check in enumerate(eels, 1)
         ),
     ]
     return RealizationCertificate(tuple(checks))
@@ -473,16 +542,16 @@ def _check_orthogonal(M: np.ndarray) -> CheckResult:
     )
 
 
-def _check_order(st, r: int) -> CheckResult:
+def _check_order(r: int, tol: float, order_dev: float, early: int | None) -> CheckResult:
     # within IDENTITY_GAP too, so that r's divisors see every early identity
-    ok = st.order_dev <= min(st.tol, IDENTITY_GAP)
-    detail = f"|M^{r} - I| = {st.order_dev:.3g}"
-    if st.early is not None:
+    ok = order_dev <= min(tol, IDENTITY_GAP)
+    detail = f"|M^{r} - I| = {order_dev:.3g}"
+    if early is not None:
         ok = False
-        detail += f"; M^{st.early} is already the identity"
-    if IDENTITY_GAP < st.order_dev <= st.tol:
+        detail += f"; M^{early} is already the identity"
+    if IDENTITY_GAP < order_dev <= tol:
         detail += f"; more than the identity gap {IDENTITY_GAP:g}"
-    return CheckResult("order", ok, detail, st.order_dev)
+    return CheckResult("order", ok, detail, order_dev)
 
 
 def _check_orientation(M: np.ndarray, orientation: Orientation) -> CheckResult:
@@ -543,24 +612,24 @@ def _check_induces(st, bounded: bool) -> CheckResult:
     )
 
 
-def _check_eel1(st) -> CheckResult:
+def _check_eel1(st, m: _IsometryChecks) -> CheckResult:
     # The edges whose ends' π-cycle lengths have lcm l are fixed by the
     # powers d that l divides, first by l itself.  A power i has the subspace
     # of gcd(i, r), so the subspace of l is compared with that of each later
     # multiple d once, for the tally of those edges and each power of d.
     worst, bad = 0.0, 0
     for l, tally in st.edge_lcms.items():
-        if l not in st.counts:  # l = r: no proper power fixes them
+        if l not in m.counts:  # l = r: no proper power fixes them
             continue
-        bi = st.bases[st.divisors.index(l)]
-        for d, bj in zip(st.divisors, st.bases):
+        bi = m.bases[m.divisors.index(l)]
+        for d, bj in zip(m.divisors, m.bases):
             if d <= l or d % l:
                 continue
             if bi.shape[1] == bj.shape[1]:
                 dist = subspace_distance(bi, bj)
                 worst = max(worst, dist)
             if bi.shape[1] != bj.shape[1] or dist > SUBSPACE_TOL:
-                bad += tally * st.counts[d]
+                bad += tally * m.counts[d]
     detail = (
         f"{bad} co-fixed adjacent pairs with different fixed sets"
         if bad
@@ -569,12 +638,12 @@ def _check_eel1(st) -> CheckResult:
     return CheckResult("eel1", not bad, detail, worst)
 
 
-def _check_eel2(st) -> CheckResult:
+def _check_eel2(st, m: _IsometryChecks) -> CheckResult:
     findings = {
         d: [f"interchanges {st.name(a)},{st.name(b)}" for _, L, a, b in st.inverted if d % L == L // 2]
-        for d in st.divisors
+        for d in m.divisors
     }
-    return _by_divisor(st, "eel2", findings, "no adjacent pair interchanged by any power")
+    return _by_divisor(st, m, "eel2", findings, "no adjacent pair interchanged by any power")
 
 
 def _arc_findings(st, d: int, basis: np.ndarray, nv: int, nw: int, nz: int) -> list[str]:
@@ -603,35 +672,37 @@ def _arc_findings(st, d: int, basis: np.ndarray, nv: int, nw: int, nz: int) -> l
     return []
 
 
-def _by_divisor(st, name: str, findings: dict[int, list[str]], ok_detail: str) -> CheckResult:
+def _by_divisor(
+    st, m: _IsometryChecks, name: str, findings: dict[int, list[str]], ok_detail: str
+) -> CheckResult:
     """The check ``name`` failing on ``findings``, keyed by proper divisor d
     of r in ascending order: each is reported once, with the number of powers
     i < r with gcd(i, r) = d, and counts once for each of them."""
     r = st.iso.claimed_order
     problems = [
-        f"{st.counts[d]} powers i with gcd(i, {r}) = {d}: {text}"
+        f"{m.counts[d]} powers i with gcd(i, {r}) = {d}: {text}"
         for d, texts in findings.items() for text in texts
     ]
-    count = sum(st.counts[d] * len(texts) for d, texts in findings.items())
+    count = sum(m.counts[d] * len(texts) for d, texts in findings.items())
     return CheckResult(name, not problems, "; ".join(problems) or ok_detail, float(count))
 
 
-def _check_eel3(st) -> CheckResult:
+def _check_eel3(st, m: _IsometryChecks) -> CheckResult:
     findings = {}
-    for d, basis in zip(st.divisors, st.bases):
+    for d, basis in zip(m.divisors, m.bases):
         nv, nw, nz = (sum(c for L, c in part.items() if d % L == 0) for part in st.parts)
         # M^d fixes an edge exactly when it fixes a vertex of each part: it
         # then fixes the edge between them, or both halves of it
         if nv and nw:
             findings[d] = _arc_findings(st, d, basis, nv, nw, nz)
-    return _by_divisor(st, "eel3", findings, "arc conditions satisfied on all fixed sets")
+    return _by_divisor(st, m, "eel3", findings, "arc conditions satisfied on all fixed sets")
 
 
-def _check_eel4(st) -> CheckResult:
+def _check_eel4(st, m: _IsometryChecks) -> CheckResult:
     v, w = (math.lcm(*part) for part in st.parts[:2])
     findings = {
         d: ["neither part lies in the fixed sphere"]
-        for d, basis in zip(st.divisors, st.bases)
+        for d, basis in zip(m.divisors, m.bases)
         if basis.shape[1] == 3 and d % v and d % w
     }
-    return _by_divisor(st, "eel4", findings, "every fixed sphere contains a full part")
+    return _by_divisor(st, m, "eel4", findings, "every fixed sphere contains a full part")

@@ -38,7 +38,8 @@ def recorded_census(monkeypatch, shape, seed):
     """The report of a realize-all census, with the arguments and result of
     each of its construction calls and each of its certificates."""
     calls, certs = [], []
-    construct, check = bipsym.geometry._realize, bipsym.verifier.verify
+    # the census certifies through verify's internal path, with its table
+    construct, check = bipsym.geometry._realize, bipsym.verifier._certify
 
     def recording(*args):
         calls.append((args, construct(*args)))
@@ -49,7 +50,7 @@ def recorded_census(monkeypatch, shape, seed):
         return certs[-1]
 
     monkeypatch.setattr(bipsym.geometry, "_realize", recording)
-    monkeypatch.setattr(bipsym.verifier, "verify", certifying)
+    monkeypatch.setattr(bipsym.verifier, "_certify", certifying)
     report = census(shape, realize_all=True, seed=seed)
     monkeypatch.undo()
     return report, calls, certs
