@@ -82,10 +82,10 @@ from .errors import OutOfTheoremScope, TooLarge
 # bound stays below 420.  Realize-all also realizes and verifies one
 # representative per realizable (class, orientation), and the divisors of n
 # and m set its cost too.  From the CLI on 2 CPUs, with each isometry's
-# checks shared per call, the slowest shapes are K_{36,42} (0.58-0.72 s) and
-# K_{40,42} (0.57-0.63 s), where they were 0.9-1.1 s at a bound of 45; the
-# slowest with a part of 46 or 47, K_{36,46}, takes 0.45-0.75 s, and K_{47,47}
-# 0.2 s.  Past the bound, K_{36,48}, K_{42,48} and K_{48,42} take 0.75-0.9 s,
+# checks shared per call and placement's per-orbit cost cut, the slowest
+# shapes are K_{36,42} (0.45-0.47 s) and K_{40,42} (0.43-0.45 s); the
+# slowest with a part of 46 or 47, K_{36,46}, takes 0.35-0.36 s, and K_{47,47}
+# 0.16 s.  Past the bound, K_{36,48}, K_{42,48} and K_{48,42} take 0.57-0.6 s,
 # slower than any shape within it, so the bound stays at 47 until a scan of
 # every shape past it.
 MAX_CENSUS_PART = 419

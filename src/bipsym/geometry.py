@@ -52,30 +52,28 @@ class Isometry4:
     orientation: Orientation
 
 
-def _rot2(f: Fraction) -> np.ndarray:
+def _turn(f: Fraction) -> tuple[float, float]:
     a = 2.0 * math.pi * float(f)
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s], [s, c]])
+    return math.cos(a), math.sin(a)
 
 
-def _block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    M = np.zeros((4, 4))
-    M[:2, :2] = a
-    M[2:, 2:] = b
+def _matrix(rows) -> np.ndarray:
+    M = np.array(rows)
     M.setflags(write=False)
     return M
 
 
 def turn_order(f: Fraction) -> int:
     """Multiplicative order of the rotation by the turn fraction f."""
-    return (Fraction(f) % 1).denominator
+    return Fraction(f).denominator  # that of f % 1: whole turns change no denominator
 
 
 def rotation_isometry(r: int) -> Isometry4:
     """Rotation of S^3 by 2*pi/r around the circle X (acting on (x1, x2))."""
     if r < 1:
         raise ValueError("order must be at least 1")
-    M = _block(_rot2(Fraction(1, r)), np.eye(2))
+    c, s = _turn(Fraction(1, r))
+    M = _matrix([[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     return Isometry4(M, r, Orientation.OP)
 
 
@@ -90,14 +88,14 @@ def glide_isometry(alpha: Fraction, beta: Fraction, claimed_order: int) -> Isome
     order = math.lcm(turn_order(alpha), turn_order(beta))
     if claimed_order != order:
         raise OrderMismatch(f"claimed order {claimed_order}, computed {order}")
-    M = _block(_rot2(alpha), _rot2(beta))
+    (c, s), (d, e) = _turn(alpha), _turn(beta)
+    M = _matrix([[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, d, -e], [0.0, 0.0, e, d]])
     return Isometry4(M, order, Orientation.OP)
 
 
 def reflection_isometry() -> Isometry4:
     """Reflection of S^3 through the sphere S = {x4 = 0}."""
-    M = _block(np.eye(2), np.diag([1.0, -1.0]))
-    return Isometry4(M, 2, Orientation.OR)
+    return Isometry4(_matrix(np.diag([1.0, 1.0, 1.0, -1.0])), 2, Orientation.OR)
 
 
 def improper_isometry(theta: Fraction, claimed_order: int) -> Isometry4:
@@ -110,7 +108,8 @@ def improper_isometry(theta: Fraction, claimed_order: int) -> Isometry4:
     order = math.lcm(turn_order(theta), 2)
     if claimed_order != order:
         raise OrderMismatch(f"claimed order {claimed_order}, computed {order}")
-    M = _block(_rot2(theta), np.diag([1.0, -1.0]))
+    c, s = _turn(theta)
+    M = _matrix([[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]])
     return Isometry4(M, order, Orientation.OR)
 
 
@@ -186,23 +185,26 @@ class SeededPoints:
     def angle(self) -> float:
         return 2.0 * math.pi * self.uniform()
 
-    def gaussian(self) -> float:
-        u1 = 1.0 - self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def unit4(self) -> np.ndarray:
-        while True:
-            p = np.array([self.gaussian() for _ in range(4)])
-            norm = _norm(p)
-            if norm > 1e-3:
-                return p / norm
-
     def unit_on_sphere(self) -> np.ndarray:
+        return self.unit4(3)
+
+    def unit4(self, gaussians: int = 4) -> np.ndarray:
+        """A unit 4-vector: ``gaussians`` Box-Muller draws (u1 = 1 - uniform(),
+        u2 = uniform()), then zeros, normalised and redrawn while the norm is
+        at most 1e-3.  ``uniform``'s steps run inline, in one local loop."""
+        a, c, mask, scale, x = self.MULT, self.INC, self.MASK, float(1 << 53), self.state
+        log, sqrt, cos, tau = math.log, math.sqrt, math.cos, 2.0 * math.pi
         while True:
-            p = np.array([self.gaussian(), self.gaussian(), self.gaussian(), 0.0])
+            p = [0.0] * 4
+            for i in range(gaussians):
+                x = (a * x + c) & mask
+                u1 = 1.0 - (x >> 11) / scale
+                x = (a * x + c) & mask
+                p[i] = sqrt(-2.0 * log(u1)) * cos(tau * ((x >> 11) / scale))
+            p = np.array(p)
             norm = _norm(p)
             if norm > 1e-3:
+                self.state = x
                 return p / norm
 
 
@@ -226,8 +228,10 @@ class SpatialEmbedding:
 
 # width of the cells of _Placer's grid, a power of two so that scaling by it
 # is exact; the cells are offset by half a width so that the exact 0 and +-1
-# coordinates of landmark points lie mid-cell, not on four cell boundaries
+# coordinates of landmark points lie mid-cell, not on four cell boundaries;
+# _GRID: that exact scale, and a 2 * SEPARATION ball so offset, in widths
 _CELL_WIDTH = 2.0**-10
+_GRID = (2.0**10, 0.5 - 2.0 * SEPARATION / _CELL_WIDTH, 0.5 + 2.0 * SEPARATION / _CELL_WIDTH)
 
 
 def _distances(new: np.ndarray, placed: np.ndarray) -> np.ndarray:
@@ -250,9 +254,9 @@ def _distances(new: np.ndarray, placed: np.ndarray) -> np.ndarray:
 
 
 def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_k - b_k| for each row k of two equal-length arrays of points, with
-    the bits of ``_distances(a, b)[k, k]``: the same squares summed in the
-    same order, with no block."""
+    """|a_k - b_k| for each row k of two equal-length arrays of points (or of
+    one point a and each row of b), with the bits of ``_distances``: the same
+    squares summed in the same order, with no block and 5 ufunc calls."""
     diff = a - b
     diff *= diff
     return np.sqrt(((diff[:, 0] + diff[:, 1]) + diff[:, 2]) + diff[:, 3])
@@ -264,24 +268,22 @@ class _Placer:
     The points fill the rows of one array preallocated for the graph and
     ``subdivisions`` subdivision vertices; ``rows`` maps each placed key
     (graph vertices by global index, subdivision vertices by their str id)
-    to its row.  ``place`` writes one orbit at a time after the placed rows
-    and keeps it when ``_admit`` finds no point of it closer than SEPARATION
-    to an earlier row.  ``cells`` is a grid over R^4 that files each placed
-    row under every cell of width _CELL_WIDTH that its ball of radius
-    2 * SEPARATION meets, almost always one cell and at most 16.  A new
-    point is measured only against the rows filed under its own cell, so
-    each pair is measured at most once and every pair closer than
-    SEPARATION is measured.  The draws, points, rows and errors are those
-    of the dense check (``tests/placement_oracle.py``).  Unit norm and
-    closure under M are left to ``verifier.verify``.
+    to its row.  ``place`` writes one orbit at a time after the placed rows,
+    each row ``np.dot(M, previous row)`` (the bits of ``@``), and keeps it
+    when ``_admit`` finds no point of it closer than SEPARATION to an
+    earlier row.  ``cells`` files each placed row under every cell of width
+    _CELL_WIDTH that its ball of radius 2 * SEPARATION meets, almost always
+    one and at most 16.  A new point is measured (``_row_distances``) only
+    against the rows filed under its own cell, so each pair is measured at
+    most once and every pair closer than SEPARATION is measured.  Orbits
+    average about 4 points, so each orbit costs few Python and numpy calls.
+    The draws, points, rows, rng state and errors are those of the dense
+    check (``tests/placement_oracle.py``); unit norm and closure under M are
+    left to ``verifier.verify``.
     """
 
-    def __init__(
-        self, M: np.ndarray, shape: BipartiteShape, rng: SeededPoints, subdivisions: int = 0
-    ) -> None:
-        self.M = M
-        self.shape = shape
-        self.rng = rng
+    def __init__(self, M: np.ndarray, shape: BipartiteShape, rng: SeededPoints, subdivisions=0):
+        self.M, self.shape, self.rng = M, shape, rng
         self.points = np.empty((shape.size + subdivisions, 4))
         self.rows: dict[int | str, int] = {}
         self.cells: dict[tuple[int, ...], list[int]] = {}
@@ -298,11 +300,10 @@ class _Placer:
         SEPARATION of o's, so q's own cell is one that o was filed under:
         the radius 2 * SEPARATION covers the rounding of both cell indices.
         """
-        points, cells, floor = self.points, self.cells, math.floor
+        points, cells, floor, (scale, low, high) = self.points, self.cells, math.floor, _GRID
         start, filed = len(self.rows), []
-        low, high = 0.5 - 2.0 * SEPARATION / _CELL_WIDTH, 0.5 + 2.0 * SEPARATION / _CELL_WIDTH
-        scaled = (points[start : start + len(keys)] / _CELL_WIDTH).tolist()
-        for row, (a, b, c, d) in enumerate(scaled, start):
+        for row, (a, b, c, d) in enumerate(points[start : start + len(keys)].tolist(), start):
+            a, b, c, d = a * scale, b * scale, c * scale, d * scale
             # the cells of the ball's lowest and highest corners
             lo = (floor(a + low), floor(b + low), floor(c + low), floor(d + low))
             hi = (floor(a + high), floor(b + high), floor(c + high), floor(d + high))
@@ -311,7 +312,7 @@ class _Placer:
                 own = (floor(a + 0.5), floor(b + 0.5), floor(c + 0.5), floor(d + 0.5))
                 ball = product(*map(range, lo, [i + 1 for i in hi]))
             near = cells.get(own)
-            if near and (_distances(points[row : row + 1], points[near]) < SEPARATION).any():
+            if near and (_row_distances(points[row], points[near]) < SEPARATION).any():
                 for cell in filed:  # the orbit's rows are the last of their cells
                     cell.pop()
                 return False
@@ -333,21 +334,22 @@ class _Placer:
         MAX_PLACEMENT_ATTEMPTS times.  A pinned orbit that comes too close
         raises PlacementFailure, as does a failed draw.
         """
-        points, M = self.points, self.M
+        points, M, rng, dot = self.points, self.M, self.rng, np.dot
         for keys, seed, *avoid in steps:
-            start, pinned = len(self.rows), not callable(seed)
+            start, pinned, p = len(self.rows), not callable(seed), seed
             landmarks = avoid[0] if avoid else ()
             for _ in range(MAX_PLACEMENT_ATTEMPTS):
-                p = seed
-                if not pinned:
-                    draws = (seed(self.rng) for _ in range(MAX_PLACEMENT_ATTEMPTS))
-                    off = (p for p in draws if all(d(p) >= SEPARATION for d in landmarks))
-                    p = next(off, None)
-                    if p is None:
+                for _ in range(0 if pinned else MAX_PLACEMENT_ATTEMPTS):
+                    p = seed(rng)
+                    q = p.tolist()  # the landmark distances read Python floats
+                    if all(d(q) >= SEPARATION for d in landmarks):
+                        break
+                else:
+                    if not pinned:
                         raise PlacementFailure("could not sample a point off the landmark sets")
                 points[start] = p
                 for row in range(start + 1, start + len(keys)):
-                    points[row] = M @ points[row - 1]
+                    dot(M, points[row - 1], out=points[row])  # M @ points[row - 1]
                 if self._admit(keys):
                     break
                 if pinned:
@@ -520,12 +522,10 @@ def _realize_improper(r, groups, case):
         if case.sub in ("a", "d"):
             plan += [(cyc, point_on_x(math.pi / 2)) for cyc in pure_w.get(2, [])]
         if case.sub in ("b", "c"):
-            on_x = _on_circle(point_on_x)
-            plan += [(cyc, on_x, (dist_to_f,)) for cyc in pure_v.get(2, [])]
+            plan += [(cyc, _on_circle(point_on_x), (dist_to_f,)) for cyc in pure_v.get(2, [])]
         if case.sub in ("c", "d"):
-            half_cycles = pure_w if case.sub == "c" else pure_v
-            on_s = SeededPoints.unit_on_sphere
-            plan += [(cyc, on_s, (dist_to_x,)) for cyc in half_cycles.get(r // 2, [])]
+            half_cycles = (pure_w if case.sub == "c" else pure_v).get(r // 2, [])
+            plan += [(cyc, SeededPoints.unit_on_sphere, (dist_to_x,)) for cyc in half_cycles]
 
     return iso, plan, sub_edges, ("X", "S", "F")
 

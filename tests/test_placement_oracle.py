@@ -129,8 +129,8 @@ def test_placement_measures_next_to_no_pairs():
     measured = []
 
     def counted(new, placed):
-        measured.append(len(new) * len(placed))
-        return _distances(new, placed)
+        measured.append(len(placed))  # one new point against each placed row
+        return _row_distances(new, placed)
 
     perm = "".join(
         "(" + " ".join(f"{p}{i}" for i in range(s, s + 10)) + ")"
@@ -138,7 +138,7 @@ def test_placement_measures_next_to_no_pairs():
         for s in range(1, 2001, 10)
     )
     aut = parse_cycles(BipartiteShape(2000, 2000), perm)
-    with mock.patch.object(geometry, "_distances", counted):
+    with mock.patch.object(geometry, "_row_distances", counted):
         realize(aut, "op", 1)
     assert sum(measured) <= 8
 
@@ -247,7 +247,7 @@ def _outcome(placer, steps) -> str:
 
 @given(placements())
 @settings(max_examples=300, deadline=None)
-def test_batches_place_what_one_orbit_at_a_time_places(placement):
+def test_grid_placer_places_what_the_dense_sequential_oracle_places(placement):
     M, steps, seed = placement
     shape = BipartiteShape(sum(len(keys) for keys, *_ in steps), 1)
     expected = SequentialPlacer(M, shape, SeededPoints(seed))
