@@ -6,6 +6,21 @@ v1..vn and n..n+m-1 are w1..wm.  Parsing, validation and cycle
 decomposition work on those indices alone; ``VertexId`` appears only at the
 API boundary, where a caller passes or asks for vertices.  Every value here
 is immutable; all operations are pure functions.
+
+Cycle text has the grammar
+
+    text  = ws* (group ws*)*
+    group = "(" sep* [token (sep+ token)* sep*] ")"
+    token = ("v" | "w" | "V" | "W") digit+
+    sep   = ws | ","
+
+where ws is any character for which ``str.isspace`` holds and digit any
+for which ``str.isdecimal`` holds, so a token reads as ``str.split`` and
+``int`` read it.  ``parse_cycles`` accepts a text with one match of that
+grammar and reads each group's tokens with one ``findall``; only a rejected
+text is scanned again, left to right, to name its first fault.
+``signature`` walks the permutation once, counting fixed points and the
+length and parts of each cycle on the way.
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, NoReturn
 
 from .errors import (
     DuplicateVertex,
@@ -30,6 +45,12 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 MAX_VERTICES = 100_000
 # one vertex token: a part letter and a 1-based index
 _TOKEN_RE = re.compile(r"([vwVW])(\d+)")
+# a well-formed cycle text (see the module docstring).  Neighbouring classes
+# are disjoint, so matching backtracks over each character a bounded number
+# of times and a rejected text fails in linear time
+_CYCLES_RE = re.compile(
+    r"\s*(?:\([\s,]*(?:[vwVW]\d+(?:[\s,]+[vwVW]\d+)*[\s,]*)?\)\s*)*"
+)
 
 
 class Part(Enum):
@@ -185,54 +206,65 @@ def parse_cycles(shape: BipartiteShape, text: str) -> BipartiteAutomorphism:
         raise TooLarge(
             f"K_{{{n},{m}}} has {n + m} vertices, more than {MAX_VERTICES}"
         )
-    rest = text
-    groups: list[list[re.Match]] = []
+    if _CYCLES_RE.fullmatch(text) is None:
+        _raise_syntax_error(text)
+    perm = list(range(n + m))
+    seen = bytearray(n + m)
+    # the chunk before the first "(" holds no token, nor does the ")" and
+    # whitespace that end each later chunk
+    for tokens in map(_TOKEN_RE.findall, text.split("(")):
+        if not tokens:
+            continue
+        # int() of a whole group first: an over-long index fails before any range check
+        index = [int(digits) for _, digits in tokens]
+        k = 0
+        first = prev = -1
+        for part, _ in tokens:
+            i = index[k]
+            k += 1
+            if part in "vV":
+                if not 0 < i <= n:
+                    raise ParseError(f"vertex v{i} out of range for K_{{{n},{m}}}")
+                g = i - 1
+            elif 0 < i <= m:
+                g = n + i - 1
+            else:
+                raise ParseError(f"vertex w{i} out of range for K_{{{n},{m}}}")
+            if seen[g]:
+                raise DuplicateVertex(f"vertex {part.lower()}{i} listed twice")
+            seen[g] = 1
+            if prev < 0:
+                first = g
+            else:
+                perm[prev] = g
+            prev = g
+        perm[prev] = first
+    _check_parts(shape, perm)
+    return BipartiteAutomorphism(shape, tuple(perm))
+
+
+def _raise_syntax_error(text: str) -> NoReturn:
+    """Raise the ParseError that names the first fault, left to right, of a
+    text that ``_CYCLES_RE`` rejects."""
     pos = 0
-    while pos < len(rest):
-        ch = rest[pos]
+    while pos < len(text):
+        ch = text[pos]
         if ch.isspace():
             pos += 1
             continue
         if ch != "(":
             raise ParseError(f"unexpected character {ch!r} at position {pos}")
-        end = rest.find(")", pos)
+        end = text.find(")", pos)
         if end < 0:
             raise ParseError("unbalanced parenthesis")
-        body = rest[pos + 1 : end]
+        body = text[pos + 1 : end]
         if "(" in body:
             raise ParseError("nested parenthesis")
-        tokens = []
         for t in body.replace(",", " ").split():
-            match = _TOKEN_RE.fullmatch(t)
-            if match is None:
+            if _TOKEN_RE.fullmatch(t) is None:
                 raise ParseError(f"not a vertex token: {t!r}")
-            tokens.append(match)
-        groups.append(tokens)
         pos = end + 1
-
-    perm = list(range(n + m))
-    seen: set[int] = set()
-    for tokens in groups:
-        # int() of a whole group first: an over-long index fails before any range check
-        cyc = [int(t[2]) for t in tokens]
-        for k, t in enumerate(tokens):
-            i = cyc[k]
-            if t[1] in "vV":
-                if not 0 < i <= n:
-                    raise ParseError(f"vertex v{i} out of range for K_{{{n},{m}}}")
-                g = i - 1
-            else:
-                if not 0 < i <= m:
-                    raise ParseError(f"vertex w{i} out of range for K_{{{n},{m}}}")
-                g = n + i - 1
-            if g in seen:
-                raise DuplicateVertex(f"vertex {t[1].lower()}{i} listed twice")
-            seen.add(g)
-            cyc[k] = g
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            perm[a] = b
-    _check_parts(shape, perm)
-    return BipartiteAutomorphism(shape, tuple(perm))
+    raise RuntimeError("the cycle grammar rejects a text that scans as well formed")
 
 
 @dataclass(frozen=True)
@@ -254,49 +286,65 @@ class CycleSignature:
     mixed_cycles: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in ("pure_v_cycles", "pure_w_cycles", "mixed_cycles"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
+        pure_v = tuple(sorted(self.pure_v_cycles))
+        pure_w = tuple(sorted(self.pure_w_cycles))
+        mixed = tuple(sorted(self.mixed_cycles))
+        object.__setattr__(self, "pure_v_cycles", pure_v)
+        object.__setattr__(self, "pure_w_cycles", pure_w)
+        object.__setattr__(self, "mixed_cycles", mixed)
+        fixed_v, fixed_w = self.fixed_v, self.fixed_w
         if self.side_action is SideAction.SWAPPING and (
-            self.fixed_v or self.fixed_w or self.pure_v_cycles or self.pure_w_cycles
+            fixed_v or fixed_w or pure_v or pure_w
         ):
             raise ValueError("a part-swapping automorphism has only mixed cycles")
         # a mixed cycle alternates between the parts, so half of it lies in V
-        mixed = sum(self.mixed_cycles)
-        if 2 * (self.shape.n - self.fixed_v - sum(self.pure_v_cycles)) != mixed or (
-            2 * (self.shape.m - self.fixed_w - sum(self.pure_w_cycles)) != mixed
+        mixed_total = sum(mixed)
+        if 2 * (self.shape.n - fixed_v - sum(pure_v)) != mixed_total or (
+            2 * (self.shape.m - fixed_w - sum(pure_w)) != mixed_total
         ):
             raise ValueError("the fixed vertices and cycles do not cover n and m")
-        if self.r != math.lcm(
-            1, *self.pure_v_cycles, *self.pure_w_cycles, *self.mixed_cycles
-        ):
+        if self.r != math.lcm(1, *pure_v, *pure_w, *mixed):
             raise ValueError("r is not the lcm of the cycle lengths")
 
 
 def signature(aut: BipartiteAutomorphism) -> CycleSignature:
-    """Decompose into cycles and classify each as pure-V, pure-W, or mixed."""
+    """Decompose into cycles and classify each as pure-V, pure-W, or mixed,
+    in one walk over ``perm``."""
     perm = aut.perm
+    size = len(perm)
     n = aut.shape.n
+    seen = bytearray(size)
+    fixed_v = fixed_w = 0
     pure_v: list[int] = []
     pure_w: list[int] = []
     mixed: list[int] = []
-    for cyc in _index_cycles(perm):
-        if cyc[0] >= n:  # cyc[0] is the smallest index
-            pure_w.append(len(cyc))
-        elif max(cyc) < n:
-            pure_v.append(len(cyc))
-        else:
-            mixed.append(len(cyc))
-    fixed_v = sum(1 for g in range(n) if perm[g] == g)
-    fixed_w = sum(1 for g in range(n, len(perm)) if perm[g] == g)
+    for start, g in enumerate(perm):
+        if g == start:
+            if start < n:
+                fixed_v += 1
+            else:
+                fixed_w += 1
+        elif not seen[start]:
+            # start is the smallest index of its cycle: a cycle from W stays
+            # in W, one from V is mixed once it reaches W
+            lengths, bound = (pure_v, n) if start < n else (pure_w, size)
+            length = 1
+            while g != start:
+                if g >= bound:
+                    lengths = mixed
+                seen[g] = 1
+                length += 1
+                g = perm[g]
+            lengths.append(length)
     return CycleSignature(
-        shape=aut.shape,
-        side_action=aut.side_action,
-        r=math.lcm(*pure_v, *pure_w, *mixed, 1),
-        fixed_v=fixed_v,
-        fixed_w=fixed_w,
-        pure_v_cycles=tuple(pure_v),
-        pure_w_cycles=tuple(pure_w),
-        mixed_cycles=tuple(mixed),
+        aut.shape,
+        aut.side_action,
+        math.lcm(*pure_v, *pure_w, *mixed, 1),
+        fixed_v,
+        fixed_w,
+        tuple(pure_v),
+        tuple(pure_w),
+        tuple(mixed),
     )
 
 

@@ -84,7 +84,6 @@ def glide_isometry(alpha: Fraction, beta: Fraction, claimed_order: int) -> Isome
     X.  The order is the lcm of the two rotation orders; a different
     claimed_order raises OrderMismatch.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
     order = math.lcm(turn_order(alpha), turn_order(beta))
     if claimed_order != order:
         raise OrderMismatch(f"claimed order {claimed_order}, computed {order}")
@@ -104,7 +103,6 @@ def improper_isometry(theta: Fraction, claimed_order: int) -> Isometry4:
     X meets S perpendicularly in the two points F; those are the fixed set
     whenever theta is not a whole turn.
     """
-    theta = Fraction(theta)
     order = math.lcm(turn_order(theta), 2)
     if claimed_order != order:
         raise OrderMismatch(f"claimed order {claimed_order}, computed {order}")

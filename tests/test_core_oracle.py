@@ -8,6 +8,7 @@ the same exception type with the same message.
 
 import itertools
 import random
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from bipsym import (
     parse_cycles,
     signature,
 )
+from bipsym.core import _CYCLES_RE
 
 import core_oracle
 from automorphism_ops import make_automorphism
@@ -51,14 +53,39 @@ def random_automorphism(rng: random.Random, n: int, m: int) -> BipartiteAutomorp
     return BipartiteAutomorphism(BipartiteShape(n, m), tuple(perm))
 
 
+# Unicode whitespace, ASCII controls that str.isspace accepts, a stray
+# letter and two non-ASCII decimal digits, next to the notation's own
+# characters
+ALPHABET = "vwVW0123456789(), \t١\u00a0\x0b\x1c\u2003x५"
+
+
 @settings(max_examples=1500, deadline=None)
-@given(sizes, sizes, st.text(alphabet="vwVW0123456789(), \t١", max_size=30))
+@given(sizes, sizes, st.text(alphabet=ALPHABET, max_size=30))
 @example(3, 3, "(v١ v2)")
 @example(3, 3, "(v1 w٣)")
 @example(3, 3, "(v" + "9" * 5000 + ")")
 @example(3, 3, "(v9 v" + "9" * 5000 + ")")  # every index of a group is read first
+@example(3, 3, "(,)")
+@example(3, 3, "( v1,,v2 )")
+@example(3, 3, "(v1)(v1)")
+@example(3, 3, "(v1v2)")
+@example(3, 3, "(v1 x)")
+@example(3, 3, "\u3000(v1\u2003v2)\x1c\u00a0(w1\x0bw2)\x85")
+@example(3, 3, "\u200b(v1 v2)")  # a format character, not whitespace
 def test_parse_random_strings(n, m, text):
     assert_same(parse_cycles, core_oracle.parse_cycles, BipartiteShape(n, m), text)
+
+
+def test_grammar_reads_separators_as_split_does():
+    # every code point separates tokens exactly when str.split splits at it,
+    # may stand between groups exactly when str.isspace holds, and continues
+    # an index exactly when it is a decimal digit, as int() reads one
+    fullmatch = _CYCLES_RE.fullmatch
+    for c in map(chr, range(sys.maxunicode + 1)):
+        splits = len(f"v1{c}w2".replace(",", " ").split()) == 2
+        assert (fullmatch(f"(v1{c}w2)") is not None) is splits, repr(c)
+        assert (fullmatch(f"{c}()") is not None) is c.isspace(), repr(c)
+        assert (fullmatch(f"(v1{c})") is not None) is (splits or c.isdecimal()), repr(c)
 
 
 @st.composite
@@ -106,6 +133,13 @@ def test_signature_on_random_permutations():
     rng = random.Random(20121)
     for _ in range(3000):
         n, m = rng.randint(1, 12), rng.randint(1, 12)
+        aut = random_automorphism(rng, n, m)
+        assert signature(aut) == core_oracle.signature(aut)
+
+
+def test_signature_on_large_random_automorphisms():
+    rng = random.Random(20123)
+    for n, m in [(1000, 1000)] * 6 + [(999, 1000)] * 3:
         aut = random_automorphism(rng, n, m)
         assert signature(aut) == core_oracle.signature(aut)
 

@@ -41,6 +41,8 @@ from bipsym.verifier import (
     _gcd_counts,
 )
 
+import core_oracle
+
 SRC = str(Path(bipsym.__file__).resolve().parents[1])
 ADDRESS_SPACE = 1 << 30
 
@@ -576,6 +578,36 @@ def test_parse_bound_is_inclusive():
     assert len(aut.perm) == MAX_VERTICES
     with pytest.raises(TooLarge, match="more than"):
         parse_cycles(BipartiteShape(n + 1, 3), "(v1 v2)")
+
+
+_VALID_GROUPS = "".join(f"(v{k} v{k + 1})(w{k} w{k + 1})" for k in range(1, 20001, 2))
+_TOKENS = "(" + " ".join(f"v{k}" for k in range(1, 20001))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " " * 200_000 + "x",  # whitespace, then a stray character
+        "(" + " ," * 100_000 + "x)",  # separators, then junk in a group
+        "(" + " ," * 100_000 + "x",  # and with the group left open
+        _VALID_GROUPS + "x",  # 20 000 valid groups, then a stray character
+        _VALID_GROUPS + "(",
+        _TOKENS + " v1)",  # 20 000 tokens, the last a duplicate
+        _TOKENS + " v1",
+    ],
+    ids=["spaces", "separators", "separators-open", "groups", "groups-open",
+         "duplicate", "duplicate-open"],
+)
+def test_hostile_cycle_text_fails_in_linear_time(text):
+    # a cycle grammar that backtracks quadratically would take minutes here
+    shape = BipartiteShape(50_000, 50_000)
+    start = time.perf_counter()
+    with pytest.raises(Exception) as got:
+        parse_cycles(shape, text)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(Exception) as want:
+        core_oracle.parse_cycles(shape, text)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_cap_check_stops_early():
