@@ -54,6 +54,12 @@ and orientation, and tol.  So the census verifies through one table per
 call keyed by those (``verifier._IsometryTable``), makes each entry on first
 use, and runs only the point checks per (class, orientation): every
 certificate keeps its bits, and the table is freed when the census returns.
+It runs in two passes: the first realizes every realizable (class,
+orientation) in candidate order, the second certifies that list in the same
+order inside one ``np.errstate(all="ignore")``: the verifier leaves its
+error state to the caller, so it is entered once per census, not once per
+certificate.  One census's realizations are held until they are certified,
+about 1.4 MB of points at K_{36,42}.
 
 The package re-exports the function ``census`` under this module's name,
 so ``bipsym.census`` and ``import bipsym.census as c`` give the function.
@@ -82,12 +88,12 @@ from .errors import OutOfTheoremScope, TooLarge
 # bound stays below 420.  Realize-all also realizes and verifies one
 # representative per realizable (class, orientation), and the divisors of n
 # and m set its cost too.  From the CLI on 2 CPUs, with each isometry's
-# checks shared per call and placement's per-orbit cost cut, the slowest
-# shapes are K_{36,42} (0.45-0.47 s) and K_{40,42} (0.43-0.45 s); the
-# slowest with a part of 46 or 47, K_{36,46}, takes 0.35-0.36 s, and K_{47,47}
-# 0.16 s.  Past the bound, K_{36,48}, K_{42,48} and K_{48,42} take 0.57-0.6 s,
-# slower than any shape within it, so the bound stays at 47 until a scan of
-# every shape past it.
+# checks shared per call and every realization certified in one pass, the
+# slowest shapes are K_{36,42} and K_{40,42} (0.53 s each, fastest of six
+# runs on a busy host); the slowest with a part of 46 or 47, K_{36,46}, takes
+# 0.42 s, and K_{47,47} 0.22 s.  Past the bound, K_{36,48}, K_{42,48} and
+# K_{48,42} take 0.63-0.68 s, slower than any shape within it, so the bound
+# stays at 47 until a scan of every shape past it.
 MAX_CENSUS_PART = 419
 MAX_REALIZE_ALL_PART = 47
 
@@ -182,8 +188,10 @@ def census(
     ``realize_all``, additionally realize (with ``seed``) and verify one
     representative of every class in each orientation the classifier marks
     realizable; ``realized_verified`` is the summed size of the classes
-    whose representative's certificate passed, once per orientation.  The
-    checks of each distinct isometry (matrix bytes, claimed order,
+    whose representative's certificate passed, once per orientation.  All
+    realizations are built first and then certified, in the same order,
+    under one numpy error state that ignores every error.  The checks of
+    each distinct isometry (matrix bytes, claimed order,
     orientation) are made once per call and shared by the certificates
     that use it, which keep the bits of a fresh ``verify``.
     Deterministic given (shape, seed).  Raises TooLarge, before any work,
@@ -199,10 +207,14 @@ def census(
             f"census of K_{{{n},{m}}}: a part has more than {bound} vertices"
         )
     if realize_all:
+        import numpy as np
+
         from .geometry import _realize
         from .verifier import _certify, _IsometryTable
 
-        isometries = _IsometryTable()
+        # (representative, class size, isometry, embedding) per realizable
+        # (class, orientation), in candidate order, certified after the loop
+        realizations = []
 
     factorials = {n: math.factorial(n), m: math.factorial(m)}
     rows = _PartitionRows(factorials)
@@ -239,7 +251,12 @@ def census(
             count = size_v * size_w
             rep = _representative(shape, lam, mu)
             for case in verdict.op_cases[:1] + verdict.or_cases[:1]:
-                iso, emb = _realize(rep, r, case, seed)
+                realizations.append((rep, count, *_realize(rep, r, case, seed)))
+
+    if realize_all:
+        isometries = _IsometryTable()
+        with np.errstate(all="ignore"):  # verifier docstring, Error state
+            for rep, count, iso, emb in realizations:
                 if _certify(rep, iso, emb, 1e-9, isometries).overall:
                     realized_verified += count
 

@@ -99,12 +99,18 @@ and triples that agree on the first four may share one _check_isometry.
 verify makes a fresh one per call; census(realize_all=True) keeps one per
 key for the call in an _IsometryTable, since many of its classes share an
 isometry (every case-2/3 class of order r gets the same rotation).
+
+Error state.  An overflow or invalid value shows in the measured value of
+the check it spoils, so numpy's RuntimeWarnings would only repeat it on
+stderr, and the checks run with numpy's errors ignored.  That state belongs
+to the caller of _certify, which sets it once: verify around its one call,
+census(realize_all=True) around its pass that certifies every realization.
+A caller's own np.seterr, "raise" included, holds again when either returns.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,9 +257,9 @@ class _Verification:
     vertices, and -1 where the subdivision set is not closed under the
     automorphism.  The induces check sets ``min_sep`` and ``step``;
     ``establish`` sets the rest once π is established, all of it Python
-    lists and counters of ints but ``length``, each point's π-cycle length,
-    one int array for eel3's circles.  What the checks read of the matrix
-    alone is an _IsometryChecks.
+    lists and dicts of ints, ``length`` each point's π-cycle length; eel3
+    makes an int array of it only where it orders a circle's points.  What
+    the checks read of the matrix alone is an _IsometryChecks.
     """
 
     def __init__(self, aut, iso, emb, tol):
@@ -352,17 +358,22 @@ class _Verification:
         self.inverted.sort()
         # parts: the points of each cycle length in V, W and the subdivisions
         n, g = self.aut.shape.n, self.n_graph
-        self.parts = [Counter(length[:n]), Counter(length[n:g]), Counter(length[g:])]
+        self.parts = ({}, {}, {})
+        for part, lengths in zip(self.parts, (length[:n], length[n:g], length[g:])):
+            for L in lengths:
+                part[L] = part.get(L, 0) + 1
         # edge_lcms: the edges of each lcm of their ends' lengths, V x W, and
         # one more per subdivision vertex z of (v, w): a power fixes z and v,
         # or z and w, exactly when it fixes v and w
-        self.edge_lcms = Counter()
+        self.edge_lcms = edge_lcms = {}
         for a, ca in self.parts[0].items():
             for b, cb in self.parts[1].items():
-                self.edge_lcms[math.lcm(a, b)] += ca * cb
+                l = math.lcm(a, b)
+                edge_lcms[l] = edge_lcms.get(l, 0) + ca * cb
         for v, w in self.z_edges:
-            self.edge_lcms[math.lcm(length[v], length[w])] += 1
-        self.length = np.array(length)  # eel3 orders a circle's points by it
+            l = math.lcm(length[v], length[w])
+            edge_lcms[l] = edge_lcms.get(l, 0) + 1
+        self.length = length  # eel3 orders a circle's points by it
         return None
 
 
@@ -461,16 +472,17 @@ def verify(
     for S subdivision ids, each with its own edge of the graph as a (V
     index, W index) pair.
     """
-    return _certify(aut, iso, emb, tol, _check_isometry)
+    with np.errstate(all="ignore"):  # module docstring, Error state
+        return _certify(aut, iso, emb, tol, _check_isometry)
 
 
-# an overflow or invalid value shows in the measured value of the check it
-# spoils, so numpy's RuntimeWarnings would only repeat it on stderr
-@np.errstate(all="ignore")
+# numpy's error state belongs to the caller, verify or the census's certify
+# pass (module docstring, Error state): under a caller's own state an
+# overflowed power would warn, or raise with np.seterr(all="raise")
 def _certify(aut, iso, emb, tol, isometry) -> RealizationCertificate:
     """verify(aut, iso, emb, tol), taking the checks of the isometry from
     ``isometry(iso, tol)``, _check_isometry or an _IsometryTable, once the
-    preconditions hold."""
+    preconditions hold; called with numpy's errors ignored."""
     shape = aut.shape
     if shape != emb.shape:
         raise ShapeMismatch(f"automorphism {shape} vs embedding {emb.shape}")
@@ -655,7 +667,7 @@ def _arc_findings(st, d: int, basis: np.ndarray, nv: int, nw: int, nz: int) -> l
     if dim == 2:  # a circle
         if nv > 2 or nw > 2:
             return [f"{nv}+{nw} vertices of a part on circle"]
-        on = np.flatnonzero(d % st.length == 0)
+        on = np.flatnonzero(d % np.array(st.length) == 0)
         xy = st.P[on] @ basis
         ring = on[np.argsort(np.arctan2(xy[:, 1], xy[:, 0]), kind="stable")].tolist()
         pos = {k: t for t, k in enumerate(ring)}
@@ -678,6 +690,8 @@ def _by_divisor(
     """The check ``name`` failing on ``findings``, keyed by proper divisor d
     of r in ascending order: each is reported once, with the number of powers
     i < r with gcd(i, r) = d, and counts once for each of them."""
+    if not any(findings.values()):
+        return CheckResult(name, True, ok_detail, 0.0)
     r = st.iso.claimed_order
     problems = [
         f"{m.counts[d]} powers i with gcd(i, {r}) = {d}: {text}"

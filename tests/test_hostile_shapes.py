@@ -15,12 +15,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bipsym
+import bipsym.geometry
 from bipsym import (
     BipartiteShape,
     Orientation,
@@ -271,14 +273,19 @@ def test_cli_verify_answers_the_identity_with_many_divisors(tmp_path):
     assert checks["eel2"]["detail"] == NOT_ESTABLISHED
 
 
-def _write_overflowing(path: Path) -> None:
+def _overflowing() -> dict:
     """The OR13 realization of K_{4,4}, of order 4, with matrix[0][0] =
-    1e200: M^2, the power at the proper divisor 2, holds an infinity."""
+    1e200, as a realization file's object: M^2, the power at the proper
+    divisor 2, holds an infinity."""
     aut = parse_cycles(BipartiteShape(4, 4), "(v1 w1)(v2 w2)(v3 w3 v4 w4)")
     iso, emb = realize(aut, Orientation.OR, 3)
     obj = json.loads(json.dumps(realization_to_obj(aut, iso, emb, "OR13", 3)))
     obj["matrix"][0][0] = 1e200
-    path.write_text(json.dumps(obj))
+    return obj
+
+
+def _write_overflowing(path: Path) -> None:
+    path.write_text(json.dumps(_overflowing()))
 
 
 def test_cli_verify_of_overflowing_powers_exits_5(tmp_path):
@@ -314,6 +321,61 @@ def test_verify_of_overflowing_powers_fails(tmp_path):
     out = _run_limited(["-W", "ignore", "-c", script, str(path)], 20)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False False False\n"
+
+
+# verify and a realize-all census set numpy's error state for their checks
+# and hand the caller's back: no warning, and no FloatingPointError under a
+# caller's np.seterr(all="raise"), escapes the overflowing powers
+def test_verify_of_overflowing_powers_warns_nothing():
+    triple = realization_from_obj(_overflowing())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = verify(*triple)
+    assert not cert.overall
+    assert not cert.check("order").passed
+
+
+@pytest.mark.parametrize("state", [None, "raise", "warn"])
+def test_verify_and_census_hand_back_the_error_state(state):
+    # None keeps numpy's default state; "raise" would turn the overflow
+    # into a FloatingPointError, were the verifier's own state not set
+    triple = realization_from_obj(_overflowing())
+    before = np.geterr() if state is None else np.seterr(all=state)
+    try:
+        want = np.geterr()
+        cert = verify(*triple)
+        assert np.geterr() == want
+        report = census(BipartiteShape(4, 4), realize_all=True)
+        assert np.geterr() == want
+    finally:
+        np.seterr(**before)
+    assert [c.name for c in cert.checks if not c.passed] == [
+        "orthogonal", "order", "orientation", "induces", "eel1", "eel2", "eel3", "eel4"
+    ]
+    assert report.realized_verified == 1043
+
+
+def test_realize_all_certifies_overflowing_powers_without_a_warning(monkeypatch):
+    # every isometry the census builds gets matrix[0][0] = 1e200, so each
+    # certificate of its certify pass fails on overflowing powers
+    construct = bipsym.geometry._realize
+
+    def overflowing(*args):
+        iso, emb = construct(*args)
+        matrix = iso.matrix.copy()
+        matrix[0, 0] = 1e200
+        return dataclasses.replace(iso, matrix=matrix), emb
+
+    monkeypatch.setattr(bipsym.geometry, "_realize", overflowing)
+    before = np.seterr(all="raise")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = census(BipartiteShape(4, 4), realize_all=True)
+        assert set(np.geterr().values()) == {"raise"}
+    finally:
+        np.seterr(**before)
+    assert report.realized_verified == 0
 
 
 def _write_fixed_circle(path: Path, order: int) -> None:

@@ -36,8 +36,13 @@ SHAPES = [(n, m) for n in range(3, 8) for m in range(3, 8)]
 
 def recorded_census(monkeypatch, shape, seed):
     """The report of a realize-all census, with the arguments and result of
-    each of its construction calls and each of its certificates."""
-    calls, certs = [], []
+    each of its construction calls and each of its certificates.
+
+    The census realizes every (class, orientation) first and certifies them
+    after, so each certificate is checked to be made from the very objects
+    (``is``) of the construction call with its index: a reorder of either
+    pass would pair one class's representative with another's embedding."""
+    calls, certs, certified = [], [], []
     # the census certifies through verify's internal path, with its table
     construct, check = bipsym.geometry._realize, bipsym.verifier._certify
 
@@ -46,6 +51,7 @@ def recorded_census(monkeypatch, shape, seed):
         return calls[-1][1]
 
     def certifying(*args, **kwargs):
+        certified.append(args)
         certs.append(check(*args, **kwargs))
         return certs[-1]
 
@@ -53,6 +59,9 @@ def recorded_census(monkeypatch, shape, seed):
     monkeypatch.setattr(bipsym.verifier, "_certify", certifying)
     report = census(shape, realize_all=True, seed=seed)
     monkeypatch.undo()
+    assert len(certified) == len(calls)
+    for ((rep, *_), (iso, emb)), (aut, cert_iso, cert_emb, *_) in zip(calls, certified):
+        assert aut is rep and cert_iso is iso and cert_emb is emb
     return report, calls, certs
 
 
